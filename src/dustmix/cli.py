@@ -226,11 +226,9 @@ def load_config(path: Path | str | None) -> dict:
         "estep_max_iters": 500,
         "outer_tol": 1e-6,
         "outer_max_iters": 100,
-        "scale_updates_by_count": False,
         "rng_seed": 0,
     }
-    opt_defaults = {k: getattr(OptimizerConfig(), k) for k in
-                    ("memory", "grad_tol", "max_iters", "sufficient_decrease", "curvature")}
+    opt_defaults = asdict(OptimizerConfig())
     bounds_defaults = {"lower": BoxBounds().lower, "upper": BoxBounds().upper}
 
     return {

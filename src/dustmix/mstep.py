@@ -51,25 +51,20 @@ class OptimizerConfig:
     """Limited-memory quasi-Newton settings.
 
     ``memory`` is the number of curvature pairs kept; ``grad_tol`` bounds the
-    projected-gradient infinity norm at convergence.  The two Wolfe
-    line-search constants are fixed inside the backend solver; the fields
-    record the values in force.
+    projected-gradient infinity norm at convergence.
     """
 
     memory: int = 10
     grad_tol: float = 1e-6
     max_iters: int = 200
-    sufficient_decrease: float = 1e-4
-    curvature: float = 0.9
 
     def __post_init__(self) -> None:
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        for name in ("grad_tol", "sufficient_decrease", "curvature"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.grad_tol <= 0.0:
+            raise ValueError("grad_tol must be positive")
 
 
 class MaximizeResult(NamedTuple):

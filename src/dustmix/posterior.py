@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import betaln
 
 from .model import Corpus, FitResult
-from .numerics import BetaShape, CredibleInterval, beta_hpdi, beta_pdf, beta_summary
+from .numerics import BetaShape, CredibleInterval, beta_hpdi, beta_summary
 
 __all__ = [
     "MarginalSummary",
@@ -151,9 +152,9 @@ def density_grid(shape: BetaShape, n: int = GRID_POINTS) -> tuple[np.ndarray, np
     Midpoints keep the curve finite when a shape parameter sits at or below
     one (density unbounded at an endpoint).
     """
+    a, b = shape.a, shape.b
     x = (np.arange(n) + 0.5) / n
-    dens = np.array([beta_pdf(float(v), shape) for v in x])
-    return x, dens
+    return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
 
 
 def _marginal_dict(summary: MarginalSummary) -> dict:

@@ -79,11 +79,13 @@ class FitConfig:
 
     ``known_weight``/``flat_weight`` build the initial mixing rows: a known
     location gets ``known_weight`` in its own source column and
-    ``flat_weight`` elsewhere; trace rows start flat.
-    ``scale_updates_by_count`` divides the gamma/lambda updates of
-    :func:`estep_sample` by the sample's particle count; it exists only for
-    side-by-side study of that variant and breaks the monotone-bound
-    guarantee, so it stays off by default.
+    ``flat_weight`` elsewhere; trace rows start flat.  ``estep_tol`` is
+    the relative bound change that ends a corpus inference phase and the
+    relative parameter step that ends :func:`estep_sample`;
+    ``estep_max_iters`` caps the sweeps of either.  ``outer_tol`` and
+    ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
+    ``rng_seed`` is recorded with the run; the fit itself draws no random
+    numbers.
     """
 
     known_weight: float = 150.0
@@ -94,7 +96,6 @@ class FitConfig:
     outer_max_iters: int = 100
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     bounds: BoxBounds = field(default_factory=BoxBounds)
-    scale_updates_by_count: bool = False
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -272,25 +273,27 @@ def estep_sample(
 
     Updates, per sweep: responsibilities from the current profile and mixing
     posteriors, then gamma and lambda from the new responsibilities
-    (``lam = eta + count * phi``).  Stops when the relative bound change
-    drops below ``config.estep_tol`` or after ``estep_max_iters``.  This is
-    the corpus-level inference specialized to a one-sample corpus.
+    (``lam = eta + count * phi``).  Stops once a sweep moves no gamma or
+    lambda entry by more than a relative ``config.estep_tol``, or after
+    ``estep_max_iters``; each sweep's bound is recorded in ``elbo_steps``.
+    This is the corpus-level inference specialized to a one-sample corpus,
+    except for the stopping rule: near the fixed point the bound is flat,
+    so consecutive bounds can agree to the last bit while the parameters
+    still move.  :func:`_inference_phase` keeps its bound-change stop,
+    because changing it would move the stopping point of every fit.
     """
     c = counts.counts.astype(np.float64)
     alpha = np.asarray(alpha_row, dtype=np.float64)
     eta = H.values
     gamma, lam = state.gamma, state.lam
-    n_total = float(counts.total)
 
-    previous = state.elbo if np.isfinite(state.elbo) else elbo_sample(counts, alpha, H, state)
     state.elbo_steps = []
     for sweep in range(1, config.estep_max_iters + 1):
         phi = _phi_update(_digamma_diff(lam).T, gamma)
-        gamma = alpha + phi.T @ c
-        lam = eta + (phi * c[:, None]).T
-        if config.scale_updates_by_count:
-            gamma = gamma / n_total
-            lam = lam / n_total
+        new_gamma = alpha + phi.T @ c
+        new_lam = eta + (phi * c[:, None]).T
+        moved = max(np.abs(new_gamma / gamma - 1.0).max(), np.abs(new_lam / lam - 1.0).max())
+        gamma, lam = new_gamma, new_lam
 
         state.gamma, state.lam, state.phi = gamma, lam, phi
         try:
@@ -304,9 +307,8 @@ def estep_sample(
             ) from exc
         state.elbo = current
         state.elbo_steps.append(current)
-        if abs(current - previous) <= config.estep_tol * max(abs(previous), 1e-12):
+        if moved <= config.estep_tol:
             break
-        previous = current
     return state
 
 
@@ -476,8 +478,8 @@ def _fixed_prior_point(
     moves by more than a relative ``_LR_TOL``; returns gamma, lam and the
     responsibilities (samples x types x sources).
 
-    Thousands of sweeps are typical, so the digammas come from scipy, at
-    about a quarter of the cost of :func:`digamma` per sweep.
+    Thousands of sweeps are typical, so it calls scipy's ``psi`` directly,
+    without the argument check :func:`digamma` adds.
     """
     for _ in range(_LR_MAX_SWEEPS):
         log_phi = (psi(lam) - psi(lam.sum(axis=1))[:, None]).T + psi(gamma)[:, None, :]

@@ -113,7 +113,7 @@ def beta_interval_mass(lo: float, hi: float, a: float, b: float) -> float:
 
     Direct quadrature loses mass on extremely peaked shapes, so the
     regularized incomplete beta difference is used instead (still fully
-    independent of the package's continued-fraction implementation).
+    independent of the package's incomplete-beta implementation).
     """
     a, b = mp.mpf(a), mp.mpf(b)
     return float(

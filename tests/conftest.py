@@ -6,9 +6,6 @@ import pytest
 from dustmix.datasets import at_lq_corpus, at_lq_point_profiles
 from dustmix.vbi import FitConfig, fit
 
-# Known mixing proportions (theta_AT, theta_LQ) of the bundled traces.
-TRACE_TRUTH = {"e1": (0.90, 0.10), "e2": (0.20, 0.80)}
-
 
 @pytest.fixture(scope="session")
 def corpus_both_known():

@@ -13,14 +13,14 @@ import pytest
 from scipy import stats
 
 from dustmix.cli import cmd_fit, cmd_simulate
-from dustmix.datasets import at_lq_point_profiles, fixture_path
+from dustmix.datasets import TRACE_TRUTH, at_lq_point_profiles, fixture_path
 from dustmix.model import ParticleCatalog, SampleCounts, VariationalState, DirichletMatrix
 from dustmix.mstep import alpha_objective_and_gradient, eta_objective_and_gradient
 from dustmix.numerics import BetaShape, beta_hpdi, beta_quantile, beta_summary, digamma, log_gamma
 from dustmix.simulator import StudySpec, generate_sample, run_study
 from dustmix.vbi import FitConfig, estep_sample, initialize
 
-from conftest import TRACE_TRUTH, theta_interval
+from conftest import theta_interval
 
 
 def record(criterion, ok, detail=""):

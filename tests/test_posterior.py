@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dustmix.datasets import TRACE_TRUTH
 from dustmix.numerics import BetaShape
 from dustmix.posterior import (
     beta_profile_marginal,
@@ -16,7 +17,7 @@ from dustmix.posterior import (
     write_summary_csv,
 )
 
-from conftest import TRACE_TRUTH, theta_interval
+from conftest import theta_interval
 
 
 class TestThetaMarginal:

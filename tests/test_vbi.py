@@ -40,6 +40,20 @@ def make_state(alpha, eta, counts, n_samples_total=1):
     return state
 
 
+def random_instances():
+    """Random single-sample instances (alpha, eta, counts), fixed seed."""
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        M = int(rng.integers(1, 5))
+        T = int(rng.integers(2, 7))
+        alpha = rng.uniform(0.2, 5.0, size=M)
+        eta = rng.uniform(0.2, 5.0, size=(M, T))
+        counts_vec = rng.integers(0, 30, size=T)
+        if counts_vec.sum() == 0:
+            counts_vec[0] = 1
+        yield alpha, eta, counts_vec
+
+
 class TestInitialize:
     def test_both_known_pattern(self, corpus_both_known):
         H, A, states = initialize(corpus_both_known, FitConfig())
@@ -138,15 +152,7 @@ class TestEstepSample:
             assert np.all(np.diff(steps) >= -1e-8)
 
     def test_count_identities(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            M = int(rng.integers(1, 5))
-            T = int(rng.integers(2, 7))
-            alpha = rng.uniform(0.2, 5.0, size=M)
-            eta = rng.uniform(0.2, 5.0, size=(M, T))
-            counts_vec = rng.integers(0, 30, size=T)
-            if counts_vec.sum() == 0:
-                counts_vec[0] = 1
+        for alpha, eta, counts_vec in random_instances():
             counts = SampleCounts(counts_vec, 0, 0)
             H = DirichletMatrix(eta, role="H")
             state = make_state(alpha, eta, counts_vec)
@@ -176,17 +182,31 @@ class TestEstepSample:
         assert_allclose(permuted.lam, base.lam[:, perm], atol=1e-10)
         assert_allclose(permuted.phi, base.phi[perm, :], atol=1e-10)
 
-    def test_scaled_update_variant(self):
-        # study flag: gamma and lambda divided by the particle count
-        alpha = np.array([1.0])
-        eta = np.array([[2.0, 3.0]])
+    @staticmethod
+    def _next_sweep_step(counts, alpha, H, out):
+        """Largest relative gamma/lam change of one more sweep from ``out``."""
+        gamma, lam = out.gamma.copy(), out.lam.copy()
+        again = estep_sample(counts, alpha, H, out, FitConfig(estep_max_iters=1))
+        return max(np.abs(again.gamma / gamma - 1.0).max(), np.abs(again.lam / lam - 1.0).max())
+
+    def test_stops_at_parameter_fixed_point(self):
+        # the bound goes flat before the parameters stop moving, so the
+        # stop is on the parameter step: one more sweep moves nothing by
+        # more than estep_tol
+        alpha = np.array([1.0, 1.0])
+        eta = np.array([[2.0, 1.0], [1.0, 2.0]])
         counts = SampleCounts(np.array([3, 1]), 0, 0)
         H = DirichletMatrix(eta, role="H")
-        state = make_state(alpha, eta, [3, 1])
-        config = FitConfig(scale_updates_by_count=True, estep_max_iters=1)
-        out = estep_sample(counts, alpha, H, state, config)
-        assert_allclose(out.gamma, (alpha + 4.0) / 4.0)
-        assert_allclose(out.lam, (eta + np.array([[3.0, 1.0]])) / 4.0)
+        config = FitConfig(estep_tol=1e-16, estep_max_iters=5000)
+        out = estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]), config)
+        assert self._next_sweep_step(counts, alpha, H, out) <= config.estep_tol
+
+        config = FitConfig()
+        for alpha, eta, counts_vec in random_instances():
+            counts = SampleCounts(counts_vec, 0, 0)
+            H = DirichletMatrix(eta, role="H")
+            out = estep_sample(counts, alpha, H, make_state(alpha, eta, counts_vec), config)
+            assert self._next_sweep_step(counts, alpha, H, out) <= config.estep_tol
 
 
 class TestElboSample:
