@@ -189,7 +189,7 @@ def _input_record(path: Path) -> dict:
 
 
 _CONFIG_SECTIONS = {"unknown_sources", "fit", "optimizer", "bounds", "report"}
-_REPORT_DEFAULTS = {"hpdi_mass": 0.95, "sample_diagnostics": False}
+_REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
 def load_config(path: Path | str | None) -> dict:
@@ -287,12 +287,7 @@ def cmd_fit(
         corpus = ingest_csv(corpus_path, unknown_sources=config["unknown_sources"])
         _prepare_out_dir(out, force)
         result = fit(corpus, fit_config)
-        report = build_report(
-            result,
-            corpus,
-            mass=float(config["report"]["hpdi_mass"]),
-            include_sample_posteriors=bool(config["report"]["sample_diagnostics"]),
-        )
+        report = build_report(result, corpus, mass=float(config["report"]["hpdi_mass"]))
         write_report_json(report, out / "report.json")
         write_summary_csv(report, out / "summary.csv")
         write_plot_csvs(report, out)

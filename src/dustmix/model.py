@@ -217,13 +217,15 @@ class DirichletMatrix:
 
 @dataclass
 class VariationalState:
-    """Per-sample variational parameters and the sample's current bound.
+    """One sample's variational parameters and its current bound.
 
     ``phi`` holds one responsibility row per particle type (types absent
     from the sample included, with zero weight in every bound term), so the
-    state is O(types x sources) regardless of particle count.
-    ``elbo_steps`` records the bound after each coordinate sweep of the most
-    recent inference call.
+    state is O(types x sources) regardless of particle count.  ``lam`` is
+    the profile posterior the sample is scored against: a single-sample
+    inference owns it, while the states of a corpus fit all hold the one
+    shared profile posterior.  ``elbo_steps`` records the bound after each
+    coordinate sweep of the most recent single-sample inference call.
     """
 
     location_id: int
@@ -256,7 +258,10 @@ class FitResult:
     linear-response variance of the location's share, or the number of
     sources where that variance is unusable.  ``trace_locations`` maps its
     rows back to corpus location indices.  ``H_converged`` holds the fitted
-    profile hyperparameters.  ``elbo_trace`` has one entry per outer
+    profile hyperparameters.  ``variational`` has one state per sample in
+    corpus order; every state's ``lam`` is the same array, the one shared
+    profile posterior, and each ``elbo`` is that sample's bound with the
+    profile block counted in full.  ``elbo_trace`` has one entry per outer
     iteration, recorded after the inference sweep.
     """
 

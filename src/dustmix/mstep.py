@@ -89,19 +89,9 @@ def _row_objective_and_gradient(
     return value, grad
 
 
-def _lambda_stat(states: Sequence[VariationalState], m: int, n_types: int) -> np.ndarray:
-    stat = np.zeros(n_types)
-    for state in states:
-        row = state.lam[m]
-        stat += digamma(row) - digamma(row.sum())
-    return stat
-
-
-def _gamma_stat(states: Sequence[VariationalState], n_sources: int) -> np.ndarray:
-    stat = np.zeros(n_sources)
-    for state in states:
-        stat += digamma(state.gamma) - digamma(state.gamma.sum())
-    return stat
+def _digamma_stat(rows: np.ndarray) -> np.ndarray:
+    """Sum over the rows of digamma(row) - digamma(row sum)."""
+    return (digamma(rows) - digamma(rows.sum(axis=1))[:, None]).sum(axis=0)
 
 
 def eta_objective_and_gradient(
@@ -110,7 +100,7 @@ def eta_objective_and_gradient(
     """Bound contribution of profile row ``m`` and its gradient, summed over
     all samples' profile blocks."""
     eta_row = np.asarray(eta_row, dtype=np.float64)
-    stat = _lambda_stat(states, m, eta_row.shape[0])
+    stat = _digamma_stat(np.array([state.lam[m] for state in states]).reshape(-1, eta_row.size))
     return _row_objective_and_gradient(eta_row, stat, len(states))
 
 
@@ -126,7 +116,7 @@ def alpha_objective_and_gradient(
         raise ValueError(f"location {l} is pinned to a known source; its mixing row is frozen")
     alpha_row = np.asarray(alpha_row, dtype=np.float64)
     local = [s for s in states if s.location_id == l]
-    stat = _gamma_stat(local, alpha_row.shape[0])
+    stat = _digamma_stat(np.array([state.gamma for state in local]).reshape(-1, alpha_row.size))
     return _row_objective_and_gradient(alpha_row, stat, len(local))
 
 
@@ -198,10 +188,11 @@ def mstep(
     if bounds.lower <= 0.0:
         raise ValueError("Dirichlet rows need a strictly positive lower bound")
     n_sources, n_types = H.shape
+    lams = np.array([state.lam for state in states]).reshape(-1, n_sources, n_types)
+    count = len(states)
     new_h = np.array(H.values, dtype=np.float64)
     for m in range(n_sources):
-        stat = _lambda_stat(states, m, n_types)
-        count = len(states)
+        stat = _digamma_stat(lams[:, m])
         try:
             res = maximize_box(
                 lambda x: _row_objective_and_gradient(x, stat, count),
@@ -213,15 +204,14 @@ def mstep(
             raise RuntimeError(f"profile-row update failed (matrix H, row {m}): {exc}") from exc
         new_h[m] = res.x
 
+    gammas = np.array([state.gamma for state in states]).reshape(-1, n_sources)
+    location_ids = np.array([state.location_id for state in states])
     new_a = np.array(A.values, dtype=np.float64)
-    by_location: dict[int, list[VariationalState]] = {}
-    for state in states:
-        by_location.setdefault(state.location_id, []).append(state)
     for l in corpus.trace_location_ids:
-        local = by_location.get(l, [])
-        if not local:
+        local = gammas[location_ids == l]
+        if not len(local):
             continue
-        stat = _gamma_stat(local, n_sources)
+        stat = _digamma_stat(local)
         count = len(local)
         try:
             res = maximize_box(

@@ -71,7 +71,6 @@ class PosteriorReport:
     beta: dict[str, tuple[MarginalSummary, ...]]
     mass: float
     provenance: dict
-    sample_posteriors: dict[str, list[list[float]]] | None = None
 
 
 def _summarize(label: str, shape: BetaShape, mass: float) -> MarginalSummary:
@@ -85,18 +84,8 @@ def _summarize(label: str, shape: BetaShape, mass: float) -> MarginalSummary:
     )
 
 
-def build_report(
-    fit: FitResult,
-    corpus: Corpus,
-    mass: float = 0.95,
-    include_sample_posteriors: bool = False,
-) -> PosteriorReport:
-    """Assemble the marginal posterior report for a fit on ``corpus``.
-
-    ``include_sample_posteriors`` additionally records each sample's
-    row-normalized profile posterior (diagnostic only; the reported profile
-    marginals come from the converged profile matrix).
-    """
+def build_report(fit: FitResult, corpus: Corpus, mass: float = 0.95) -> PosteriorReport:
+    """Assemble the marginal posterior report for a fit on ``corpus``."""
     source_names = corpus.source_names
     type_names = corpus.catalog.type_names
 
@@ -128,22 +117,7 @@ def build_report(
         "hpdi_mass": mass,
     }
 
-    sample_posteriors = None
-    if include_sample_posteriors:
-        sample_posteriors = {}
-        for state in fit.variational:
-            loc = corpus.locations[state.location_id]
-            key = f"{loc.name}/{state.sample_index}"
-            normalized = state.lam / state.lam.sum(axis=1, keepdims=True)
-            sample_posteriors[key] = [[float(v) for v in row] for row in normalized]
-
-    return PosteriorReport(
-        theta=theta,
-        beta=beta,
-        mass=mass,
-        provenance=provenance,
-        sample_posteriors=sample_posteriors,
-    )
+    return PosteriorReport(theta=theta, beta=beta, mass=mass, provenance=provenance)
 
 
 def density_grid(shape: BetaShape, n: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +146,7 @@ def _marginal_dict(summary: MarginalSummary) -> dict:
 
 
 def report_to_dict(report: PosteriorReport) -> dict:
-    out = {
+    return {
         "mass": report.mass,
         "theta": {
             name: [_marginal_dict(s) for s in summaries]
@@ -184,9 +158,6 @@ def report_to_dict(report: PosteriorReport) -> dict:
         },
         "provenance": report.provenance,
     }
-    if report.sample_posteriors is not None:
-        out["sample_posteriors"] = report.sample_posteriors
-    return out
 
 
 def write_report_json(report: PosteriorReport, path: Path | str) -> None:

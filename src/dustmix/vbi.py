@@ -1,21 +1,22 @@
 """Variational EM engine: coordinate-ascent inference plus hyperparameter updates.
 
 The generative story draws the profile matrix B once for the whole corpus,
-so the corpus-level fit keeps a single shared Dirichlet posterior over each
-profile row (the ``lam`` matrix), accumulating type counts from every
-sample, while mixing posteriors (``gamma``) and responsibilities (``phi``)
-stay per sample.  One inference sweep updates every sample's
-responsibilities and mixing posterior against the current profile posterior,
-then refreshes the profile posterior from all samples; each update is the
-exact coordinate maximizer of the bound given the rest, so the bound is
-non-decreasing sweep over sweep.  The outer loop alternates inference
-phases with box-constrained updates of the profile hyperparameters and the
-trace rows of the mixing hyperparameters, warm-starting every phase from
-the previous state, which keeps the bound monotone across phases too.
+so the fit keeps one shared Dirichlet posterior over the profile rows
+(``lam``, sources x types), while mixing posteriors and responsibilities
+stay per sample.  The state is arrays with one row per sample: ``counts``
+(N x T), ``gamma`` (N x M) and ``phi`` (N x T x M), next to the one ``lam``.
 
-:func:`estep_sample` exposes the single-sample special case (a sample that
-owns its profile posterior outright); on a one-sample corpus it coincides
-exactly with the corpus-level sweep.
+One kernel, :func:`_sweep`, runs an inference sweep over any set of rows:
+responsibilities and mixing posteriors against the current profile
+posterior, then the profile posterior from the counts every row allocates.
+Each update is the exact coordinate maximizer of the bound given the rest,
+so the bound is non-decreasing sweep over sweep.  One function,
+:func:`_bound_terms`, sums the seven bound terms over rows, counting the
+profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
+one-row calls (a sample that owns its profile posterior outright).  The
+outer loop alternates inference phases with box-constrained updates of the
+profile hyperparameters and the trace mixing rows, warm-starting every
+phase from the previous state, so the bound is monotone across phases too.
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
 report reads, not the fitted hyperparameters themselves: each keeps its
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
-from scipy.special import polygamma, psi
+from scipy.special import polygamma
 
 from .model import (
     Corpus,
@@ -127,7 +128,8 @@ def initialize(
     location to its source via ``known_weight``; trace rows start flat.
     Each sample's gamma starts at its location's mixing row plus
     total_count / (n_sources * total_samples); responsibilities start
-    uniform and the profile posterior starts at the profile matrix itself.
+    uniform, and every state shares one profile posterior that starts at
+    the profile matrix itself.
     """
     violations = validate_corpus(corpus)
     if violations:
@@ -136,14 +138,14 @@ def initialize(
     H, A = _prior_matrices(corpus, config)
     M, T, a = corpus.n_sources, corpus.n_types, A.values
     total_samples = corpus.n_samples
+    lam = np.array(H.values, dtype=np.float64)
     states: list[VariationalState] = []
     for loc_id, sample in corpus.iter_samples():
-        gamma = a[loc_id] + sample.total / (M * total_samples)
         state = VariationalState(
             location_id=loc_id,
             sample_index=sample.sample_index,
-            gamma=gamma,
-            lam=np.array(H.values, dtype=np.float64),
+            gamma=a[loc_id] + sample.total / (M * total_samples),
+            lam=lam,
             phi=np.full((T, M), 1.0 / M),
         )
         state.elbo = elbo_sample(sample, a[loc_id], H, state)
@@ -156,47 +158,62 @@ def _digamma_diff(rows: np.ndarray) -> np.ndarray:
     return digamma(rows) - digamma(rows.sum(axis=1))[:, None]
 
 
-def _sample_terms(
-    c: np.ndarray,
-    alpha: np.ndarray,
+def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Counts each sample row allocates to each source (rows x sources)."""
+    return np.matmul(phi.transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
+
+
+def _sweep(
+    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One inference sweep over sample rows (``counts``, mixing prior rows
+    ``a`` and ``gamma``).  Responsibilities come from the profile and mixing
+    digammas, normalized per type in log space; each mixing posterior is its
+    ``a`` row plus the counts it allocates; the profile posterior is ``eta``
+    plus the counts allocated from every row.  Returns gamma, lam and phi.
+    """
+    log_phi = _digamma_diff(lam).T + digamma(gamma)[:, None, :]
+    log_phi -= log_phi.max(axis=2, keepdims=True)
+    phi = np.exp(log_phi)
+    phi /= phi.sum(axis=2, keepdims=True)
+    return a + _allocated(counts, phi), eta + (phi * counts[:, :, None]).sum(axis=0).T, phi
+
+
+def _relative_step(
+    gamma: np.ndarray, lam: np.ndarray, new_gamma: np.ndarray, new_lam: np.ndarray
+) -> float:
+    """Largest relative change of any mixing or profile parameter."""
+    return max(np.abs(new_gamma / gamma - 1.0).max(), np.abs(new_lam / lam - 1.0).max())
+
+
+def _expected_log_dirichlet(rows: np.ndarray, dg: np.ndarray) -> float:
+    """E log Dirichlet(x | row), summed over rows, given E log x = ``dg``."""
+    log_norm = log_gamma(rows.sum(axis=1)) - log_gamma(rows).sum(axis=1)
+    return float((log_norm + ((rows - 1.0) * dg).sum(axis=1)).sum())
+
+
+def _bound_terms(
+    counts: np.ndarray,
+    a: np.ndarray,
+    eta: np.ndarray,
     gamma: np.ndarray,
     phi: np.ndarray,
-    dg_lam: np.ndarray,
+    lam: np.ndarray,
 ) -> dict[str, float]:
-    """The five per-sample bound terms given the profile digamma block."""
-    dg_gamma = digamma(gamma) - digamma(gamma.sum())
-    weighted_phi = phi * c[:, None]
+    """The seven bound terms, each summed over the sample rows; the profile
+    block (``log_p_beta``, ``entropy_beta``) is counted once."""
+    dg_lam = _digamma_diff(lam)
+    dg_gamma = _digamma_diff(gamma)
+    weighted_phi = phi * counts[:, :, None]
     log_phi = np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
     return {
-        "log_p_x": float((weighted_phi.T * dg_lam).sum()),
-        "log_p_theta": float(
-            log_gamma(alpha.sum()) - log_gamma(alpha).sum() + (alpha - 1.0) @ dg_gamma
-        ),
-        "log_p_z": float(weighted_phi.sum(axis=0) @ dg_gamma),
-        "entropy_theta": float(
-            -log_gamma(gamma.sum()) + log_gamma(gamma).sum() - (gamma - 1.0) @ dg_gamma
-        ),
+        "log_p_x": float((weighted_phi * dg_lam.T).sum()),
+        "log_p_theta": _expected_log_dirichlet(a, dg_gamma),
+        "log_p_z": float((weighted_phi.sum(axis=1) * dg_gamma).sum()),
+        "entropy_theta": -_expected_log_dirichlet(gamma, dg_gamma),
         "entropy_z": float(-(weighted_phi * log_phi).sum()),
-    }
-
-
-def _profile_terms(eta: np.ndarray, lam: np.ndarray, dg_lam: np.ndarray) -> dict[str, float]:
-    """Bound terms of the profile block: prior expectation and entropy."""
-    return {
-        "log_p_beta": float(
-            (
-                log_gamma(eta.sum(axis=1))
-                - log_gamma(eta).sum(axis=1)
-                + ((eta - 1.0) * dg_lam).sum(axis=1)
-            ).sum()
-        ),
-        "entropy_beta": float(
-            (
-                -log_gamma(lam.sum(axis=1))
-                + log_gamma(lam).sum(axis=1)
-                - ((lam - 1.0) * dg_lam).sum(axis=1)
-            ).sum()
-        ),
+        "log_p_beta": _expected_log_dirichlet(eta, dg_lam),
+        "entropy_beta": -_expected_log_dirichlet(lam, dg_lam),
     }
 
 
@@ -207,12 +224,9 @@ def elbo_terms(
     state: VariationalState,
 ) -> dict[str, float]:
     """The seven bound terms for one sample, keyed by their standard names."""
-    c = counts.counts.astype(np.float64)
-    alpha = np.asarray(alpha_row, dtype=np.float64)
-    dg_lam = _digamma_diff(state.lam)
-    terms = _sample_terms(c, alpha, state.gamma, state.phi, dg_lam)
-    terms.update(_profile_terms(H.values, state.lam, dg_lam))
-    return terms
+    c = counts.counts.astype(np.float64)[None]
+    alpha = np.asarray(alpha_row, dtype=np.float64)[None]
+    return _bound_terms(c, alpha, H.values, state.gamma[None], state.phi[None], state.lam)
 
 
 def _check_terms(terms: dict[str, float]) -> float:
@@ -233,33 +247,17 @@ def elbo_sample(
 
 
 def corpus_elbo(
-    corpus: Corpus,
-    A: DirichletMatrix,
-    H: DirichletMatrix,
-    states: list[VariationalState],
+    counts: np.ndarray,
+    a: np.ndarray,
+    eta: np.ndarray,
+    gamma: np.ndarray,
+    phi: np.ndarray,
     lam: np.ndarray,
 ) -> float:
-    """Corpus-wide bound under the shared profile posterior ``lam``."""
-    dg_lam = _digamma_diff(lam)
-    total = 0.0
-    a = A.values
-    for state, (loc_id, sample) in zip(states, corpus.iter_samples()):
-        terms = _sample_terms(
-            sample.counts.astype(np.float64), a[loc_id], state.gamma, state.phi, dg_lam
-        )
-        total += _check_terms(terms)
-    total += _check_terms(_profile_terms(H.values, lam, dg_lam))
-    return total
-
-
-def _phi_update(dg_lam_t: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Responsibility rows from the profile digamma block (types x sources)
-    and the mixing digammas, normalized per type in log space."""
-    log_phi = dg_lam_t + digamma(gamma)[None, :]
-    log_phi -= log_phi.max(axis=1, keepdims=True)
-    phi = np.exp(log_phi)
-    phi /= phi.sum(axis=1, keepdims=True)
-    return phi
+    """Bound of all sample rows (``counts``, mixing prior rows ``a``,
+    ``gamma``, ``phi``) under the shared profile posterior ``lam``; raises
+    naming any non-finite term."""
+    return _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
 
 
 def estep_sample(
@@ -271,33 +269,31 @@ def estep_sample(
 ) -> VariationalState:
     """Coordinate-ascent sweeps for one sample that owns its profile posterior.
 
-    Updates, per sweep: responsibilities from the current profile and mixing
-    posteriors, then gamma and lambda from the new responsibilities
-    (``lam = eta + count * phi``).  Stops once a sweep moves no gamma or
-    lambda entry by more than a relative ``config.estep_tol``, or after
-    ``estep_max_iters``; each sweep's bound is recorded in ``elbo_steps``.
-    This is the corpus-level inference specialized to a one-sample corpus,
-    except for the stopping rule: near the fixed point the bound is flat,
+    Each sweep is the one-row call of the corpus kernel :func:`_sweep`:
+    responsibilities from the current profile and mixing posteriors, then
+    gamma and lambda from the new responsibilities (``lam = eta + count *
+    phi``).  Stops once a sweep moves no gamma or lambda entry by more than
+    a relative ``config.estep_tol``; at ``estep_max_iters`` it returns the
+    state it has and logs a warning with the step left.  Each sweep's bound
+    is recorded in ``elbo_steps``.  The stopping rule is the one difference
+    from a corpus inference phase: near the fixed point the bound is flat,
     so consecutive bounds can agree to the last bit while the parameters
     still move.  :func:`_inference_phase` keeps its bound-change stop,
     because changing it would move the stopping point of every fit.
     """
-    c = counts.counts.astype(np.float64)
-    alpha = np.asarray(alpha_row, dtype=np.float64)
-    eta = H.values
-    gamma, lam = state.gamma, state.lam
+    c = counts.counts.astype(np.float64)[None]
+    alpha = np.asarray(alpha_row, dtype=np.float64)[None]
+    gamma, lam = state.gamma[None], state.lam
 
     state.elbo_steps = []
     for sweep in range(1, config.estep_max_iters + 1):
-        phi = _phi_update(_digamma_diff(lam).T, gamma)
-        new_gamma = alpha + phi.T @ c
-        new_lam = eta + (phi * c[:, None]).T
-        moved = max(np.abs(new_gamma / gamma - 1.0).max(), np.abs(new_lam / lam - 1.0).max())
+        new_gamma, new_lam, phi = _sweep(c, alpha, H.values, gamma, lam)
+        moved = _relative_step(gamma, lam, new_gamma, new_lam)
         gamma, lam = new_gamma, new_lam
 
-        state.gamma, state.lam, state.phi = gamma, lam, phi
+        state.gamma, state.lam, state.phi = gamma[0], lam, phi[0]
         try:
-            current = elbo_sample(counts, alpha, H, state)
+            current = elbo_sample(counts, alpha[0], H, state)
         except NumericalFailure as exc:
             raise NumericalFailure(
                 f"sweep {sweep} at location {state.location_id}, sample "
@@ -309,6 +305,14 @@ def estep_sample(
         state.elbo_steps.append(current)
         if moved <= config.estep_tol:
             break
+    else:
+        logger.warning(
+            "estep_sample at location %d, sample %d: still moving by %.1e after %d sweeps",
+            state.location_id,
+            state.sample_index,
+            moved,
+            config.estep_max_iters,
+        )
     return state
 
 
@@ -317,24 +321,21 @@ _WARM_PASSES = 3
 
 
 def _bootstrap_unknown_row(
-    corpus: Corpus, lam: np.ndarray, trace_ids: list[int]
+    corpus: Corpus, lam: np.ndarray, trace_counts: np.ndarray
 ) -> np.ndarray | None:
     """Residual-shaped starting row for a single unknown source's profile.
 
-    Pooled trace counts are decomposed against the known profiles at the
-    parsimony corner (knowns take the largest mixing weights that leave a
-    non-negative residual); the residual, scaled to the trace mass it
-    explains, seeds the unknown profile row.  Returns ``None`` when the
-    corpus has no unknown source, no known source, or no trace samples.
+    Pooled trace counts (``trace_counts`` has one row per trace sample) are
+    decomposed against the known profiles at the parsimony corner (knowns
+    take the largest mixing weights that leave a non-negative residual);
+    the residual, scaled to the trace mass it explains, seeds the unknown
+    profile row.  Returns ``None`` when the corpus has no unknown source,
+    no known source, or no trace samples.
     """
-    M = corpus.n_sources
     n_known = corpus.n_known_sources
-    if corpus.n_unknown_sources != 1 or n_known == 0 or not trace_ids:
+    if corpus.n_unknown_sources != 1 or n_known == 0 or len(trace_counts) == 0:
         return None
-    pooled = np.zeros(corpus.n_types)
-    for loc_id in trace_ids:
-        for sample in corpus.locations[loc_id].samples:
-            pooled += sample.counts
+    pooled = trace_counts.sum(axis=0)
     total = pooled.sum()
     if total <= 0:
         return None
@@ -357,106 +358,85 @@ def _bootstrap_unknown_row(
 
 def _warm_start_profiles(
     corpus: Corpus,
-    A: DirichletMatrix,
-    H: DirichletMatrix,
-    states: list[VariationalState],
-) -> np.ndarray:
+    counts: np.ndarray,
+    a: np.ndarray,
+    eta: np.ndarray,
+    gamma: np.ndarray,
+    phi: np.ndarray,
+    known: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage the starting point: known samples shape the profile posterior
     before any trace sample commits its responsibilities.
 
-    Starting the joint ascent from flat profiles lets an unidentified
-    source lock onto a trace's own blend and absorb it wholesale, which is
-    a measurably worse optimum; settling the pinned single-source samples
-    first, then the trace responsibilities against that frozen posterior,
-    starts the ascent inside the right basin.  This only picks the starting
-    point; the recorded bound sequence begins afterwards.
+    ``known`` marks the rows of known-location samples.  Starting the joint
+    ascent from flat profiles lets an unidentified source lock onto a
+    trace's own blend and absorb it wholesale, which is a measurably worse
+    optimum; settling the pinned single-source samples first, then the
+    trace responsibilities against that frozen posterior, starts the ascent
+    inside the right basin.  This only picks the starting point; the
+    recorded bound sequence begins afterwards.  Returns gamma, phi and lam.
     """
-    a = A.values
-    samples = list(corpus.iter_samples())
-    counts = [sample.counts.astype(np.float64) for _, sample in samples]
-    known = [i for i, (lid, _) in enumerate(samples) if corpus.locations[lid].role.is_known]
-    trace = [i for i in range(len(samples)) if i not in set(known)]
-
-    lam = np.array(H.values, dtype=np.float64)
+    gamma, phi, lam = gamma.copy(), phi.copy(), eta
     for _ in range(_WARM_SWEEPS):
-        dg_lam_t = _digamma_diff(lam).T
-        acc = np.zeros_like(lam)
-        for i in known:
-            state = states[i]
-            loc_id = samples[i][0]
-            state.phi = _phi_update(dg_lam_t, state.gamma)
-            state.gamma = a[loc_id] + state.phi.T @ counts[i]
-            acc += (state.phi * counts[i][:, None]).T
-        new_lam = H.values + acc
-        if np.allclose(new_lam, lam, rtol=1e-10, atol=1e-12):
-            lam = new_lam
-            break
+        gamma[known], new_lam, phi[known] = _sweep(
+            counts[known], a[known], eta, gamma[known], lam
+        )
+        settled = np.allclose(new_lam, lam, rtol=1e-10, atol=1e-12)
         lam = new_lam
+        if settled:
+            break
 
-    trace_locations = sorted({samples[i][0] for i in trace})
-    boot = _bootstrap_unknown_row(corpus, lam, trace_locations)
+    trace = ~known
+    boot = _bootstrap_unknown_row(corpus, lam, counts[trace])
     if boot is not None:
-        lam = lam.copy()
         lam[-1] = boot
+    if not trace.any():
+        return gamma, phi, lam
 
     for _ in range(_WARM_PASSES):
-        dg_lam_t = _digamma_diff(lam).T
         for _ in range(_WARM_SWEEPS):
-            moved = 0.0
-            for i in trace:
-                state = states[i]
-                loc_id = samples[i][0]
-                new_phi = _phi_update(dg_lam_t, state.gamma)
-                moved = max(moved, float(np.abs(new_phi - state.phi).max()))
-                state.phi = new_phi
-                state.gamma = a[loc_id] + state.phi.T @ counts[i]
-            if moved < 1e-10 or not trace:
+            new_gamma, _, new_phi = _sweep(counts[trace], a[trace], eta, gamma[trace], lam)
+            moved = np.abs(new_phi - phi[trace]).max()
+            gamma[trace], phi[trace] = new_gamma, new_phi
+            if moved < 1e-10:
                 break
-        acc = np.zeros_like(lam)
-        for i in range(len(samples)):
-            acc += (states[i].phi * counts[i][:, None]).T
-        lam = H.values + acc
-    return lam
+        lam = eta + (phi * counts[:, :, None]).sum(axis=0).T
+    return gamma, phi, lam
 
 
 def _inference_phase(
-    corpus: Corpus,
-    A: DirichletMatrix,
-    H: DirichletMatrix,
-    states: list[VariationalState],
+    counts: np.ndarray,
+    a: np.ndarray,
+    eta: np.ndarray,
+    gamma: np.ndarray,
+    phi: np.ndarray,
     lam: np.ndarray,
     config: FitConfig,
-) -> tuple[np.ndarray, float, int]:
-    """One full inference phase: sweep all samples and the shared profile
-    posterior until the corpus bound stabilizes."""
-    samples = list(corpus.iter_samples())
-    counts = [sample.counts.astype(np.float64) for _, sample in samples]
-    a = A.values
-    eta = H.values
-
-    previous = corpus_elbo(corpus, A, H, states, lam)
-    current = previous
-    sweeps = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    """One full inference phase: sweep all sample rows and the shared
+    profile posterior until the corpus bound stabilizes.  Returns gamma,
+    phi, lam, the bound and the sweep count; at ``estep_max_iters`` it
+    returns what it has and logs a warning with the bound change left."""
+    previous = corpus_elbo(counts, a, eta, gamma, phi, lam)
     for sweep in range(1, config.estep_max_iters + 1):
-        sweeps = sweep
-        dg_lam_t = _digamma_diff(lam).T
-        acc = np.zeros_like(lam)
-        for state, (loc_id, _), c in zip(states, samples, counts):
-            phi = _phi_update(dg_lam_t, state.gamma)
-            state.phi = phi
-            state.gamma = a[loc_id] + phi.T @ c
-            acc += (phi * c[:, None]).T
-        lam = eta + acc
+        gamma, lam, phi = _sweep(counts, a, eta, gamma, lam)
         try:
-            current = corpus_elbo(corpus, A, H, states, lam)
+            current = corpus_elbo(counts, a, eta, gamma, phi, lam)
         except NumericalFailure as exc:
             raise NumericalFailure(
                 f"inference sweep {sweep}: {exc}", term=exc.term, iteration=sweep
             ) from exc
-        if abs(current - previous) <= config.estep_tol * max(abs(previous), 1e-12):
+        change, scale = abs(current - previous), max(abs(previous), 1e-12)
+        if change <= config.estep_tol * scale:
             break
         previous = current
-    return lam, current, sweeps
+    else:
+        logger.warning(
+            "inference phase: bound still changing by %.1e (relative) after %d sweeps",
+            change / scale,
+            config.estep_max_iters,
+        )
+    return gamma, phi, lam, current, sweep
 
 
 # The linear-response covariance holds at a fixed point of the fixed-prior
@@ -473,22 +453,15 @@ _LR_MAX_SWEEPS = 20000
 def _fixed_prior_point(
     counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inference sweeps over all samples at once (``counts``, ``a`` and
-    ``gamma`` have one row per sample) until no mixing or profile parameter
-    moves by more than a relative ``_LR_TOL``; returns gamma, lam and the
-    responsibilities (samples x types x sources).
-
-    Thousands of sweeps are typical, so it calls scipy's ``psi`` directly,
-    without the argument check :func:`digamma` adds.
+    """Inference sweeps (:func:`_sweep` over all sample rows) until no
+    mixing or profile parameter moves by more than a relative ``_LR_TOL``;
+    returns gamma, lam and the responsibilities (samples x types x
+    sources).  At ``_LR_MAX_SWEEPS`` it returns what it has and logs a
+    warning with the step left.
     """
     for _ in range(_LR_MAX_SWEEPS):
-        log_phi = (psi(lam) - psi(lam.sum(axis=1))[:, None]).T + psi(gamma)[:, None, :]
-        phi = np.exp(log_phi - log_phi.max(axis=2, keepdims=True))
-        phi /= phi.sum(axis=2, keepdims=True)
-        weighted = phi * counts[:, :, None]
-        new_gamma = a + weighted.sum(axis=1)
-        new_lam = eta + weighted.sum(axis=0).T
-        moved = max(np.abs(new_gamma / gamma - 1.0).max(), np.abs(new_lam / lam - 1.0).max())
+        new_gamma, new_lam, phi = _sweep(counts, a, eta, gamma, lam)
+        moved = _relative_step(gamma, lam, new_gamma, new_lam)
         gamma, lam = new_gamma, new_lam
         if moved < _LR_TOL:
             break
@@ -540,28 +513,32 @@ def _linear_response_precision(
 
 def _linear_response_rows(
     corpus: Corpus,
+    counts: np.ndarray,
+    loc: np.ndarray,
     A: DirichletMatrix,
     H: DirichletMatrix,
-    states: list[VariationalState],
+    phi: np.ndarray,
     lam: np.ndarray,
     config: FitConfig,
 ) -> np.ndarray:
     """Trace mixing rows with their fitted means and linear-response
     concentrations.
 
-    The fitted rows are empirical-Bayes hyperparameters whose concentration
-    grows with the outer iteration count, and a factorised posterior has no
-    covariance along the line where the unknown profile and the shares
-    trade off.  So the state is reset to the configured priors and swept to
-    its fixed point there; the linear-response covariance of that point
-    (Giordano, Broderick and Jordan 2015, arXiv:1506.04088) gives, by the
-    delta method, the variance of each location's share (the mean of its
-    samples' shares) on the logit scale.  Each row keeps its fitted mean
-    and takes the smallest concentration that variance implies across
-    sources.  Where the linear-response system is not positive definite,
-    or the implied concentration falls below the number of sources, the
-    location gets the flat row (concentration = number of sources) with
-    its fitted mean, and a warning naming it.
+    ``counts`` and ``phi`` are the fit's sample rows and ``loc`` their
+    location indices.  The fitted rows are empirical-Bayes hyperparameters
+    whose concentration grows with the outer iteration count, and a
+    factorised posterior has no covariance along the line where the
+    unknown profile and the shares trade off.  So the state is reset to
+    the configured priors and swept to its fixed point there; the
+    linear-response covariance of that point (Giordano, Broderick and
+    Jordan 2015, arXiv:1506.04088) gives, by the delta method, the
+    variance of each location's share (the mean of its samples' shares) on
+    the logit scale.  Each row keeps its fitted mean and takes the smallest
+    concentration that variance implies across sources.  Where the
+    linear-response system is not positive definite, or the implied
+    concentration falls below the number of sources, the location gets the
+    flat row (concentration = number of sources) with its fitted mean, and
+    a warning naming it.
     """
     M = corpus.n_sources
     trace_ids = list(corpus.trace_location_ids)
@@ -571,13 +548,9 @@ def _linear_response_rows(
         return fitted
 
     H0, A0 = _prior_matrices(corpus, config)
-    samples = list(corpus.iter_samples())
-    loc_of = np.array([loc_id for loc_id, _ in samples])
-    counts = np.stack([sample.counts.astype(np.float64) for _, sample in samples])
-    allocated = np.stack([state.phi.T @ c for state, c in zip(states, counts)])
-    a0 = A0.values[loc_of]
+    a0 = A0.values[loc]
     gamma, lam0, phi = _fixed_prior_point(
-        counts, a0, H0.values, a0 + allocated, H0.values + (lam - H.values)
+        counts, a0, H0.values, a0 + _allocated(counts, phi), H0.values + (lam - H.values)
     )
 
     shares = gamma / gamma.sum(axis=1, keepdims=True)
@@ -585,7 +558,7 @@ def _linear_response_rows(
     grads = np.zeros((lam0.size + gamma.size, len(trace_ids) * M))
     p_loc = np.full((len(trace_ids), M), np.nan)
     for j, loc_id in enumerate(trace_ids):
-        members = np.flatnonzero(loc_of == loc_id)
+        members = np.flatnonzero(loc == loc_id)
         if members.size:
             p_loc[j] = shares[members].mean(axis=0)
         for n in members:
@@ -617,19 +590,40 @@ def _linear_response_rows(
     return rows
 
 
+def _point_states(
+    states: list[VariationalState], gamma: np.ndarray, phi: np.ndarray, lam: np.ndarray
+) -> None:
+    """Point each state at its rows of ``gamma`` and ``phi`` and at the one
+    shared ``lam``."""
+    for state, gamma_row, phi_row in zip(states, gamma, phi):
+        state.gamma, state.phi, state.lam = gamma_row, phi_row, lam
+
+
 def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     """Alternate inference phases and hyperparameter updates to convergence.
 
-    Convergence is declared when the relative change of the corpus bound
-    between consecutive inference phases drops below ``config.outer_tol``;
-    hitting ``outer_max_iters`` first yields a result with
-    ``converged=False`` rather than an error.  The returned trace rows keep
-    the fitted means and take linear-response concentrations; this last
-    step never raises and adds nothing to ``elbo_trace``.
+    The state is held as arrays (one row per sample, one shared ``lam``)
+    from :func:`initialize`'s values to the end; the returned states view
+    their rows and all share that ``lam``.  Convergence is declared when
+    the relative change of the corpus bound between consecutive inference
+    phases drops below ``config.outer_tol``; hitting ``outer_max_iters``
+    first yields a result with ``converged=False`` rather than an error.
+    The returned trace rows keep the fitted means and take linear-response
+    concentrations; this last step never raises and adds nothing to
+    ``elbo_trace``.
     """
     config = config or FitConfig()
     H, A, states = initialize(corpus, config)
-    lam = _warm_start_profiles(corpus, A, H, states)
+    samples = [sample for _, sample in corpus.iter_samples()]
+    M, T = corpus.n_sources, corpus.n_types
+    loc = np.array([state.location_id for state in states], dtype=np.intp)
+    counts = np.array([sample.counts for sample in samples], dtype=np.float64).reshape(-1, T)
+    known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
+    gamma = np.array([state.gamma for state in states]).reshape(-1, M)
+    phi = np.array([state.phi for state in states]).reshape(-1, T, M)
+    gamma, phi, lam = _warm_start_profiles(
+        corpus, counts, A.values[loc], H.values, gamma, phi, known
+    )
 
     elbo_trace: list[float] = []
     converged = False
@@ -637,7 +631,9 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     iterations = 0
     for outer in range(1, config.outer_max_iters + 1):
         iterations = outer
-        lam, total, sweeps = _inference_phase(corpus, A, H, states, lam, config)
+        gamma, phi, lam, total, sweeps = _inference_phase(
+            counts, A.values[loc], H.values, gamma, phi, lam, config
+        )
         elbo_trace.append(total)
         logger.debug("outer %d: bound %.6f after %d sweeps", outer, total, sweeps)
         if previous_total is not None and abs(total - previous_total) <= config.outer_tol * max(
@@ -647,19 +643,17 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            for state in states:
-                state.lam = lam
+            _point_states(states, gamma, phi, lam)
             H, A = mstep(H, A, states, corpus, config.bounds, config.optimizer)
 
-    a = A.values
-    for state, (loc_id, sample) in zip(states, corpus.iter_samples()):
-        state.lam = lam.copy()
-        state.elbo = elbo_sample(sample, a[loc_id], H, state)
+    _point_states(states, gamma, phi, lam)
+    for state, sample in zip(states, samples):
+        state.elbo = elbo_sample(sample, A.values[state.location_id], H, state)
 
     return FitResult(
         H_converged=H,
         A_converged=DirichletMatrix(
-            _linear_response_rows(corpus, A, H, states, lam, config), role="A"
+            _linear_response_rows(corpus, counts, loc, A, H, phi, lam, config), role="A"
         ),
         trace_locations=corpus.trace_location_ids,
         variational=tuple(states),

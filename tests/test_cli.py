@@ -138,7 +138,8 @@ class TestConfig:
         # settings that never reached the engine were removed, not ignored
         for section, key in (("fit", "scale_updates_by_count"),
                              ("optimizer", "sufficient_decrease"),
-                             ("optimizer", "curvature")):
+                             ("optimizer", "curvature"),
+                             ("report", "sample_diagnostics")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
             with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):
                 load_config(path)

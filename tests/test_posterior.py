@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from dustmix.datasets import TRACE_TRUTH
 from dustmix.numerics import BetaShape
@@ -89,14 +88,6 @@ class TestBuildReport:
         first = report_to_dict(build_report(result, corpus_both_known))
         second = report_to_dict(build_report(result, corpus_both_known))
         assert first == second
-
-    def test_sample_posteriors_flag(self, fit_both_known, corpus_both_known):
-        result, _ = fit_both_known
-        verbose = build_report(result, corpus_both_known, include_sample_posteriors=True)
-        assert verbose.sample_posteriors is not None
-        assert "AT/0" in verbose.sample_posteriors
-        rows = np.array(verbose.sample_posteriors["AT/0"])
-        assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestDensityGrid:

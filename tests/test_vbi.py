@@ -208,6 +208,45 @@ class TestEstepSample:
             out = estep_sample(counts, alpha, H, make_state(alpha, eta, counts_vec), config)
             assert self._next_sweep_step(counts, alpha, H, out) <= config.estep_tol
 
+    def test_warns_when_stopped_at_cap(self, caplog):
+        # the FROZEN_2X2 instance
+        alpha = np.array([1.0, 1.0])
+        eta = np.array([[2.0, 1.0], [1.0, 2.0]])
+        counts = SampleCounts(np.array([3, 1]), 0, 0)
+        H = DirichletMatrix(eta, role="H")
+        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+            estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]),
+                         FitConfig(estep_max_iters=3))
+        assert any("after 3 sweeps" in record.getMessage() for record in caplog.records)
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+            estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]), FitConfig())
+        assert not caplog.records
+
+
+class TestSweep:
+    def test_rows_match_one_row_sweeps(self):
+        # each row of a batched sweep is its one-row sweep against the same
+        # profile posterior, bit for bit; the profile posterior adds every
+        # row's allocations
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            N, M, T = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            counts = rng.integers(0, 30, size=(N, T)).astype(np.float64)
+            a = rng.uniform(0.2, 5.0, size=(N, M))
+            eta = rng.uniform(0.2, 5.0, size=(M, T))
+            gamma = rng.uniform(0.5, 30.0, size=(N, M))
+            lam = rng.uniform(0.5, 40.0, size=(M, T))
+            new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
+            allocated = np.zeros((M, T))
+            for n in range(N):
+                row = vbi._sweep(counts[n:n + 1], a[n:n + 1], eta, gamma[n:n + 1], lam)
+                assert_allclose(new_gamma[n], row[0][0], rtol=0, atol=0)
+                assert_allclose(phi[n], row[2][0], rtol=0, atol=0)
+                allocated += row[1] - eta
+            assert_allclose(new_lam, eta + allocated, rtol=1e-12)
+
 
 class TestElboSample:
     def test_single_type_data_term_is_zero(self):
@@ -251,6 +290,46 @@ class TestElboSample:
         assert elbo_sample(counts, alpha, H, state) == pytest.approx(FROZEN_2X2["elbo"], abs=1e-8)
 
 
+class TestCorpusElbo:
+    """The corpus bound is the sum of the per-sample bounds with the shared
+    profile block counted once, not once per sample."""
+
+    @staticmethod
+    def _check(samples, a, H, states):
+        counts = np.array([sample.counts for sample in samples], dtype=np.float64)
+        lam = states[0].lam
+        per_sample = sum(elbo_sample(sample, a_row, H, state)
+                         for sample, a_row, state in zip(samples, a, states))
+        terms = elbo_terms(samples[0], a[0], H, states[0])
+        profile = terms["log_p_beta"] + terms["entropy_beta"]
+        expected = per_sample - (len(samples) - 1) * profile
+        total = vbi.corpus_elbo(counts, a, H.values,
+                                np.array([s.gamma for s in states]),
+                                np.array([s.phi for s in states]), lam)
+        assert total == pytest.approx(expected, rel=1e-12)
+
+    def test_fitted_states(self, fit_both_known, corpus_both_known):
+        result, _ = fit_both_known
+        _, A, _ = initialize(corpus_both_known, FitConfig())
+        samples = [sample for _, sample in corpus_both_known.iter_samples()]
+        a = A.values[[state.location_id for state in result.variational]]
+        self._check(samples, a, result.H_converged, list(result.variational))
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            N = int(rng.integers(2, 6))
+            M = int(rng.integers(1, 5))
+            T = int(rng.integers(2, 7))
+            H = DirichletMatrix(rng.uniform(0.2, 5.0, size=(M, T)), role="H")
+            lam = rng.uniform(0.5, 40.0, size=(M, T))
+            samples = [SampleCounts(rng.integers(1, 30, size=T), 0, n) for n in range(N)]
+            states = [VariationalState(0, n, gamma=rng.uniform(0.5, 30.0, size=M), lam=lam,
+                                       phi=rng.dirichlet(np.ones(M), size=T))
+                      for n in range(N)]
+            self._check(samples, rng.uniform(0.2, 5.0, size=(N, M)), H, states)
+
+
 class TestFit:
     def test_known_only_profile_recovery(self, corpus_both_known, pooled_profiles):
         known_only = Corpus(
@@ -286,6 +365,18 @@ class TestFit:
         assert not result.converged
         assert result.iterations == 1
         assert len(result.elbo_trace) == 1
+
+    def test_inference_phase_warns_at_cap(self, caplog):
+        catalog = ParticleCatalog(("a", "b", "c"))
+        locations = (
+            Location("k", LocationRole.known(0), (SampleCounts(np.array([6, 2, 2]), 0, 0),)),
+            Location("t", LocationRole.trace(), (SampleCounts(np.array([4, 3, 3]), 1, 0),)),
+        )
+        corpus = Corpus(catalog, locations, 1)
+        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+            fit(corpus, FitConfig(estep_max_iters=1, outer_max_iters=3))
+        assert any("inference phase" in record.getMessage() and "after 1 sweeps"
+                   in record.getMessage() for record in caplog.records)
 
     def test_duplicated_sample_states_identical(self):
         catalog = ParticleCatalog(("a", "b", "c"))
