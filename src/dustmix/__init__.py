@@ -1,10 +1,10 @@
 """dustmix: deconvolution of categorical particle-count mixtures.
 
 Count samples collected from known single-source locations and from trace
-surfaces are modelled jointly; variational inference with box-constrained
-hyperparameter updates recovers each source's particle-type profile and each
-trace's source mixing proportions, reported as Beta posterior marginals with
-highest-density intervals.
+surfaces are modelled jointly; variational inference with exact
+box-constrained hyperparameter updates recovers each source's particle-type
+profile and each trace's source mixing proportions, reported as Beta
+posterior marginals with highest-density intervals.
 """
 
 from .model import (
@@ -20,7 +20,7 @@ from .model import (
     collapse_to_counts,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig, maximize_box
+from .mstep import BoxBounds, OptimizerConfig
 from .numerics import (
     BetaShape,
     CredibleInterval,
@@ -64,7 +64,6 @@ __all__ = [
     "fit",
     "generate_sample",
     "log_gamma",
-    "maximize_box",
     "profiles_from_counts",
     "run_study",
     "theta_marginal",

@@ -28,7 +28,6 @@ __all__ = [
     "VariationalState",
     "Violation",
     "collapse_to_counts",
-    "expand_to_labels",
     "validate_corpus",
 ]
 
@@ -307,11 +306,6 @@ def collapse_to_counts(
     for label in labels:
         counts[catalog.index_of(label)] += 1
     return SampleCounts(counts=counts, location_id=location_id, sample_index=sample_index)
-
-
-def expand_to_labels(sample: SampleCounts, catalog: ParticleCatalog) -> list[str]:
-    """Inverse of :func:`collapse_to_counts` up to particle order."""
-    return list(np.repeat(catalog.type_names, sample.counts))
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:

@@ -1,107 +1,113 @@
-"""Box-constrained maximization of the bound over Dirichlet hyperparameter rows.
+"""Exact maximization of the bound over Dirichlet hyperparameter rows.
 
 Each profile row and each trace mixing row has a separable objective of the
 form  S * (log Gamma(sum x) - sum log Gamma(x_j)) + <x, stat>,  where ``stat``
-accumulates digamma differences of the matching variational block over
-samples and S counts those samples.  The rows are maximized independently
-under box constraints with a limited-memory quasi-Newton solver (L-BFGS-B,
-via scipy); a row is never allowed to end below its starting value, which
-keeps the outer bound monotone.
+sums digamma differences of the matching variational block over S rows.
+
+* Profile rows enter the bound once, through the one shared profile
+  posterior ``lam``: S = 1 and ``stat = digamma(lam[m]) - digamma(sum
+  lam[m])``.  The gradient vanishes at ``x = lam[m]`` and the objective is
+  strictly concave, so the update is ``H = lam`` in closed form.  Only a row
+  with an entry outside the box goes to the solver, started at ``clip(lam)``.
+* Trace mixing rows sum the mixing posteriors of their location's samples
+  and have no closed form.  One batched Newton solve covers them all; the
+  Hessian is diagonal plus rank one, so a step costs O(sources) per row
+  (Minka 2000, "Estimating a Dirichlet distribution").
+
+No row ends below its starting value, so the outer bound stays monotone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.special import polygamma
 
 from .model import Corpus, DirichletMatrix, VariationalState
 from .numerics import digamma, log_gamma
 
 __all__ = [
     "BoxBounds",
-    "MaximizeResult",
     "OptimizerConfig",
+    "RowSolve",
     "alpha_objective_and_gradient",
     "eta_objective_and_gradient",
-    "maximize_box",
+    "maximize_rows",
     "mstep",
 ]
 
 
 @dataclass(frozen=True)
 class BoxBounds:
-    """Per-coordinate box; the defaults keep Dirichlet parameters strictly
+    """Per-coordinate box for Dirichlet rows; the defaults keep them strictly
     positive (away from the log Gamma singularity) and cap runaway
-    concentration.  General boxes are allowed for generic maximization;
-    :func:`mstep` insists on a positive lower edge."""
+    concentration."""
 
     lower: float = 1e-6
     upper: float = 1e6
 
     def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError(f"bounds must satisfy lower < upper, got [{self.lower}, {self.upper}]")
+        if not 0.0 < self.lower < self.upper:
+            raise ValueError(f"bounds need 0 < lower < upper, got [{self.lower}, {self.upper}]")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Limited-memory quasi-Newton settings.
+    """Settings of the batched Newton solve (:func:`maximize_rows`): a row
+    converges once its projected-gradient infinity norm is at most
+    ``grad_tol``, and takes at most ``max_iters`` Newton steps."""
 
-    ``memory`` is the number of curvature pairs kept; ``grad_tol`` bounds the
-    projected-gradient infinity norm at convergence.
-    """
-
-    memory: int = 10
     grad_tol: float = 1e-6
     max_iters: int = 200
 
     def __post_init__(self) -> None:
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
 
 
-class MaximizeResult(NamedTuple):
+class RowSolve(NamedTuple):
+    """Per-row outcome of :func:`maximize_rows`."""
+
     x: np.ndarray
-    value: float
-    iterations: int
-    converged: bool
+    value: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    on_box: np.ndarray
 
 
-ObjectiveAndGradient = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
-def _row_objective_and_gradient(
-    x: np.ndarray, stat: np.ndarray, n_samples: int
-) -> tuple[float, np.ndarray]:
-    x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("Dirichlet parameters must be positive and finite")
-    total = x.sum()
-    value = n_samples * (log_gamma(total) - log_gamma(x).sum()) + float(x @ stat)
-    grad = n_samples * (digamma(total) - digamma(x)) + stat
+def _objective(
+    x: np.ndarray, stat: np.ndarray, n_samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objective values and gradients of rows ``x`` (rows x dims)."""
+    total = x.sum(axis=1)
+    value = n_samples * (log_gamma(total) - log_gamma(x).sum(axis=1)) + (x * stat).sum(axis=1)
+    grad = n_samples[:, None] * (digamma(total)[:, None] - digamma(x)) + stat
     return value, grad
 
 
-def _digamma_stat(rows: np.ndarray) -> np.ndarray:
-    """Sum over the rows of digamma(row) - digamma(row sum)."""
-    return (digamma(rows) - digamma(rows.sum(axis=1))[:, None]).sum(axis=0)
+def _digamma_diff(rows: np.ndarray) -> np.ndarray:
+    """digamma(row) - digamma(row sum), row-wise."""
+    return digamma(rows) - digamma(rows.sum(axis=1))[:, None]
+
+
+def _row_objective_and_gradient(x: np.ndarray, rows: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    """Objective of one row ``x`` against the stacked posterior ``rows``."""
+    x = np.asarray(x, dtype=np.float64)
+    dg = _digamma_diff(np.array(rows, dtype=np.float64).reshape(-1, x.size))
+    value, grad = _objective(x[None], dg.sum(axis=0)[None], np.array([float(len(dg))]))
+    return float(value[0]), grad[0]
 
 
 def eta_objective_and_gradient(
     m: int, eta_row: np.ndarray, states: Sequence[VariationalState]
 ) -> tuple[float, np.ndarray]:
     """Bound contribution of profile row ``m`` and its gradient, summed over
-    all samples' profile blocks."""
-    eta_row = np.asarray(eta_row, dtype=np.float64)
-    stat = _digamma_stat(np.array([state.lam[m] for state in states]).reshape(-1, eta_row.size))
-    return _row_objective_and_gradient(eta_row, stat, len(states))
+    the profile blocks the states hold."""
+    return _row_objective_and_gradient(eta_row, [state.lam[m] for state in states])
 
 
 def alpha_objective_and_gradient(
@@ -114,114 +120,115 @@ def alpha_objective_and_gradient(
     gradient, summed over that location's samples."""
     if corpus.locations[l].role.is_known:
         raise ValueError(f"location {l} is pinned to a known source; its mixing row is frozen")
-    alpha_row = np.asarray(alpha_row, dtype=np.float64)
-    local = [s for s in states if s.location_id == l]
-    stat = _digamma_stat(np.array([state.gamma for state in local]).reshape(-1, alpha_row.size))
-    return _row_objective_and_gradient(alpha_row, stat, len(local))
+    return _row_objective_and_gradient(alpha_row, [s.gamma for s in states if s.location_id == l])
 
 
-def maximize_box(
-    objective_and_gradient: ObjectiveAndGradient,
+def _outward(x: np.ndarray, grad: np.ndarray, bounds: BoxBounds) -> np.ndarray:
+    """Coordinates on a box edge whose gradient points out of the box."""
+    return ((x <= bounds.lower) & (grad < 0.0)) | ((x >= bounds.upper) & (grad > 0.0))
+
+
+def _projected_norm(x: np.ndarray, grad: np.ndarray, bounds: BoxBounds) -> np.ndarray:
+    return np.abs(np.where(_outward(x, grad, bounds), 0.0, grad)).max(axis=1)
+
+
+def maximize_rows(
+    stat: np.ndarray,
+    n_samples: np.ndarray,
     x0: np.ndarray,
     bounds: BoxBounds,
     config: OptimizerConfig,
-) -> MaximizeResult:
-    """Maximize a smooth objective over a box.
+) -> RowSolve:
+    """Maximize S * (log Gamma(sum x) - sum log Gamma(x)) + <x, stat> over
+    the box for every row at once (``stat`` and ``x0`` are rows x dims,
+    ``n_samples`` holds each row's S).
 
-    Returns a point whose projected-gradient infinity norm is below
-    ``config.grad_tol`` or the best iterate after ``config.max_iters``; the
-    objective is never evaluated outside the box and the returned value is
-    never below the starting value.
+    Each Newton step is projected onto the box and halved until the value
+    rose or the directional derivative at its end is non-negative; by
+    concavity either means the value did not fall, whatever the rounding.
+    The objective is never evaluated outside the box, and a row that would
+    end below its value at ``x0`` is returned there, unconverged.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    if np.any(x0 < bounds.lower) or np.any(x0 > bounds.upper):
+    x = np.array(x0, dtype=np.float64)
+    if np.any(x < bounds.lower) or np.any(x > bounds.upper):
         raise ValueError("starting point lies outside the bounds")
-    f0, g0 = objective_and_gradient(x0)
-    if not np.isfinite(f0):
-        raise ValueError(f"objective is non-finite at the starting point (value {f0})")
+    value, grad = _objective(x, stat, n_samples)
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+        raise ValueError("objective is non-finite at the starting point")
+    x_start, start = x.copy(), value.copy()
+    iterations = np.zeros(len(x), dtype=np.int64)
+    stalled = np.zeros(len(x), dtype=bool)
+    for _ in range(config.max_iters):
+        rows = np.flatnonzero(~stalled & (_projected_norm(x, grad, bounds) > config.grad_tol))
+        if not rows.size:
+            break
+        # Newton step, zero where the box holds a coordinate.  The Hessian is
+        # diag(q) + z 11^T with q = -S trigamma(x) and z = S trigamma(sum x), so
+        # by Sherman-Morrison -H^-1 g = -(g - b) / q, b = sum(g/q) / (1/z + sum(1/q)).
+        xr, gr, nr = x[rows], grad[rows], n_samples[rows]
+        inv_q = np.where(_outward(xr, gr, bounds), 0.0, -1.0 / (nr[:, None] * polygamma(1, xr)))
+        z = nr * polygamma(1, xr.sum(axis=1))
+        b = (gr * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
+        step = -(gr - b[:, None]) * inv_q
+        iterations[rows] += 1
+        for halving in range(40):  # then the row is given up as stalled
+            trial = np.clip(x[rows] + 0.5**halving * step, bounds.lower, bounds.upper)
+            trial_value, trial_grad = _objective(trial, stat[rows], n_samples[rows])
+            slope = (trial_grad * (trial - x[rows])).sum(axis=1)
+            kept = (trial_value >= value[rows]) | (slope >= 0.0)
+            done = rows[kept]
+            x[done], value[done], grad[done] = trial[kept], trial_value[kept], trial_grad[kept]
+            rows, step = rows[~kept], step[~kept]
+            if not rows.size:
+                break
+        stalled[rows] = True
 
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.clip(x, bounds.lower, bounds.upper)
-        value, grad = objective_and_gradient(x)
-        return -value, -np.asarray(grad)
-
-    result = minimize(
-        negated,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(bounds.lower, bounds.upper)] * x0.shape[0],
-        options={
-            "maxcor": config.memory,
-            "maxiter": config.max_iters,
-            "gtol": config.grad_tol,
-            "ftol": 1e-16,
-        },
-    )
-    x_star = np.clip(result.x, bounds.lower, bounds.upper)
-    value = -float(result.fun)
-    if not np.isfinite(value) or value < f0:
-        return MaximizeResult(x=x0, value=f0, iterations=int(result.nit), converged=False)
-    return MaximizeResult(
-        x=x_star,
-        value=value,
-        iterations=int(result.nit),
-        converged=bool(result.status == 0),
-    )
+    converged = _projected_norm(x, grad, bounds) <= config.grad_tol
+    worse = value < start
+    x[worse], value[worse], converged[worse] = x_start[worse], start[worse], False
+    on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
+    return RowSolve(x, value, iterations, converged, on_box)
 
 
 def mstep(
     H: DirichletMatrix,
     A: DirichletMatrix,
-    states: Sequence[VariationalState],
-    corpus: Corpus,
+    lam: np.ndarray,
+    gamma: np.ndarray,
+    loc: np.ndarray,
+    trace_ids: Sequence[int],
     bounds: BoxBounds,
     config: OptimizerConfig,
-) -> tuple[DirichletMatrix, DirichletMatrix]:
+) -> tuple[DirichletMatrix, DirichletMatrix, list[str]]:
     """Replace every profile row and every trace mixing row by its box
     maximizer; known mixing rows are returned untouched.
 
-    Rows are processed in a fixed order (profiles first, then trace rows by
-    location index) purely for reproducibility: the row objectives share no
-    parameters, so any order yields the same result.
+    ``lam`` is the shared profile posterior, ``gamma`` the mixing posteriors
+    (one row per sample) and ``loc`` each sample's location index.  Returns
+    the new H and A and a note for each row that ends unconverged or on a
+    box edge.  A row keeps its previous value when the solve ends below it.
     """
-    if bounds.lower <= 0.0:
-        raise ValueError("Dirichlet rows need a strictly positive lower bound")
-    n_sources, n_types = H.shape
-    lams = np.array([state.lam for state in states]).reshape(-1, n_sources, n_types)
-    count = len(states)
-    new_h = np.array(H.values, dtype=np.float64)
-    for m in range(n_sources):
-        stat = _digamma_stat(lams[:, m])
-        try:
-            res = maximize_box(
-                lambda x: _row_objective_and_gradient(x, stat, count),
-                new_h[m],
-                bounds,
-                config,
-            )
-        except (ValueError, ArithmeticError) as exc:
-            raise RuntimeError(f"profile-row update failed (matrix H, row {m}): {exc}") from exc
-        new_h[m] = res.x
-
-    gammas = np.array([state.gamma for state in states]).reshape(-1, n_sources)
-    location_ids = np.array([state.location_id for state in states])
-    new_a = np.array(A.values, dtype=np.float64)
-    for l in corpus.trace_location_ids:
-        local = gammas[location_ids == l]
-        if not len(local):
+    new_h, new_a = np.array(lam, dtype=np.float64), np.array(A.values, dtype=np.float64)
+    clipped = np.flatnonzero(((lam < bounds.lower) | (lam > bounds.upper)).any(axis=1))
+    rows = np.array(trace_ids, dtype=np.intp)
+    members = loc == rows[:, None]  # a location without samples has a zero gradient
+    notes: list[str] = []
+    for label, new, old, ids, stat, n_samples in (
+        ("H", new_h, H.values, clipped, _digamma_diff(lam[clipped]), np.ones(clipped.size)),
+        ("A", new_a, A.values, rows, members @ _digamma_diff(gamma), members.sum(axis=1)),
+    ):
+        if not ids.size:
             continue
-        stat = _digamma_stat(local)
-        count = len(local)
         try:
-            res = maximize_box(
-                lambda x: _row_objective_and_gradient(x, stat, count),
-                new_a[l],
-                bounds,
-                config,
-            )
+            x0 = np.clip(new[ids], bounds.lower, bounds.upper)
+            solve = maximize_rows(stat, n_samples, x0, bounds, config)
+            keep = solve.value < _objective(old[ids], stat, n_samples)[0]
         except (ValueError, ArithmeticError) as exc:
-            raise RuntimeError(f"mixing-row update failed (matrix A, row {l}): {exc}") from exc
-        new_a[l] = res.x
-
-    return DirichletMatrix(new_h, role="H"), DirichletMatrix(new_a, role="A")
+            raise RuntimeError(f"row update failed (matrix {label}): {exc}") from exc
+        new[ids] = np.where(keep[:, None], old[ids], solve.x)
+        for row, converged, on_box in zip(ids, solve.converged, solve.on_box):
+            if not converged:
+                notes.append(f"{label} row {row} unconverged")
+            if on_box:
+                notes.append(f"{label} row {row} on a box edge")
+    return DirichletMatrix(new_h, role="H"), DirichletMatrix(new_a, role="A"), notes

@@ -14,9 +14,10 @@ so the bound is non-decreasing sweep over sweep.  One function,
 :func:`_bound_terms`, sums the seven bound terms over rows, counting the
 profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
 one-row calls (a sample that owns its profile posterior outright).  The
-outer loop alternates inference phases with box-constrained updates of the
-profile hyperparameters and the trace mixing rows, warm-starting every
-phase from the previous state, so the bound is monotone across phases too.
+outer loop alternates inference phases with exact box-constrained updates
+of the profile hyperparameters (closed form) and the trace mixing rows (one
+batched Newton solve), warm-starting every phase from the previous state,
+so the bound is monotone across phases too.
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
 report reads, not the fitted hyperparameters themselves: each keeps its
@@ -29,6 +30,7 @@ factorised posterior leaves out.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +46,7 @@ from .model import (
     VariationalState,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig, mstep
+from .mstep import BoxBounds, OptimizerConfig, _digamma_diff, mstep
 from .numerics import digamma, log_gamma
 
 __all__ = [
@@ -85,6 +87,9 @@ class FitConfig:
     relative parameter step that ends :func:`estep_sample`;
     ``estep_max_iters`` caps the sweeps of either.  ``outer_tol`` and
     ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
+    ``bounds`` is the box every updated hyperparameter row stays in, and
+    ``optimizer`` the tolerance and step cap of the Newton solve that
+    updates the trace mixing rows and any profile row the box clips.
     ``rng_seed`` is recorded with the run; the fit itself draws no random
     numbers.
     """
@@ -151,11 +156,6 @@ def initialize(
         state.elbo = elbo_sample(sample, a[loc_id], H, state)
         states.append(state)
     return H, A, states
-
-
-def _digamma_diff(rows: np.ndarray) -> np.ndarray:
-    """digamma(row) - digamma(row sum), row-wise for a matrix."""
-    return digamma(rows) - digamma(rows.sum(axis=1))[:, None]
 
 
 def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -590,15 +590,6 @@ def _linear_response_rows(
     return rows
 
 
-def _point_states(
-    states: list[VariationalState], gamma: np.ndarray, phi: np.ndarray, lam: np.ndarray
-) -> None:
-    """Point each state at its rows of ``gamma`` and ``phi`` and at the one
-    shared ``lam``."""
-    for state, gamma_row, phi_row in zip(states, gamma, phi):
-        state.gamma, state.phi, state.lam = gamma_row, phi_row, lam
-
-
 def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     """Alternate inference phases and hyperparameter updates to convergence.
 
@@ -610,7 +601,8 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     first yields a result with ``converged=False`` rather than an error.
     The returned trace rows keep the fitted means and take linear-response
     concentrations; this last step never raises and adds nothing to
-    ``elbo_trace``.
+    ``elbo_trace``.  One warning at the end names each hyperparameter row
+    that ended an M-step unconverged or on a box edge, and how often.
     """
     config = config or FitConfig()
     H, A, states = initialize(corpus, config)
@@ -626,6 +618,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     )
 
     elbo_trace: list[float] = []
+    flagged: Counter[str] = Counter()
     converged = False
     previous_total = None
     iterations = 0
@@ -643,11 +636,17 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            _point_states(states, gamma, phi, lam)
-            H, A = mstep(H, A, states, corpus, config.bounds, config.optimizer)
+            H, A, notes = mstep(
+                H, A, lam, gamma, loc, corpus.trace_location_ids, config.bounds, config.optimizer
+            )
+            flagged.update(notes)
+    if flagged:
+        steps = iterations - 1
+        summary = "; ".join(f"{note} in {n} of {steps} M-steps" for note, n in flagged.items())
+        logger.warning("M-step rows ended unconverged or on a box edge: %s", summary)
 
-    _point_states(states, gamma, phi, lam)
-    for state, sample in zip(states, samples):
+    for state, sample, gamma_row, phi_row in zip(states, samples, gamma, phi):
+        state.gamma, state.phi, state.lam = gamma_row, phi_row, lam
         state.elbo = elbo_sample(sample, A.values[state.location_id], H, state)
 
     return FitResult(

@@ -104,7 +104,7 @@ class TestConfig:
         fit_config = build_fit_config(config)
         assert fit_config.known_weight == 150.0
         assert fit_config.outer_tol == 1e-6
-        assert fit_config.optimizer.memory == 10
+        assert fit_config.optimizer.max_iters == 200
         assert fit_config.bounds.upper == 1e6
         assert config["report"]["hpdi_mass"] == 0.95
 
@@ -118,14 +118,14 @@ class TestConfig:
         path.write_text(yaml.safe_dump({
             "unknown_sources": 1,
             "fit": {"outer_max_iters": 7, "known_weight": 99.0},
-            "optimizer": {"memory": 4},
+            "optimizer": {"max_iters": 4},
         }))
         config = load_config(path)
         fit_config = build_fit_config(config)
         assert config["unknown_sources"] == 1
         assert fit_config.outer_max_iters == 7
         assert fit_config.known_weight == 99.0
-        assert fit_config.optimizer.memory == 4
+        assert fit_config.optimizer.max_iters == 4
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -139,6 +139,7 @@ class TestConfig:
         for section, key in (("fit", "scale_updates_by_count"),
                              ("optimizer", "sufficient_decrease"),
                              ("optimizer", "curvature"),
+                             ("optimizer", "memory"),
                              ("report", "sample_diagnostics")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
             with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):

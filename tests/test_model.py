@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dustmix.model import (
     Corpus,
@@ -11,7 +9,6 @@ from dustmix.model import (
     ParticleCatalog,
     SampleCounts,
     collapse_to_counts,
-    expand_to_labels,
     validate_corpus,
 )
 
@@ -67,24 +64,6 @@ class TestCollapse:
     def test_unknown_label_named(self, small_catalog):
         with pytest.raises(KeyError, match="Gypsum"):
             collapse_to_counts(["Quartz", "Gypsum"], small_catalog)
-
-    def test_first_bundled_sample(self, corpus_both_known):
-        # expanding the first control sample into labels and re-collapsing
-        # reproduces its published count vector
-        catalog = corpus_both_known.catalog
-        sample = corpus_both_known.locations[0].samples[0]
-        labels = expand_to_labels(sample, catalog)
-        rebuilt = collapse_to_counts(labels, catalog)
-        expected = [189, 21, 1, 3, 3, 0, 9, 3, 0, 16, 5, 74, 0, 11]
-        assert rebuilt.counts.tolist() == expected
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=50), min_size=3, max_size=3).filter(lambda c: sum(c) > 0))
-    def test_round_trip(self, counts):
-        catalog = ParticleCatalog(("Alterite", "Biotite", "Quartz"))
-        sample = SampleCounts(np.array(counts))
-        labels = expand_to_labels(sample, catalog)
-        assert collapse_to_counts(labels, catalog).counts.tolist() == counts
 
 
 def _two_source_corpus(small_catalog, n_unknown=0, claims=(0, 1)):
@@ -146,6 +125,10 @@ class TestCorpusProperties:
         assert corpus.n_samples == 26
         assert corpus.source_names == ("AT", "LQ")
         assert corpus.trace_location_ids == (2, 3)
+        # the first control sample's published count vector
+        assert corpus.locations[0].samples[0].counts.tolist() == [
+            189, 21, 1, 3, 3, 0, 9, 3, 0, 16, 5, 74, 0, 11,
+        ]
 
     def test_unknown_source_naming(self, corpus_at_known):
         assert corpus_at_known.source_names == ("AT", "unknown")

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import root, rosen, rosen_der
+from scipy.optimize import root
 
+from dustmix import mstep as mstep_module
 from dustmix.model import (
     Corpus,
     DirichletMatrix,
@@ -17,10 +20,11 @@ from dustmix.mstep import (
     OptimizerConfig,
     alpha_objective_and_gradient,
     eta_objective_and_gradient,
-    maximize_box,
+    maximize_rows,
     mstep,
 )
-from dustmix.vbi import FitConfig, elbo_sample, fit, initialize
+from dustmix.numerics import digamma, log_gamma
+from dustmix.vbi import FitConfig, _sweep, corpus_elbo, fit, initialize
 
 
 def random_states(rng, n_samples, M, T, location_ids=None):
@@ -138,83 +142,127 @@ class TestAlphaObjective:
             alpha_objective_and_gradient(0, np.array([1.0, 1.0]), [state], corpus)
 
 
+def digamma_rows(rows):
+    return digamma(rows) - digamma(rows.sum(axis=1))[:, None]
+
+
+def row_value(x, stat, n):
+    return n * (log_gamma(x.sum()) - log_gamma(x).sum()) + x @ stat
+
+
+def row_gradient(x, stat, n):
+    return n * (digamma(x.sum()) - digamma(x)) + stat
+
+
+def projected(x, grad, bounds):
+    outward = ((x <= bounds.lower) & (grad < 0.0)) | ((x >= bounds.upper) & (grad > 0.0))
+    return np.where(outward, 0.0, grad)
+
+
+def random_trace_rows(rng, n_rows, M):
+    """Row statistics of trace locations with 1-5 samples each."""
+    sizes = rng.integers(1, 6, size=n_rows)
+    stat = np.array([digamma_rows(rng.uniform(0.3, 40.0, (k, M))).sum(axis=0) for k in sizes])
+    return stat, sizes.astype(np.float64)
+
+
+def swept_arrays(corpus, sweeps=20):
+    """Array state a few inference sweeps after the starting point."""
+    H, A, states = initialize(corpus, FitConfig())
+    loc = np.array([state.location_id for state in states])
+    counts = np.array([sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64)
+    gamma, lam = np.array([state.gamma for state in states]), H.values.copy()
+    for _ in range(sweeps):
+        gamma, lam, phi = _sweep(counts, A.values[loc], H.values, gamma, lam)
+    return H, A, counts, loc, gamma, phi, lam
+
+
+def trace_stats(gamma, loc, trace_ids):
+    return {l: (digamma_rows(gamma[loc == l]).sum(axis=0), float((loc == l).sum()))
+            for l in trace_ids}
+
+
 class TestMaximizeBox:
-    def test_clamped_quadratic(self):
-        target = np.array([0.5, 2.0])
-
-        def objective(x):
-            return -np.sum((x - target) ** 2), -2.0 * (x - target)
-
-        result = maximize_box(objective, np.array([0.1, 0.1]),
-                              BoxBounds(lower=0.0 + 1e-12, upper=1.0), OptimizerConfig())
-        assert_allclose(result.x, [0.5, 1.0], atol=1e-6)
-
-    def test_rosenbrock(self):
-        def objective(x):
-            return -rosen(x), -rosen_der(x)
-
-        result = maximize_box(objective, np.array([-1.2, 1.0]),
-                              BoxBounds(lower=-2.0, upper=2.0),
-                              OptimizerConfig(max_iters=500))
-        assert_allclose(result.x, [1.0, 1.0], atol=1e-4)
-        assert result.converged
-
     def test_stationary_start(self):
-        def objective(x):
-            return -np.sum((x - 0.5) ** 2), -2.0 * (x - 0.5)
+        rng = np.random.default_rng(5)
+        x0 = rng.uniform(0.5, 30.0, size=(6, 4))
+        n = np.arange(1.0, 7.0)
+        result = maximize_rows(n[:, None] * digamma_rows(x0), n, x0, BoxBounds(), OptimizerConfig())
+        assert np.array_equal(result.x, x0)
+        assert np.all(result.iterations == 0) and np.all(result.converged)
 
-        x0 = np.array([0.5, 0.5])
-        result = maximize_box(objective, x0, BoxBounds(lower=0.0 + 1e-12, upper=1.0),
-                              OptimizerConfig())
-        assert_allclose(result.x, x0, atol=1e-12)
-        assert result.iterations <= 1
-
-    def test_never_evaluates_outside_bounds(self):
+    def test_never_evaluates_outside_bounds(self, monkeypatch):
         bounds = BoxBounds(lower=0.2, upper=3.0)
         seen = []
+        objective = mstep_module._objective
 
-        def objective(x):
+        def recording(x, stat, n):
             seen.append(x.copy())
-            return -np.sum((x - 10.0) ** 2), -2.0 * (x - 10.0)
+            return objective(x, stat, n)
 
-        maximize_box(objective, np.array([1.0, 1.0]), bounds, OptimizerConfig())
+        monkeypatch.setattr(mstep_module, "_objective", recording)
+        rng = np.random.default_rng(6)
+        # maximizers far above the box: every row ends on its upper edge
+        stat = digamma_rows(rng.uniform(10.0, 50.0, size=(5, 3)))
+        result = maximize_rows(stat, np.ones(5), np.ones((5, 3)), bounds, OptimizerConfig())
         stacked = np.vstack(seen)
-        assert stacked.min() >= bounds.lower - 1e-12
-        assert stacked.max() <= bounds.upper + 1e-12
+        assert stacked.min() >= bounds.lower and stacked.max() <= bounds.upper
+        assert np.all(result.on_box) and np.all(result.converged)
 
     def test_value_never_below_start(self):
         rng = np.random.default_rng(9)
+        bounds = BoxBounds(lower=1e-3, upper=1.0)
         for _ in range(20):
-            center = rng.uniform(-2.0, 2.0, size=3)
-
-            def objective(x):
-                return -np.sum((x - center) ** 4), -4.0 * (x - center) ** 3
-
-            x0 = rng.uniform(0.1, 0.9, size=3)
-            result = maximize_box(objective, x0, BoxBounds(lower=1e-3, upper=1.0),
-                                  OptimizerConfig())
-            assert result.value >= objective(x0)[0] - 1e-12
+            stat, n = random_trace_rows(rng, 4, 3)
+            x0 = rng.uniform(0.1, 0.9, size=(4, 3))
+            result = maximize_rows(stat, n, x0, bounds, OptimizerConfig())
+            for i in range(4):
+                assert result.value[i] >= row_value(x0[i], stat[i], n[i])
+                assert result.value[i] == pytest.approx(
+                    row_value(result.x[i], stat[i], n[i]), rel=1e-12)
 
     def test_nonfinite_start_rejected(self):
-        def objective(x):
-            return float("nan"), np.zeros_like(x)
-
+        with pytest.raises(ValueError, match="finite"):
+            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[np.nan, 1.0]]),
+                          BoxBounds(), OptimizerConfig())
         with pytest.raises(ValueError, match="non-finite"):
-            maximize_box(objective, np.array([1.0]), BoxBounds(), OptimizerConfig())
+            maximize_rows(np.array([[np.nan, 0.0]]), np.ones(1), np.ones((1, 2)),
+                          BoxBounds(), OptimizerConfig())
 
     def test_start_outside_bounds_rejected(self):
-        def objective(x):
-            return 0.0, np.zeros_like(x)
-
         with pytest.raises(ValueError, match="outside"):
-            maximize_box(objective, np.array([10.0]), BoxBounds(lower=0.1, upper=1.0),
-                         OptimizerConfig())
+            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[10.0, 0.5]]),
+                          BoxBounds(lower=0.1, upper=1.0), OptimizerConfig())
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             BoxBounds(lower=2.0, upper=1.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(memory=0)
+            BoxBounds(lower=0.0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(max_iters=0)
+        with pytest.raises(ValueError):
+            OptimizerConfig(grad_tol=0.0)
+
+    def test_batched_rows_match_one_row_solves(self):
+        rng = np.random.default_rng(31)
+        # a tight tolerance, so the root check can hold the rows to 1e-6
+        config = OptimizerConfig(grad_tol=1e-9)
+        for M in (2, 3, 5):
+            stat, n = random_trace_rows(rng, 10, M)
+            x0 = np.ones((10, M))
+            batched = maximize_rows(stat, n, x0, BoxBounds(), config)
+            assert np.all(batched.converged) and not np.any(batched.on_box)
+            for i in range(10):
+                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], BoxBounds(), config)
+                assert_allclose(batched.x[i], alone.x[0], rtol=1e-12)
+                grad = row_gradient(batched.x[i], stat[i], n[i])
+                assert np.abs(projected(batched.x[i], grad, BoxBounds())).max() < config.grad_tol
+                # independent check: the only root of the gradient
+                check = root(lambda v: row_gradient(np.abs(v), stat[i], n[i]),
+                             np.full(M, 5.0), method="hybr")
+                assert check.success
+                assert_allclose(np.abs(check.x), batched.x[i], rtol=1e-6)
 
 
 class TestMstep:
@@ -229,58 +277,82 @@ class TestMstep:
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):
         corpus = self._known_only_corpus()
         config = FitConfig()
-        H, A, states = initialize(corpus, config)
-        for state, (loc_id, sample) in zip(states, corpus.iter_samples()):
-            from dustmix.vbi import estep_sample
-
-            estep_sample(sample, A.values[loc_id], H, state, config)
-        H2, A2 = mstep(H, A, states, corpus, config.bounds, config.optimizer)
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus)
+        _, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
+                         config.bounds, config.optimizer)
         assert np.array_equal(A2.values, A.values)
 
     def test_known_rows_bitwise_preserved(self, corpus_both_known):
         config = FitConfig()
-        H, A, states = initialize(corpus_both_known, config)
-        from dustmix.vbi import estep_sample
-
-        for state, (loc_id, sample) in zip(states, corpus_both_known.iter_samples()):
-            estep_sample(sample, A.values[loc_id], H, state, config)
-        H2, A2 = mstep(H, A, states, corpus_both_known, config.bounds, config.optimizer)
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
+        _, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+                         config.bounds, config.optimizer)
         assert np.array_equal(A2.values[0], A.values[0])
         assert np.array_equal(A2.values[1], A.values[1])
         assert not np.array_equal(A2.values[2], A.values[2])
 
+    def test_profile_rows_are_lambda_inside_the_box(self, corpus_both_known):
+        config = FitConfig()
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
+        H2, _, notes = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+                             config.bounds, config.optimizer)
+        assert np.array_equal(H2.values, lam)
+        assert notes == []
+
     def test_total_bound_never_decreases(self, corpus_both_known):
         config = FitConfig()
-        H, A, states = initialize(corpus_both_known, config)
-        from dustmix.vbi import estep_sample
-
-        samples = list(corpus_both_known.iter_samples())
-        for state, (loc_id, sample) in zip(states, samples):
-            estep_sample(sample, A.values[loc_id], H, state, config)
-        before = sum(
-            elbo_sample(s, A.values[lid], H, st) for st, (lid, s) in zip(states, samples)
-        )
-        H2, A2 = mstep(H, A, states, corpus_both_known, config.bounds, config.optimizer)
-        after = sum(
-            elbo_sample(s, A2.values[lid], H2, st) for st, (lid, s) in zip(states, samples)
-        )
+        H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
+        before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
+        H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+                          config.bounds, config.optimizer)
+        after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
         assert after >= before - 1e-8
+
+    @pytest.mark.parametrize("scenario", ["corpus_both_known", "corpus_at_known"])
+    def test_objective_change_is_bound_change(self, scenario, request):
+        # the profile block enters the bound once, so each profile row
+        # counts once, with the shared lam's digamma differences
+        corpus = request.getfixturevalue(scenario)
+        config = FitConfig()
+        H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus)
+        before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
+        H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
+                          config.bounds, config.optimizer)
+        after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
+        dg_lam = digamma_rows(lam)
+        change = sum(row_value(H2.values[m], dg_lam[m], 1.0) - row_value(H.values[m], dg_lam[m], 1.0)
+                     for m in range(len(lam)))
+        for l, (stat, n) in trace_stats(gamma, loc, corpus.trace_location_ids).items():
+            change += row_value(A2.values[l], stat, n) - row_value(A.values[l], stat, n)
+        assert change == pytest.approx(after - before, rel=1e-10)
 
     def test_row_updates_are_separable(self):
         # optimizing rows through mstep equals optimizing each row alone
         rng = np.random.default_rng(12)
-        corpus = self._known_only_corpus()
         config = FitConfig()
-        states = random_states(rng, 2, M=2, T=3, location_ids=[0, 1])
-        H = DirichletMatrix(rng.uniform(0.5, 2.0, size=(2, 3)), role="H")
-        A = DirichletMatrix(np.array([[150.0, 1.0], [1.0, 150.0]]), role="A")
-        H2, _ = mstep(H, A, states, corpus, config.bounds, config.optimizer)
-        for m in (1, 0):  # reversed order
-            res = maximize_box(
-                lambda x: eta_objective_and_gradient(m, x, states),
-                H.values[m], config.bounds, config.optimizer,
-            )
-            assert_allclose(res.x, H2.values[m], atol=1e-8)
+        bounds = BoxBounds(upper=20.0)
+        lam = rng.uniform(0.5, 8.0, size=(3, 4))
+        lam[1, 2] = 35.0  # this profile row goes to the solver
+        loc = np.array([0, 1, 1, 2, 2, 2, 3])
+        gamma = rng.uniform(0.5, 15.0, size=(7, 3))
+        trace_ids = (1, 2, 3)
+        H = DirichletMatrix(rng.uniform(0.5, 2.0, size=(3, 4)), role="H")
+        A = DirichletMatrix(np.ones((4, 3)), role="A")
+        H2, A2, _ = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config.optimizer)
+        for m in (2, 1, 0):  # reversed order
+            if m == 1:
+                res = maximize_rows(digamma_rows(lam[1:2]), np.ones(1),
+                                    np.clip(lam[1:2], bounds.lower, bounds.upper),
+                                    bounds, config.optimizer)
+                assert_allclose(res.x[0], H2.values[m], atol=1e-8)
+            else:
+                assert_allclose(lam[m], H2.values[m], atol=1e-8)
+        stats = trace_stats(gamma, loc, trace_ids)
+        for l in reversed(trace_ids):
+            stat, n = stats[l]
+            res = maximize_rows(stat[None], np.array([n]), np.ones((1, 3)), bounds,
+                                config.optimizer)
+            assert_allclose(res.x[0], A2.values[l], atol=1e-8)
 
     def test_synthetic_gradient_root_recovered(self):
         # profile posterior rows all equal to one target: the optimum sits
@@ -299,13 +371,45 @@ class TestMstep:
         assert check.success
         assert_allclose(np.abs(check.x), target, rtol=1e-6)
 
-        result = maximize_box(
-            lambda x: eta_objective_and_gradient(0, x, states),
-            np.ones(4), BoxBounds(), OptimizerConfig(max_iters=500),
-        )
-        got = result.x / result.x.sum()
-        want = target / target.sum()
-        assert_allclose(got, want, atol=1e-3)
+        result = maximize_rows(3.0 * digamma_rows(target[None]), np.array([3.0]),
+                               np.ones((1, 4)), BoxBounds(), OptimizerConfig(max_iters=500))
+        assert result.converged[0]
+        assert_allclose(result.x[0], target, rtol=1e-6)
+
+    def test_clipped_rows_end_at_box_maximizer(self, corpus_both_known):
+        config = FitConfig()
+        bounds = BoxBounds(upper=50.0)
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
+        trace_ids = corpus_both_known.trace_location_ids
+        H2, A2, notes = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config.optimizer)
+        dg_lam = digamma_rows(lam)
+        for m in range(len(lam)):
+            x = H2.values[m]
+            assert x.min() >= bounds.lower and x.max() <= bounds.upper
+            assert np.abs(projected(x, row_gradient(x, dg_lam[m], 1.0), bounds)).max() \
+                <= config.optimizer.grad_tol
+        for l, (stat, n) in trace_stats(gamma, loc, trace_ids).items():
+            x = A2.values[l]
+            assert x.min() >= bounds.lower and x.max() <= bounds.upper
+            assert np.abs(projected(x, row_gradient(x, stat, n), bounds)).max() \
+                <= config.optimizer.grad_tol
+        assert "H row 0 on a box edge" in notes
+        assert f"A row {trace_ids[0]} on a box edge" in notes
+
+    def test_unconverged_rows_noted(self, corpus_both_known):
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
+        _, _, notes = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+                            BoxBounds(), OptimizerConfig(max_iters=1))
+        assert notes == ["A row 2 unconverged", "A row 3 unconverged"]
+
+    def test_fit_warns_about_rows_on_the_box(self, corpus_both_known, caplog):
+        config = FitConfig(bounds=BoxBounds(upper=50.0), outer_max_iters=3)
+        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+            fit(corpus_both_known, config)
+        flagged = [r.getMessage() for r in caplog.records if "M-step rows" in r.getMessage()]
+        assert len(flagged) == 1
+        assert "H row 0 on a box edge in 2 of 2 M-steps" in flagged[0]
+        assert "A row 2 on a box edge in 2 of 2 M-steps" in flagged[0]
 
     def test_fit_regime_on_bundled_corpus(self, fit_both_known):
         # converged trace rows show the expected dominance pattern
