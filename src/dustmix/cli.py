@@ -168,7 +168,7 @@ class RunManifest:
     command: str
     inputs: tuple[dict, ...]
     config: dict
-    seed: int
+    seed: int | None
     threads: int
     wall_clock_s: float
     iterations: int | None = None
@@ -226,7 +226,6 @@ def load_config(path: Path | str | None) -> dict:
         "estep_max_iters": 500,
         "outer_tol": 1e-6,
         "outer_max_iters": 100,
-        "rng_seed": 0,
     }
     opt_defaults = asdict(OptimizerConfig())
     bounds_defaults = {"lower": BoxBounds().lower, "upper": BoxBounds().upper}
@@ -240,14 +239,11 @@ def load_config(path: Path | str | None) -> dict:
     }
 
 
-def build_fit_config(config: dict, seed: int | None = None) -> FitConfig:
-    fit_block = dict(config["fit"])
-    if seed is not None:
-        fit_block["rng_seed"] = seed
+def build_fit_config(config: dict) -> FitConfig:
     return FitConfig(
         optimizer=OptimizerConfig(**config["optimizer"]),
         bounds=BoxBounds(**config["bounds"]),
-        **fit_block,
+        **config["fit"],
     )
 
 
@@ -283,7 +279,7 @@ def cmd_fit(
     out = Path(out_dir)
     try:
         config = load_config(config_path)
-        fit_config = build_fit_config(config, seed)
+        fit_config = build_fit_config(config)
         corpus = ingest_csv(corpus_path, unknown_sources=config["unknown_sources"])
         _prepare_out_dir(out, force)
         result = fit(corpus, fit_config)
@@ -301,7 +297,7 @@ def cmd_fit(
             command="fit",
             inputs=tuple(inputs),
             config=config,
-            seed=fit_config.rng_seed,
+            seed=seed,
             threads=threads,
             wall_clock_s=time.perf_counter() - started,
             iterations=result.iterations,
@@ -447,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("corpus", type=Path, help="input sample CSV")
     fit_p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
     fit_p.add_argument("--out", type=Path, required=True, help="output directory")
-    fit_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    fit_p.add_argument("--seed", type=int, default=None,
+                       help="seed recorded in the manifest; the fit draws no random numbers")
     fit_p.add_argument("--threads", type=int, default=1, help="worker cap")
     fit_p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     fit_p.add_argument("--verbose", action="store_true")

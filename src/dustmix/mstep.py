@@ -106,8 +106,10 @@ def eta_objective_and_gradient(
     m: int, eta_row: np.ndarray, states: Sequence[VariationalState]
 ) -> tuple[float, np.ndarray]:
     """Bound contribution of profile row ``m`` and its gradient, summed over
-    the profile blocks the states hold."""
-    return _row_objective_and_gradient(eta_row, [state.lam[m] for state in states])
+    the distinct profile posteriors the states hold: the states of one
+    corpus fit share one, which the bound counts once."""
+    distinct = {id(state.lam): state.lam[m] for state in states}
+    return _row_objective_and_gradient(eta_row, list(distinct.values()))
 
 
 def alpha_objective_and_gradient(

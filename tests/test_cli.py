@@ -140,14 +140,17 @@ class TestConfig:
                              ("optimizer", "sufficient_decrease"),
                              ("optimizer", "curvature"),
                              ("optimizer", "memory"),
+                             ("fit", "rng_seed"),
                              ("report", "sample_diagnostics")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
             with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):
                 load_config(path)
 
-    def test_seed_override(self):
-        config = load_config(None)
-        assert build_fit_config(config, seed=42).rng_seed == 42
+    def test_seed_override(self, tmp_path, quick_config):
+        # the fit draws no random numbers; the seed is provenance only
+        out = tmp_path / "run"
+        cmd_fit(fixture_path(), quick_config, out, seed=42)
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 42
 
 
 @pytest.fixture(scope="module")

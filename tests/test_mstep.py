@@ -326,6 +326,18 @@ class TestMstep:
             change += row_value(A2.values[l], stat, n) - row_value(A.values[l], stat, n)
         assert change == pytest.approx(after - before, rel=1e-10)
 
+    def test_eta_objective_counts_shared_posterior_once(self, fit_both_known):
+        # the fitted states all hold one lam, whose block the bound counts once
+        result, _ = fit_both_known
+        states = list(result.variational)
+        lam = states[0].lam
+        assert len(states) > 1 and all(state.lam is lam for state in states)
+        dg_lam = digamma_rows(lam)
+        for m, x in enumerate(result.H_converged.values):
+            value, grad = eta_objective_and_gradient(m, x, states)
+            assert value == pytest.approx(row_value(x, dg_lam[m], 1.0), rel=1e-12)
+            assert_allclose(grad, row_gradient(x, dg_lam[m], 1.0), rtol=1e-12, atol=1e-12)
+
     def test_row_updates_are_separable(self):
         # optimizing rows through mstep equals optimizing each row alone
         rng = np.random.default_rng(12)

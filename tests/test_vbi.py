@@ -15,8 +15,10 @@ from dustmix.model import (
     SampleCounts,
     VariationalState,
 )
+from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
 from dustmix.posterior import theta_marginal
+from dustmix.simulator import StudySpec, generate_corpus
 from dustmix.vbi import FitConfig, elbo_sample, elbo_terms, estep_sample, fit, initialize
 from _oracles import (
     EXACT_SHARE_SD,
@@ -405,6 +407,129 @@ class TestFit:
         again = fit(corpus_both_known, FitConfig())
         assert_allclose(again.A_converged.values, result.A_converged.values, rtol=0, atol=0)
         assert again.elbo_trace == result.elbo_trace
+
+
+def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
+    """Reference: plain sweeps until no parameter moves by a relative ``tol``."""
+    for sweeps in range(1, cap + 1):
+        new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
+        moved = vbi._relative_step(gamma, lam, new_gamma, new_lam)
+        gamma, lam = new_gamma, new_lam
+        if moved < tol:
+            break
+    return gamma, lam, phi, sweeps
+
+
+@pytest.fixture(scope="module")
+def fixed_prior_start(corpus_at_known):
+    """The arguments the AT-known fit passes to the fixed-prior point."""
+    captured = []
+    original = vbi._fixed_prior_point
+
+    def capture(*args):
+        captured.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vbi, "_fixed_prior_point", capture)
+        fit(corpus_at_known, FitConfig())
+    return captured[0]
+
+
+def _study_corpus():
+    """Criterion 8's share-0.1, n=1900 cell, replication 1."""
+    names, profiles = at_lq_point_profiles()
+    spec = StudySpec(catalog=ParticleCatalog(names), true_profiles=profiles,
+                     unknown_shares=(0.1,), sample_sizes=(1900,))
+    rng = np.random.default_rng(np.random.SeedSequence((0, 0, 2, 1)))
+    return generate_corpus(spec.scenario(0.1, 1900), rng)
+
+
+class TestFixedPoint:
+    @pytest.mark.parametrize("scenario", ["at-known", "study"])
+    def test_concentrations_match_converged_plain_sweeps(self, scenario, request, monkeypatch):
+        corpus = request.getfixturevalue("corpus_at_known") if scenario == "at-known" \
+            else _study_corpus()
+        rows = fit(corpus, FitConfig()).A_converged.values
+
+        def reference(counts, a, eta, gamma, lam):
+            return *_plain_fixed_point(counts, a, eta, gamma, lam, 1e-12, 200_000), 0, 0
+
+        monkeypatch.setattr(vbi, "_fixed_prior_point", reference)
+        expected = fit(corpus, FitConfig()).A_converged.values
+        assert_allclose(rows.sum(axis=1), expected.sum(axis=1), rtol=1e-5)
+        assert_allclose(rows / rows.sum(axis=1, keepdims=True),
+                        expected / expected.sum(axis=1, keepdims=True), rtol=1e-15)
+
+    def test_bound_of_kept_states_never_falls(self, fixed_prior_start, monkeypatch):
+        # every cycle scores its second plain sweep, then its stabilising
+        # sweep; the cycle keeps whichever state the next sweep starts from
+        scored, starts = [], []
+        corpus_elbo, sweep = vbi.corpus_elbo, vbi._sweep
+
+        def recording_elbo(counts, a, eta, gamma, phi, lam):
+            value = corpus_elbo(counts, a, eta, gamma, phi, lam)
+            scored.append((gamma, value))
+            return value
+
+        def recording_sweep(counts, a, eta, gamma, lam):
+            starts.append(gamma)
+            return sweep(counts, a, eta, gamma, lam)
+
+        monkeypatch.setattr(vbi, "corpus_elbo", recording_elbo)
+        monkeypatch.setattr(vbi, "_sweep", recording_sweep)
+        *_, accepted, rejected = vbi._fixed_prior_point(*fixed_prior_start)
+        assert accepted > 0 and len(scored) == 2 * (accepted + rejected)
+        kept = []
+        for (_, plain_bound), (trial, trial_bound) in zip(scored[::2], scored[1::2]):
+            if any(start is trial for start in starts):
+                assert trial_bound >= plain_bound
+                kept.append(trial_bound)
+            else:
+                kept.append(plain_bound)
+        # two plain sweeps separate consecutive kept states; near the fixed
+        # point their bounds differ by rounding, a few ulps of its sums
+        assert np.all(np.diff(kept) >= -1e-12 * np.abs(kept[:-1]))
+
+    @pytest.mark.parametrize("step", [np.nan, -np.inf])
+    def test_nonfinite_extrapolation_is_plain_sweeping(self, step, fixed_prior_start,
+                                                        monkeypatch):
+        monkeypatch.setattr(vbi, "_step_length", lambda r, v: step)
+        gamma, lam, phi, sweeps, accepted, rejected = vbi._fixed_prior_point(*fixed_prior_start)
+        expected = _plain_fixed_point(*fixed_prior_start, vbi._LR_TOL, vbi._LR_MAX_SWEEPS)
+        for got, want in zip((gamma, lam, phi, sweeps), expected):
+            assert np.array_equal(got, want)
+        assert accepted == 0 and rejected == (sweeps - 1) // 2
+
+    def test_fewer_sweeps_than_plain_sweeping(self, fixed_prior_start):
+        sweeps = vbi._fixed_prior_point(*fixed_prior_start)[3]
+        plain = _plain_fixed_point(*fixed_prior_start, vbi._LR_TOL, vbi._LR_MAX_SWEEPS)[3]
+        assert 5 * sweeps <= plain
+
+    def test_warns_at_cap(self, fixed_prior_start, monkeypatch, caplog):
+        # the cap counts the stabilising sweeps too
+        calls = []
+        sweep = vbi._sweep
+        monkeypatch.setattr(vbi, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        monkeypatch.setattr(vbi, "_LR_MAX_SWEEPS", 5)
+        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+            sweeps = vbi._fixed_prior_point(*fixed_prior_start)[3]
+        assert sweeps == len(calls) == 5
+        assert any("fixed-prior phase" in record.getMessage()
+                   and "after 5 sweeps" in record.getMessage() for record in caplog.records)
+
+    def test_repeatable(self, fixed_prior_start):
+        first = vbi._fixed_prior_point(*fixed_prior_start)
+        second = vbi._fixed_prior_point(*fixed_prior_start)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_fit_logs_sweeps_and_extrapolations(self, corpus_at_known, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
+            fit(corpus_at_known, FitConfig(outer_max_iters=2))
+        assert any(record.levelno == logging.DEBUG and record.getMessage().startswith(
+            "fixed-prior point:") and "extrapolations kept" in record.getMessage()
+            for record in caplog.records)
 
 
 def _share_sd(row):
