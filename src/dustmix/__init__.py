@@ -20,7 +20,6 @@ from .model import (
     collapse_to_counts,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig
 from .numerics import (
     BetaShape,
     CredibleInterval,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaShape",
-    "BoxBounds",
     "Corpus",
     "CorpusValidationError",
     "CredibleInterval",
@@ -47,7 +45,6 @@ __all__ = [
     "Location",
     "LocationRole",
     "NumericalFailure",
-    "OptimizerConfig",
     "ParticleCatalog",
     "PosteriorReport",
     "SampleCounts",

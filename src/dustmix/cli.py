@@ -32,7 +32,6 @@ from .model import (
     SampleCounts,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig
 from .posterior import build_report, write_plot_csvs, write_report_json, write_summary_csv
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
 from .vbi import FitConfig, fit
@@ -188,7 +187,7 @@ def _input_record(path: Path) -> dict:
     return {"path": str(path), "sha256": _sha256(path)}
 
 
-_CONFIG_SECTIONS = {"unknown_sources", "fit", "optimizer", "bounds", "report"}
+_CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
 _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
@@ -219,32 +218,15 @@ def load_config(path: Path | str | None) -> dict:
         merged.update(block)
         return merged
 
-    fit_defaults = {
-        "known_weight": 150.0,
-        "flat_weight": 1.0,
-        "estep_tol": 1e-8,
-        "estep_max_iters": 500,
-        "outer_tol": 1e-6,
-        "outer_max_iters": 100,
-    }
-    opt_defaults = asdict(OptimizerConfig())
-    bounds_defaults = {"lower": BoxBounds().lower, "upper": BoxBounds().upper}
-
     return {
         "unknown_sources": int(raw.get("unknown_sources", 0)),
-        "fit": section("fit", fit_defaults),
-        "optimizer": section("optimizer", opt_defaults),
-        "bounds": section("bounds", bounds_defaults),
+        "fit": section("fit", asdict(FitConfig())),
         "report": section("report", dict(_REPORT_DEFAULTS)),
     }
 
 
 def build_fit_config(config: dict) -> FitConfig:
-    return FitConfig(
-        optimizer=OptimizerConfig(**config["optimizer"]),
-        bounds=BoxBounds(**config["bounds"]),
-        **config["fit"],
-    )
+    return FitConfig(**config["fit"])
 
 
 def _prepare_out_dir(out: Path, force: bool) -> None:
@@ -445,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--out", type=Path, required=True, help="output directory")
     fit_p.add_argument("--seed", type=int, default=None,
                        help="seed recorded in the manifest; the fit draws no random numbers")
-    fit_p.add_argument("--threads", type=int, default=1, help="worker cap")
+    fit_p.add_argument("--threads", type=int, default=1,
+                       help="recorded in the manifest; the fit runs on one thread")
     fit_p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     fit_p.add_argument("--verbose", action="store_true")
 

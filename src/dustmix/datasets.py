@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Corpus
+from .simulator import profiles_from_counts
 
 __all__ = ["at_lq_corpus", "at_lq_point_profiles", "fixture_path"]
 
@@ -69,9 +70,5 @@ def at_lq_point_profiles() -> tuple[tuple[str, ...], np.ndarray]:
     row 1: LQ) used as ground-truth profiles by the simulation study.
     """
     corpus = at_lq_corpus()
-    profiles = []
-    for loc in corpus.locations:
-        if loc.role.is_known:
-            pooled = np.sum([s.counts for s in loc.samples], axis=0).astype(np.float64)
-            profiles.append(pooled / pooled.sum())
+    profiles = [profiles_from_counts(loc.samples) for loc in corpus.locations if loc.role.is_known]
     return corpus.catalog.type_names, np.vstack(profiles)

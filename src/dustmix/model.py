@@ -216,13 +216,14 @@ class DirichletMatrix:
 
 @dataclass
 class VariationalState:
-    """One sample's variational parameters and its current bound.
+    """One sample's variational parameters and its current bound, for the
+    single-sample API; a corpus fit keeps its state in arrays instead.
 
     ``phi`` holds one responsibility row per particle type (types absent
     from the sample included, with zero weight in every bound term), so the
     state is O(types x sources) regardless of particle count.  ``lam`` is
     the profile posterior the sample is scored against: a single-sample
-    inference owns it, while the states of a corpus fit all hold the one
+    inference owns it, while states built for one corpus all hold the one
     shared profile posterior.  ``elbo_steps`` records the bound after each
     coordinate sweep of the most recent single-sample inference call.
     """
@@ -235,21 +236,10 @@ class VariationalState:
     elbo: float = float("nan")
     elbo_steps: list[float] = field(default_factory=list)
 
-    def copy(self) -> "VariationalState":
-        return VariationalState(
-            location_id=self.location_id,
-            sample_index=self.sample_index,
-            gamma=self.gamma.copy(),
-            lam=self.lam.copy(),
-            phi=self.phi.copy(),
-            elbo=self.elbo,
-            elbo_steps=list(self.elbo_steps),
-        )
-
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged hyperparameters, per-sample states and the bound trace.
+    """Converged hyperparameters, the variational arrays and the bound trace.
 
     ``A_converged`` holds one Dirichlet share posterior per trace location
     (known rows are pinned by construction and never move); each row has
@@ -257,17 +247,19 @@ class FitResult:
     linear-response variance of the location's share, or the number of
     sources where that variance is unusable.  ``trace_locations`` maps its
     rows back to corpus location indices.  ``H_converged`` holds the fitted
-    profile hyperparameters.  ``variational`` has one state per sample in
-    corpus order; every state's ``lam`` is the same array, the one shared
-    profile posterior, and each ``elbo`` is that sample's bound with the
-    profile block counted in full.  ``elbo_trace`` has one entry per outer
-    iteration, recorded after the inference sweep.
+    profile hyperparameters.  ``gamma`` (samples x sources) and ``phi``
+    (samples x types x sources) hold the mixing posteriors and
+    responsibilities, one row per sample in corpus order, and ``lam``
+    (sources x types) the one shared profile posterior.  ``elbo_trace`` has
+    one entry per outer iteration, recorded after the inference sweep.
     """
 
     H_converged: DirichletMatrix
     A_converged: DirichletMatrix
     trace_locations: tuple[int, ...]
-    variational: tuple[VariationalState, ...]
+    gamma: np.ndarray
+    phi: np.ndarray
+    lam: np.ndarray
     elbo_trace: tuple[float, ...]
     converged: bool
     iterations: int

@@ -15,6 +15,9 @@ sums digamma differences of the matching variational block over S rows.
   (Minka 2000, "Estimating a Dirichlet distribution").
 
 No row ends below its starting value, so the outer bound stays monotone.
+The box (:class:`BoxBounds`) and the solver settings
+(:class:`OptimizerConfig`) are arguments so that tests can set them; the
+fit always passes their defaults.
 """
 
 from __future__ import annotations

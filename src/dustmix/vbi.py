@@ -17,7 +17,13 @@ one-row calls (a sample that owns its profile posterior outright).  The
 outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (one
 batched Newton solve), warm-starting every phase from the previous state,
-so the bound is monotone across phases too.
+so the bound is monotone across phases too.  The box and the Newton
+settings are the fixed defaults ``_BOX`` and ``_SOLVER``.
+
+:func:`fit` keeps its state in these arrays from the corpus to the
+:class:`FitResult`; :func:`initialize` builds the same starting point as
+per-sample :class:`VariationalState` objects, which serve only the
+single-sample API (:func:`estep_sample`, :func:`elbo_sample`).
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
 report reads, not the fitted hyperparameters themselves: each keeps its
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
@@ -90,10 +96,9 @@ class FitConfig:
     relative parameter step that ends :func:`estep_sample`;
     ``estep_max_iters`` caps the sweeps of either.  ``outer_tol`` and
     ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
-    ``bounds`` is the box every updated hyperparameter row stays in, and
-    ``optimizer`` the tolerance and step cap of the Newton solve that
-    updates the trace mixing rows and any profile row the box clips.  The
-    fit draws no random numbers, so it takes no seed.
+    The box of the hyperparameter rows and the Newton solve's tolerance and
+    step cap are fixed (``_BOX``, ``_SOLVER``).  The fit draws no random
+    numbers, so it takes no seed.
     """
 
     known_weight: float = 150.0
@@ -102,8 +107,6 @@ class FitConfig:
     estep_max_iters: int = 500
     outer_tol: float = 1e-6
     outer_max_iters: int = 100
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    bounds: BoxBounds = field(default_factory=BoxBounds)
 
     def __post_init__(self) -> None:
         for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol"):
@@ -112,6 +115,13 @@ class FitConfig:
         for name in ("estep_max_iters", "outer_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+
+
+# The box every updated hyperparameter row stays in, and the settings of the
+# Newton solve that updates the trace mixing rows and any profile row the box
+# clips.
+_BOX = BoxBounds()
+_SOLVER = OptimizerConfig()
 
 
 def _prior_matrices(corpus: Corpus, config: FitConfig) -> tuple[DirichletMatrix, DirichletMatrix]:
@@ -125,36 +135,54 @@ def _prior_matrices(corpus: Corpus, config: FitConfig) -> tuple[DirichletMatrix,
     return DirichletMatrix(np.ones((M, T)), role="H"), DirichletMatrix(a, role="A")
 
 
-def initialize(
+def _start(
     corpus: Corpus, config: FitConfig
-) -> tuple[DirichletMatrix, DirichletMatrix, list[VariationalState]]:
-    """Build the starting hyperparameter matrices and per-sample states.
+) -> tuple[DirichletMatrix, DirichletMatrix, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate the corpus and build the starting point as arrays.
 
-    Profiles start flat (all ones).  The mixing matrix pins each known
-    location to its source via ``known_weight``; trace rows start flat.
-    Each sample's gamma starts at its location's mixing row plus
-    total_count / (n_sources * total_samples); responsibilities start
-    uniform, and every state shares one profile posterior that starts at
-    the profile matrix itself.
+    Returns the configured priors H and A (:func:`_prior_matrices`), each
+    sample's location index ``loc``, the counts (samples x types) and the
+    starting mixing posteriors ``gamma``: each sample's mixing row plus
+    total_count / (n_sources * total_samples).  Samples are in corpus order.
     """
     violations = validate_corpus(corpus)
     if violations:
         raise CorpusValidationError(violations)
-
     H, A = _prior_matrices(corpus, config)
-    M, T, a = corpus.n_sources, corpus.n_types, A.values
-    total_samples = corpus.n_samples
+    loc = np.array([loc_id for loc_id, _ in corpus.iter_samples()], dtype=np.intp)
+    counts = np.array(
+        [sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64
+    ).reshape(-1, corpus.n_types)
+    gamma = A.values[loc] + counts.sum(axis=1, keepdims=True) / (corpus.n_sources * len(loc))
+    return H, A, loc, counts, gamma
+
+
+def initialize(
+    corpus: Corpus, config: FitConfig
+) -> tuple[DirichletMatrix, DirichletMatrix, list[VariationalState]]:
+    """The starting point of :func:`_start` as per-sample states, for the
+    single-sample API (:func:`estep_sample`, :func:`elbo_sample`).
+
+    Profiles start flat (all ones).  The mixing matrix pins each known
+    location to its source via ``known_weight``; trace rows start flat.
+    Each state's gamma is its row of the starting mixing posteriors,
+    responsibilities start uniform, every state shares one profile
+    posterior that starts at the profile matrix itself, and each ``elbo``
+    is that sample's bound with the profile block counted in full.
+    """
+    H, A, loc, _, gamma = _start(corpus, config)
+    M, T = corpus.n_sources, corpus.n_types
     lam = np.array(H.values, dtype=np.float64)
     states: list[VariationalState] = []
-    for loc_id, sample in corpus.iter_samples():
+    for (loc_id, sample), gamma_row in zip(corpus.iter_samples(), gamma):
         state = VariationalState(
             location_id=loc_id,
             sample_index=sample.sample_index,
-            gamma=a[loc_id] + sample.total / (M * total_samples),
+            gamma=gamma_row,
             lam=lam,
             phi=np.full((T, M), 1.0 / M),
         )
-        state.elbo = elbo_sample(sample, a[loc_id], H, state)
+        state.elbo = elbo_sample(sample, A.values[loc_id], H, state)
         states.append(state)
     return H, A, states
 
@@ -531,19 +559,6 @@ _LR_TOL = 1e-8
 _LR_MAX_SWEEPS = 20000
 
 
-def _fixed_prior_point(
-    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-    """Accelerated inference sweeps (:func:`_fixed_point` over all sample
-    rows, SQUAREM after Varadhan and Roland 2008) until no mixing or
-    profile parameter moves by a relative ``_LR_TOL``; returns gamma, lam,
-    the responsibilities (samples x types x sources), the sweep count and
-    the numbers of extrapolations kept and rejected.  At ``_LR_MAX_SWEEPS``
-    sweeps it returns what it has and logs a warning with the step left.
-    """
-    return _fixed_point(counts, a, eta, gamma, lam, _LR_TOL, _LR_MAX_SWEEPS)
-
-
 def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
     """Inverse covariance of log x under Dirichlet(row), one matrix per row.
 
@@ -621,8 +636,9 @@ def _linear_response_rows(
 
     H0, A0 = _prior_matrices(corpus, config)
     a0 = A0.values[loc]
-    gamma, lam0, phi, sweeps, accepted, rejected = _fixed_prior_point(
-        counts, a0, H0.values, a0 + _allocated(counts, phi), H0.values + (lam - H.values)
+    gamma, lam0, phi, sweeps, accepted, rejected = _fixed_point(
+        counts, a0, H0.values, a0 + _allocated(counts, phi), H0.values + (lam - H.values),
+        _LR_TOL, _LR_MAX_SWEEPS,
     )
     logger.debug(
         "fixed-prior point: %d sweeps, %d extrapolations kept, %d rejected",
@@ -670,25 +686,21 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     """Alternate inference phases and hyperparameter updates to convergence.
 
     The state is held as arrays (one row per sample, one shared ``lam``)
-    from :func:`initialize`'s values to the end; the returned states view
-    their rows and all share that ``lam``.  Convergence is declared when
-    the relative change of the corpus bound between consecutive inference
-    phases drops below ``config.outer_tol``; hitting ``outer_max_iters``
-    first yields a result with ``converged=False`` rather than an error.
+    from :func:`_start` to the returned :class:`FitResult`; no per-sample
+    state object is built.  Convergence is declared when the relative
+    change of the corpus bound between consecutive inference phases drops
+    below ``config.outer_tol``; hitting ``outer_max_iters`` first yields a
+    result with ``converged=False`` rather than an error.
     The returned trace rows keep the fitted means and take linear-response
     concentrations; this last step never raises and adds nothing to
     ``elbo_trace``.  One warning at the end names each hyperparameter row
     that ended an M-step unconverged or on a box edge, and how often.
     """
     config = config or FitConfig()
-    H, A, states = initialize(corpus, config)
-    samples = [sample for _, sample in corpus.iter_samples()]
+    H, A, loc, counts, gamma = _start(corpus, config)
     M, T = corpus.n_sources, corpus.n_types
-    loc = np.array([state.location_id for state in states], dtype=np.intp)
-    counts = np.array([sample.counts for sample in samples], dtype=np.float64).reshape(-1, T)
     known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
-    gamma = np.array([state.gamma for state in states]).reshape(-1, M)
-    phi = np.array([state.phi for state in states]).reshape(-1, T, M)
+    phi = np.full((len(loc), T, M), 1.0 / M)
     gamma, phi, lam = _warm_start_profiles(
         corpus, counts, A.values[loc], H.values, gamma, phi, known
     )
@@ -712,18 +724,12 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            H, A, notes = mstep(
-                H, A, lam, gamma, loc, corpus.trace_location_ids, config.bounds, config.optimizer
-            )
+            H, A, notes = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids, _BOX, _SOLVER)
             flagged.update(notes)
     if flagged:
         steps = iterations - 1
         summary = "; ".join(f"{note} in {n} of {steps} M-steps" for note, n in flagged.items())
         logger.warning("M-step rows ended unconverged or on a box edge: %s", summary)
-
-    for state, sample, gamma_row, phi_row in zip(states, samples, gamma, phi):
-        state.gamma, state.phi, state.lam = gamma_row, phi_row, lam
-        state.elbo = elbo_sample(sample, A.values[state.location_id], H, state)
 
     return FitResult(
         H_converged=H,
@@ -731,7 +737,9 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             _linear_response_rows(corpus, counts, loc, A, H, phi, lam, config), role="A"
         ),
         trace_locations=corpus.trace_location_ids,
-        variational=tuple(states),
+        gamma=gamma,
+        phi=phi,
+        lam=lam,
         elbo_trace=tuple(elbo_trace),
         converged=converged,
         iterations=iterations,

@@ -8,6 +8,8 @@ import pytest
 import yaml
 
 import dustmix
+from dustmix.mstep import BoxBounds, OptimizerConfig
+from dustmix.vbi import FitConfig
 from dustmix.cli import (
     IngestError,
     build_fit_config,
@@ -104,8 +106,8 @@ class TestConfig:
         fit_config = build_fit_config(config)
         assert fit_config.known_weight == 150.0
         assert fit_config.outer_tol == 1e-6
-        assert fit_config.optimizer.max_iters == 200
-        assert fit_config.bounds.upper == 1e6
+        assert fit_config == FitConfig()
+        assert set(config) == {"unknown_sources", "fit", "report"}
         assert config["report"]["hpdi_mass"] == 0.95
 
     def test_empty_file_means_defaults(self, tmp_path):
@@ -118,14 +120,12 @@ class TestConfig:
         path.write_text(yaml.safe_dump({
             "unknown_sources": 1,
             "fit": {"outer_max_iters": 7, "known_weight": 99.0},
-            "optimizer": {"max_iters": 4},
         }))
         config = load_config(path)
         fit_config = build_fit_config(config)
         assert config["unknown_sources"] == 1
         assert fit_config.outer_max_iters == 7
         assert fit_config.known_weight == 99.0
-        assert fit_config.optimizer.max_iters == 4
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -137,14 +137,23 @@ class TestConfig:
             load_config(path)
         # settings that never reached the engine were removed, not ignored
         for section, key in (("fit", "scale_updates_by_count"),
-                             ("optimizer", "sufficient_decrease"),
-                             ("optimizer", "curvature"),
-                             ("optimizer", "memory"),
                              ("fit", "rng_seed"),
                              ("report", "sample_diagnostics")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
             with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):
                 load_config(path)
+
+    def test_solver_sections_rejected(self, tmp_path):
+        # the M-step box and Newton settings are fixed, not configurable
+        path = tmp_path / "config.yaml"
+        for section, block in (("optimizer", {"max_iters": 4}), ("bounds", {"upper": 50.0})):
+            path.write_text(yaml.safe_dump({section: block}))
+            with pytest.raises(ValueError, match=f"unknown config keys: {section}"):
+                load_config(path)
+        with pytest.raises(TypeError):
+            FitConfig(bounds=BoxBounds())
+        with pytest.raises(TypeError):
+            FitConfig(optimizer=OptimizerConfig())
 
     def test_seed_override(self, tmp_path, quick_config):
         # the fit draws no random numbers; the seed is provenance only

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import root
 
 from dustmix import mstep as mstep_module
+from dustmix import vbi
 from dustmix.model import (
     Corpus,
     DirichletMatrix,
@@ -24,7 +25,7 @@ from dustmix.mstep import (
     mstep,
 )
 from dustmix.numerics import digamma, log_gamma
-from dustmix.vbi import FitConfig, _sweep, corpus_elbo, fit, initialize
+from dustmix.vbi import FitConfig, _start, _sweep, corpus_elbo, fit
 
 
 def random_states(rng, n_samples, M, T, location_ids=None):
@@ -168,10 +169,8 @@ def random_trace_rows(rng, n_rows, M):
 
 def swept_arrays(corpus, sweeps=20):
     """Array state a few inference sweeps after the starting point."""
-    H, A, states = initialize(corpus, FitConfig())
-    loc = np.array([state.location_id for state in states])
-    counts = np.array([sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64)
-    gamma, lam = np.array([state.gamma for state in states]), H.values.copy()
+    H, A, loc, counts, gamma = _start(corpus, FitConfig())
+    lam = H.values.copy()
     for _ in range(sweeps):
         gamma, lam, phi = _sweep(counts, A.values[loc], H.values, gamma, lam)
     return H, A, counts, loc, gamma, phi, lam
@@ -276,35 +275,31 @@ class TestMstep:
 
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):
         corpus = self._known_only_corpus()
-        config = FitConfig()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus)
         _, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
-                         config.bounds, config.optimizer)
+                         BoxBounds(), OptimizerConfig())
         assert np.array_equal(A2.values, A.values)
 
     def test_known_rows_bitwise_preserved(self, corpus_both_known):
-        config = FitConfig()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         _, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
-                         config.bounds, config.optimizer)
+                         BoxBounds(), OptimizerConfig())
         assert np.array_equal(A2.values[0], A.values[0])
         assert np.array_equal(A2.values[1], A.values[1])
         assert not np.array_equal(A2.values[2], A.values[2])
 
     def test_profile_rows_are_lambda_inside_the_box(self, corpus_both_known):
-        config = FitConfig()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         H2, _, notes = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
-                             config.bounds, config.optimizer)
+                             BoxBounds(), OptimizerConfig())
         assert np.array_equal(H2.values, lam)
         assert notes == []
 
     def test_total_bound_never_decreases(self, corpus_both_known):
-        config = FitConfig()
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
         before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
         H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
-                          config.bounds, config.optimizer)
+                          BoxBounds(), OptimizerConfig())
         after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
         assert after >= before - 1e-8
 
@@ -313,11 +308,10 @@ class TestMstep:
         # the profile block enters the bound once, so each profile row
         # counts once, with the shared lam's digamma differences
         corpus = request.getfixturevalue(scenario)
-        config = FitConfig()
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus)
         before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
         H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
-                          config.bounds, config.optimizer)
+                          BoxBounds(), OptimizerConfig())
         after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
         dg_lam = digamma_rows(lam)
         change = sum(row_value(H2.values[m], dg_lam[m], 1.0) - row_value(H.values[m], dg_lam[m], 1.0)
@@ -326,11 +320,14 @@ class TestMstep:
             change += row_value(A2.values[l], stat, n) - row_value(A.values[l], stat, n)
         assert change == pytest.approx(after - before, rel=1e-10)
 
-    def test_eta_objective_counts_shared_posterior_once(self, fit_both_known):
-        # the fitted states all hold one lam, whose block the bound counts once
+    def test_eta_objective_counts_shared_posterior_once(self, fit_both_known, corpus_both_known):
+        # states viewing the fitted arrays all hold one lam, whose block the
+        # bound counts once
         result, _ = fit_both_known
-        states = list(result.variational)
-        lam = states[0].lam
+        lam = result.lam
+        states = [VariationalState(loc_id, sample.sample_index, gamma=result.gamma[n], lam=lam,
+                                   phi=result.phi[n])
+                  for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples())]
         assert len(states) > 1 and all(state.lam is lam for state in states)
         dg_lam = digamma_rows(lam)
         for m, x in enumerate(result.H_converged.values):
@@ -341,7 +338,6 @@ class TestMstep:
     def test_row_updates_are_separable(self):
         # optimizing rows through mstep equals optimizing each row alone
         rng = np.random.default_rng(12)
-        config = FitConfig()
         bounds = BoxBounds(upper=20.0)
         lam = rng.uniform(0.5, 8.0, size=(3, 4))
         lam[1, 2] = 35.0  # this profile row goes to the solver
@@ -350,12 +346,12 @@ class TestMstep:
         trace_ids = (1, 2, 3)
         H = DirichletMatrix(rng.uniform(0.5, 2.0, size=(3, 4)), role="H")
         A = DirichletMatrix(np.ones((4, 3)), role="A")
-        H2, A2, _ = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config.optimizer)
+        H2, A2, _ = mstep(H, A, lam, gamma, loc, trace_ids, bounds, OptimizerConfig())
         for m in (2, 1, 0):  # reversed order
             if m == 1:
                 res = maximize_rows(digamma_rows(lam[1:2]), np.ones(1),
                                     np.clip(lam[1:2], bounds.lower, bounds.upper),
-                                    bounds, config.optimizer)
+                                    bounds, OptimizerConfig())
                 assert_allclose(res.x[0], H2.values[m], atol=1e-8)
             else:
                 assert_allclose(lam[m], H2.values[m], atol=1e-8)
@@ -363,7 +359,7 @@ class TestMstep:
         for l in reversed(trace_ids):
             stat, n = stats[l]
             res = maximize_rows(stat[None], np.array([n]), np.ones((1, 3)), bounds,
-                                config.optimizer)
+                                OptimizerConfig())
             assert_allclose(res.x[0], A2.values[l], atol=1e-8)
 
     def test_synthetic_gradient_root_recovered(self):
@@ -389,22 +385,22 @@ class TestMstep:
         assert_allclose(result.x[0], target, rtol=1e-6)
 
     def test_clipped_rows_end_at_box_maximizer(self, corpus_both_known):
-        config = FitConfig()
+        config = OptimizerConfig()
         bounds = BoxBounds(upper=50.0)
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace_ids = corpus_both_known.trace_location_ids
-        H2, A2, notes = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config.optimizer)
+        H2, A2, notes = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config)
         dg_lam = digamma_rows(lam)
         for m in range(len(lam)):
             x = H2.values[m]
             assert x.min() >= bounds.lower and x.max() <= bounds.upper
             assert np.abs(projected(x, row_gradient(x, dg_lam[m], 1.0), bounds)).max() \
-                <= config.optimizer.grad_tol
+                <= config.grad_tol
         for l, (stat, n) in trace_stats(gamma, loc, trace_ids).items():
             x = A2.values[l]
             assert x.min() >= bounds.lower and x.max() <= bounds.upper
             assert np.abs(projected(x, row_gradient(x, stat, n), bounds)).max() \
-                <= config.optimizer.grad_tol
+                <= config.grad_tol
         assert "H row 0 on a box edge" in notes
         assert f"A row {trace_ids[0]} on a box edge" in notes
 
@@ -414,10 +410,10 @@ class TestMstep:
                             BoxBounds(), OptimizerConfig(max_iters=1))
         assert notes == ["A row 2 unconverged", "A row 3 unconverged"]
 
-    def test_fit_warns_about_rows_on_the_box(self, corpus_both_known, caplog):
-        config = FitConfig(bounds=BoxBounds(upper=50.0), outer_max_iters=3)
+    def test_fit_warns_about_rows_on_the_box(self, corpus_both_known, caplog, monkeypatch):
+        monkeypatch.setattr(vbi, "_BOX", BoxBounds(upper=50.0))
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
-            fit(corpus_both_known, config)
+            fit(corpus_both_known, FitConfig(outer_max_iters=3))
         flagged = [r.getMessage() for r in caplog.records if "M-step rows" in r.getMessage()]
         assert len(flagged) == 1
         assert "H row 0 on a box edge in 2 of 2 M-steps" in flagged[0]

@@ -297,25 +297,24 @@ class TestCorpusElbo:
     profile block counted once, not once per sample."""
 
     @staticmethod
-    def _check(samples, a, H, states):
+    def _check(samples, a, H, gamma, phi, lam):
         counts = np.array([sample.counts for sample in samples], dtype=np.float64)
-        lam = states[0].lam
+        states = [VariationalState(0, n, gamma=g, lam=lam, phi=p)
+                  for n, (g, p) in enumerate(zip(gamma, phi))]
         per_sample = sum(elbo_sample(sample, a_row, H, state)
                          for sample, a_row, state in zip(samples, a, states))
         terms = elbo_terms(samples[0], a[0], H, states[0])
         profile = terms["log_p_beta"] + terms["entropy_beta"]
         expected = per_sample - (len(samples) - 1) * profile
-        total = vbi.corpus_elbo(counts, a, H.values,
-                                np.array([s.gamma for s in states]),
-                                np.array([s.phi for s in states]), lam)
+        total = vbi.corpus_elbo(counts, a, H.values, gamma, phi, lam)
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_fitted_states(self, fit_both_known, corpus_both_known):
         result, _ = fit_both_known
         _, A, _ = initialize(corpus_both_known, FitConfig())
-        samples = [sample for _, sample in corpus_both_known.iter_samples()]
-        a = A.values[[state.location_id for state in result.variational]]
-        self._check(samples, a, result.H_converged, list(result.variational))
+        loc, samples = zip(*corpus_both_known.iter_samples())
+        self._check(list(samples), A.values[list(loc)], result.H_converged,
+                    result.gamma, result.phi, result.lam)
 
     def test_random_instances(self):
         rng = np.random.default_rng(6)
@@ -326,10 +325,10 @@ class TestCorpusElbo:
             H = DirichletMatrix(rng.uniform(0.2, 5.0, size=(M, T)), role="H")
             lam = rng.uniform(0.5, 40.0, size=(M, T))
             samples = [SampleCounts(rng.integers(1, 30, size=T), 0, n) for n in range(N)]
-            states = [VariationalState(0, n, gamma=rng.uniform(0.5, 30.0, size=M), lam=lam,
-                                       phi=rng.dirichlet(np.ones(M), size=T))
-                      for n in range(N)]
-            self._check(samples, rng.uniform(0.2, 5.0, size=(N, M)), H, states)
+            rows = [(rng.uniform(0.5, 30.0, size=M), rng.dirichlet(np.ones(M), size=T))
+                    for _ in range(N)]
+            gamma, phi = (np.array(block) for block in zip(*rows))
+            self._check(samples, rng.uniform(0.2, 5.0, size=(N, M)), H, gamma, phi, lam)
 
 
 class TestFit:
@@ -391,16 +390,39 @@ class TestFit:
         )
         corpus = Corpus(catalog, locations, 1)
         result = fit(corpus, FitConfig(outer_max_iters=30))
-        twins = [s for s in result.variational if s.location_id == 1]
-        assert_allclose(twins[0].gamma, twins[1].gamma, rtol=0, atol=0)
-        assert_allclose(twins[0].phi, twins[1].phi, rtol=0, atol=0)
+        twins = [n for n, (loc_id, _) in enumerate(corpus.iter_samples()) if loc_id == 1]
+        assert_allclose(result.gamma[twins[0]], result.gamma[twins[1]], rtol=0, atol=0)
+        assert_allclose(result.phi[twins[0]], result.phi[twins[1]], rtol=0, atol=0)
 
     def test_corpus_count_identity(self, fit_both_known, corpus_both_known):
         result, _ = fit_both_known
-        lam = result.variational[0].lam
+        lam = result.lam
         eta = result.H_converged.values
         total = sum(s.total for _, s in corpus_both_known.iter_samples())
         assert (lam - eta).sum() == pytest.approx(total, rel=1e-9)
+
+    def test_builds_no_per_sample_states(self, corpus_both_known, monkeypatch):
+        # the fit keeps its state in arrays: no initialize call, no state
+        # object and no per-sample bound
+        calls = {"initialize": 0, "elbo_sample": 0, "VariationalState": 0}
+
+        def counting(name):
+            original = getattr(vbi, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(vbi, name, counting(name))
+        result = fit(corpus_both_known, FitConfig())
+        assert calls == {"initialize": 0, "elbo_sample": 0, "VariationalState": 0}
+        N, M, T = (corpus_both_known.n_samples, corpus_both_known.n_sources,
+                   corpus_both_known.n_types)
+        assert result.gamma.shape == (N, M)
+        assert result.phi.shape == (N, T, M)
+        assert result.lam.shape == (M, T)
 
     def test_deterministic(self, corpus_both_known, fit_both_known):
         result, _ = fit_both_known
@@ -422,16 +444,16 @@ def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
 
 @pytest.fixture(scope="module")
 def fixed_prior_start(corpus_at_known):
-    """The arguments the AT-known fit passes to the fixed-prior point."""
+    """The arguments the AT-known fit passes to :func:`vbi._fixed_point`."""
     captured = []
-    original = vbi._fixed_prior_point
+    original = vbi._fixed_point
 
     def capture(*args):
         captured.append(args)
         return original(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(vbi, "_fixed_prior_point", capture)
+        mp.setattr(vbi, "_fixed_point", capture)
         fit(corpus_at_known, FitConfig())
     return captured[0]
 
@@ -452,10 +474,10 @@ class TestFixedPoint:
             else _study_corpus()
         rows = fit(corpus, FitConfig()).A_converged.values
 
-        def reference(counts, a, eta, gamma, lam):
+        def reference(counts, a, eta, gamma, lam, tol, cap):
             return *_plain_fixed_point(counts, a, eta, gamma, lam, 1e-12, 200_000), 0, 0
 
-        monkeypatch.setattr(vbi, "_fixed_prior_point", reference)
+        monkeypatch.setattr(vbi, "_fixed_point", reference)
         expected = fit(corpus, FitConfig()).A_converged.values
         assert_allclose(rows.sum(axis=1), expected.sum(axis=1), rtol=1e-5)
         assert_allclose(rows / rows.sum(axis=1, keepdims=True),
@@ -478,7 +500,7 @@ class TestFixedPoint:
 
         monkeypatch.setattr(vbi, "corpus_elbo", recording_elbo)
         monkeypatch.setattr(vbi, "_sweep", recording_sweep)
-        *_, accepted, rejected = vbi._fixed_prior_point(*fixed_prior_start)
+        *_, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
         assert accepted > 0 and len(scored) == 2 * (accepted + rejected)
         kept = []
         for (_, plain_bound), (trial, trial_bound) in zip(scored[::2], scored[1::2]):
@@ -495,32 +517,33 @@ class TestFixedPoint:
     def test_nonfinite_extrapolation_is_plain_sweeping(self, step, fixed_prior_start,
                                                         monkeypatch):
         monkeypatch.setattr(vbi, "_step_length", lambda r, v: step)
-        gamma, lam, phi, sweeps, accepted, rejected = vbi._fixed_prior_point(*fixed_prior_start)
-        expected = _plain_fixed_point(*fixed_prior_start, vbi._LR_TOL, vbi._LR_MAX_SWEEPS)
+        gamma, lam, phi, sweeps, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
+        expected = _plain_fixed_point(*fixed_prior_start)
         for got, want in zip((gamma, lam, phi, sweeps), expected):
             assert np.array_equal(got, want)
         assert accepted == 0 and rejected == (sweeps - 1) // 2
 
     def test_fewer_sweeps_than_plain_sweeping(self, fixed_prior_start):
-        sweeps = vbi._fixed_prior_point(*fixed_prior_start)[3]
-        plain = _plain_fixed_point(*fixed_prior_start, vbi._LR_TOL, vbi._LR_MAX_SWEEPS)[3]
+        sweeps = vbi._fixed_point(*fixed_prior_start)[3]
+        plain = _plain_fixed_point(*fixed_prior_start)[3]
         assert 5 * sweeps <= plain
 
     def test_warns_at_cap(self, fixed_prior_start, monkeypatch, caplog):
-        # the cap counts the stabilising sweeps too
+        # the fit passes the module's tolerance and cap; the cap counts the
+        # stabilising sweeps too
+        assert fixed_prior_start[5:] == (vbi._LR_TOL, vbi._LR_MAX_SWEEPS)
         calls = []
         sweep = vbi._sweep
         monkeypatch.setattr(vbi, "_sweep", lambda *args: calls.append(1) or sweep(*args))
-        monkeypatch.setattr(vbi, "_LR_MAX_SWEEPS", 5)
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
-            sweeps = vbi._fixed_prior_point(*fixed_prior_start)[3]
+            sweeps = vbi._fixed_point(*fixed_prior_start[:5], vbi._LR_TOL, 5)[3]
         assert sweeps == len(calls) == 5
         assert any("fixed-prior phase" in record.getMessage()
                    and "after 5 sweeps" in record.getMessage() for record in caplog.records)
 
     def test_repeatable(self, fixed_prior_start):
-        first = vbi._fixed_prior_point(*fixed_prior_start)
-        second = vbi._fixed_prior_point(*fixed_prior_start)
+        first = vbi._fixed_point(*fixed_prior_start)
+        second = vbi._fixed_point(*fixed_prior_start)
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
