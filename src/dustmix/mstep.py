@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .model import Corpus, DirichletMatrix, VariationalState
-from .numerics import digamma, log_gamma
+from .numerics import DirichletRows, digamma, log_gamma
 
 __all__ = [
     "BoxBounds",
@@ -94,7 +94,7 @@ def _objective(
 
 def _digamma_diff(rows: np.ndarray) -> np.ndarray:
     """digamma(row) - digamma(row sum), row-wise."""
-    return digamma(rows) - digamma(rows.sum(axis=1))[:, None]
+    return DirichletRows(rows).e_log
 
 
 def _row_objective_and_gradient(x: np.ndarray, rows: list[np.ndarray]) -> tuple[float, np.ndarray]:

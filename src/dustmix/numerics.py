@@ -2,18 +2,23 @@
 
 ``log_gamma`` and ``digamma`` are ``scipy.special.gammaln`` and ``psi``
 behind a domain check: an argument that is not strictly positive and finite
-raises ``ValueError`` instead of coming back as inf or nan.  The Beta
-normaliser, CDF and quantile are ``betaln``, ``betainc`` and ``betaincinv``;
-the highest-density interval is the shortest interval of the stated mass,
-found by a bounded scalar search over its lower tail mass.
+raises ``ValueError`` instead of coming back as inf or nan.  The engine's
+Dirichlet rows (:class:`DirichletRows`) take that check once, on the rows
+and their sums when built; their ``psi`` and ``gammaln`` then run unchecked,
+each at most once per set of rows.  The Beta normaliser, CDF and quantile
+are ``betaln``, ``betainc`` and ``betaincinv``; the highest-density
+interval is the shortest interval of the stated mass, found by a bounded
+scalar search over its lower tail mass.
 
-All functions are pure; none hold state.
+All functions are pure; a :class:`DirichletRows` keeps only what its rows
+determine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -24,6 +29,7 @@ __all__ = [
     "BetaShape",
     "BetaSummary",
     "CredibleInterval",
+    "DirichletRows",
     "beta_cdf",
     "beta_hpdi",
     "beta_log_pdf",
@@ -63,6 +69,43 @@ def digamma(x):
     [1e-6, 1e6].
     """
     return _like_input(special.psi(_positive(x, "digamma")))
+
+
+class DirichletRows:
+    """Dirichlet parameters, one distribution per row, behind one domain check.
+
+    Building it rejects, with the ``ValueError`` of :func:`digamma`, rows or
+    row sums that are not strictly positive and finite (an empty set of rows
+    passes).  The expectations are evaluated on first use and kept.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.sums = self.rows.sum(axis=1)
+        # A NaN propagates into a minimum and fails its test, an infinite entry
+        # makes its row sum infinite, and empty rows pass: each reduction
+        # starts from its identity.
+        if not (
+            np.minimum.reduce(self.rows, axis=None, initial=math.inf) > 0.0
+            and np.minimum.reduce(self.sums, initial=math.inf) > 0.0
+            and np.maximum.reduce(self.sums, initial=0.0) < math.inf
+        ):
+            raise ValueError("DirichletRows requires strictly positive, finite arguments")
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """digamma of every entry."""
+        return special.psi(self.rows)
+
+    @cached_property
+    def e_log(self) -> np.ndarray:
+        """E log x under each row: digamma(row) - digamma(row sum)."""
+        return self.psi - special.psi(self.sums)[:, None]
+
+    @cached_property
+    def log_norm(self) -> np.ndarray:
+        """Log normaliser of each row: log Gamma(row sum) - sum log Gamma(row)."""
+        return special.gammaln(self.sums) - special.gammaln(self.rows).sum(axis=1)
 
 
 @dataclass(frozen=True)

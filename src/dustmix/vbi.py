@@ -6,15 +6,23 @@ so the fit keeps one shared Dirichlet posterior over the profile rows
 stay per sample.  The state is arrays with one row per sample: ``counts``
 (N x T), ``gamma`` (N x M) and ``phi`` (N x T x M), next to the one ``lam``.
 
-One kernel, :func:`_sweep`, runs an inference sweep over any set of rows:
-responsibilities and mixing posteriors against the current profile
+One kernel, :func:`_sweep_rows`, runs an inference sweep over any set of
+rows: responsibilities and mixing posteriors against the current profile
 posterior, then the profile posterior from the counts every row allocates.
 Each update is the exact coordinate maximizer of the bound given the rest,
 so the bound is non-decreasing sweep over sweep.  One function,
 :func:`_bound_terms`, sums the seven bound terms over rows, counting the
 profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
-one-row calls (a sample that owns its profile posterior outright).  The
-outer loop alternates inference phases with exact box-constrained updates
+one-row calls (a sample that owns its profile posterior outright).
+
+Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
+checked once and with its digammas and log Gammas evaluated at most once.
+The sweep loops of :func:`_inference_phase` and :func:`estep_sample` build
+each state once, for its bound and the next sweep, and the priors ``a`` and
+``eta`` once per loop.  :func:`_sweep`, :func:`corpus_elbo` and
+:func:`elbo_terms` call the same kernels on plain arrays.
+
+The outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (one
 batched Newton solve), warm-starting every phase from the previous state,
 so the bound is monotone across phases too.  The box and the Newton
@@ -55,8 +63,10 @@ from .model import (
     VariationalState,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig, _digamma_diff, mstep
-from .numerics import digamma, log_gamma
+from .mstep import BoxBounds, OptimizerConfig, mstep
+# digamma and log_gamma stay module attributes: the benchmark's layer hooks
+# wrap them by name (bench/layers.py).
+from .numerics import DirichletRows, digamma, log_gamma  # noqa: F401
 
 __all__ = [
     "FitConfig",
@@ -192,8 +202,8 @@ def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.matmul(phi.transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
 
 
-def _sweep(
-    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
+def _sweep_rows(
+    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: DirichletRows, lam: DirichletRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One inference sweep over sample rows (``counts``, mixing prior rows
     ``a`` and ``gamma``).  Responsibilities come from the profile and mixing
@@ -201,11 +211,18 @@ def _sweep(
     ``a`` row plus the counts it allocates; the profile posterior is ``eta``
     plus the counts allocated from every row.  Returns gamma, lam and phi.
     """
-    log_phi = _digamma_diff(lam).T + digamma(gamma)[:, None, :]
+    log_phi = lam.e_log.T + gamma.psi[:, None, :]
     log_phi -= log_phi.max(axis=2, keepdims=True)
     phi = np.exp(log_phi)
     phi /= phi.sum(axis=2, keepdims=True)
     return a + _allocated(counts, phi), eta + (phi * counts[:, :, None]).sum(axis=0).T, phi
+
+
+def _sweep(
+    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_sweep_rows` from the state (``gamma``, ``lam``) as arrays."""
+    return _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
 
 
 def _relative_step(
@@ -215,34 +232,31 @@ def _relative_step(
     return max(np.abs(new_gamma / gamma - 1.0).max(), np.abs(new_lam / lam - 1.0).max())
 
 
-def _expected_log_dirichlet(rows: np.ndarray, dg: np.ndarray) -> float:
+def _expected_log_dirichlet(rows: DirichletRows, dg: np.ndarray) -> float:
     """E log Dirichlet(x | row), summed over rows, given E log x = ``dg``."""
-    log_norm = log_gamma(rows.sum(axis=1)) - log_gamma(rows).sum(axis=1)
-    return float((log_norm + ((rows - 1.0) * dg).sum(axis=1)).sum())
+    return float((rows.log_norm + ((rows.rows - 1.0) * dg).sum(axis=1)).sum())
 
 
 def _bound_terms(
     counts: np.ndarray,
-    a: np.ndarray,
-    eta: np.ndarray,
-    gamma: np.ndarray,
+    a: DirichletRows,
+    eta: DirichletRows,
+    gamma: DirichletRows,
     phi: np.ndarray,
-    lam: np.ndarray,
+    lam: DirichletRows,
 ) -> dict[str, float]:
     """The seven bound terms, each summed over the sample rows; the profile
     block (``log_p_beta``, ``entropy_beta``) is counted once."""
-    dg_lam = _digamma_diff(lam)
-    dg_gamma = _digamma_diff(gamma)
     weighted_phi = phi * counts[:, :, None]
     log_phi = np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
     return {
-        "log_p_x": float((weighted_phi * dg_lam.T).sum()),
-        "log_p_theta": _expected_log_dirichlet(a, dg_gamma),
-        "log_p_z": float((weighted_phi.sum(axis=1) * dg_gamma).sum()),
-        "entropy_theta": -_expected_log_dirichlet(gamma, dg_gamma),
+        "log_p_x": float((weighted_phi * lam.e_log.T).sum()),
+        "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
+        "log_p_z": float((weighted_phi.sum(axis=1) * gamma.e_log).sum()),
+        "entropy_theta": -_expected_log_dirichlet(gamma, gamma.e_log),
         "entropy_z": float(-(weighted_phi * log_phi).sum()),
-        "log_p_beta": _expected_log_dirichlet(eta, dg_lam),
-        "entropy_beta": -_expected_log_dirichlet(lam, dg_lam),
+        "log_p_beta": _expected_log_dirichlet(eta, lam.e_log),
+        "entropy_beta": -_expected_log_dirichlet(lam, lam.e_log),
     }
 
 
@@ -253,16 +267,21 @@ def elbo_terms(
     state: VariationalState,
 ) -> dict[str, float]:
     """The seven bound terms for one sample, keyed by their standard names."""
+    a, eta, gamma, lam = map(DirichletRows, (
+        np.asarray(alpha_row, dtype=np.float64)[None], H.values, state.gamma[None], state.lam
+    ))
     c = counts.counts.astype(np.float64)[None]
-    alpha = np.asarray(alpha_row, dtype=np.float64)[None]
-    return _bound_terms(c, alpha, H.values, state.gamma[None], state.phi[None], state.lam)
+    return _bound_terms(c, a, eta, gamma, state.phi[None], lam)
 
 
 def _check_terms(terms: dict[str, float]) -> float:
-    for name, value in terms.items():
-        if not np.isfinite(value):
-            raise NumericalFailure(f"bound term {name} is non-finite ({value})", term=name)
-    return float(sum(terms.values()))
+    """The bound, the sum of ``terms``; raises naming a non-finite term."""
+    total = float(sum(terms.values()))
+    if not np.isfinite(total):
+        for name, value in terms.items():
+            if not np.isfinite(value):
+                raise NumericalFailure(f"bound term {name} is non-finite ({value})", term=name)
+    return total
 
 
 def elbo_sample(
@@ -286,6 +305,7 @@ def corpus_elbo(
     """Bound of all sample rows (``counts``, mixing prior rows ``a``,
     ``gamma``, ``phi``) under the shared profile posterior ``lam``; raises
     naming any non-finite term."""
+    a, eta, gamma, lam = map(DirichletRows, (a, eta, gamma, lam))
     return _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
 
 
@@ -298,7 +318,7 @@ def estep_sample(
 ) -> VariationalState:
     """Coordinate-ascent sweeps for one sample that owns its profile posterior.
 
-    Each sweep is the one-row call of the corpus kernel :func:`_sweep`:
+    Each sweep is the one-row call of the corpus kernel :func:`_sweep_rows`:
     responsibilities from the current profile and mixing posteriors, then
     gamma and lambda from the new responsibilities (``lam = eta + count *
     phi``).  Stops once a sweep moves no gamma or lambda entry by more than
@@ -311,18 +331,19 @@ def estep_sample(
     because changing it would move the stopping point of every fit.
     """
     c = counts.counts.astype(np.float64)[None]
-    alpha = np.asarray(alpha_row, dtype=np.float64)[None]
-    gamma, lam = state.gamma[None], state.lam
+    alpha = DirichletRows(np.asarray(alpha_row, dtype=np.float64)[None])
+    eta = DirichletRows(H.values)
+    gamma, lam = DirichletRows(state.gamma[None]), DirichletRows(state.lam)
 
     state.elbo_steps = []
     for sweep in range(1, config.estep_max_iters + 1):
-        new_gamma, new_lam, phi = _sweep(c, alpha, H.values, gamma, lam)
-        moved = _relative_step(gamma, lam, new_gamma, new_lam)
-        gamma, lam = new_gamma, new_lam
+        new_gamma, new_lam, phi = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
+        moved = _relative_step(gamma.rows, lam.rows, new_gamma, new_lam)
+        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
 
-        state.gamma, state.lam, state.phi = gamma[0], lam, phi[0]
+        state.gamma, state.lam, state.phi = new_gamma[0], new_lam, phi[0]
         try:
-            current = elbo_sample(counts, alpha[0], H, state)
+            current = _check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam))
         except NumericalFailure as exc:
             raise NumericalFailure(
                 f"sweep {sweep} at location {state.location_id}, sample "
@@ -445,12 +466,16 @@ def _inference_phase(
     """One full inference phase: sweep all sample rows and the shared
     profile posterior until the corpus bound stabilizes.  Returns gamma,
     phi, lam, the bound and the sweep count; at ``estep_max_iters`` it
-    returns what it has and logs a warning with the bound change left."""
-    previous = corpus_elbo(counts, a, eta, gamma, phi, lam)
+    returns what it has and logs a warning with the bound change left.
+    Each state's bound and the next sweep share its evaluations."""
+    a, eta = DirichletRows(a), DirichletRows(eta)
+    gamma, lam = DirichletRows(gamma), DirichletRows(lam)
+    previous = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
     for sweep in range(1, config.estep_max_iters + 1):
-        gamma, lam, phi = _sweep(counts, a, eta, gamma, lam)
+        new_gamma, new_lam, phi = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
         try:
-            current = corpus_elbo(counts, a, eta, gamma, phi, lam)
+            current = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
         except NumericalFailure as exc:
             raise NumericalFailure(
                 f"inference sweep {sweep}: {exc}", term=exc.term, iteration=sweep
@@ -465,7 +490,7 @@ def _inference_phase(
             change / scale,
             config.estep_max_iters,
         )
-    return gamma, phi, lam, current, sweep
+    return gamma.rows, phi, lam.rows, current, sweep
 
 
 def _log_params(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:

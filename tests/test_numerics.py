@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from dustmix.numerics import (
     BetaShape,
     CredibleInterval,
+    DirichletRows,
     beta_cdf,
     beta_hpdi,
     beta_pdf,
@@ -89,6 +90,34 @@ class TestDigamma:
         h = 1e-5
         central = (log_gamma(x + h) - log_gamma(x - h)) / (2.0 * h)
         assert digamma(x) == pytest.approx(central, abs=1e-5)
+
+
+class TestDirichletRows:
+    def test_matches_checked_special_functions(self):
+        # the same evaluations as the checked functions, bit for bit
+        rows = np.random.default_rng(8).uniform(1e-3, 1e3, size=(5, 4))
+        dirichlet = DirichletRows(rows)
+        sums = rows.sum(axis=1)
+        assert np.array_equal(dirichlet.sums, sums)
+        assert np.array_equal(dirichlet.psi, digamma(rows))
+        assert np.array_equal(dirichlet.e_log, digamma(rows) - digamma(sums)[:, None])
+        assert np.array_equal(dirichlet.log_norm,
+                              log_gamma(sums) - log_gamma(rows).sum(axis=1))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_domain_error(self, bad):
+        with pytest.raises(ValueError):
+            DirichletRows(np.array([[1.0, 2.0], [3.0, bad]]))
+
+    def test_row_sum_domain_error(self):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            DirichletRows(np.array([[1e308, 1e308]]))  # the sum overflows
+        with pytest.raises(ValueError):
+            DirichletRows(np.ones((2, 0)))  # empty rows sum to zero
+
+    def test_no_rows_pass(self):
+        dirichlet = DirichletRows(np.ones((0, 3)))
+        assert dirichlet.e_log.shape == (0, 3) and dirichlet.log_norm.shape == (0,)
 
 
 class TestBetaSummary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dustmix import vbi
+from dustmix import mstep, numerics, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
@@ -19,7 +19,15 @@ from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
 from dustmix.posterior import theta_marginal
 from dustmix.simulator import StudySpec, generate_corpus
-from dustmix.vbi import FitConfig, elbo_sample, elbo_terms, estep_sample, fit, initialize
+from dustmix.vbi import (
+    FitConfig,
+    NumericalFailure,
+    elbo_sample,
+    elbo_terms,
+    estep_sample,
+    fit,
+    initialize,
+)
 from _oracles import (
     EXACT_SHARE_SD,
     FROZEN_2X2,
@@ -226,6 +234,24 @@ class TestEstepSample:
             estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]), FitConfig())
         assert not caplog.records
 
+    def test_bounds_are_the_swept_states_bounds(self):
+        # each recorded bound is elbo_sample of the state that sweep made,
+        # bit for bit, and so is the state's final elbo
+        for alpha, eta, counts_vec in random_instances():
+            counts = SampleCounts(counts_vec, 0, 0)
+            H = DirichletMatrix(eta, role="H")
+            out = estep_sample(counts, alpha, H, make_state(alpha, eta, counts_vec), FitConfig())
+            state = make_state(alpha, eta, counts_vec)
+            expected = []
+            for _ in out.elbo_steps:
+                gamma, lam, phi = vbi._sweep(counts_vec[None].astype(float), alpha[None],
+                                             eta, state.gamma[None], state.lam)
+                state.gamma, state.lam, state.phi = gamma[0], lam, phi[0]
+                expected.append(elbo_sample(counts, alpha, H, state))
+            assert out.elbo_steps == expected
+            assert out.elbo == expected[-1]
+            assert np.array_equal(out.gamma, state.gamma) and np.array_equal(out.lam, state.lam)
+
 
 class TestSweep:
     def test_rows_match_one_row_sweeps(self):
@@ -248,6 +274,63 @@ class TestSweep:
                 assert_allclose(phi[n], row[2][0], rtol=0, atol=0)
                 allocated += row[1] - eta
             assert_allclose(new_lam, eta + allocated, rtol=1e-12)
+
+    def test_no_rows(self):
+        eta = np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 1.0]])
+        lam = eta + 4.0
+        gamma, new_lam, phi = vbi._sweep(np.zeros((0, 3)), np.ones((0, 2)), eta,
+                                         np.ones((0, 2)), lam)
+        assert gamma.shape == (0, 2) and phi.shape == (0, 3, 2)
+        assert np.array_equal(new_lam, eta)
+        assert mstep._digamma_diff(np.ones((0, 3))).shape == (0, 3)
+
+
+def _domain_instance():
+    """A small valid corpus state: counts, a, eta, gamma, phi, lam."""
+    rng = np.random.default_rng(9)
+    N, M, T = 3, 2, 4
+    return {
+        "counts": rng.integers(1, 9, size=(N, T)).astype(np.float64),
+        "a": rng.uniform(0.5, 2.0, size=(N, M)),
+        "eta": rng.uniform(0.5, 2.0, size=(M, T)),
+        "gamma": rng.uniform(1.0, 9.0, size=(N, M)),
+        "phi": rng.dirichlet(np.ones(M), size=(N, T)),
+        "lam": rng.uniform(1.0, 9.0, size=(M, T)),
+    }
+
+
+def _spoiled(name, bad):
+    """The domain instance with one entry of ``name`` set to ``bad``, or with
+    one row of it whose sum overflows (``bad`` is None)."""
+    state = _domain_instance()
+    if bad is None:
+        state[name][0, :2] = 1e308
+    else:
+        state[name][0, 0] = bad
+    return state
+
+
+BAD_VALUES = [0.0, -1.0, np.nan, np.inf, None]
+
+
+class TestDomainCheck:
+    """Every array handed to digamma or log Gamma, and every row sum of one,
+    is rejected with ValueError when not strictly positive and finite."""
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("name", ["gamma", "lam", "a", "eta"])
+    def test_corpus_elbo(self, name, bad):
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            vbi.corpus_elbo(**_spoiled(name, bad))
+
+    # the sweep evaluates digammas of gamma and lam only; a and eta enter it
+    # by addition, and the next state's check catches what they spoil
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("name", ["gamma", "lam"])
+    def test_sweep(self, name, bad):
+        state = _spoiled(name, bad)
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            vbi._sweep(state["counts"], state["a"], state["eta"], state["gamma"], state["lam"])
 
 
 class TestElboSample:
@@ -429,6 +512,129 @@ class TestFit:
         again = fit(corpus_both_known, FitConfig())
         assert_allclose(again.A_converged.values, result.A_converged.values, rtol=0, atol=0)
         assert again.elbo_trace == result.elbo_trace
+
+
+class TestNumericalFailure:
+    def test_names_the_term(self):
+        state = _domain_instance()
+        state["phi"][1, 2, 0] = np.nan
+        with pytest.raises(NumericalFailure) as err:
+            vbi.corpus_elbo(**state)
+        assert err.value.term == "log_p_x"
+        assert err.value.iteration is None
+
+    def test_inference_phase_names_the_sweep(self, monkeypatch):
+        state = _domain_instance()
+        sweep, calls = vbi._sweep_rows, []
+
+        def spoiling_sweep(*args):
+            gamma, lam, phi = sweep(*args)
+            calls.append(1)
+            if len(calls) == 2:
+                phi = phi.copy()
+                phi[0, 0, 0] = np.nan
+            return gamma, lam, phi
+
+        monkeypatch.setattr(vbi, "_sweep_rows", spoiling_sweep)
+        with pytest.raises(NumericalFailure) as err:
+            vbi._inference_phase(state["counts"], state["a"], state["eta"], state["gamma"],
+                                 state["phi"], state["lam"], FitConfig(estep_tol=1e-300))
+        assert err.value.iteration == 2
+        assert err.value.term == "log_p_x"
+        assert "inference sweep 2" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def phase_start(corpus_both_known):
+    """The arguments of the both-known fit's first inference phase."""
+    captured = []
+    original = vbi._inference_phase
+
+    def capture(*args):
+        captured.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vbi, "_inference_phase", capture)
+        fit(corpus_both_known, FitConfig(outer_max_iters=1))
+    return captured[0]
+
+
+class TestSharedState:
+    """An inference phase builds each state once; its bound and the next
+    sweep share that state's special-function evaluations."""
+
+    def test_bounds_equal_corpus_elbo(self, phase_start, monkeypatch):
+        scored = []
+        bound_terms = vbi._bound_terms
+
+        def recording(counts, a, eta, gamma, phi, lam):
+            terms = bound_terms(counts, a, eta, gamma, phi, lam)
+            scored.append(((counts, a.rows, eta.rows, gamma.rows, phi, lam.rows), terms))
+            return terms
+
+        monkeypatch.setattr(vbi, "_bound_terms", recording)
+        *_, bound, sweeps = vbi._inference_phase(*phase_start[:6], FitConfig(estep_tol=1e-12))
+        monkeypatch.undo()
+        assert len(scored) == sweeps + 1
+        for args, terms in scored:
+            assert vbi._check_terms(terms) == vbi.corpus_elbo(*args)
+        assert bound == vbi.corpus_elbo(*scored[-1][0])
+
+    @staticmethod
+    def _work(phase_start, sweeps, monkeypatch):
+        """Special-function evaluations and domain checks of a phase capped
+        at ``sweeps`` sweeps."""
+        counts = {"evaluations": 0, "checks": 0}
+        special = numerics.special
+
+        class CountingSpecial:
+            def __getattr__(self, name):
+                function = getattr(special, name)
+
+                def counted(*args):
+                    counts["evaluations"] += 1
+                    return function(*args)
+                return counted
+
+        class CountingRows(numerics.DirichletRows):
+            def __init__(self, rows):
+                counts["checks"] += 1
+                super().__init__(rows)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(numerics, "special", CountingSpecial())
+            mp.setattr(vbi, "DirichletRows", CountingRows)
+            mp.setattr(vbi.logger, "disabled", True)
+            config = FitConfig(estep_tol=1e-300, estep_max_iters=sweeps)
+            assert vbi._inference_phase(*phase_start[:6], config)[4] == sweeps
+        return counts
+
+    def test_one_sweep_evaluates_each_state_once(self, phase_start, monkeypatch):
+        # a phase that evaluated the sweep and the bound apart made 15
+        # checked calls per sweep: 3 digammas in the sweep, 4 digammas and
+        # 8 log Gammas in the bound
+        short = self._work(phase_start, 2, monkeypatch)
+        long = self._work(phase_start, 6, monkeypatch)
+        assert (long["evaluations"] - short["evaluations"]) / 4 <= 8
+        assert (long["checks"] - short["checks"]) / 4 <= 2
+
+
+class TestBundledFits:
+    """Regression guard: the bundled fits stop where the engine has always
+    stopped them, at the same final bound."""
+
+    @pytest.mark.parametrize("scenario, iterations, bound", [
+        ("both_known", 32, -15035.445763787697),
+        ("at_known", 45, -7999.91501301066),
+        ("lq_known", 41, -9062.889340035932),
+    ])
+    def test_iterations_and_final_bound(self, scenario, iterations, bound, request):
+        result = request.getfixturevalue(f"fit_{scenario}")
+        if scenario == "both_known":
+            result = result[0]
+        assert result.iterations == iterations
+        assert result.elbo_trace[-1] == pytest.approx(bound, rel=1e-12)
 
 
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
