@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import polygamma
 
 from .model import Corpus, DirichletMatrix, VariationalState
-from .numerics import DirichletRows, digamma, log_gamma
+from .numerics import DirichletRows
 
 __all__ = [
     "BoxBounds",
@@ -86,21 +86,15 @@ def _objective(
     x: np.ndarray, stat: np.ndarray, n_samples: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Objective values and gradients of rows ``x`` (rows x dims)."""
-    total = x.sum(axis=1)
-    value = n_samples * (log_gamma(total) - log_gamma(x).sum(axis=1)) + (x * stat).sum(axis=1)
-    grad = n_samples[:, None] * (digamma(total)[:, None] - digamma(x)) + stat
-    return value, grad
-
-
-def _digamma_diff(rows: np.ndarray) -> np.ndarray:
-    """digamma(row) - digamma(row sum), row-wise."""
-    return DirichletRows(rows).e_log
+    rows = DirichletRows(x)
+    value = n_samples * rows.log_norm + (x * stat).sum(axis=1)
+    return value, stat - n_samples[:, None] * rows.e_log
 
 
 def _row_objective_and_gradient(x: np.ndarray, rows: list[np.ndarray]) -> tuple[float, np.ndarray]:
     """Objective of one row ``x`` against the stacked posterior ``rows``."""
     x = np.asarray(x, dtype=np.float64)
-    dg = _digamma_diff(np.array(rows, dtype=np.float64).reshape(-1, x.size))
+    dg = DirichletRows(np.array(rows, dtype=np.float64).reshape(-1, x.size)).e_log
     value, grad = _objective(x[None], dg.sum(axis=0)[None], np.array([float(len(dg))]))
     return float(value[0]), grad[0]
 
@@ -219,8 +213,8 @@ def mstep(
     members = loc == rows[:, None]  # a location without samples has a zero gradient
     notes: list[str] = []
     for label, new, old, ids, stat, n_samples in (
-        ("H", new_h, H.values, clipped, _digamma_diff(lam[clipped]), np.ones(clipped.size)),
-        ("A", new_a, A.values, rows, members @ _digamma_diff(gamma), members.sum(axis=1)),
+        ("H", new_h, H.values, clipped, DirichletRows(lam[clipped]).e_log, np.ones(clipped.size)),
+        ("A", new_a, A.values, rows, members @ DirichletRows(gamma).e_log, members.sum(axis=1)),
     ):
         if not ids.size:
             continue

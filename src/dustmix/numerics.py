@@ -2,10 +2,11 @@
 
 ``log_gamma`` and ``digamma`` are ``scipy.special.gammaln`` and ``psi``
 behind a domain check: an argument that is not strictly positive and finite
-raises ``ValueError`` instead of coming back as inf or nan.  The engine's
-Dirichlet rows (:class:`DirichletRows`) take that check once, on the rows
-and their sums when built; their ``psi`` and ``gammaln`` then run unchecked,
-each at most once per set of rows.  The Beta normaliser, CDF and quantile
+raises ``ValueError`` instead of coming back as inf or nan.  They are the
+checked public API; the engine evaluates special functions only through
+:class:`DirichletRows`, which takes that check once, on the rows and their
+sums when built, and then runs ``psi`` and ``gammaln`` unchecked, each at
+most once per set of rows.  The Beta normaliser, CDF and quantile
 are ``betaln``, ``betainc`` and ``betaincinv``; the highest-density
 interval is the shortest interval of the stated mass, found by a bounded
 scalar search over its lower tail mass.

@@ -67,7 +67,6 @@ class ScenarioSpec:
     samples_per_trace: int = 5
     known_sample_counts: tuple[int, ...] = (12,)
     known_particles_per_sample: int | None = None
-    replications: int = 10
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,8 +88,6 @@ class ScenarioSpec:
             raise ValueError("sample sizes must be at least 1")
         if any(c < 1 for c in self.known_sample_counts):
             raise ValueError("known sample counts must be at least 1")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
 
     @property
     def n_sources(self) -> int:
@@ -198,6 +195,8 @@ class StudySpec:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
         mixtures: list[tuple[float, ...]] = [(1.0 - unknown_share, unknown_share)]
@@ -211,13 +210,8 @@ class StudySpec:
             samples_per_trace=self.samples_per_trace,
             known_sample_counts=self.known_sample_counts,
             known_particles_per_sample=self.known_particles_per_sample,
-            replications=self.replications,
             rng_seed=self.rng_seed,
         )
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.unknown_shares) * len(self.sample_sizes)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ one-row calls (a sample that owns its profile posterior outright).
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
 checked once and with its digammas and log Gammas evaluated at most once.
-The sweep loops of :func:`_inference_phase` and :func:`estep_sample` build
-each state once, for its bound and the next sweep, and the priors ``a`` and
-``eta`` once per loop.  :func:`_sweep`, :func:`corpus_elbo` and
-:func:`elbo_terms` call the same kernels on plain arrays.
+Every loop (an inference phase, a single sample, the fixed point, the warm
+start) reads its states that way: each swept state is built once, for its
+bound and the next sweep, and the priors ``a`` and ``eta`` once per loop.
+:func:`_sweep`, :func:`corpus_elbo` and :func:`elbo_terms` call the same
+kernels on plain arrays.
 
 The outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (one
@@ -64,9 +65,7 @@ from .model import (
     validate_corpus,
 )
 from .mstep import BoxBounds, OptimizerConfig, mstep
-# digamma and log_gamma stay module attributes: the benchmark's layer hooks
-# wrap them by name (bench/layers.py).
-from .numerics import DirichletRows, digamma, log_gamma  # noqa: F401
+from .numerics import DirichletRows
 
 __all__ = [
     "FitConfig",
@@ -444,8 +443,11 @@ def _warm_start_profiles(
         return gamma, phi, lam
 
     for _ in range(_WARM_PASSES):
+        frozen = DirichletRows(lam)
         for _ in range(_WARM_SWEEPS):
-            new_gamma, _, new_phi = _sweep(counts[trace], a[trace], eta, gamma[trace], lam)
+            new_gamma, _, new_phi = _sweep_rows(
+                counts[trace], a[trace], eta, DirichletRows(gamma[trace]), frozen
+            )
             moved = np.abs(new_phi - phi[trace]).max()
             gamma[trace], phi[trace] = new_gamma, new_phi
             if moved < 1e-10:
@@ -514,8 +516,8 @@ def _fixed_point(
     tol: float,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-    """Sweeps of :func:`_sweep` to its fixed point, accelerated by SQUAREM
-    (Varadhan and Roland 2008, Scand. J. Stat. 35:335).
+    """Sweeps of :func:`_sweep_rows` to its fixed point, accelerated by
+    SQUAREM (Varadhan and Roland 2008, Scand. J. Stat. 35:335).
 
     Each cycle runs two plain sweeps, x1 = F(x0) and x2 = F(x1), in the
     logs of gamma and lam; extrapolates to x0 - 2 alpha r + alpha^2 v, with
@@ -523,20 +525,23 @@ def _fixed_point(
     runs one stabilising sweep from there.  That sweep's state is kept only
     if its corpus bound is finite and no lower than x2's, so the bound of
     the kept states never falls; otherwise, and whenever the extrapolated
-    point is not finite, the next cycle starts from x2.  Stops once a plain
-    sweep moves no parameter by a relative ``tol``; ``cap`` counts every
-    sweep, and reaching it logs a warning with the step left.  Returns
-    gamma, lam, the responsibilities of the last sweep, the sweep count,
-    and the numbers of extrapolations kept and rejected.
+    point is not strictly positive and finite (an entry can underflow to 0),
+    the next cycle starts from x2.  Stops once a plain sweep moves no
+    parameter by a relative ``tol``; ``cap`` counts every sweep, and reaching
+    it logs a warning with the step left.  Returns gamma, lam, the
+    responsibilities of the last sweep, the sweep count, and the numbers of
+    extrapolations kept and rejected.
     """
+    a, eta = DirichletRows(a), DirichletRows(eta)
+    gamma, lam = DirichletRows(gamma), DirichletRows(lam)
     sweeps = accepted = rejected = 0
     points: list[np.ndarray] = []  # log parameters the cycle's plain sweeps start from
     while sweeps < cap:
-        points.append(_log_params(gamma, lam))
-        new_gamma, new_lam, phi = _sweep(counts, a, eta, gamma, lam)
+        points.append(_log_params(gamma.rows, lam.rows))
+        new_gamma, new_lam, phi = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         sweeps += 1
-        moved = _relative_step(gamma, lam, new_gamma, new_lam)
-        gamma, lam = new_gamma, new_lam
+        moved = _relative_step(gamma.rows, lam.rows, new_gamma, new_lam)
+        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
         if moved < tol:
             break
         if len(points) < 2 or sweeps == cap:
@@ -545,30 +550,32 @@ def _fixed_point(
         x0, x1 = points
         points = []
         r = x1 - x0
-        v = _log_params(gamma, lam) - x1 - r
+        v = _log_params(gamma.rows, lam.rows) - x1 - r
         alpha = _step_length(r, v)
         kept = False
         with np.errstate(all="ignore"):
             x = np.exp(x0 - 2.0 * alpha * r + alpha**2 * v)
-            if np.all(np.isfinite(x)):
-                trial = _sweep(
-                    counts, a, eta, x[: gamma.size].reshape(gamma.shape),
-                    x[gamma.size :].reshape(lam.shape),
+            try:  # a point or state that is not strictly positive and finite is rejected
+                trial_gamma, trial_lam, trial_phi = _sweep_rows(
+                    counts, a.rows, eta.rows,
+                    DirichletRows(x[: gamma.rows.size].reshape(gamma.rows.shape)),
+                    DirichletRows(x[gamma.rows.size :].reshape(lam.rows.shape)),
                 )
                 sweeps += 1
-                try:
-                    bound = corpus_elbo(counts, a, eta, gamma, phi, lam)
-                    kept = corpus_elbo(counts, a, eta, trial[0], trial[2], trial[1]) >= bound
-                except NumericalFailure:  # a non-finite state is rejected
-                    pass
+                trial_gamma, trial_lam = DirichletRows(trial_gamma), DirichletRows(trial_lam)
+                bound = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
+                trial_bound = _bound_terms(counts, a, eta, trial_gamma, trial_phi, trial_lam)
+                kept = _check_terms(trial_bound) >= bound
+            except (ValueError, NumericalFailure):
+                pass
         if kept:
-            gamma, lam, phi = trial
+            gamma, lam, phi = trial_gamma, trial_lam, trial_phi
             accepted += 1
         else:
             rejected += 1
     else:
         logger.warning("fixed-prior phase still moving by %.1e after %d sweeps", moved, cap)
-    return gamma, lam, phi, sweeps, accepted, rejected
+    return gamma.rows, lam.rows, phi, sweeps, accepted, rejected
 
 
 # The linear-response covariance holds at a fixed point of the fixed-prior

@@ -251,6 +251,9 @@ class TestCmdSimulate:
         path.write_text("unknown_key: 1\n")
         with pytest.raises(ValueError, match="unknown_key"):
             load_study_spec(path)
+        path.write_text("replications: 0\n")
+        with pytest.raises(ValueError, match="replications"):
+            load_study_spec(path)
 
     def test_at_lq_profile_shortcut(self, tmp_path):
         path = tmp_path / "study.yaml"

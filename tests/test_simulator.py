@@ -209,3 +209,6 @@ class TestStudy:
             self._study(catalog, unknown_shares=())
         with pytest.raises(ValueError):
             self._study(catalog, unknown_shares=(0.0, 0.5))
+        for replications in (0, -2):
+            with pytest.raises(ValueError, match="replications"):
+                self._study(catalog, replications=replications)

@@ -1,10 +1,11 @@
+import contextlib
 import logging
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dustmix import mstep, numerics, vbi
+from dustmix import numerics, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
@@ -282,7 +283,7 @@ class TestSweep:
                                          np.ones((0, 2)), lam)
         assert gamma.shape == (0, 2) and phi.shape == (0, 3, 2)
         assert np.array_equal(new_lam, eta)
-        assert mstep._digamma_diff(np.ones((0, 3))).shape == (0, 3)
+        assert numerics.DirichletRows(np.ones((0, 3))).e_log.shape == (0, 3)
 
 
 def _domain_instance():
@@ -544,6 +545,35 @@ class TestNumericalFailure:
         assert "inference sweep 2" in str(err.value)
 
 
+@contextlib.contextmanager
+def _counting_work(monkeypatch):
+    """Count the special-function evaluations (``evaluations``) and the
+    :class:`numerics.DirichletRows` domain checks (``checks``) of the engine
+    inside the block; warnings are silenced."""
+    counts = {"evaluations": 0, "checks": 0}
+    special = numerics.special
+
+    class CountingSpecial:
+        def __getattr__(self, name):
+            function = getattr(special, name)
+
+            def counted(*args):
+                counts["evaluations"] += 1
+                return function(*args)
+            return counted
+
+    class CountingRows(numerics.DirichletRows):
+        def __init__(self, rows):
+            counts["checks"] += 1
+            super().__init__(rows)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(numerics, "special", CountingSpecial())
+        mp.setattr(vbi, "DirichletRows", CountingRows)
+        mp.setattr(vbi.logger, "disabled", True)
+        yield counts
+
+
 @pytest.fixture(scope="module")
 def phase_start(corpus_both_known):
     """The arguments of the both-known fit's first inference phase."""
@@ -585,28 +615,8 @@ class TestSharedState:
     def _work(phase_start, sweeps, monkeypatch):
         """Special-function evaluations and domain checks of a phase capped
         at ``sweeps`` sweeps."""
-        counts = {"evaluations": 0, "checks": 0}
-        special = numerics.special
-
-        class CountingSpecial:
-            def __getattr__(self, name):
-                function = getattr(special, name)
-
-                def counted(*args):
-                    counts["evaluations"] += 1
-                    return function(*args)
-                return counted
-
-        class CountingRows(numerics.DirichletRows):
-            def __init__(self, rows):
-                counts["checks"] += 1
-                super().__init__(rows)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(numerics, "special", CountingSpecial())
-            mp.setattr(vbi, "DirichletRows", CountingRows)
-            mp.setattr(vbi.logger, "disabled", True)
-            config = FitConfig(estep_tol=1e-300, estep_max_iters=sweeps)
+        config = FitConfig(estep_tol=1e-300, estep_max_iters=sweeps)
+        with _counting_work(monkeypatch) as counts:
             assert vbi._inference_phase(*phase_start[:6], config)[4] == sweeps
         return counts
 
@@ -618,6 +628,50 @@ class TestSharedState:
         long = self._work(phase_start, 6, monkeypatch)
         assert (long["evaluations"] - short["evaluations"]) / 4 <= 8
         assert (long["checks"] - short["checks"]) / 4 <= 2
+
+
+class TestFixedPointSharedState:
+    """The SQUAREM loop builds each state once: the second plain sweep's
+    bound and the next cycle's first sweep share its evaluations, and the
+    priors' log normalisers are evaluated once per call."""
+
+    def test_bounds_equal_corpus_elbo(self, fixed_prior_start, monkeypatch):
+        scored = []
+        bound_terms = vbi._bound_terms
+
+        def recording(counts, a, eta, gamma, phi, lam):
+            terms = bound_terms(counts, a, eta, gamma, phi, lam)
+            scored.append(((counts, a.rows, eta.rows, gamma.rows, phi, lam.rows), terms))
+            return terms
+
+        monkeypatch.setattr(vbi, "_bound_terms", recording)
+        *_, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
+        monkeypatch.undo()
+        assert len(scored) == 2 * (accepted + rejected)
+        for args, terms in scored:
+            assert vbi._check_terms(terms) == vbi.corpus_elbo(*args)
+
+    def test_one_cycle_evaluates_each_state_once(self, fixed_prior_start, monkeypatch):
+        # a cycle is three sweeps, so caps of 6 and 12 sweeps run two and
+        # four cycles
+        work = []
+        for cap in (6, 12):
+            with _counting_work(monkeypatch) as counts:
+                assert vbi._fixed_point(*fixed_prior_start[:5], vbi._LR_TOL, cap)[3] == cap
+            work.append(counts)
+        short, long = work
+        assert (long["evaluations"] - short["evaluations"]) / 2 <= 22
+        assert (long["checks"] - short["checks"]) / 2 <= 8
+
+    def test_fit_makes_no_checked_calls(self, corpus_both_known, monkeypatch):
+        # the engine evaluates special functions only through DirichletRows;
+        # the checked digamma and log_gamma are public API alone
+        calls = []
+        positive = numerics._positive
+        monkeypatch.setattr(numerics, "_positive",
+                            lambda *args: calls.append(1) or positive(*args))
+        fit(corpus_both_known, FitConfig())
+        assert not calls
 
 
 class TestBundledFits:
@@ -693,19 +747,19 @@ class TestFixedPoint:
         # every cycle scores its second plain sweep, then its stabilising
         # sweep; the cycle keeps whichever state the next sweep starts from
         scored, starts = [], []
-        corpus_elbo, sweep = vbi.corpus_elbo, vbi._sweep
+        bound_terms, sweep = vbi._bound_terms, vbi._sweep_rows
 
-        def recording_elbo(counts, a, eta, gamma, phi, lam):
-            value = corpus_elbo(counts, a, eta, gamma, phi, lam)
-            scored.append((gamma, value))
-            return value
+        def recording_bound(counts, a, eta, gamma, phi, lam):
+            terms = bound_terms(counts, a, eta, gamma, phi, lam)
+            scored.append((gamma, vbi._check_terms(terms)))
+            return terms
 
         def recording_sweep(counts, a, eta, gamma, lam):
             starts.append(gamma)
             return sweep(counts, a, eta, gamma, lam)
 
-        monkeypatch.setattr(vbi, "corpus_elbo", recording_elbo)
-        monkeypatch.setattr(vbi, "_sweep", recording_sweep)
+        monkeypatch.setattr(vbi, "_bound_terms", recording_bound)
+        monkeypatch.setattr(vbi, "_sweep_rows", recording_sweep)
         *_, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
         assert accepted > 0 and len(scored) == 2 * (accepted + rejected)
         kept = []
@@ -729,6 +783,16 @@ class TestFixedPoint:
             assert np.array_equal(got, want)
         assert accepted == 0 and rejected == (sweeps - 1) // 2
 
+    def test_underflowed_extrapolation_is_rejected(self, fixed_prior_start, monkeypatch):
+        # a long step (1/(1 - 0.997) is about 333 on the slow mode) sends
+        # some entries of the extrapolated point to exp(-large) = 0
+        monkeypatch.setattr(vbi, "_step_length", lambda r, v: -100.0)
+        gamma, lam, _, _, _, rejected = vbi._fixed_point(*fixed_prior_start)
+        assert rejected > 0
+        counts, a, eta = fixed_prior_start[:3]
+        new_gamma, new_lam, _ = vbi._sweep(counts, a, eta, gamma, lam)
+        assert vbi._relative_step(gamma, lam, new_gamma, new_lam) < vbi._LR_TOL
+
     def test_fewer_sweeps_than_plain_sweeping(self, fixed_prior_start):
         sweeps = vbi._fixed_point(*fixed_prior_start)[3]
         plain = _plain_fixed_point(*fixed_prior_start)[3]
@@ -739,8 +803,8 @@ class TestFixedPoint:
         # stabilising sweeps too
         assert fixed_prior_start[5:] == (vbi._LR_TOL, vbi._LR_MAX_SWEEPS)
         calls = []
-        sweep = vbi._sweep
-        monkeypatch.setattr(vbi, "_sweep", lambda *args: calls.append(1) or sweep(*args))
+        sweep = vbi._sweep_rows
+        monkeypatch.setattr(vbi, "_sweep_rows", lambda *args: calls.append(1) or sweep(*args))
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
             sweeps = vbi._fixed_point(*fixed_prior_start[:5], vbi._LR_TOL, 5)[3]
         assert sweeps == len(calls) == 5
