@@ -34,7 +34,7 @@ from .model import (
 )
 from .posterior import build_report, write_plot_csvs, write_report_json, write_summary_csv
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
-from .vbi import FitConfig, fit
+from .vbi import FitConfig, NumericalFailure, fit
 
 __all__ = ["IngestError", "RunManifest", "cmd_fit", "cmd_report", "cmd_simulate", "ingest_csv", "main"]
 
@@ -285,7 +285,7 @@ def cmd_fit(
             iterations=result.iterations,
             converged=result.converged,
         ).write(out / "manifest.json")
-    except (IngestError, CorpusValidationError, ValueError, OSError) as exc:
+    except (IngestError, CorpusValidationError, NumericalFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if not result.converged:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import betaln
 
 from .model import Corpus, FitResult
-from .numerics import BetaShape, CredibleInterval, beta_hpdi, beta_summary
+from .numerics import BetaShape, CredibleInterval, beta_hpdis, beta_summary
 
 __all__ = [
     "MarginalSummary",
@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 GRID_POINTS = 512
+
+
+def _midpoints(n: int) -> np.ndarray:
+    return (np.arange(n) + 0.5) / n
+
+
+# Every plot CSV shares the x column; its text is made once.
+_GRID_X_TEXT = tuple(map(repr, _midpoints(GRID_POINTS).tolist()))
 
 
 def theta_marginal(a_row: np.ndarray, m: int) -> BetaShape:
@@ -73,38 +81,43 @@ class PosteriorReport:
     provenance: dict
 
 
-def _summarize(label: str, shape: BetaShape, mass: float) -> MarginalSummary:
-    mean, mode = beta_summary(shape)
-    return MarginalSummary(
-        label=label,
-        shape=shape,
-        mean=mean,
-        mode=mode,
-        interval=beta_hpdi(shape, mass),
-    )
-
-
 def build_report(fit: FitResult, corpus: Corpus, mass: float = 0.95) -> PosteriorReport:
-    """Assemble the marginal posterior report for a fit on ``corpus``."""
+    """Assemble the marginal posterior report for a fit on ``corpus``.
+
+    Every marginal's interval comes from one :func:`beta_hpdis` call.
+    """
     source_names = corpus.source_names
     type_names = corpus.catalog.type_names
-
-    theta: dict[str, tuple[MarginalSummary, ...]] = {}
-    for row_idx, loc_idx in enumerate(fit.trace_locations):
-        loc = corpus.locations[loc_idx]
-        row = fit.A_converged.values[row_idx]
-        theta[loc.name] = tuple(
-            _summarize(source_names[m], theta_marginal(row, m), mass)
+    theta_shapes = {
+        corpus.locations[loc_idx].name: [
+            (source_names[m], theta_marginal(fit.A_converged.values[row_idx], m))
             for m in range(len(source_names))
-        )
-
-    beta: dict[str, tuple[MarginalSummary, ...]] = {}
-    for m, name in enumerate(source_names):
-        row = fit.H_converged.values[m]
-        beta[name] = tuple(
-            _summarize(type_names[t], beta_profile_marginal(row, t), mass)
+        ]
+        for row_idx, loc_idx in enumerate(fit.trace_locations)
+    }
+    beta_shapes = {
+        name: [
+            (type_names[t], beta_profile_marginal(fit.H_converged.values[m], t))
             for t in range(len(type_names))
-        )
+        ]
+        for m, name in enumerate(source_names)
+    }
+
+    shapes = [
+        shape for block in (theta_shapes, beta_shapes) for group in block.values()
+        for _, shape in group
+    ]
+    intervals = iter(beta_hpdis([s.a for s in shapes], [s.b for s in shapes], mass))
+    theta, beta = [
+        {
+            group: tuple(
+                MarginalSummary(label, shape, *beta_summary(shape), next(intervals))
+                for label, shape in pairs
+            )
+            for group, pairs in block.items()
+        }
+        for block in (theta_shapes, beta_shapes)
+    ]
 
     provenance = {
         "converged": fit.converged,
@@ -127,7 +140,7 @@ def density_grid(shape: BetaShape, n: int = GRID_POINTS) -> tuple[np.ndarray, np
     one (density unbounded at an endpoint).
     """
     a, b = shape.a, shape.b
-    x = (np.arange(n) + 0.5) / n
+    x = _midpoints(n)
     return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
 
 
@@ -170,12 +183,11 @@ def _slug(text: str) -> str:
 
 
 def _write_density_csv(path: Path, shape: BetaShape) -> None:
-    x, dens = density_grid(shape)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density"])
-        for xi, di in zip(x, dens):
-            writer.writerow([repr(float(xi)), repr(float(di))])
+    """The rows ``csv.writer`` would write (repr of each float, CRLF line
+    ends; no field needs quoting), joined in one string."""
+    _, dens = density_grid(shape)
+    rows = map("{},{}\r\n".format, _GRID_X_TEXT, map(repr, dens.tolist()))
+    path.write_text("x,density\r\n" + "".join(rows), newline="")
 
 
 def write_plot_csvs(report: PosteriorReport, out_dir: Path | str) -> list[Path]:

@@ -52,7 +52,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
 from scipy.special import polygamma
 
 from .model import (
@@ -615,7 +614,8 @@ def _linear_response_precision(
     statistics.  Each of the c particles of type t in sample n is an
     allocation of covariance diag(phi) - phi phi^T, coupled through B to
     log theta_n and to log beta[:, t]; the allocations are eliminated
-    (Schur complement), never stored.
+    (Schur complement), never stored.  The matrix is assembled dense, each
+    diagonal block written in place by index.
     """
     (N, T, M) = phi.shape
     weighted = counts[:, :, None] * phi
@@ -624,10 +624,18 @@ def _linear_response_precision(
     )
     cross = w.transpose(0, 2, 3, 1).reshape(N * M, M * T)
     beta_beta = np.einsum("tmk,tu->mtku", w.sum(axis=0), np.eye(T)).reshape(M * T, M * T)
-    return np.block([
-        [block_diag(*(_dirichlet_log_precision(gamma) - w.sum(axis=1))), -cross],
-        [-cross.T, block_diag(*_dirichlet_log_precision(lam)) - beta_beta],
-    ])
+    G = N * M
+    precision = np.zeros((G + M * T, G + M * T))
+    theta = np.arange(G).reshape(N, M)
+    precision[theta[:, :, None], theta[:, None, :]] = (
+        _dirichlet_log_precision(gamma) - w.sum(axis=1)
+    )
+    beta = G + np.arange(M * T).reshape(M, T)
+    precision[beta[:, :, None], beta[:, None, :]] = _dirichlet_log_precision(lam)
+    precision[:G, G:] = -cross
+    precision[G:, :G] = -cross.T
+    precision[G:, G:] -= beta_beta
+    return precision
 
 
 def _linear_response_rows(
@@ -652,9 +660,11 @@ def _linear_response_rows(
     linear-response covariance of that point (Giordano, Broderick and
     Jordan 2015, arXiv:1506.04088) gives, by the delta method, the
     variance of each location's share (the mean of its samples' shares) on
-    the logit scale.  Each row keeps its fitted mean and takes the smallest
-    concentration that variance implies across sources.  Where the
-    linear-response system is not positive definite, or the implied
+    the logit scale: for the precision P = L L^T (numpy's Cholesky factor),
+    each location's variance is |L^-1 g|^2 with g its share gradient.  Each
+    row keeps its fitted mean and takes the smallest concentration that
+    variance implies across sources.  Where the linear-response system is
+    not positive definite (the factorisation fails), or the implied
     concentration falls below the number of sources, the location gets the
     flat row (concentration = number of sources) with its fitted mean, and
     a warning naming it.
@@ -691,10 +701,12 @@ def _linear_response_rows(
                 np.diag(p) - np.outer(p, p)
             ) / members.size
     try:
-        factor = cho_factor(_linear_response_precision(counts, gamma, lam0, phi))
-        var_share = np.einsum("gk,gk->k", grads, cho_solve(factor, grads)).reshape(-1, M)
-    except (np.linalg.LinAlgError, ValueError):
+        factor = np.linalg.cholesky(_linear_response_precision(counts, gamma, lam0, phi))
+        whitened = np.linalg.solve(factor, grads)
+    except np.linalg.LinAlgError:
         var_share = np.full((len(trace_ids), M), np.nan)
+    else:
+        var_share = np.einsum("gk,gk->k", whitened, whitened).reshape(-1, M)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         var_logit = var_share / (p_loc * (1.0 - p_loc)) ** 2

@@ -122,6 +122,34 @@ def beta_interval_mass(lo: float, hi: float, a: float, b: float) -> float:
     )
 
 
+def beta_hpdi_check(lo: float, hi: float, a: float, b: float) -> tuple[float, float]:
+    """(mass of [lo, hi], log f(hi) - log f(lo)) under Beta(a, b).
+
+    The mass is tanh-sinh quadrature of the density split at the mode, which
+    stays accurate for shapes up to 1e5 where mpmath's incomplete beta
+    series stops converging; for a < 1 it integrates over t = x^a, which
+    takes out the x^(a-1) singularity.  20 digits suffice for a 1e-10
+    check.  The gap is nan when an endpoint sits at 0 or 1.
+    """
+    with mp.workdps(20):
+        a, b, lo, hi = mp.mpf(a), mp.mpf(b), mp.mpf(lo), mp.mpf(hi)
+        log_norm = mp.loggamma(a + b) - mp.loggamma(a) - mp.loggamma(b)
+
+        def log_density(x):
+            return (a - 1) * mp.log(x) + (b - 1) * mp.log1p(-x) + log_norm
+
+        if a < 1:
+            mass = mp.quad(lambda t: (1 - t ** (1 / a)) ** (b - 1), [lo**a, hi**a])
+            mass *= mp.exp(log_norm) / a
+        else:
+            points = [lo, hi]
+            if a > 1 and b > 1 and lo < (a - 1) / (a + b - 2) < hi:
+                points.insert(1, (a - 1) / (a + b - 2))
+            mass = mp.quad(lambda x: mp.exp(log_density(x)), points)
+        gap = log_density(hi) - log_density(lo) if 0 < lo and hi < 1 else mp.nan
+        return float(mass), float(gap)
+
+
 BUNDLED_CSV = Path(__file__).resolve().parents[1] / "src" / "dustmix" / "data" / "at_lq.csv"
 
 

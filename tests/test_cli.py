@@ -9,7 +9,8 @@ import yaml
 
 import dustmix
 from dustmix.mstep import BoxBounds, OptimizerConfig
-from dustmix.vbi import FitConfig
+from dustmix.vbi import FitConfig, NumericalFailure
+import dustmix.cli as cli
 from dustmix.cli import (
     IngestError,
     build_fit_config,
@@ -199,6 +200,15 @@ class TestCmdFit:
         code = cmd_fit(fixture_path(), quick_config, out, force=True)
         assert code == 2
 
+    def test_numerical_failure_is_error(self, tmp_path, monkeypatch, capsys):
+        def failing_fit(corpus, config):
+            raise NumericalFailure("bound term entropy_z is not finite", term="entropy_z")
+
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        code = cmd_fit(fixture_path(), None, tmp_path / "run")
+        assert code == 1
+        assert capsys.readouterr().err == "error: bound term entropy_z is not finite\n"
+
     def test_report_subcommand(self, tmp_path, quick_config, capsys):
         out = tmp_path / "run"
         cmd_fit(fixture_path(), quick_config, out)
@@ -271,6 +281,21 @@ class TestMain:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+    def test_fit_imports_no_optimize_linalg_or_stats(self, tmp_path):
+        # scipy.optimize and scipy.linalg cost about 0.26 s and 23 MB at start-up
+        env = {**os.environ, "PYTHONPATH": str(Path(dustmix.__file__).resolve().parents[1])}
+        code = (
+            "import sys, dustmix, dustmix.cli\n"
+            "from dustmix.datasets import fixture_path\n"
+            f"dustmix.cli.cmd_fit(fixture_path(), None, {str(tmp_path / 'run')!r})\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.stats')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+        assert (tmp_path / "run" / "report.json").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

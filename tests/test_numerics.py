@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import special
+from scipy.optimize import minimize_scalar
 
 from dustmix.numerics import (
     BetaShape,
@@ -13,6 +15,7 @@ from dustmix.numerics import (
     DirichletRows,
     beta_cdf,
     beta_hpdi,
+    beta_hpdis,
     beta_pdf,
     beta_quantile,
     beta_summary,
@@ -20,7 +23,7 @@ from dustmix.numerics import (
     log_gamma,
 )
 from _oracles import beta_cdf as oracle_cdf
-from _oracles import beta_interval_mass
+from _oracles import beta_hpdi_check, beta_interval_mass
 
 mp.mp.dps = 40
 
@@ -251,3 +254,77 @@ class TestBetaHpdi:
             CredibleInterval(lo=0.6, hi=0.4, mass=0.95)
         with pytest.raises(ValueError):
             CredibleInterval(lo=0.1, hi=0.2, mass=0.0)
+
+
+def scalar_search_hpdi(a: float, b: float, mass: float) -> tuple[float, float]:
+    """The bounded Brent search over the lower tail mass that beta_hpdi used
+    before its Newton kernel, kept as the reference for the endpoints."""
+    def ends(p):
+        return special.betaincinv(a, b, [p, p + mass])
+
+    best = minimize_scalar(lambda p: np.diff(ends(p))[0], bounds=(0.0, 1.0 - mass),
+                           method="bounded", options={"xatol": 1e-10})
+    lo, hi = ends(best.x)
+    return float(lo), float(hi)
+
+
+class TestBetaHpdisOracle:
+    MASS = 0.95
+
+    @pytest.fixture(scope="class")
+    def shapes(self):
+        # a or b in (1, 1.05], where an endpoint sits at 0 or 1; both
+        # log-uniform up to 1e5; and a below 1, the equal-tailed fallback (b
+        # below 1 puts its upper quantile closer to 1 than a double resolves)
+        rng = np.random.default_rng(20)
+        near_one = 1.05 - rng.uniform(0.0, 0.05, size=100)
+        wide = 10.0 ** rng.uniform(0.0, 5.0, size=(3, 100))
+        below_one = rng.uniform(0.05, 1.0, size=20)
+        a = np.concatenate([near_one[:50], wide[0, :50], wide[1, :80], below_one])
+        b = np.concatenate([wide[0, 50:], near_one[50:], wide[2, :80], wide[2, 80:]])
+        return a, b
+
+    @pytest.fixture(scope="class")
+    def intervals(self, shapes):
+        return beta_hpdis(*shapes, self.MASS)
+
+    def test_batch_matches_scalar_bitwise(self, shapes, intervals):
+        for a, b, ci in zip(*shapes, intervals):
+            assert beta_hpdi(BetaShape(float(a), float(b)), self.MASS) == ci
+
+    def test_mass_and_equal_density(self, shapes, intervals):
+        for a, b, ci in zip(*shapes, intervals):
+            mass, gap = beta_hpdi_check(ci.lo, ci.hi, a, b)
+            assert mass == pytest.approx(self.MASS, abs=1e-10), (a, b)
+            assert ci.equal_tailed == (not (a > 1.0 and b > 1.0))
+            # a root within 1e-13 of tail mass from 0 or 1 - mass, or whose
+            # upper endpoint would lie within a few ulps of 1, is beyond what the
+            # search or a double resolves: the endpoint stays at 0 or 1
+            tails = special.betainc(a, b, ci.lo), special.betaincc(a, b, ci.hi)
+            if ci.equal_tailed or min(tails) <= 1e-13 or 1.0 - ci.hi <= 4 * np.spacing(1.0):
+                continue
+            # one ulp of each endpoint moves log f by this
+            resolution = sum(abs((a - 1.0) / x - (b - 1.0) / (1.0 - x)) * np.spacing(x)
+                             for x in (ci.lo, ci.hi))
+            assert abs(gap) <= 1e-10 + 4.0 * resolution, (a, b, gap)
+
+    def test_never_wider_than_equal_tailed(self, shapes, intervals):
+        tail = 0.5 * (1.0 - self.MASS)
+        for a, b, ci in zip(*shapes, intervals):
+            equal = special.betaincinv(a, b, 1.0 - tail) - special.betaincinv(a, b, tail)
+            assert ci.width <= equal + 1e-15, (a, b)
+
+    def test_endpoints_match_scalar_search(self, shapes, intervals):
+        for a, b, ci in zip(*shapes, intervals):
+            if not ci.equal_tailed:
+                lo, hi = scalar_search_hpdi(a, b, self.MASS)
+                assert abs(ci.lo - lo) <= 1e-8 and abs(ci.hi - hi) <= 1e-8, (a, b)
+
+    def test_converged_root_is_kept(self):
+        # for these symmetric shapes the log-density gap is exactly 0 at the
+        # equal-tailed start, so the search must return that point's endpoints
+        tail = 0.5 * (1.0 - self.MASS)
+        for a in (1.5, 2.5, 100.0, 1e5):
+            ci = beta_hpdis([a], [a], self.MASS)[0]
+            assert (ci.lo, ci.hi) == (special.betaincinv(a, a, tail),
+                                      special.betaincinv(a, a, tail + self.MASS))

@@ -1,11 +1,14 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dustmix.datasets import TRACE_TRUTH
-from dustmix.numerics import BetaShape
+from dustmix.numerics import BetaShape, beta_hpdi
 from dustmix.posterior import (
+    MarginalSummary,
+    PosteriorReport,
     beta_profile_marginal,
     build_report,
     density_grid,
@@ -125,3 +128,29 @@ class TestSerialization:
         write_summary_csv(report, tmp_path / "summary.csv")
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 + 28
+
+    def test_plot_csvs_match_csv_writer(self, tmp_path, fit_both_known, corpus_both_known):
+        def reference(path, shape):
+            x, dens = density_grid(shape)
+            with path.open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["x", "density"])
+                for xi, di in zip(x, dens):
+                    writer.writerow([repr(float(xi)), repr(float(di))])
+
+        result, _ = fit_both_known
+        report = build_report(result, corpus_both_known)
+        # densities unbounded at an end, flat, and underflowing to 0 on most of the grid
+        extra = [BetaShape(0.3, 0.7), BetaShape(1.0, 1.0), BetaShape(2e5, 1e5)]
+        report = PosteriorReport(
+            theta={**report.theta, "edge": tuple(
+                MarginalSummary(f"s{i}", shape, 0.5, None, beta_hpdi(shape, 0.95))
+                for i, shape in enumerate(extra))},
+            beta=report.beta, mass=report.mass, provenance=report.provenance,
+        )
+        summaries = [s for block in (report.theta, report.beta) for g in block.values() for s in g]
+        written = write_plot_csvs(report, tmp_path)
+        assert len(written) == len(summaries)
+        for path, summary in zip(written, summaries):
+            reference(tmp_path / "reference.csv", summary.shape)
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
