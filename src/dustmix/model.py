@@ -251,7 +251,8 @@ class FitResult:
     (samples x types x sources) hold the mixing posteriors and
     responsibilities, one row per sample in corpus order, and ``lam``
     (sources x types) the one shared profile posterior.  ``elbo_trace`` has
-    one entry per outer iteration, recorded after the inference sweep.
+    one entry per outer iteration: the seven-term bound of the state its
+    inference phase returns (whose stop rule reads the collapsed bound).
     """
 
     H_converged: DirichletMatrix
@@ -364,5 +365,10 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
 
     if n_known + max(corpus.n_unknown_sources, 0) < 1:
         violations.append(Violation("no-sources", "corpus must declare at least one source"))
+    if corpus.n_unknown_sources > 0 and not any(
+        loc.samples for loc in corpus.locations if not loc.role.is_known
+    ):
+        message = "an unknown source is declared but no trace location holds a sample"
+        violations.append(Violation("unknown-without-trace", message))
 
     return violations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import zeta
 
 from .model import Corpus, DirichletMatrix, VariationalState
 from .numerics import DirichletRows
@@ -127,10 +127,6 @@ def _outward(x: np.ndarray, grad: np.ndarray, bounds: BoxBounds) -> np.ndarray:
     return ((x <= bounds.lower) & (grad < 0.0)) | ((x >= bounds.upper) & (grad > 0.0))
 
 
-def _projected_norm(x: np.ndarray, grad: np.ndarray, bounds: BoxBounds) -> np.ndarray:
-    return np.abs(np.where(_outward(x, grad, bounds), 0.0, grad)).max(axis=1)
-
-
 def maximize_rows(
     stat: np.ndarray,
     n_samples: np.ndarray,
@@ -157,32 +153,35 @@ def maximize_rows(
     x_start, start = x.copy(), value.copy()
     iterations = np.zeros(len(x), dtype=np.int64)
     stalled = np.zeros(len(x), dtype=bool)
-    for _ in range(config.max_iters):
-        rows = np.flatnonzero(~stalled & (_projected_norm(x, grad, bounds) > config.grad_tol))
-        if not rows.size:
+    for newton in range(config.max_iters + 1):  # the last pass only measures
+        outward = _outward(x, grad, bounds)
+        projected_norm = np.abs(np.where(outward, 0.0, grad)).max(axis=1)
+        rows = np.flatnonzero(~stalled & (projected_norm > config.grad_tol))
+        if not rows.size or newton == config.max_iters:
             break
         # Newton step, zero where the box holds a coordinate.  The Hessian is
         # diag(q) + z 11^T with q = -S trigamma(x) and z = S trigamma(sum x), so
         # by Sherman-Morrison -H^-1 g = -(g - b) / q, b = sum(g/q) / (1/z + sum(1/q)).
-        xr, gr, nr = x[rows], grad[rows], n_samples[rows]
-        inv_q = np.where(_outward(xr, gr, bounds), 0.0, -1.0 / (nr[:, None] * polygamma(1, xr)))
-        z = nr * polygamma(1, xr.sum(axis=1))
+        # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it.
+        xr, gr, sr, nr, vr = x[rows], grad[rows], stat[rows], n_samples[rows], value[rows]
+        inv_q = np.where(outward[rows], 0.0, -1.0 / (nr[:, None] * zeta(2.0, xr)))
+        z = nr * zeta(2.0, xr.sum(axis=1))
         b = (gr * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
         step = -(gr - b[:, None]) * inv_q
         iterations[rows] += 1
         for halving in range(40):  # then the row is given up as stalled
-            trial = np.clip(x[rows] + 0.5**halving * step, bounds.lower, bounds.upper)
-            trial_value, trial_grad = _objective(trial, stat[rows], n_samples[rows])
-            slope = (trial_grad * (trial - x[rows])).sum(axis=1)
-            kept = (trial_value >= value[rows]) | (slope >= 0.0)
+            trial = np.clip(xr + 0.5**halving * step, bounds.lower, bounds.upper)
+            trial_value, trial_grad = _objective(trial, sr, nr)
+            slope = (trial_grad * (trial - xr)).sum(axis=1)
+            kept = (trial_value >= vr) | (slope >= 0.0)
             done = rows[kept]
             x[done], value[done], grad[done] = trial[kept], trial_value[kept], trial_grad[kept]
-            rows, step = rows[~kept], step[~kept]
+            rows, xr, sr, nr, vr, step = (v[~kept] for v in (rows, xr, sr, nr, vr, step))
             if not rows.size:
                 break
         stalled[rows] = True
 
-    converged = _projected_norm(x, grad, bounds) <= config.grad_tol
+    converged = projected_norm <= config.grad_tol
     worse = value < start
     x[worse], value[worse], converged[worse] = x_start[worse], start[worse], False
     on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
@@ -221,7 +220,9 @@ def mstep(
         try:
             x0 = np.clip(new[ids], bounds.lower, bounds.upper)
             solve = maximize_rows(stat, n_samples, x0, bounds, config)
-            keep = solve.value < _objective(old[ids], stat, n_samples)[0]
+            keep = np.zeros(ids.size, dtype=bool)  # a solve never ends below its start
+            if not np.array_equal(x0, old[ids]):
+                keep = solve.value < _objective(old[ids], stat, n_samples)[0]
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(f"row update failed (matrix {label}): {exc}") from exc
         new[ids] = np.where(keep[:, None], old[ids], solve.x)

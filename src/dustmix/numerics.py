@@ -73,6 +73,16 @@ def digamma(x):
     return _like_input(special.psi(_positive(x, "digamma")))
 
 
+class _lazy(cached_property):
+    """``cached_property`` without its first-access lock (before Python 3.12)."""
+
+    def __get__(self, rows, owner=None):
+        if rows is None:
+            return self
+        value = rows.__dict__[self.attrname] = self.func(rows)
+        return value
+
+
 class DirichletRows:
     """Dirichlet parameters, one distribution per row, behind one domain check.
 
@@ -94,20 +104,25 @@ class DirichletRows:
         ):
             raise ValueError("DirichletRows requires strictly positive, finite arguments")
 
-    @cached_property
+    @_lazy
     def psi(self) -> np.ndarray:
         """digamma of every entry."""
         return special.psi(self.rows)
 
-    @cached_property
+    @_lazy
     def e_log(self) -> np.ndarray:
         """E log x under each row: digamma(row) - digamma(row sum)."""
         return self.psi - special.psi(self.sums)[:, None]
 
-    @cached_property
+    @_lazy
     def log_norm(self) -> np.ndarray:
         """Log normaliser of each row: log Gamma(row sum) - sum log Gamma(row)."""
         return special.gammaln(self.sums) - special.gammaln(self.rows).sum(axis=1)
+
+    @_lazy
+    def less_one(self) -> np.ndarray:
+        """Every entry minus one: the weights of E log x in E log Dirichlet."""
+        return self.rows - 1.0
 
 
 @dataclass(frozen=True)

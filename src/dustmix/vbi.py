@@ -13,7 +13,9 @@ Each update is the exact coordinate maximizer of the bound given the rest,
 so the bound is non-decreasing sweep over sweep.  One function,
 :func:`_bound_terms`, sums the seven bound terms over rows, counting the
 profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
-one-row calls (a sample that owns its profile posterior outright).
+one-row calls (a sample that owns its profile posterior outright).  Right
+after a sweep the terms collapse (:func:`_collapsed_bound`); an inference
+phase stops on that form, and every other decision reads the seven terms.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
 checked once and with its digammas and log Gammas evaluated at most once.
@@ -52,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import zeta
 
 from .model import (
     Corpus,
@@ -200,19 +202,24 @@ def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.matmul(phi.transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
 
 
-def _sweep_rows(
-    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: DirichletRows, lam: DirichletRows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One inference sweep over sample rows (``counts``, mixing prior rows
-    ``a`` and ``gamma``).  Responsibilities come from the profile and mixing
-    digammas, normalized per type in log space; each mixing posterior is its
-    ``a`` row plus the counts it allocates; the profile posterior is ``eta``
-    plus the counts allocated from every row.  Returns gamma, lam and phi.
-    """
+def _responsibilities(gamma: DirichletRows, lam: DirichletRows) -> np.ndarray:
+    """Profile plus mixing digammas, normalized per type in log space."""
     log_phi = lam.e_log.T + gamma.psi[:, None, :]
     log_phi -= log_phi.max(axis=2, keepdims=True)
     phi = np.exp(log_phi)
     phi /= phi.sum(axis=2, keepdims=True)
+    return phi
+
+
+def _sweep_rows(
+    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: DirichletRows, lam: DirichletRows
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One inference sweep over sample rows (``counts``, mixing prior rows
+    ``a`` and ``gamma``): the :func:`_responsibilities`; each mixing posterior
+    is its ``a`` row plus the counts it allocates; the profile posterior is
+    ``eta`` plus the counts allocated from every row.  Returns gamma, lam, phi.
+    """
+    phi = _responsibilities(gamma, lam)
     return a + _allocated(counts, phi), eta + (phi * counts[:, :, None]).sum(axis=0).T, phi
 
 
@@ -232,7 +239,13 @@ def _relative_step(
 
 def _expected_log_dirichlet(rows: DirichletRows, dg: np.ndarray) -> float:
     """E log Dirichlet(x | row), summed over rows, given E log x = ``dg``."""
-    return float((rows.log_norm + ((rows.rows - 1.0) * dg).sum(axis=1)).sum())
+    return float((rows.log_norm + (rows.less_one * dg).sum(axis=1)).sum())
+
+
+def _entropy_z(weighted_phi: np.ndarray, phi: np.ndarray) -> float:
+    """Count-weighted entropy of the responsibilities (``weighted_phi``)."""
+    log_phi = np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
+    return float(-(weighted_phi * log_phi).sum())
 
 
 def _bound_terms(
@@ -246,16 +259,27 @@ def _bound_terms(
     """The seven bound terms, each summed over the sample rows; the profile
     block (``log_p_beta``, ``entropy_beta``) is counted once."""
     weighted_phi = phi * counts[:, :, None]
-    log_phi = np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
     return {
         "log_p_x": float((weighted_phi * lam.e_log.T).sum()),
         "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
         "log_p_z": float((weighted_phi.sum(axis=1) * gamma.e_log).sum()),
         "entropy_theta": -_expected_log_dirichlet(gamma, gamma.e_log),
-        "entropy_z": float(-(weighted_phi * log_phi).sum()),
+        "entropy_z": _entropy_z(weighted_phi, phi),
         "log_p_beta": _expected_log_dirichlet(eta, lam.e_log),
         "entropy_beta": -_expected_log_dirichlet(lam, lam.e_log),
     }
+
+
+def _collapsed_bound(
+    counts: np.ndarray, a: DirichletRows, eta: DirichletRows, gamma: DirichletRows,
+    phi: np.ndarray, lam: DirichletRows,
+) -> float:
+    """The bound of a state :func:`_sweep_rows` just returned under priors
+    ``a`` and ``eta``, where every E log weight of the seven terms cancels
+    (Blei, Ng and Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma)
+    + l(eta) - l(lam), plus ``entropy_z``.  Nowhere else is it the bound."""
+    log_norms = a.log_norm.sum() - gamma.log_norm.sum() + eta.log_norm.sum() - lam.log_norm.sum()
+    return float(log_norms) + _entropy_z(phi * counts[:, :, None], phi)
 
 
 def elbo_terms(
@@ -280,6 +304,14 @@ def _check_terms(terms: dict[str, float]) -> float:
             if not np.isfinite(value):
                 raise NumericalFailure(f"bound term {name} is non-finite ({value})", term=name)
     return total
+
+
+def _swept_bound(where: str, sweep: int, *state) -> float:
+    """The seven-term bound of ``state``; a non-finite term raises naming ``where``."""
+    try:
+        return _check_terms(_bound_terms(*state))
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{where}: {exc}", term=exc.term, iteration=sweep) from exc
 
 
 def elbo_sample(
@@ -340,15 +372,8 @@ def estep_sample(
         gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
 
         state.gamma, state.lam, state.phi = new_gamma[0], new_lam, phi[0]
-        try:
-            current = _check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam))
-        except NumericalFailure as exc:
-            raise NumericalFailure(
-                f"sweep {sweep} at location {state.location_id}, sample "
-                f"{state.sample_index}: {exc}",
-                term=exc.term,
-                iteration=sweep,
-            ) from exc
+        where = f"sweep {sweep} at location {state.location_id}, sample {state.sample_index}"
+        current = _swept_bound(where, sweep, c, alpha, eta, gamma, phi, lam)
         state.elbo = current
         state.elbo_steps.append(current)
         if moved <= config.estep_tol:
@@ -426,31 +451,32 @@ def _warm_start_profiles(
     """
     gamma, phi, lam = gamma.copy(), phi.copy(), eta
     for _ in range(_WARM_SWEEPS):
-        gamma[known], new_lam, phi[known] = _sweep(
-            counts[known], a[known], eta, gamma[known], lam
-        )
-        settled = np.allclose(new_lam, lam, rtol=1e-10, atol=1e-12)
+        gamma[known], new_lam, phi[known] = _sweep(counts[known], a[known], eta, gamma[known], lam)
+        settled = np.all(np.abs(new_lam - lam) <= 1e-12 + 1e-10 * np.abs(lam))
         lam = new_lam
         if settled:
             break
 
     trace = ~known
-    boot = _bootstrap_unknown_row(corpus, lam, counts[trace])
+    trace_counts, trace_a = counts[trace], a[trace]
+    boot = _bootstrap_unknown_row(corpus, lam, trace_counts)
     if boot is not None:
         lam[-1] = boot
     if not trace.any():
         return gamma, phi, lam
 
+    # the profile posterior is frozen within a pass, so its update is skipped
+    trace_gamma, trace_phi = gamma[trace], phi[trace]
     for _ in range(_WARM_PASSES):
         frozen = DirichletRows(lam)
         for _ in range(_WARM_SWEEPS):
-            new_gamma, _, new_phi = _sweep_rows(
-                counts[trace], a[trace], eta, DirichletRows(gamma[trace]), frozen
-            )
-            moved = np.abs(new_phi - phi[trace]).max()
-            gamma[trace], phi[trace] = new_gamma, new_phi
+            new_phi = _responsibilities(DirichletRows(trace_gamma), frozen)
+            trace_gamma = trace_a + _allocated(trace_counts, new_phi)
+            moved = np.abs(new_phi - trace_phi).max()
+            trace_phi = new_phi
             if moved < 1e-10:
                 break
+        gamma[trace], phi[trace] = trace_gamma, trace_phi
         lam = eta + (phi * counts[:, :, None]).sum(axis=0).T
     return gamma, phi, lam
 
@@ -468,19 +494,19 @@ def _inference_phase(
     profile posterior until the corpus bound stabilizes.  Returns gamma,
     phi, lam, the bound and the sweep count; at ``estep_max_iters`` it
     returns what it has and logs a warning with the bound change left.
-    Each state's bound and the next sweep share its evaluations."""
+    The seven terms score the start and the returned state; the stop rule
+    reads each swept state's :func:`_collapsed_bound`, re-scored by the
+    seven terms when not finite so that the failure names its term."""
     a, eta = DirichletRows(a), DirichletRows(eta)
     gamma, lam = DirichletRows(gamma), DirichletRows(lam)
     previous = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
     for sweep in range(1, config.estep_max_iters + 1):
         new_gamma, new_lam, phi = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
-        try:
-            current = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
-        except NumericalFailure as exc:
-            raise NumericalFailure(
-                f"inference sweep {sweep}: {exc}", term=exc.term, iteration=sweep
-            ) from exc
+        state = counts, a, eta, gamma, phi, lam
+        current = _collapsed_bound(*state)
+        if not np.isfinite(current):
+            current = _swept_bound(f"inference sweep {sweep}", sweep, *state)
         change, scale = abs(current - previous), max(abs(previous), 1e-12)
         if change <= config.estep_tol * scale:
             break
@@ -491,7 +517,7 @@ def _inference_phase(
             change / scale,
             config.estep_max_iters,
         )
-    return gamma.rows, phi, lam.rows, current, sweep
+    return gamma.rows, phi, lam.rows, _swept_bound(f"inference sweep {sweep}", sweep, *state), sweep
 
 
 def _log_params(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -596,8 +622,8 @@ def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
     The covariance is diag(trigamma(row)) - trigamma(row sum), so the
     Sherman-Morrison formula inverts it.
     """
-    inv_d = 1.0 / polygamma(1, rows)
-    s = polygamma(1, rows.sum(axis=1))
+    inv_d = 1.0 / zeta(2.0, rows)
+    s = zeta(2.0, rows.sum(axis=1))
     scale = s / (1.0 - s * inv_d.sum(axis=1))
     return inv_d[:, :, None] * np.eye(rows.shape[1]) + scale[:, None, None] * (
         inv_d[:, :, None] * inv_d[:, None, :]

@@ -209,6 +209,15 @@ class TestCmdFit:
         assert code == 1
         assert capsys.readouterr().err == "error: bound term entropy_z is not finite\n"
 
+    def test_unknown_source_without_trace_sample_is_error(self, tmp_path, capsys):
+        corpus = write_csv(tmp_path, ["k0,known:s,5,1,1", "k1,known:r,1,5,1"])
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump({"unknown_sources": 1}))
+        code = cmd_fit(corpus, config, tmp_path / "run")
+        assert code == cli.EXIT_ERROR
+        assert "[unknown-without-trace]" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "report.json").exists()
+
     def test_report_subcommand(self, tmp_path, quick_config, capsys):
         out = tmp_path / "run"
         cmd_fit(fixture_path(), quick_config, out)

@@ -89,6 +89,18 @@ class TestValidateCorpus:
         violations = validate_corpus(_two_source_corpus(small_catalog, n_unknown=2))
         assert any(v.code == "unknown-source-limit" for v in violations)
 
+    @pytest.mark.parametrize("trace_samples", [None, ()])
+    def test_unknown_source_without_trace_sample_flagged(self, small_catalog, trace_samples):
+        # no trace location, or trace locations that hold no sample: nothing
+        # informs the unknown source's profile
+        known = _two_source_corpus(small_catalog).locations[:2]
+        traces = () if trace_samples is None else (
+            Location("t", LocationRole.trace(), trace_samples),)
+        corpus = Corpus(small_catalog, known + traces, 1)
+        assert [v.code for v in validate_corpus(corpus)] == ["unknown-without-trace"]
+        assert validate_corpus(_two_source_corpus(small_catalog, n_unknown=1)) == []
+        assert validate_corpus(Corpus(small_catalog, known, 0)) == []
+
     def test_duplicate_claim_flagged(self, small_catalog):
         violations = validate_corpus(_two_source_corpus(small_catalog, claims=(1, 1)))
         codes = {v.code for v in violations}

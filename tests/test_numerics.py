@@ -95,6 +95,14 @@ class TestDigamma:
         assert digamma(x) == pytest.approx(central, abs=1e-5)
 
 
+class TestTrigamma:
+    def test_zeta_is_polygamma_bit_for_bit(self):
+        # the engine takes trigamma as zeta(2, x): scipy's polygamma(1, x)
+        # is (-1)**2 * gamma(2) * zeta(2, x), plus a digamma it discards
+        x = np.logspace(-6.0, 6.0, 20001)
+        assert np.array_equal(special.zeta(2.0, x), special.polygamma(1, x))
+
+
 class TestDirichletRows:
     def test_matches_checked_special_functions(self):
         # the same evaluations as the checked functions, bit for bit
@@ -106,6 +114,12 @@ class TestDirichletRows:
         assert np.array_equal(dirichlet.e_log, digamma(rows) - digamma(sums)[:, None])
         assert np.array_equal(dirichlet.log_norm,
                               log_gamma(sums) - log_gamma(rows).sum(axis=1))
+        assert np.array_equal(dirichlet.less_one, rows - 1.0)
+
+    def test_fields_are_evaluated_once(self):
+        dirichlet = DirichletRows(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        for name in ("psi", "e_log", "log_norm", "less_one"):
+            assert getattr(dirichlet, name) is getattr(dirichlet, name), name
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_domain_error(self, bad):

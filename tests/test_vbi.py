@@ -3,6 +3,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from dustmix import numerics, vbi
@@ -485,6 +488,13 @@ class TestFit:
         total = sum(s.total for _, s in corpus_both_known.iter_samples())
         assert (lam - eta).sum() == pytest.approx(total, rel=1e-9)
 
+    def test_refuses_unknown_source_without_trace_sample(self, corpus_both_known):
+        # the bundled corpus without its trace locations, one unknown source
+        known = tuple(l for l in corpus_both_known.locations if l.role.is_known)
+        with pytest.raises(CorpusValidationError) as err:
+            fit(Corpus(corpus_both_known.catalog, known, 1), FitConfig())
+        assert [v.code for v in err.value.violations] == ["unknown-without-trace"]
+
     def test_builds_no_per_sample_states(self, corpus_both_known, monkeypatch):
         # the fit keeps its state in arrays: no initialize call, no state
         # object and no per-sample bound
@@ -591,10 +601,12 @@ def phase_start(corpus_both_known):
 
 
 class TestSharedState:
-    """An inference phase builds each state once; its bound and the next
-    sweep share that state's special-function evaluations."""
+    """An inference phase builds each state once; its collapsed bound and
+    the next sweep share that state's special-function evaluations."""
 
     def test_bounds_equal_corpus_elbo(self, phase_start, monkeypatch):
+        # the seven terms score the start state and the returned state; the
+        # stop rule reads the collapsed bound of the states between
         scored = []
         bound_terms = vbi._bound_terms
 
@@ -606,7 +618,7 @@ class TestSharedState:
         monkeypatch.setattr(vbi, "_bound_terms", recording)
         *_, bound, sweeps = vbi._inference_phase(*phase_start[:6], FitConfig(estep_tol=1e-12))
         monkeypatch.undo()
-        assert len(scored) == sweeps + 1
+        assert sweeps > 1 and len(scored) == 2
         for args, terms in scored:
             assert vbi._check_terms(terms) == vbi.corpus_elbo(*args)
         assert bound == vbi.corpus_elbo(*scored[-1][0])
@@ -623,11 +635,77 @@ class TestSharedState:
     def test_one_sweep_evaluates_each_state_once(self, phase_start, monkeypatch):
         # a phase that evaluated the sweep and the bound apart made 15
         # checked calls per sweep: 3 digammas in the sweep, 4 digammas and
-        # 8 log Gammas in the bound
+        # 8 log Gammas in the bound; the collapsed bound needs only the 4 log
+        # Gammas of the swept state
         short = self._work(phase_start, 2, monkeypatch)
         long = self._work(phase_start, 6, monkeypatch)
-        assert (long["evaluations"] - short["evaluations"]) / 4 <= 8
+        assert (long["evaluations"] - short["evaluations"]) / 4 <= 7
         assert (long["checks"] - short["checks"]) / 4 <= 2
+
+
+@st.composite
+def _sweep_instances(draw):
+    """Counts (with zero-count types, every sample holding a particle),
+    priors a and eta, and a state gamma, lam to sweep from."""
+    N, M, T = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    counts = draw(arrays(np.float64, (N, T),
+                         elements=st.sampled_from([0.0, 0.0, 1.0, 3.0, 40.0, 2000.0])))
+    counts[:, 0] = np.maximum(counts[:, 0], 1.0)
+
+    def positive(shape, lo, hi):
+        return draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+    return (counts, positive((N, M), 0.05, 200.0), positive((M, T), 0.05, 200.0),
+            positive((N, M), 0.05, 5000.0), positive((M, T), 0.05, 5000.0))
+
+
+class TestCollapsedBound:
+    """Right after a sweep the bound collapses to log normalisers and the
+    responsibility entropy; the inference phase stops on that form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sweep_instances())
+    def test_equals_corpus_elbo_after_a_sweep(self, instance):
+        counts, a, eta, gamma, lam = instance
+        gamma, lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
+        a, eta, gamma, lam = map(numerics.DirichletRows, (a, eta, gamma, lam))
+        terms = vbi._bound_terms(counts, a, eta, gamma, phi, lam)
+        # relative to the terms: a bound near zero is a difference of terms
+        # hundreds of times larger, and keeps only their rounding
+        scale = sum(abs(value) for value in terms.values())
+        collapsed = vbi._collapsed_bound(counts, a, eta, gamma, phi, lam)
+        assert abs(collapsed - vbi._check_terms(terms)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("scenario", ["both_known", "at_known", "lq_known"])
+    def test_fits_equal_with_the_seven_term_stop(self, scenario, request, monkeypatch):
+        result = request.getfixturevalue(f"fit_{scenario}")
+        if scenario == "both_known":
+            result = result[0]
+        corpus = request.getfixturevalue(f"corpus_{scenario}")
+        calls = []
+
+        def seven_terms(*args):
+            calls.append(1)
+            return vbi._check_terms(vbi._bound_terms(*args))
+
+        monkeypatch.setattr(vbi, "_collapsed_bound", seven_terms)
+        again = fit(corpus, FitConfig())
+        assert calls
+        for name in ("gamma", "phi", "lam", "elbo_trace", "trace_locations", "converged",
+                     "iterations"):
+            assert np.array_equal(getattr(again, name), getattr(result, name)), name
+        for name in ("H_converged", "A_converged"):
+            assert np.array_equal(getattr(again, name).values, getattr(result, name).values), name
+
+    @pytest.mark.parametrize("config", [
+        FitConfig(), FitConfig(estep_tol=1e-300, estep_max_iters=7), FitConfig(estep_max_iters=1)
+    ])
+    def test_phase_scores_two_states_by_seven_terms(self, phase_start, config, monkeypatch):
+        calls = []
+        bound_terms = vbi._bound_terms
+        monkeypatch.setattr(vbi, "_bound_terms", lambda *args: calls.append(1) or bound_terms(*args))
+        monkeypatch.setattr(vbi.logger, "disabled", True)
+        vbi._inference_phase(*phase_start[:6], config)
+        assert len(calls) == 2
 
 
 class TestFixedPointSharedState:
