@@ -192,7 +192,7 @@ def mstep(
     H: DirichletMatrix,
     A: DirichletMatrix,
     lam: np.ndarray,
-    gamma: np.ndarray,
+    e_log_theta: np.ndarray,
     loc: np.ndarray,
     trace_ids: Sequence[int],
     bounds: BoxBounds,
@@ -201,8 +201,9 @@ def mstep(
     """Replace every profile row and every trace mixing row by its box
     maximizer; known mixing rows are returned untouched.
 
-    ``lam`` is the shared profile posterior, ``gamma`` the mixing posteriors
-    (one row per sample) and ``loc`` each sample's location index.  Returns
+    ``lam`` is the shared profile posterior, ``e_log_theta`` E log theta
+    under each sample's mixing posterior (its digamma differences, one row
+    per sample) and ``loc`` each sample's location index.  Returns
     the new H and A and a note for each row that ends unconverged or on a
     box edge.  A row keeps its previous value when the solve ends below it.
     """
@@ -213,7 +214,7 @@ def mstep(
     notes: list[str] = []
     for label, new, old, ids, stat, n_samples in (
         ("H", new_h, H.values, clipped, DirichletRows(lam[clipped]).e_log, np.ones(clipped.size)),
-        ("A", new_a, A.values, rows, members @ DirichletRows(gamma).e_log, members.sum(axis=1)),
+        ("A", new_a, A.values, rows, members @ e_log_theta, members.sum(axis=1)),
     ):
         if not ids.size:
             continue

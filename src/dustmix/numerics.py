@@ -88,7 +88,9 @@ class DirichletRows:
 
     Building it rejects, with the ``ValueError`` of :func:`digamma`, rows or
     row sums that are not strictly positive and finite (an empty set of rows
-    passes).  The expectations are evaluated on first use and kept.
+    passes).  Strictly positive entries make every sum of at least one entry
+    positive, so the sums' sign is tested only when rows have no columns.
+    The expectations are evaluated on first use and kept.
     """
 
     def __init__(self, rows) -> None:
@@ -99,8 +101,8 @@ class DirichletRows:
         # starts from its identity.
         if not (
             np.minimum.reduce(self.rows, axis=None, initial=math.inf) > 0.0
-            and np.minimum.reduce(self.sums, initial=math.inf) > 0.0
             and np.maximum.reduce(self.sums, initial=0.0) < math.inf
+            and (self.rows.shape[1] or np.minimum.reduce(self.sums, initial=math.inf) > 0.0)
         ):
             raise ValueError("DirichletRows requires strictly positive, finite arguments")
 
@@ -118,6 +120,11 @@ class DirichletRows:
     def log_norm(self) -> np.ndarray:
         """Log normaliser of each row: log Gamma(row sum) - sum log Gamma(row)."""
         return special.gammaln(self.sums) - special.gammaln(self.rows).sum(axis=1)
+
+    @_lazy
+    def log_norm_sum(self) -> float:
+        """The log normalisers summed over the rows."""
+        return self.log_norm.sum()
 
     @_lazy
     def less_one(self) -> np.ndarray:

@@ -192,19 +192,22 @@ def _write_density_csv(path: Path, shape: BetaShape) -> None:
 
 def write_plot_csvs(report: PosteriorReport, out_dir: Path | str) -> list[Path]:
     """One density CSV per marginal: theta_<location>_<source>.csv and
-    beta_<source>_<type>.csv."""
-    out = Path(out_dir)
-    written: list[Path] = []
-    for loc_name, summaries in report.theta.items():
-        for summary in summaries:
-            path = out / f"theta_{_slug(loc_name)}_{_slug(summary.label)}.csv"
-            _write_density_csv(path, summary.shape)
-            written.append(path)
-    for source_name, summaries in report.beta.items():
-        for summary in summaries:
-            path = out / f"beta_{_slug(source_name)}_{_slug(summary.label)}.csv"
-            _write_density_csv(path, summary.shape)
-            written.append(path)
+    beta_<source>_<type>.csv.  Of names that slug alike ("Fe oxide" and
+    "fe-oxide"), the first in report order keeps the name and each later one
+    takes the first unused suffix _2, _3, ..., so no file is written twice."""
+    marginals = [(f"{kind}_{_slug(group)}_{_slug(summary.label)}", summary)
+                 for kind, block in (("theta", report.theta), ("beta", report.beta))
+                 for group, summaries in block.items() for summary in summaries]
+    taken, seen, written = {stem for stem, _ in marginals}, set(), []
+    for stem, summary in marginals:
+        name, k = stem, 1
+        while stem in seen and name in taken:
+            k += 1
+            name = f"{stem}_{k}"
+        seen.add(stem)
+        taken.add(name)
+        written.append(Path(out_dir) / f"{name}.csv")
+        _write_density_csv(written[-1], summary.shape)
     return written
 
 

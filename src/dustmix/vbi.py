@@ -14,16 +14,17 @@ so the bound is non-decreasing sweep over sweep.  One function,
 :func:`_bound_terms`, sums the seven bound terms over rows, counting the
 profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
 one-row calls (a sample that owns its profile posterior outright).  Right
-after a sweep the terms collapse (:func:`_collapsed_bound`); an inference
-phase stops on that form, and every other decision reads the seven terms.
+after a sweep the terms collapse (:func:`_collapsed_bound`).  An inference
+phase stops on that form and scores its start and returned states by the
+seven terms, of which the next phase re-scores only the two prior terms;
+SQUAREM's acceptance in the fixed point compares collapsed bounds; a
+single sample reads the seven terms.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
-checked once and with its digammas and log Gammas evaluated at most once.
-Every loop (an inference phase, a single sample, the fixed point, the warm
-start) reads its states that way: each swept state is built once, for its
-bound and the next sweep, and the priors ``a`` and ``eta`` once per loop.
-:func:`_sweep`, :func:`corpus_elbo` and :func:`elbo_terms` call the same
-kernels on plain arrays.
+checked once and with its digammas and log Gammas evaluated at most once:
+a sweep returns its new state in that form, with the count-weighted
+responsibilities, and every loop builds its priors ``a`` and ``eta`` once.  :func:`_sweep`,
+:func:`corpus_elbo` and :func:`elbo_terms` call the kernels on arrays.
 
 The outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (one
@@ -213,21 +214,25 @@ def _responsibilities(gamma: DirichletRows, lam: DirichletRows) -> np.ndarray:
 
 def _sweep_rows(
     counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: DirichletRows, lam: DirichletRows
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[DirichletRows, DirichletRows, np.ndarray, np.ndarray]:
     """One inference sweep over sample rows (``counts``, mixing prior rows
     ``a`` and ``gamma``): the :func:`_responsibilities`; each mixing posterior
     is its ``a`` row plus the counts it allocates; the profile posterior is
-    ``eta`` plus the counts allocated from every row.  Returns gamma, lam, phi.
+    ``eta`` plus the counts allocated from every row.  Returns the new gamma
+    and lam, checked, the responsibilities and the count-weighted ones.
     """
     phi = _responsibilities(gamma, lam)
-    return a + _allocated(counts, phi), eta + (phi * counts[:, :, None]).sum(axis=0).T, phi
+    weighted = phi * counts[:, :, None]
+    new_gamma, new_lam = a + _allocated(counts, phi), eta + weighted.sum(axis=0).T
+    return DirichletRows(new_gamma), DirichletRows(new_lam), phi, weighted
 
 
 def _sweep(
     counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_sweep_rows` from the state (``gamma``, ``lam``) as arrays."""
-    return _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
+    """:func:`_sweep_rows` on the state (``gamma``, ``lam``) as arrays: gamma, lam, phi."""
+    gamma, lam, phi, _ = _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
+    return gamma.rows, lam.rows, phi
 
 
 def _relative_step(
@@ -243,8 +248,8 @@ def _expected_log_dirichlet(rows: DirichletRows, dg: np.ndarray) -> float:
 
 
 def _entropy_z(weighted_phi: np.ndarray, phi: np.ndarray) -> float:
-    """Count-weighted entropy of the responsibilities (``weighted_phi``)."""
-    log_phi = np.where(phi > 0.0, np.log(np.where(phi > 0.0, phi, 1.0)), 0.0)
+    """Count-weighted entropy of the responsibilities (``weighted_phi``); 0 log 0 = 0."""
+    log_phi = np.log(phi, out=np.zeros_like(phi), where=phi > 0.0)
     return float(-(weighted_phi * log_phi).sum())
 
 
@@ -271,15 +276,17 @@ def _bound_terms(
 
 
 def _collapsed_bound(
-    counts: np.ndarray, a: DirichletRows, eta: DirichletRows, gamma: DirichletRows,
-    phi: np.ndarray, lam: DirichletRows,
+    a: DirichletRows, eta: DirichletRows, gamma: DirichletRows, phi: np.ndarray,
+    lam: DirichletRows, weighted_phi: np.ndarray,
 ) -> float:
     """The bound of a state :func:`_sweep_rows` just returned under priors
-    ``a`` and ``eta``, where every E log weight of the seven terms cancels
-    (Blei, Ng and Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma)
-    + l(eta) - l(lam), plus ``entropy_z``.  Nowhere else is it the bound."""
-    log_norms = a.log_norm.sum() - gamma.log_norm.sum() + eta.log_norm.sum() - lam.log_norm.sum()
-    return float(log_norms) + _entropy_z(phi * counts[:, :, None], phi)
+    ``a`` and ``eta`` (with its responsibilities and their count-weighted
+    form), where every E log weight of the seven terms cancels (Blei, Ng and
+    Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma) + l(eta) -
+    l(lam), plus ``entropy_z``.  It holds only for such a state, not for a
+    state whose priors changed or that was not swept (a phase's start)."""
+    log_norms = a.log_norm_sum - gamma.log_norm_sum + eta.log_norm_sum - lam.log_norm_sum
+    return float(log_norms) + _entropy_z(weighted_phi, phi)
 
 
 def elbo_terms(
@@ -296,22 +303,17 @@ def elbo_terms(
     return _bound_terms(c, a, eta, gamma, state.phi[None], lam)
 
 
-def _check_terms(terms: dict[str, float]) -> float:
-    """The bound, the sum of ``terms``; raises naming a non-finite term."""
+def _check_terms(terms: dict[str, float], where: str = "", sweep: int | None = None) -> float:
+    """The bound, the sum of ``terms``; raises naming a non-finite term, and
+    ``where`` and ``sweep`` when given."""
     total = float(sum(terms.values()))
     if not np.isfinite(total):
         for name, value in terms.items():
             if not np.isfinite(value):
-                raise NumericalFailure(f"bound term {name} is non-finite ({value})", term=name)
+                message = f"bound term {name} is non-finite ({value})"
+                raise NumericalFailure(f"{where}: {message}" if where else message,
+                                       term=name, iteration=sweep)
     return total
-
-
-def _swept_bound(where: str, sweep: int, *state) -> float:
-    """The seven-term bound of ``state``; a non-finite term raises naming ``where``."""
-    try:
-        return _check_terms(_bound_terms(*state))
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"{where}: {exc}", term=exc.term, iteration=sweep) from exc
 
 
 def elbo_sample(
@@ -367,13 +369,13 @@ def estep_sample(
 
     state.elbo_steps = []
     for sweep in range(1, config.estep_max_iters + 1):
-        new_gamma, new_lam, phi = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
-        moved = _relative_step(gamma.rows, lam.rows, new_gamma, new_lam)
-        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
+        new_gamma, new_lam, phi, _ = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
+        moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
+        gamma, lam = new_gamma, new_lam
 
-        state.gamma, state.lam, state.phi = new_gamma[0], new_lam, phi[0]
+        state.gamma, state.lam, state.phi = gamma.rows[0], lam.rows, phi[0]
         where = f"sweep {sweep} at location {state.location_id}, sample {state.sample_index}"
-        current = _swept_bound(where, sweep, c, alpha, eta, gamma, phi, lam)
+        current = _check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam), where, sweep)
         state.elbo = current
         state.elbo_steps.append(current)
         if moved <= config.estep_tol:
@@ -395,15 +397,15 @@ _WARM_PASSES = 3
 
 def _bootstrap_unknown_row(
     corpus: Corpus, lam: np.ndarray, trace_counts: np.ndarray
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, float] | None:
     """Residual-shaped starting row for a single unknown source's profile.
 
     Pooled trace counts (``trace_counts`` has one row per trace sample) are
     decomposed against the known profiles at the parsimony corner (knowns
     take the largest mixing weights that leave a non-negative residual);
     the residual, scaled to the trace mass it explains, seeds the unknown
-    profile row.  Returns ``None`` when the corpus has no unknown source,
-    no known source, or no trace samples.
+    profile row.  Returns that row and the unknown share, or ``None`` when
+    the corpus has no unknown source, no known source, or no trace samples.
     """
     n_known = corpus.n_known_sources
     if corpus.n_unknown_sources != 1 or n_known == 0 or len(trace_counts) == 0:
@@ -426,7 +428,7 @@ def _bootstrap_unknown_row(
     unknown_share = float(np.clip(1.0 - weights.sum(), 0.02, 0.98))
     residual = np.maximum(p_hat - weights @ known, 1e-8)
     residual /= residual.sum()
-    return 1.0 + total * unknown_share * residual
+    return 1.0 + total * unknown_share * residual, unknown_share
 
 
 def _warm_start_profiles(
@@ -447,37 +449,46 @@ def _warm_start_profiles(
     optimum; settling the pinned single-source samples first, then the
     trace responsibilities against that frozen posterior, starts the ascent
     inside the right basin.  This only picks the starting point; the
-    recorded bound sequence begins afterwards.  Returns gamma, phi and lam.
+    recorded bound sequence begins afterwards.  Returns gamma, phi and lam,
+    and logs at DEBUG what it chose: the sweeps of each stage and the
+    bootstrap unknown share.
     """
-    gamma, phi, lam = gamma.copy(), phi.copy(), eta
-    for _ in range(_WARM_SWEEPS):
-        gamma[known], new_lam, phi[known] = _sweep(counts[known], a[known], eta, gamma[known], lam)
-        settled = np.all(np.abs(new_lam - lam) <= 1e-12 + 1e-10 * np.abs(lam))
+    gamma, phi = gamma.copy(), phi.copy()
+    known_gamma, lam = DirichletRows(gamma[known]), DirichletRows(eta)
+    for known_sweeps in range(1, _WARM_SWEEPS + 1):
+        known_gamma, new_lam, phi[known], _ = _sweep_rows(
+            counts[known], a[known], eta, known_gamma, lam)
+        settled = np.all(np.abs(new_lam.rows - lam.rows) <= 1e-12 + 1e-10 * np.abs(lam.rows))
         lam = new_lam
         if settled:
             break
+    gamma[known], lam = known_gamma.rows, lam.rows
 
     trace = ~known
     trace_counts, trace_a = counts[trace], a[trace]
     boot = _bootstrap_unknown_row(corpus, lam, trace_counts)
     if boot is not None:
-        lam[-1] = boot
-    if not trace.any():
-        return gamma, phi, lam
+        lam[-1] = boot[0]
 
     # the profile posterior is frozen within a pass, so its update is skipped
-    trace_gamma, trace_phi = gamma[trace], phi[trace]
-    for _ in range(_WARM_PASSES):
+    trace_gamma, trace_phi, trace_sweeps = gamma[trace], phi[trace], []
+    for _ in range(_WARM_PASSES if trace.any() else 0):
         frozen = DirichletRows(lam)
-        for _ in range(_WARM_SWEEPS):
+        for sweeps in range(1, _WARM_SWEEPS + 1):
             new_phi = _responsibilities(DirichletRows(trace_gamma), frozen)
             trace_gamma = trace_a + _allocated(trace_counts, new_phi)
             moved = np.abs(new_phi - trace_phi).max()
             trace_phi = new_phi
             if moved < 1e-10:
                 break
+        trace_sweeps.append(sweeps)
         gamma[trace], phi[trace] = trace_gamma, trace_phi
         lam = eta + (phi * counts[:, :, None]).sum(axis=0).T
+    logger.debug(
+        "warm start: known stage %d sweeps (%s), trace stage sweeps per pass %s, "
+        "bootstrap unknown share %s", known_sweeps, "settled" if settled else "not settled",
+        trace_sweeps, "none" if boot is None else f"{boot[1]:.4g}",
+    )
     return gamma, phi, lam
 
 
@@ -485,28 +496,32 @@ def _inference_phase(
     counts: np.ndarray,
     a: np.ndarray,
     eta: np.ndarray,
-    gamma: np.ndarray,
+    gamma: DirichletRows,
     phi: np.ndarray,
-    lam: np.ndarray,
+    lam: DirichletRows,
     config: FitConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    terms: dict[str, float] | None = None,
+) -> tuple[DirichletRows, np.ndarray, DirichletRows, dict[str, float], float, int]:
     """One full inference phase: sweep all sample rows and the shared
     profile posterior until the corpus bound stabilizes.  Returns gamma,
-    phi, lam, the bound and the sweep count; at ``estep_max_iters`` it
-    returns what it has and logs a warning with the bound change left.
-    The seven terms score the start and the returned state; the stop rule
+    phi, lam, their seven bound terms, the bound and the sweep count; at
+    ``estep_max_iters`` it returns what it has and logs a warning with the
+    bound change left.  ``terms`` are the seven terms of the start state
+    under earlier priors (a previous phase's return), of which only the two
+    prior terms are re-scored; without them all seven are.  The stop rule
     reads each swept state's :func:`_collapsed_bound`, re-scored by the
     seven terms when not finite so that the failure names its term."""
     a, eta = DirichletRows(a), DirichletRows(eta)
-    gamma, lam = DirichletRows(gamma), DirichletRows(lam)
-    previous = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
+    terms = _bound_terms(counts, a, eta, gamma, phi, lam) if terms is None else {
+        **terms, "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
+        "log_p_beta": _expected_log_dirichlet(eta, lam.e_log)}
+    previous = _check_terms(terms)
     for sweep in range(1, config.estep_max_iters + 1):
-        new_gamma, new_lam, phi = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
-        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
-        state = counts, a, eta, gamma, phi, lam
-        current = _collapsed_bound(*state)
+        gamma, lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        current = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
         if not np.isfinite(current):
-            current = _swept_bound(f"inference sweep {sweep}", sweep, *state)
+            terms = _bound_terms(counts, a, eta, gamma, phi, lam)
+            current = _check_terms(terms, f"inference sweep {sweep}", sweep)
         change, scale = abs(current - previous), max(abs(previous), 1e-12)
         if change <= config.estep_tol * scale:
             break
@@ -517,7 +532,8 @@ def _inference_phase(
             change / scale,
             config.estep_max_iters,
         )
-    return gamma.rows, phi, lam.rows, _swept_bound(f"inference sweep {sweep}", sweep, *state), sweep
+    terms = _bound_terms(counts, a, eta, gamma, phi, lam)
+    return gamma, phi, lam, terms, _check_terms(terms, f"inference sweep {sweep}", sweep), sweep
 
 
 def _log_params(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -549,9 +565,10 @@ def _fixed_point(
     r = x1 - x0, v = x2 - x1 - r and alpha from :func:`_step_length`; and
     runs one stabilising sweep from there.  That sweep's state is kept only
     if its corpus bound is finite and no lower than x2's, so the bound of
-    the kept states never falls; otherwise, and whenever the extrapolated
-    point is not strictly positive and finite (an entry can underflow to 0),
-    the next cycle starts from x2.  Stops once a plain sweep moves no
+    the kept states never falls (both come straight out of a sweep, so that
+    is their :func:`_collapsed_bound`); otherwise, and whenever the
+    extrapolated point is not strictly positive and finite (an entry can
+    underflow to 0), the next cycle starts from x2.  Stops once a plain sweep moves no
     parameter by a relative ``tol``; ``cap`` counts every sweep, and reaching
     it logs a warning with the step left.  Returns gamma, lam, the
     responsibilities of the last sweep, the sweep count, and the numbers of
@@ -563,10 +580,10 @@ def _fixed_point(
     points: list[np.ndarray] = []  # log parameters the cycle's plain sweeps start from
     while sweeps < cap:
         points.append(_log_params(gamma.rows, lam.rows))
-        new_gamma, new_lam, phi = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        new_gamma, new_lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         sweeps += 1
-        moved = _relative_step(gamma.rows, lam.rows, new_gamma, new_lam)
-        gamma, lam = DirichletRows(new_gamma), DirichletRows(new_lam)
+        moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
+        gamma, lam = new_gamma, new_lam
         if moved < tol:
             break
         if len(points) < 2 or sweeps == cap:
@@ -581,17 +598,17 @@ def _fixed_point(
         with np.errstate(all="ignore"):
             x = np.exp(x0 - 2.0 * alpha * r + alpha**2 * v)
             try:  # a point or state that is not strictly positive and finite is rejected
-                trial_gamma, trial_lam, trial_phi = _sweep_rows(
+                trial_gamma, trial_lam, trial_phi, trial_weighted = _sweep_rows(
                     counts, a.rows, eta.rows,
                     DirichletRows(x[: gamma.rows.size].reshape(gamma.rows.shape)),
                     DirichletRows(x[gamma.rows.size :].reshape(lam.rows.shape)),
                 )
                 sweeps += 1
-                trial_gamma, trial_lam = DirichletRows(trial_gamma), DirichletRows(trial_lam)
-                bound = _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
-                trial_bound = _bound_terms(counts, a, eta, trial_gamma, trial_phi, trial_lam)
-                kept = _check_terms(trial_bound) >= bound
-            except (ValueError, NumericalFailure):
+                bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
+                trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam,
+                                               trial_weighted)
+                kept = bool(np.isfinite(trial_bound) and trial_bound >= bound)
+            except ValueError:
                 pass
         if kept:
             gamma, lam, phi = trial_gamma, trial_lam, trial_phi
@@ -774,6 +791,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     gamma, phi, lam = _warm_start_profiles(
         corpus, counts, A.values[loc], H.values, gamma, phi, known
     )
+    gamma, lam, terms = DirichletRows(gamma), DirichletRows(lam), None
 
     elbo_trace: list[float] = []
     flagged: Counter[str] = Counter()
@@ -782,8 +800,8 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     iterations = 0
     for outer in range(1, config.outer_max_iters + 1):
         iterations = outer
-        gamma, phi, lam, total, sweeps = _inference_phase(
-            counts, A.values[loc], H.values, gamma, phi, lam, config
+        gamma, phi, lam, terms, total, sweeps = _inference_phase(
+            counts, A.values[loc], H.values, gamma, phi, lam, config, terms
         )
         elbo_trace.append(total)
         logger.debug("outer %d: bound %.6f after %d sweeps", outer, total, sweeps)
@@ -794,7 +812,8 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            H, A, notes = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids, _BOX, _SOLVER)
+            H, A, notes = mstep(H, A, lam.rows, gamma.e_log, loc, corpus.trace_location_ids,
+                                _BOX, _SOLVER)
             flagged.update(notes)
     if flagged:
         steps = iterations - 1
@@ -804,12 +823,12 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     return FitResult(
         H_converged=H,
         A_converged=DirichletMatrix(
-            _linear_response_rows(corpus, counts, loc, A, H, phi, lam, config), role="A"
+            _linear_response_rows(corpus, counts, loc, A, H, phi, lam.rows, config), role="A"
         ),
         trace_locations=corpus.trace_location_ids,
-        gamma=gamma,
+        gamma=gamma.rows,
         phi=phi,
-        lam=lam,
+        lam=lam.rows,
         elbo_trace=tuple(elbo_trace),
         converged=converged,
         iterations=iterations,

@@ -276,13 +276,13 @@ class TestMstep:
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):
         corpus = self._known_only_corpus()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus)
-        _, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus.trace_location_ids,
                          BoxBounds(), OptimizerConfig())
         assert np.array_equal(A2.values, A.values)
 
     def test_known_rows_bitwise_preserved(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        _, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
                          BoxBounds(), OptimizerConfig())
         assert np.array_equal(A2.values[0], A.values[0])
         assert np.array_equal(A2.values[1], A.values[1])
@@ -290,7 +290,7 @@ class TestMstep:
 
     def test_profile_rows_are_lambda_inside_the_box(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        H2, _, notes = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+        H2, _, notes = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
                              BoxBounds(), OptimizerConfig())
         assert np.array_equal(H2.values, lam)
         assert notes == []
@@ -298,7 +298,7 @@ class TestMstep:
     def test_total_bound_never_decreases(self, corpus_both_known):
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
         before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
-        H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
                           BoxBounds(), OptimizerConfig())
         after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
         assert after >= before - 1e-8
@@ -310,7 +310,7 @@ class TestMstep:
         corpus = request.getfixturevalue(scenario)
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus)
         before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
-        H2, A2, _ = mstep(H, A, lam, gamma, loc, corpus.trace_location_ids,
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus.trace_location_ids,
                           BoxBounds(), OptimizerConfig())
         after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
         dg_lam = digamma_rows(lam)
@@ -346,7 +346,7 @@ class TestMstep:
         trace_ids = (1, 2, 3)
         H = DirichletMatrix(rng.uniform(0.5, 2.0, size=(3, 4)), role="H")
         A = DirichletMatrix(np.ones((4, 3)), role="A")
-        H2, A2, _ = mstep(H, A, lam, gamma, loc, trace_ids, bounds, OptimizerConfig())
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, trace_ids, bounds, OptimizerConfig())
         for m in (2, 1, 0):  # reversed order
             if m == 1:
                 res = maximize_rows(digamma_rows(lam[1:2]), np.ones(1),
@@ -389,7 +389,7 @@ class TestMstep:
         bounds = BoxBounds(upper=50.0)
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace_ids = corpus_both_known.trace_location_ids
-        H2, A2, notes = mstep(H, A, lam, gamma, loc, trace_ids, bounds, config)
+        H2, A2, notes = mstep(H, A, lam, digamma_rows(gamma), loc, trace_ids, bounds, config)
         dg_lam = digamma_rows(lam)
         for m in range(len(lam)):
             x = H2.values[m]
@@ -406,7 +406,7 @@ class TestMstep:
 
     def test_unconverged_rows_noted(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        _, _, notes = mstep(H, A, lam, gamma, loc, corpus_both_known.trace_location_ids,
+        _, _, notes = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
                             BoxBounds(), OptimizerConfig(max_iters=1))
         assert notes == ["A row 2 unconverged", "A row 3 unconverged"]
 

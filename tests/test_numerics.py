@@ -136,6 +136,30 @@ class TestDirichletRows:
         dirichlet = DirichletRows(np.ones((0, 3)))
         assert dirichlet.e_log.shape == (0, 3) and dirichlet.log_norm.shape == (0,)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    def test_check_is_every_entry_and_row_sum_positive_and_finite(self, n, k, data):
+        # the row sums' sign is tested only when rows have no columns;
+        # positive entries already make every other sum positive
+        values = st.sampled_from([0.0, -1.0, math.nan, math.inf, 5e-324, 1.0, 1e308])
+        rows = np.array(data.draw(st.lists(values, min_size=n * k, max_size=n * k))).reshape(n, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = rows.sum(axis=1)
+        valid = bool(np.all((rows > 0.0) & (rows < math.inf))
+                     and np.all((sums > 0.0) & (sums < math.inf)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                DirichletRows(rows)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
+
+    def test_log_norm_sum(self):
+        dirichlet = DirichletRows(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert dirichlet.log_norm_sum == dirichlet.log_norm.sum()
+        assert dirichlet.log_norm_sum is dirichlet.log_norm_sum
+
 
 class TestBetaSummary:
     def test_uniform(self):

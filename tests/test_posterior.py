@@ -154,3 +154,21 @@ class TestSerialization:
         for path, summary in zip(written, summaries):
             reference(tmp_path / "reference.csv", summary.shape)
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes(), path.name
+
+    def test_plot_csvs_of_labels_that_slug_alike(self, tmp_path):
+        # "Fe oxide" and "fe-oxide" are distinct catalog names with one slug;
+        # "fe oxide 2" slugs to the name the second would take with a suffix
+        shapes = [BetaShape(2.0, 9.0), BetaShape(3.0, 3.0), BetaShape(9.0, 2.0),
+                  BetaShape(4.0, 5.0)]
+        labels = ["Fe oxide", "fe-oxide", "fe oxide 2", "FE_OXIDE"]
+        summaries = tuple(MarginalSummary(label, shape, 0.5, None, beta_hpdi(shape, 0.95))
+                          for label, shape in zip(labels, shapes))
+        report = PosteriorReport(theta={}, beta={"AT": summaries}, mass=0.95, provenance={})
+        written = write_plot_csvs(report, tmp_path)
+        assert len(set(written)) == len(summaries)
+        assert [path.name for path in written] == [
+            "beta_at_fe_oxide.csv", "beta_at_fe_oxide_3.csv", "beta_at_fe_oxide_2.csv",
+            "beta_at_fe_oxide_4.csv"]
+        for path, shape in zip(written, shapes):
+            rows = list(csv.reader(path.open(newline="")))[1:]
+            assert np.array_equal([float(d) for _, d in rows], density_grid(shape)[1])
