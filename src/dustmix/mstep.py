@@ -212,10 +212,11 @@ def mstep(
     rows = np.array(trace_ids, dtype=np.intp)
     members = loc == rows[:, None]  # a location without samples has a zero gradient
     notes: list[str] = []
-    for label, new, old, ids, stat, n_samples in (
-        ("H", new_h, H.values, clipped, DirichletRows(lam[clipped]).e_log, np.ones(clipped.size)),
-        ("A", new_a, A.values, rows, members @ e_log_theta, members.sum(axis=1)),
-    ):
+    updates = [("A", new_a, A.values, rows, members @ e_log_theta, members.sum(axis=1))]
+    if clipped.size:  # most fits clip no profile row
+        updates.insert(0, ("H", new_h, H.values, clipped, DirichletRows(lam[clipped]).e_log,
+                           np.ones(clipped.size)))
+    for label, new, old, ids, stat, n_samples in updates:
         if not ids.size:
             continue
         try:

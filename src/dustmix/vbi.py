@@ -17,7 +17,7 @@ one-row calls (a sample that owns its profile posterior outright).  Right
 after a sweep the terms collapse (:func:`_collapsed_bound`).  An inference
 phase stops on that form and scores its start and returned states by the
 seven terms, of which the next phase re-scores only the two prior terms;
-SQUAREM's acceptance in the fixed point compares collapsed bounds; a
+the fixed point's acceptance of a Newton step compares collapsed bounds; a
 single sample reads the seven terms.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
@@ -43,9 +43,9 @@ fitted mean, and its concentration comes from the linear-response variance
 of the location's share under the configured priors (see
 :func:`_linear_response_rows`), so the intervals carry the uncertainty the
 factorised posterior leaves out.  That variance holds at the fixed point of
-the sweeps under those priors, which :func:`_fixed_point` reaches by SQUAREM
-extrapolation over the same kernel (Varadhan and Roland 2008), keeping an
-extrapolated state only when the bound does not fall.
+the sweeps under those priors, which :func:`_fixed_point` reaches by damped
+Newton steps on the same linear-response precision (they replace SQUAREM
+extrapolation), keeping a stepped state only when the bound does not fall.
 """
 
 from __future__ import annotations
@@ -536,18 +536,6 @@ def _inference_phase(
     return gamma, phi, lam, terms, _check_terms(terms, f"inference sweep {sweep}", sweep), sweep
 
 
-def _log_params(gamma: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The mixing and profile posteriors as one vector of logs."""
-    return np.log(np.concatenate([gamma.ravel(), lam.ravel()]))
-
-
-def _step_length(r: np.ndarray, v: np.ndarray) -> float:
-    """SQUAREM step length -|r|/|v|, capped at -1 (where the extrapolation
-    is the second plain sweep's point itself)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return min(-float(np.sqrt((r * r).sum() / (v * v).sum())), -1.0)
-
-
 def _fixed_point(
     counts: np.ndarray,
     a: np.ndarray,
@@ -558,59 +546,43 @@ def _fixed_point(
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
     """Sweeps of :func:`_sweep_rows` to its fixed point, accelerated by
-    SQUAREM (Varadhan and Roland 2008, Scand. J. Stat. 35:335).
+    damped Newton steps on the linear-response precision.
 
-    Each cycle runs two plain sweeps, x1 = F(x0) and x2 = F(x1), in the
-    logs of gamma and lam; extrapolates to x0 - 2 alpha r + alpha^2 v, with
-    r = x1 - x0, v = x2 - x1 - r and alpha from :func:`_step_length`; and
-    runs one stabilising sweep from there.  That sweep's state is kept only
-    if its corpus bound is finite and no lower than x2's, so the bound of
-    the kept states never falls (both come straight out of a sweep, so that
-    is their :func:`_collapsed_bound`); otherwise, and whenever the
-    extrapolated point is not strictly positive and finite (an entry can
-    underflow to 0), the next cycle starts from x2.  Stops once a plain sweep moves no
-    parameter by a relative ``tol``; ``cap`` counts every sweep, and reaching
-    it logs a warning with the step left.  Returns gamma, lam, the
-    responsibilities of the last sweep, the sweep count, and the numbers of
-    extrapolations kept and rejected.
+    Each cycle runs a plain sweep from x, then one stabilising sweep from
+    the :func:`_newton_point` of x.  That sweep's state is kept only if its
+    corpus bound is finite and no lower than the plain sweep's, so the bound
+    of the kept states never falls (both come straight out of a sweep, so
+    that is their :func:`_collapsed_bound`); otherwise, and whenever the
+    precision's Cholesky factorisation fails or the Newton step is not
+    finite, the next cycle starts from the plain sweep.  Stops once a plain
+    sweep moves no parameter by a relative ``tol``; ``cap`` counts every
+    sweep, and reaching it logs a warning with the step left.  Returns
+    gamma, lam, the responsibilities of the last sweep, the sweep count, and
+    the numbers of Newton steps kept and rejected.
     """
     a, eta = DirichletRows(a), DirichletRows(eta)
     gamma, lam = DirichletRows(gamma), DirichletRows(lam)
     sweeps = accepted = rejected = 0
-    points: list[np.ndarray] = []  # log parameters the cycle's plain sweeps start from
     while sweeps < cap:
-        points.append(_log_params(gamma.rows, lam.rows))
-        new_gamma, new_lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        x = gamma, lam
+        gamma, lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, *x)
         sweeps += 1
-        moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
-        gamma, lam = new_gamma, new_lam
+        moved = _relative_step(x[0].rows, x[1].rows, gamma.rows, lam.rows)
         if moved < tol:
             break
-        if len(points) < 2 or sweeps == cap:
+        if sweeps == cap:
             continue
-
-        x0, x1 = points
-        points = []
-        r = x1 - x0
-        v = _log_params(gamma.rows, lam.rows) - x1 - r
-        alpha = _step_length(r, v)
-        kept = False
-        with np.errstate(all="ignore"):
-            x = np.exp(x0 - 2.0 * alpha * r + alpha**2 * v)
-            try:  # a point or state that is not strictly positive and finite is rejected
-                trial_gamma, trial_lam, trial_phi, trial_weighted = _sweep_rows(
-                    counts, a.rows, eta.rows,
-                    DirichletRows(x[: gamma.rows.size].reshape(gamma.rows.shape)),
-                    DirichletRows(x[gamma.rows.size :].reshape(lam.rows.shape)),
-                )
-                sweeps += 1
-                bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
-                trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam,
-                                               trial_weighted)
-                kept = bool(np.isfinite(trial_bound) and trial_bound >= bound)
-            except ValueError:
-                pass
-        if kept:
+        try:
+            point = _newton_point(counts, x, phi, (gamma, lam))
+        except (np.linalg.LinAlgError, ValueError):  # no Cholesky factor, or a non-finite step
+            rejected += 1
+            continue
+        trial_gamma, trial_lam, trial_phi, trial_weighted = _sweep_rows(
+            counts, a.rows, eta.rows, *point)
+        sweeps += 1
+        bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
+        trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam, trial_weighted)
+        if np.isfinite(trial_bound) and trial_bound >= bound:
             gamma, lam, phi = trial_gamma, trial_lam, trial_phi
             accepted += 1
         else:
@@ -627,8 +599,8 @@ def _fixed_point(
 # of 1e-8 the sds agree with those at 1e-10 to 1e-5.  Plain sweeps contract
 # along the mode where the unknown profile and the shares trade off by only
 # about 0.997 per sweep on the criterion-8 corpora at n=1900 (up to 6,226
-# sweeps to this tolerance); SQUAREM reaches it in 22-217 sweeps on the
-# bundled and benchmark corpora, so the cap is a guard, not a budget.
+# sweeps to this tolerance); damped Newton steps reach it in 5-19 sweeps on
+# the bundled, benchmark and criterion-8 corpora, so the cap is only a guard.
 _LR_TOL = 1e-8
 _LR_MAX_SWEEPS = 20000
 
@@ -648,17 +620,19 @@ def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
 
 
 def _linear_response_precision(
-    counts: np.ndarray, gamma: np.ndarray, lam: np.ndarray, phi: np.ndarray
+    counts: np.ndarray, theta_blocks: np.ndarray, beta_blocks: np.ndarray, phi: np.ndarray
 ) -> np.ndarray:
     """V_g^-1 - B^T V_z B over the global statistics: E log theta of each
     sample (index n*M + m), then E log beta of each source (N*M + m*T + t).
 
     V_g is the block-diagonal mean-field covariance of the global
-    statistics.  Each of the c particles of type t in sample n is an
-    allocation of covariance diag(phi) - phi phi^T, coupled through B to
-    log theta_n and to log beta[:, t]; the allocations are eliminated
-    (Schur complement), never stored.  The matrix is assembled dense, each
-    diagonal block written in place by index.
+    statistics, given as the :func:`_dirichlet_log_precision` blocks of
+    gamma (``theta_blocks``) and lam (``beta_blocks``).  Each of the c
+    particles of type t in sample n is an allocation of covariance
+    diag(phi) - phi phi^T, coupled through B to log theta_n and to log
+    beta[:, t]; the allocations are eliminated (Schur complement), never
+    stored.  The matrix is assembled dense, each diagonal block written in
+    place by index.
     """
     (N, T, M) = phi.shape
     weighted = counts[:, :, None] * phi
@@ -670,15 +644,38 @@ def _linear_response_precision(
     G = N * M
     precision = np.zeros((G + M * T, G + M * T))
     theta = np.arange(G).reshape(N, M)
-    precision[theta[:, :, None], theta[:, None, :]] = (
-        _dirichlet_log_precision(gamma) - w.sum(axis=1)
-    )
+    precision[theta[:, :, None], theta[:, None, :]] = theta_blocks - w.sum(axis=1)
     beta = G + np.arange(M * T).reshape(M, T)
-    precision[beta[:, :, None], beta[:, None, :]] = _dirichlet_log_precision(lam)
+    precision[beta[:, :, None], beta[:, None, :]] = beta_blocks
     precision[:G, G:] = -cross
     precision[G:, :G] = -cross.T
     precision[G:, G:] -= beta_beta
     return precision
+
+
+def _newton_point(
+    counts: np.ndarray, x: tuple[DirichletRows, ...], phi: np.ndarray,
+    swept: tuple[DirichletRows, ...],
+) -> tuple[DirichletRows, ...]:
+    """The damped Newton point for F(x) = x from x = (gamma, lam), given the
+    plain sweep's F(x) (``swept``) and the ``phi`` it computed from x.
+
+    F's Jacobian is K V (V the covariance of E log theta and E log beta, K
+    the allocation term), so with P = V^-1 - K, factored by Cholesky
+    (``LinAlgError`` when that fails), the Newton step is V^-1 P^-1 (F(x) -
+    x).  It is damped to min(1, half the distance to the positive boundary
+    along it), so a finite step's point is strictly positive.
+    """
+    rows = [state.rows for state in x]
+    blocks = [_dirichlet_log_precision(values) for values in rows]
+    factor = np.linalg.cholesky(_linear_response_precision(counts, *blocks, phi))
+    residual = np.concatenate([(new.rows - old).ravel() for new, old in zip(swept, rows)])
+    solved = np.linalg.solve(factor.T, np.linalg.solve(factor, residual))
+    steps = [np.einsum("ijk,ik->ij", block, part.reshape(values.shape))
+             for values, block, part in zip(rows, blocks, np.split(solved, [rows[0].size]))]
+    t = min(1.0, 0.5 * min((values[step < 0.0] / -step[step < 0.0]).min(initial=np.inf)
+                           for values, step in zip(rows, steps)))
+    return tuple(DirichletRows(values + t * step) for values, step in zip(rows, steps))
 
 
 def _linear_response_rows(
@@ -699,7 +696,8 @@ def _linear_response_rows(
     whose concentration grows with the outer iteration count, and a
     factorised posterior has no covariance along the line where the
     unknown profile and the shares trade off.  So the state is reset to
-    the configured priors and swept to its fixed point there; the
+    the configured priors and taken to its fixed point there by damped
+    Newton steps (:func:`_fixed_point`; they replaced SQUAREM); the
     linear-response covariance of that point (Giordano, Broderick and
     Jordan 2015, arXiv:1506.04088) gives, by the delta method, the
     variance of each location's share (the mean of its samples' shares) on
@@ -726,7 +724,7 @@ def _linear_response_rows(
         _LR_TOL, _LR_MAX_SWEEPS,
     )
     logger.debug(
-        "fixed-prior point: %d sweeps, %d extrapolations kept, %d rejected",
+        "fixed-prior point: %d sweeps, %d Newton steps kept, %d rejected",
         sweeps, accepted, rejected,
     )
 
@@ -744,7 +742,8 @@ def _linear_response_rows(
                 np.diag(p) - np.outer(p, p)
             ) / members.size
     try:
-        factor = np.linalg.cholesky(_linear_response_precision(counts, gamma, lam0, phi))
+        factor = np.linalg.cholesky(_linear_response_precision(
+            counts, _dirichlet_log_precision(gamma), _dirichlet_log_precision(lam0), phi))
         whitened = np.linalg.solve(factor, grads)
     except np.linalg.LinAlgError:
         var_share = np.full((len(trace_ids), M), np.nan)

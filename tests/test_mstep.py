@@ -295,6 +295,23 @@ class TestMstep:
         assert np.array_equal(H2.values, lam)
         assert notes == []
 
+    def test_unclipped_profile_rows_build_no_statistics(self, corpus_both_known, monkeypatch):
+        # the profile rows' E log statistics feed only the solve of clipped
+        # rows, so with none clipped no empty set of rows is evaluated
+        H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
+        built = []
+
+        class RecordingRows(mstep_module.DirichletRows):
+            def __init__(self, rows):
+                super().__init__(rows)
+                built.append(self.rows.shape)
+
+        monkeypatch.setattr(mstep_module, "DirichletRows", RecordingRows)
+        H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
+                         BoxBounds(), OptimizerConfig())
+        assert np.array_equal(H2.values, lam)
+        assert built and all(shape[0] for shape in built)
+
     def test_total_bound_never_decreases(self, corpus_both_known):
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
         before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
