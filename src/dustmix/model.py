@@ -320,6 +320,8 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     for i, loc in enumerate(corpus.locations):
         if loc.role.is_known:
             claims.setdefault(loc.role.source_index, []).append(loc.name)
+        if not loc.samples:
+            violations.append(Violation("empty-location", f"location {loc.name!r} holds no sample"))
         for sample in loc.samples:
             if sample.counts.shape[0] != T:
                 violations.append(

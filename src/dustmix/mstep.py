@@ -210,7 +210,7 @@ def mstep(
     new_h, new_a = np.array(lam, dtype=np.float64), np.array(A.values, dtype=np.float64)
     clipped = np.flatnonzero(((lam < bounds.lower) | (lam > bounds.upper)).any(axis=1))
     rows = np.array(trace_ids, dtype=np.intp)
-    members = loc == rows[:, None]  # a location without samples has a zero gradient
+    members = loc == rows[:, None]
     notes: list[str] = []
     updates = [("A", new_a, A.values, rows, members @ e_log_theta, members.sum(axis=1))]
     if clipped.size:  # most fits clip no profile row

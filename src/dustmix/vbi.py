@@ -38,14 +38,14 @@ per-sample :class:`VariationalState` objects, which serve only the
 single-sample API (:func:`estep_sample`, :func:`elbo_sample`).
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
-report reads, not the fitted hyperparameters themselves: each keeps its
-fitted mean, and its concentration comes from the linear-response variance
-of the location's share under the configured priors (see
-:func:`_linear_response_rows`), so the intervals carry the uncertainty the
-factorised posterior leaves out.  That variance holds at the fixed point of
-the sweeps under those priors, which :func:`_fixed_point` reaches by damped
-Newton steps on the same linear-response precision (they replace SQUAREM
-extrapolation), keeping a stepped state only when the bound does not fall.
+report reads: each keeps its fitted mean and takes its concentration from
+the linear-response variance of the location's share under the configured
+priors (:func:`_linear_response_rows`), so the intervals carry the
+uncertainty the factorised posterior leaves out.  That variance holds at
+the fixed point of the sweeps under those priors, which
+:func:`_fixed_point` reaches by damped Newton steps on the same
+linear-response precision; both solve with it on its per-sample blocks and
+their Schur complement over the profiles (:func:`_linear_response_factor`).
 """
 
 from __future__ import annotations
@@ -553,7 +553,7 @@ def _fixed_point(
     corpus bound is finite and no lower than the plain sweep's, so the bound
     of the kept states never falls (both come straight out of a sweep, so
     that is their :func:`_collapsed_bound`); otherwise, and whenever the
-    precision's Cholesky factorisation fails or the Newton step is not
+    precision's block factorisation fails or the Newton step is not
     finite, the next cycle starts from the plain sweep.  Stops once a plain
     sweep moves no parameter by a relative ``tol``; ``cap`` counts every
     sweep, and reaching it logs a warning with the step left.  Returns
@@ -619,38 +619,33 @@ def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _linear_response_precision(
+def _linear_response_factor(
     counts: np.ndarray, theta_blocks: np.ndarray, beta_blocks: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """V_g^-1 - B^T V_z B over the global statistics: E log theta of each
-    sample (index n*M + m), then E log beta of each source (N*M + m*T + t).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The linear-response precision P = V_g^-1 - B^T V_z B on its blocks.
 
-    V_g is the block-diagonal mean-field covariance of the global
-    statistics, given as the :func:`_dirichlet_log_precision` blocks of
-    gamma (``theta_blocks``) and lam (``beta_blocks``).  Each of the c
-    particles of type t in sample n is an allocation of covariance
-    diag(phi) - phi phi^T, coupled through B to log theta_n and to log
-    beta[:, t]; the allocations are eliminated (Schur complement), never
-    stored.  The matrix is assembled dense, each diagonal block written in
-    place by index.
+    V_g is the block-diagonal mean-field covariance of E log theta of each
+    sample and E log beta (index m*T + t), given as the
+    :func:`_dirichlet_log_precision` blocks of gamma (``theta_blocks``) and
+    lam (``beta_blocks``); B couples each particle's allocation (covariance
+    diag(phi) - phi phi^T) to both, and the allocations are eliminated.  So
+    P = [[D, -X], [-X^T, P_bb]] with one block D_n per sample.  Returns W_n
+    = L_n^-1 for each D_n = L_n L_n^T, the whitened cross blocks W_n X_n
+    (samples x M x M*T) and the Cholesky factor L_S of S = P_bb - sum_n
+    X_n^T D_n^-1 X_n.  P is positive definite exactly when every D_n and S
+    are: a ``LinAlgError`` from either factorisation says it is not.
     """
     (N, T, M) = phi.shape
     weighted = counts[:, :, None] * phi
     w = np.einsum("ntm,mk->ntmk", weighted, np.eye(M)) - np.einsum(
         "ntm,ntk->ntmk", weighted, phi
     )
-    cross = w.transpose(0, 2, 3, 1).reshape(N * M, M * T)
-    beta_beta = np.einsum("tmk,tu->mtku", w.sum(axis=0), np.eye(T)).reshape(M * T, M * T)
-    G = N * M
-    precision = np.zeros((G + M * T, G + M * T))
-    theta = np.arange(G).reshape(N, M)
-    precision[theta[:, :, None], theta[:, None, :]] = theta_blocks - w.sum(axis=1)
-    beta = G + np.arange(M * T).reshape(M, T)
-    precision[beta[:, :, None], beta[:, None, :]] = beta_blocks
-    precision[:G, G:] = -cross
-    precision[G:, :G] = -cross.T
-    precision[G:, G:] -= beta_beta
-    return precision
+    whiten = np.linalg.inv(np.linalg.cholesky(theta_blocks - w.sum(axis=1)))
+    cross = whiten @ w.transpose(0, 2, 3, 1).reshape(N, M, M * T)
+    beta_beta = np.einsum("mtu,mk->mtku", beta_blocks, np.eye(M)) - np.einsum(
+        "tmk,tu->mtku", w.sum(axis=0), np.eye(T))
+    flat = cross.reshape(N * M, M * T)
+    return whiten, cross, np.linalg.cholesky(beta_beta.reshape(M * T, M * T) - flat.T @ flat)
 
 
 def _newton_point(
@@ -661,21 +656,51 @@ def _newton_point(
     plain sweep's F(x) (``swept``) and the ``phi`` it computed from x.
 
     F's Jacobian is K V (V the covariance of E log theta and E log beta, K
-    the allocation term), so with P = V^-1 - K, factored by Cholesky
-    (``LinAlgError`` when that fails), the Newton step is V^-1 P^-1 (F(x) -
-    x).  It is damped to min(1, half the distance to the positive boundary
-    along it), so a finite step's point is strictly positive.
+    the allocation term), so with P = V^-1 - K the Newton step is V^-1 s
+    for P s = F(x) - x = r; on the :func:`_linear_response_factor` blocks,
+    s_beta = S^-1 (r_beta + sum_n X_n^T D_n^-1 r_n) and s_n = D_n^-1 (r_n +
+    X_n s_beta).  It is damped to min(1, half the distance to the positive
+    boundary along it), so a finite step's point is strictly positive.
     """
     rows = [state.rows for state in x]
     blocks = [_dirichlet_log_precision(values) for values in rows]
-    factor = np.linalg.cholesky(_linear_response_precision(counts, *blocks, phi))
-    residual = np.concatenate([(new.rows - old).ravel() for new, old in zip(swept, rows)])
-    solved = np.linalg.solve(factor.T, np.linalg.solve(factor, residual))
-    steps = [np.einsum("ijk,ik->ij", block, part.reshape(values.shape))
-             for values, block, part in zip(rows, blocks, np.split(solved, [rows[0].size]))]
+    whiten, cross, s_factor = _linear_response_factor(counts, *blocks, phi)
+    r_theta, r_beta = (new.rows - old for new, old in zip(swept, rows))
+    u = np.einsum("nmk,nk->nm", whiten, r_theta)
+    s_beta = np.linalg.solve(s_factor.T, np.linalg.solve(
+        s_factor, r_beta.ravel() + np.einsum("nmb,nm->b", cross, u)))
+    s_theta = np.einsum("nkm,nk->nm", whiten, u + cross @ s_beta)
+    steps = [np.einsum("ijk,ik->ij", block, part)
+             for block, part in zip(blocks, (s_theta, s_beta.reshape(r_beta.shape)))]
     t = min(1.0, 0.5 * min((values[step < 0.0] / -step[step < 0.0]).min(initial=np.inf)
                            for values, step in zip(rows, steps)))
     return tuple(DirichletRows(values + t * step) for values, step in zip(rows, steps))
+
+
+def _share_variances(
+    counts: np.ndarray, gamma: np.ndarray, lam: np.ndarray, phi: np.ndarray,
+    loc: np.ndarray, trace_ids: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trace location's share (its samples' mean) and that share's
+    linear-response variance per source, for the ascending ``trace_ids``:
+    sum_n g_n^T D_n^-1 g_n + |L_S^-1 sum_n X_n^T D_n^-1 g_n|^2 over the
+    location's samples (:func:`_linear_response_factor`), with g_n its
+    gradient in E log theta_n (theta = softmax(log theta))."""
+    whiten, cross, s_factor = _linear_response_factor(
+        counts, _dirichlet_log_precision(gamma), _dirichlet_log_precision(lam), phi)
+    trace, n_traces, M = np.isin(loc, trace_ids), len(trace_ids), gamma.shape[1]
+    number = np.searchsorted(trace_ids, loc[trace])
+    sizes = np.bincount(number)
+    shares = gamma[trace] / gamma[trace].sum(axis=1, keepdims=True)
+    whitened = whiten[trace] @ (shares[:, :, None] * (np.eye(M) - shares[:, None, :])
+                                / sizes[number, None, None])
+    p_loc, var_share, coupled = (np.zeros((n_traces, *shape)) for shape in (
+        (M,), (M,), (s_factor.shape[0], M)))
+    np.add.at(p_loc, number, shares)
+    np.add.at(var_share, number, (whitened**2).sum(axis=1))
+    np.add.at(coupled, number, cross[trace].transpose(0, 2, 1) @ whitened)
+    solved = np.linalg.solve(s_factor, coupled.transpose(1, 0, 2).reshape(-1, n_traces * M))
+    return p_loc / sizes[:, None], var_share + (solved**2).sum(axis=0).reshape(n_traces, M)
 
 
 def _linear_response_rows(
@@ -696,19 +721,14 @@ def _linear_response_rows(
     whose concentration grows with the outer iteration count, and a
     factorised posterior has no covariance along the line where the
     unknown profile and the shares trade off.  So the state is reset to
-    the configured priors and taken to its fixed point there by damped
-    Newton steps (:func:`_fixed_point`; they replaced SQUAREM); the
-    linear-response covariance of that point (Giordano, Broderick and
-    Jordan 2015, arXiv:1506.04088) gives, by the delta method, the
-    variance of each location's share (the mean of its samples' shares) on
-    the logit scale: for the precision P = L L^T (numpy's Cholesky factor),
-    each location's variance is |L^-1 g|^2 with g its share gradient.  Each
-    row keeps its fitted mean and takes the smallest concentration that
-    variance implies across sources.  Where the linear-response system is
-    not positive definite (the factorisation fails), or the implied
-    concentration falls below the number of sources, the location gets the
-    flat row (concentration = number of sources) with its fitted mean, and
-    a warning naming it.
+    the configured priors and taken to its :func:`_fixed_point` there, whose
+    linear-response covariance (Giordano, Broderick and Jordan 2015,
+    arXiv:1506.04088) gives the :func:`_share_variances`, and by the delta
+    method their variances on the logit scale.  Each row keeps its fitted
+    mean and takes the smallest concentration those imply across sources,
+    or, with a warning naming the location, the flat row (concentration =
+    number of sources) where P is not positive definite or the implied
+    concentration falls below the number of sources.
     """
     M = corpus.n_sources
     trace_ids = list(corpus.trace_location_ids)
@@ -728,44 +748,21 @@ def _linear_response_rows(
         sweeps, accepted, rejected,
     )
 
-    shares = gamma / gamma.sum(axis=1, keepdims=True)
-    # d(location mean share)/d(E log theta_n), using theta = softmax(log theta)
-    grads = np.zeros((lam0.size + gamma.size, len(trace_ids) * M))
-    p_loc = np.full((len(trace_ids), M), np.nan)
-    for j, loc_id in enumerate(trace_ids):
-        members = np.flatnonzero(loc == loc_id)
-        if members.size:
-            p_loc[j] = shares[members].mean(axis=0)
-        for n in members:
-            p = shares[n]
-            grads[n * M : (n + 1) * M, j * M : (j + 1) * M] = (
-                np.diag(p) - np.outer(p, p)
-            ) / members.size
     try:
-        factor = np.linalg.cholesky(_linear_response_precision(
-            counts, _dirichlet_log_precision(gamma), _dirichlet_log_precision(lam0), phi))
-        whitened = np.linalg.solve(factor, grads)
+        p_loc, var_share = _share_variances(counts, gamma, lam0, phi, loc, trace_ids)
     except np.linalg.LinAlgError:
-        var_share = np.full((len(trace_ids), M), np.nan)
-    else:
-        var_share = np.einsum("gk,gk->k", whitened, whitened).reshape(-1, M)
-
+        p_loc = var_share = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
         var_logit = var_share / (p_loc * (1.0 - p_loc)) ** 2
         implied = (1.0 / (means * (1.0 - means) * var_logit) - 1.0).min(axis=1)
-    rows = np.empty_like(fitted)
-    for j, loc_id in enumerate(trace_ids):
-        concentration = float(implied[j])
-        if not (np.isfinite(concentration) and concentration >= M):
-            logger.warning(
-                "location %r: no usable linear-response variance of its shares "
-                "(implied concentration %r); reporting the flat row with the fitted mean",
-                corpus.locations[loc_id].name,
-                concentration,
-            )
-            concentration = float(M)
-        rows[j] = means[j] * concentration
-    return rows
+    usable = np.isfinite(implied) & (implied >= M)
+    for loc_id, concentration in zip(np.array(trace_ids)[~usable], implied[~usable]):
+        logger.warning(
+            "location %r: no usable linear-response variance of its shares "
+            "(implied concentration %r); reporting the flat row with the fitted mean",
+            corpus.locations[loc_id].name, float(concentration),
+        )
+    return means * np.where(usable, implied, M)[:, None]
 
 
 def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:

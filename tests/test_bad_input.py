@@ -1,12 +1,13 @@
 """Aim 3's bad inputs, built from the bundled corpus: each must either raise a
 named error or fit to finite outputs with a non-decreasing bound and report
-intervals that contain their means."""
+intervals that contain their means.  Inputs no fit can answer must raise,
+naming their violation."""
 
 import numpy as np
 import pytest
 
 from dustmix.datasets import at_lq_corpus
-from dustmix.model import Corpus, CorpusValidationError, Location, SampleCounts
+from dustmix.model import Corpus, CorpusValidationError, Location, LocationRole, SampleCounts
 from dustmix.posterior import build_report
 from dustmix.vbi import FitConfig, NumericalFailure, fit
 
@@ -51,6 +52,30 @@ BAD_INPUTS = {
     "single-type-known-source": lambda: _single_type_known(
         at_lq_corpus(unknown_sources=1, drop_known="LQ")),
 }
+
+
+def _with_empty_trace(corpus):
+    return Corpus(corpus.catalog, corpus.locations + (Location("e3", LocationRole.trace(), ()),),
+                  corpus.n_unknown_sources)
+
+
+# Inputs that no fit can answer, each with the violation that must name it.
+REFUSED_INPUTS = {
+    "empty-trace-location": (
+        lambda: _with_empty_trace(at_lq_corpus(unknown_sources=1, drop_known="LQ")),
+        "empty-location"),
+    "known-location-without-samples": (
+        lambda: _rebuilt(at_lq_corpus(), samples=lambda loc: () if loc.name == "LQ" else loc.samples),
+        "empty-location"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_unanswerable_input_is_refused_by_name(name):
+    build, code = REFUSED_INPUTS[name]
+    with pytest.raises(CorpusValidationError) as err:
+        fit(build(), FitConfig())
+    assert code in [v.code for v in err.value.violations]
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))

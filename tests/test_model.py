@@ -97,9 +97,22 @@ class TestValidateCorpus:
         traces = () if trace_samples is None else (
             Location("t", LocationRole.trace(), trace_samples),)
         corpus = Corpus(small_catalog, known + traces, 1)
-        assert [v.code for v in validate_corpus(corpus)] == ["unknown-without-trace"]
+        expected = ["unknown-without-trace"] if trace_samples is None else [
+            "empty-location", "unknown-without-trace"]
+        assert [v.code for v in validate_corpus(corpus)] == expected
         assert validate_corpus(_two_source_corpus(small_catalog, n_unknown=1)) == []
         assert validate_corpus(Corpus(small_catalog, known, 0)) == []
+
+    @pytest.mark.parametrize("empty", ["k1", "t2"])
+    def test_location_without_samples_flagged(self, small_catalog, empty):
+        # a known location whose samples are gone, or a second trace location
+        # with none: no sample pins that source or that share
+        k0, k1, t = _two_source_corpus(small_catalog).locations
+        locations = (k0, Location("k1", k1.role, ()), t) if empty == "k1" else (
+            k0, k1, t, Location("t2", LocationRole.trace(), ()))
+        violations = validate_corpus(Corpus(small_catalog, locations, 0))
+        assert [v.code for v in violations] == ["empty-location"]
+        assert repr(empty) in violations[0].message
 
     def test_duplicate_claim_flagged(self, small_catalog):
         violations = validate_corpus(_two_source_corpus(small_catalog, claims=(1, 1)))

@@ -26,7 +26,7 @@ from dustmix.model import (
 from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
 from dustmix.posterior import theta_marginal
-from dustmix.simulator import StudySpec, generate_corpus
+from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus
 from dustmix.vbi import (
     FitConfig,
     NumericalFailure,
@@ -848,7 +848,7 @@ class TestBundledFits:
         arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
                   "phi": result.phi, "lam": result.lam}
         assert {name: _digest(values) for name, values in arrays.items()} == pinned["sha256"]
-        # the linear-response rows come from a SQUAREM point good to about 1e-6
+        # the linear-response rows come from a fixed point good to about 1e-6
         assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=2e-6, atol=0)
 
 
@@ -868,9 +868,8 @@ def _converged_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     return *_plain_fixed_point(counts, a, eta, gamma, lam, 1e-12, 200_000), 0, 0
 
 
-@pytest.fixture(scope="module")
-def fixed_prior_start(corpus_at_known):
-    """The arguments the AT-known fit passes to :func:`vbi._fixed_point`."""
+def _fixed_point_args(corpus):
+    """The arguments ``corpus``'s fit passes to :func:`vbi._fixed_point`."""
     captured = []
     original = vbi._fixed_point
 
@@ -880,8 +879,14 @@ def fixed_prior_start(corpus_at_known):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vbi, "_fixed_point", capture)
-        fit(corpus_at_known, FitConfig())
+        fit(corpus, FitConfig())
     return captured[0]
+
+
+@pytest.fixture(scope="module")
+def fixed_prior_start(corpus_at_known):
+    """The arguments the AT-known fit passes to :func:`vbi._fixed_point`."""
+    return _fixed_point_args(corpus_at_known)
 
 
 def _study_corpus():
@@ -963,9 +968,9 @@ class TestFixedPoint:
                                                         monkeypatch):
         # a non-finite precision either fails Cholesky (-inf) or factors into
         # a non-finite Newton step (nan); neither is taken
-        monkeypatch.setattr(vbi, "_linear_response_precision",
-                            lambda counts, theta, beta, phi: np.full((_precision_size(phi),) * 2,
-                                                                     step))
+        factor = vbi._linear_response_factor
+        monkeypatch.setattr(vbi, "_linear_response_factor", lambda counts, theta, beta, phi: factor(
+            counts, np.full_like(theta, step), np.full_like(beta, step), phi))
         gamma, lam, phi, sweeps, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
         expected = _plain_fixed_point(*fixed_prior_start)
         for got, want in zip((gamma, lam, phi, sweeps), expected):
@@ -974,9 +979,11 @@ class TestFixedPoint:
 
     def test_failed_factorisation_is_plain_sweeping(self, fixed_prior_start, monkeypatch):
         # a precision that is not positive definite takes no Newton step and
-        # no stabilising sweep
-        monkeypatch.setattr(vbi, "_linear_response_precision",
-                            lambda counts, theta, beta, phi: -np.eye(_precision_size(phi)))
+        # no stabilising sweep; P is linear in its three inputs, so these
+        # factor -P
+        factor = vbi._linear_response_factor
+        monkeypatch.setattr(vbi, "_linear_response_factor",
+                            lambda counts, theta, beta, phi: factor(-counts, -theta, -beta, phi))
         gamma, lam, phi, sweeps, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
         expected = _plain_fixed_point(*fixed_prior_start)
         for got, want in zip((gamma, lam, phi, sweeps), expected):
@@ -987,8 +994,9 @@ class TestFixedPoint:
         # a precision 100 times too small makes steps 100 times too long; the
         # damping stops each at half the distance to the positive boundary,
         # so no entry of a Newton point falls below half its value, and a
-        # damped point has an entry at exactly half
-        precision, newton_point = vbi._linear_response_precision, vbi._newton_point
+        # damped point has an entry at exactly half.  P is linear in its
+        # three inputs, so these factor P/100 (D/100, X/100 and L_S/10)
+        factor, newton_point = vbi._linear_response_factor, vbi._newton_point
         ratios = []
 
         def recording(counts, x, phi, swept):
@@ -996,7 +1004,8 @@ class TestFixedPoint:
             ratios.append(min((new.rows / old.rows).min() for new, old in zip(point, x)))
             return point
 
-        monkeypatch.setattr(vbi, "_linear_response_precision", lambda *args: precision(*args) / 100)
+        monkeypatch.setattr(vbi, "_linear_response_factor", lambda counts, theta, beta, phi: factor(
+            counts / 100, theta / 100, beta / 100, phi))
         monkeypatch.setattr(vbi, "_newton_point", recording)
         gamma, lam, _, sweeps, _, _ = vbi._fixed_point(*fixed_prior_start)
         assert min(ratios) >= 0.5 * (1.0 - 1e-12)
@@ -1038,11 +1047,145 @@ class TestFixedPoint:
             record.getMessage()) for record in caplog.records)
 
 
-def _precision_size(phi):
-    """Side of the linear-response precision for responsibilities ``phi``
-    (samples x types x sources): E log theta of every sample, then E log beta."""
-    n_samples, n_types, n_sources = phi.shape
-    return n_sources * (n_samples + n_types)
+def _dense_precision(counts, theta_blocks, beta_blocks, phi):
+    """Reference: the linear-response precision assembled dense, over E log
+    theta of each sample (index n*M + m), then E log beta of each source
+    (N*M + m*T + t), each diagonal block written in place by index."""
+    (N, T, M) = phi.shape
+    weighted = counts[:, :, None] * phi
+    w = np.einsum("ntm,mk->ntmk", weighted, np.eye(M)) - np.einsum(
+        "ntm,ntk->ntmk", weighted, phi
+    )
+    cross = w.transpose(0, 2, 3, 1).reshape(N * M, M * T)
+    beta_beta = np.einsum("tmk,tu->mtku", w.sum(axis=0), np.eye(T)).reshape(M * T, M * T)
+    G = N * M
+    precision = np.zeros((G + M * T, G + M * T))
+    theta = np.arange(G).reshape(N, M)
+    precision[theta[:, :, None], theta[:, None, :]] = theta_blocks - w.sum(axis=1)
+    beta = G + np.arange(M * T).reshape(M, T)
+    precision[beta[:, :, None], beta[:, None, :]] = beta_blocks
+    precision[:G, G:] = -cross
+    precision[G:, :G] = -cross.T
+    precision[G:, G:] -= beta_beta
+    return precision
+
+
+def _dense_share_variances(counts, gamma, lam, phi, loc, trace_ids):
+    """Reference: the location shares and their variances |L^-1 g|^2 for
+    the dense precision P = L L^T and the dense share gradients g (one
+    column per trace location and source)."""
+    precision = _dense_precision(counts, vbi._dirichlet_log_precision(gamma),
+                                 vbi._dirichlet_log_precision(lam), phi)
+    M = gamma.shape[1]
+    shares = gamma / gamma.sum(axis=1, keepdims=True)
+    grads = np.zeros((precision.shape[0], len(trace_ids) * M))
+    p_loc = np.zeros((len(trace_ids), M))
+    for j, loc_id in enumerate(trace_ids):
+        members = np.flatnonzero(loc == loc_id)
+        p_loc[j] = shares[members].mean(axis=0)
+        for n in members:
+            p = shares[n]
+            grads[n * M:(n + 1) * M, j * M:(j + 1) * M] = (
+                np.diag(p) - np.outer(p, p)) / members.size
+    whitened = np.linalg.solve(np.linalg.cholesky(precision), grads)
+    return p_loc, np.einsum("gk,gk->k", whitened, whitened).reshape(-1, M)
+
+
+def _many_traces_corpus():
+    """A corpus the size of the benchmark's many-traces workload: AT known
+    with 12 control samples, LQ unknown, 24 trace locations of 2 samples."""
+    names, profiles = at_lq_point_profiles()
+    shares = 0.05 + 0.9 * (np.arange(24) + 0.5) / 24
+    spec = ScenarioSpec(catalog=ParticleCatalog(names), true_profiles=profiles,
+                        trace_mixtures=tuple((1.0 - u, u) for u in shares),
+                        particles_per_sample=350, samples_per_trace=2)
+    return generate_corpus(spec, np.random.default_rng(3))
+
+
+def _newton_state(corpus, args):
+    """What the first Newton step of ``corpus``'s fixed point sees, from the
+    ``args`` the fit passes to :func:`vbi._fixed_point`: counts, each
+    sample's location, the trace location ids, x = (gamma, lam), the phi of
+    the plain sweep from x and that sweep's (gamma, lam)."""
+    counts, a, eta, gamma, lam = args[:5]
+    new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
+    loc = vbi._start(corpus, FitConfig())[2]
+    return counts, loc, list(corpus.trace_location_ids), (gamma, lam), phi, (new_gamma, new_lam)
+
+
+def _random_state(seed):
+    """A random corpus of 5-9 samples over 3-6 types and 2-3 sources, each
+    source but the last pinned by a known location and two trace locations
+    after them, swept 200 times from a random state towards its fixed point
+    (away from it P need not be positive definite).  The swept state it
+    returns is random, so the Newton step is not small."""
+    rng = np.random.default_rng(seed)
+    N, T, M = rng.integers(5, 10), rng.integers(3, 7), rng.integers(2, 4)
+    counts = rng.integers(0, 30, size=(N, T)).astype(float)
+    counts[:, 0] += 1.0
+    loc, a, eta = np.arange(N) % (M + 1), np.ones((N, M)), np.ones((M, T))
+    known = np.flatnonzero(loc < M - 1)
+    a[known, loc[known]] = 150.0
+    gamma, lam = rng.uniform(1.0, 20.0, size=(N, M)), rng.uniform(1.0, 20.0, size=(M, T))
+    for _ in range(200):
+        gamma, lam, _ = vbi._sweep(counts, a, eta, gamma, lam)
+    phi = vbi._sweep(counts, a, eta, gamma, lam)[2]
+    swept = tuple(values * rng.uniform(0.5, 2.0, size=values.shape) for values in (gamma, lam))
+    return counts, loc, [M - 1, M], (gamma, lam), phi, swept
+
+
+@pytest.fixture(scope="module", params=["at-known", "many-traces", 0, 1, 2, 3, 4])
+def newton_state(request, corpus_at_known):
+    if request.param == "at-known":
+        return _newton_state(corpus_at_known, request.getfixturevalue("fixed_prior_start"))
+    if request.param == "many-traces":
+        corpus = _many_traces_corpus()
+        return _newton_state(corpus, _fixed_point_args(corpus))
+    return _random_state(request.param)
+
+
+class TestBlockFactor:
+    """The linear-response precision solved on its per-sample blocks agrees
+    with the dense assembly it replaces."""
+
+    def test_newton_solve_matches_dense(self, newton_state):
+        counts, _, _, x, phi, swept = newton_state
+        point = vbi._newton_point(counts, tuple(map(numerics.DirichletRows, x)), phi,
+                                  tuple(map(numerics.DirichletRows, swept)))
+        blocks = [vbi._dirichlet_log_precision(values) for values in x]
+        residual = np.concatenate([(new - old).ravel() for new, old in zip(swept, x)])
+        solved = np.linalg.solve(_dense_precision(counts, *blocks, phi), residual)
+        steps = [np.einsum("ijk,ik->ij", block, part.reshape(values.shape))
+                 for values, block, part in zip(x, blocks, np.split(solved, [x[0].size]))]
+        t = min(1.0, 0.5 * min((values[step < 0.0] / -step[step < 0.0]).min(initial=np.inf)
+                               for values, step in zip(x, steps)))
+        for new, values, step in zip(point, x, steps):
+            moved = new.rows - values
+            assert np.linalg.norm(moved - t * step) <= 1e-10 * np.linalg.norm(t * step)
+
+    def test_share_variances_match_dense_whitening(self, newton_state):
+        counts, loc, trace_ids, (gamma, lam), phi, _ = newton_state
+        shares, variances = vbi._share_variances(counts, gamma, lam, phi, loc, trace_ids)
+        dense_shares, dense_variances = _dense_share_variances(
+            counts, gamma, lam, phi, loc, trace_ids)
+        assert_allclose(shares, dense_shares, rtol=1e-14)
+        assert_allclose(variances, dense_variances, rtol=1e-10)
+
+    @pytest.mark.parametrize("block", ["D_n", "S"])
+    def test_indefinite_block_fails_on_both_paths(self, newton_state, block):
+        counts, _, _, (gamma, lam), phi, _ = newton_state
+        theta, beta = vbi._dirichlet_log_precision(gamma), vbi._dirichlet_log_precision(lam)
+        if block == "D_n":
+            theta[-1] *= -1.0  # D_n = -(theta block + allocation term): negative definite
+        else:
+            beta *= -1.0  # P_bb, and with it S, negative definite
+        dense = _dense_precision(counts, theta, beta, phi)
+        if block == "S":
+            np.linalg.cholesky(dense[:gamma.size, :gamma.size])  # every D_n still factors
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(dense)
+        with pytest.raises(np.linalg.LinAlgError):
+            vbi._linear_response_factor(counts, theta, beta, phi)
 
 
 def _share_sd(row):
@@ -1092,10 +1235,9 @@ class TestShareUncertainty:
         corpus = Corpus(catalog, locations, 1)
         config = FitConfig(outer_max_iters=5)
         usable = fit(corpus, config).A_converged.values[0]
-        monkeypatch.setattr(
-            vbi, "_linear_response_precision",
-            lambda counts, theta, beta, phi: -np.eye(_precision_size(phi)),
-        )
+        factor = vbi._linear_response_factor
+        monkeypatch.setattr(vbi, "_linear_response_factor",
+                            lambda counts, theta, beta, phi: factor(-counts, -theta, -beta, phi))
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
             flat = fit(corpus, config).A_converged.values[0]
         assert flat.sum() == pytest.approx(2.0)
