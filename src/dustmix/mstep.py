@@ -156,30 +156,34 @@ def maximize_rows(
     for newton in range(config.max_iters + 1):  # the last pass only measures
         outward = _outward(x, grad, bounds)
         projected_norm = np.abs(np.where(outward, 0.0, grad)).max(axis=1)
-        rows = np.flatnonzero(~stalled & (projected_norm > config.grad_tol))
-        if not rows.size or newton == config.max_iters:
+        pending = ~stalled & (projected_norm > config.grad_tol)
+        if not pending.any() or newton == config.max_iters:
             break
         # Newton step, zero where the box holds a coordinate.  The Hessian is
         # diag(q) + z 11^T with q = -S trigamma(x) and z = S trigamma(sum x), so
         # by Sherman-Morrison -H^-1 g = -(g - b) / q, b = sum(g/q) / (1/z + sum(1/q)).
-        # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it.
-        xr, gr, sr, nr, vr = x[rows], grad[rows], stat[rows], n_samples[rows], value[rows]
-        inv_q = np.where(outward[rows], 0.0, -1.0 / (nr[:, None] * zeta(2.0, xr)))
-        z = nr * zeta(2.0, xr.sum(axis=1))
-        b = (gr * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
-        step = -(gr - b[:, None]) * inv_q
-        iterations[rows] += 1
+        # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it.  Every
+        # row takes the step; only the pending rows keep what it finds.
+        inv_q = np.where(outward, 0.0, -1.0 / (n_samples[:, None] * zeta(2.0, x)))
+        z = n_samples * zeta(2.0, x.sum(axis=1))
+        b = (grad * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
+        step = -(grad - b[:, None]) * inv_q
+        iterations[pending] += 1
         for halving in range(40):  # then the row is given up as stalled
-            trial = np.clip(xr + 0.5**halving * step, bounds.lower, bounds.upper)
-            trial_value, trial_grad = _objective(trial, sr, nr)
-            slope = (trial_grad * (trial - xr)).sum(axis=1)
-            kept = (trial_value >= vr) | (slope >= 0.0)
-            done = rows[kept]
-            x[done], value[done], grad[done] = trial[kept], trial_value[kept], trial_grad[kept]
-            rows, xr, sr, nr, vr, step = (v[~kept] for v in (rows, xr, sr, nr, vr, step))
-            if not rows.size:
+            trial = np.clip(x + 0.5**halving * step, bounds.lower, bounds.upper)
+            trial_value, trial_grad = _objective(trial, stat, n_samples)
+            slope = (trial_grad * (trial - x)).sum(axis=1)
+            kept = pending & ((trial_value >= value) | (slope >= 0.0))
+            if kept.all():
+                x, value, grad = trial, trial_value, trial_grad
+            else:
+                x = np.where(kept[:, None], trial, x)
+                value = np.where(kept, trial_value, value)
+                grad = np.where(kept[:, None], trial_grad, grad)
+            pending &= ~kept
+            if not pending.any():
                 break
-        stalled[rows] = True
+        stalled |= pending
 
     converged = projected_norm <= config.grad_tol
     worse = value < start

@@ -233,9 +233,11 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
     shape takes Newton steps on g from the equal-tailed point, inside a
     bracket that each evaluation of g narrows; a step that leaves the
     bracket or is not finite bisects it instead.  A shape stops, with the
-    endpoints of its last evaluated p, once g is exactly 0, or its next step
-    would move neither endpoint by more than one ulp, or that step is at
-    most ``_HPDI_STEP_TOL * (1 - mass)``.  So where the root lies closer to
+    endpoints of its last evaluated p, once |g| is within the rounding of
+    the four terms (a - 1) log x, (b - 1) log(1 - x) that form it (epsilon
+    times their summed magnitudes), or its next step would move neither
+    endpoint by more than one ulp, or that step is at most
+    ``_HPDI_STEP_TOL * (1 - mass)``.  So where the root lies closer to
     0 or 1 than the endpoints resolve, an endpoint ends there instead.
     The endpoints are quantiles, so each interval holds ``mass`` to
     quantile accuracy whatever the stopping point.  Shapes without an
@@ -266,10 +268,12 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
             x_lo = special.betaincinv(a, b, p)
             x_hi = special.betaincinv(a, b, p + mass)
             lo[active], hi[active] = x_lo, x_hi
-            log_f_lo = special.xlogy(a - 1.0, x_lo) + special.xlog1py(b - 1.0, -x_lo) - log_beta
-            log_f_hi = special.xlogy(a - 1.0, x_hi) + special.xlog1py(b - 1.0, -x_hi) - log_beta
+            terms = [(special.xlogy(a - 1.0, x), special.xlog1py(b - 1.0, -x))
+                     for x in (x_lo, x_hi)]
+            log_f_lo, log_f_hi = (first + second - log_beta for first, second in terms)
             f_lo, f_hi = np.exp(log_f_lo), np.exp(log_f_hi)
             gap = log_f_hi - log_f_lo
+            noise = np.finfo(np.float64).eps * sum(np.abs(t) for pair in terms for t in pair)
             slope = ((a - 1.0) / x_hi - (b - 1.0) / (1.0 - x_hi)) / f_hi - (
                 (a - 1.0) / x_lo - (b - 1.0) / (1.0 - x_lo)
             ) / f_lo
@@ -280,7 +284,7 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
             target = np.where(inside, newton, 0.5 * (lower + upper))
             step = np.abs(target - p)
             going = ~(
-                (gap == 0.0)
+                (np.isfinite(gap) & (np.abs(gap) <= noise))
                 | ((step <= f_lo * np.spacing(x_lo)) & (step <= f_hi * np.spacing(x_hi)))
                 | (step <= _HPDI_STEP_TOL * (1.0 - mass))
             )

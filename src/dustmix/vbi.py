@@ -42,8 +42,9 @@ report reads: each keeps its fitted mean and takes its concentration from
 the linear-response variance of the location's share under the configured
 priors (:func:`_linear_response_rows`), so the intervals carry the
 uncertainty the factorised posterior leaves out.  That variance holds at
-the fixed point of the sweeps under those priors, which
-:func:`_fixed_point` reaches by damped Newton steps on the same
+the fixed point of the sweeps under those priors.  The first inference
+phase already runs under them, so :func:`_fixed_point` continues from the
+state that phase returned, by damped Newton steps on the same
 linear-response precision; both solve with it on its per-sample blocks and
 their Schur complement over the profiles (:func:`_linear_response_factor`).
 """
@@ -135,37 +136,31 @@ _BOX = BoxBounds()
 _SOLVER = OptimizerConfig()
 
 
-def _prior_matrices(corpus: Corpus, config: FitConfig) -> tuple[DirichletMatrix, DirichletMatrix]:
-    """The configured priors: flat profiles, and mixing rows that pin each
-    known location to its source and leave trace rows flat."""
-    M, T, L = corpus.n_sources, corpus.n_types, corpus.n_locations
-    a = np.full((L, M), config.flat_weight, dtype=np.float64)
-    for i, loc in enumerate(corpus.locations):
-        if loc.role.is_known:
-            a[i, loc.role.source_index] = config.known_weight
-    return DirichletMatrix(np.ones((M, T)), role="H"), DirichletMatrix(a, role="A")
-
-
 def _start(
     corpus: Corpus, config: FitConfig
 ) -> tuple[DirichletMatrix, DirichletMatrix, np.ndarray, np.ndarray, np.ndarray]:
     """Validate the corpus and build the starting point as arrays.
 
-    Returns the configured priors H and A (:func:`_prior_matrices`), each
-    sample's location index ``loc``, the counts (samples x types) and the
-    starting mixing posteriors ``gamma``: each sample's mixing row plus
+    Returns the configured priors H and A (flat profiles, and mixing rows
+    that pin each known location to its source and leave trace rows flat),
+    each sample's location index ``loc``, the counts (samples x types) and
+    the starting mixing posteriors ``gamma``: each sample's mixing row plus
     total_count / (n_sources * total_samples).  Samples are in corpus order.
     """
     violations = validate_corpus(corpus)
     if violations:
         raise CorpusValidationError(violations)
-    H, A = _prior_matrices(corpus, config)
+    a = np.full((corpus.n_locations, corpus.n_sources), config.flat_weight, dtype=np.float64)
+    for i, location in enumerate(corpus.locations):
+        if location.role.is_known:
+            a[i, location.role.source_index] = config.known_weight
     loc = np.array([loc_id for loc_id, _ in corpus.iter_samples()], dtype=np.intp)
     counts = np.array(
         [sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64
     ).reshape(-1, corpus.n_types)
-    gamma = A.values[loc] + counts.sum(axis=1, keepdims=True) / (corpus.n_sources * len(loc))
-    return H, A, loc, counts, gamma
+    gamma = a[loc] + counts.sum(axis=1, keepdims=True) / (corpus.n_sources * len(loc))
+    H = DirichletMatrix(np.ones((corpus.n_sources, corpus.n_types)), role="H")
+    return H, DirichletMatrix(a, role="A"), loc, counts, gamma
 
 
 def initialize(
@@ -599,7 +594,7 @@ def _fixed_point(
 # of 1e-8 the sds agree with those at 1e-10 to 1e-5.  Plain sweeps contract
 # along the mode where the unknown profile and the shares trade off by only
 # about 0.997 per sweep on the criterion-8 corpora at n=1900 (up to 6,226
-# sweeps to this tolerance); damped Newton steps reach it in 5-19 sweeps on
+# sweeps to this tolerance); damped Newton steps reach it in 5-13 sweeps on
 # the bundled, benchmark and criterion-8 corpora, so the cap is only a guard.
 _LR_TOL = 1e-8
 _LR_MAX_SWEEPS = 20000
@@ -704,31 +699,27 @@ def _share_variances(
 
 
 def _linear_response_rows(
-    corpus: Corpus,
-    counts: np.ndarray,
-    loc: np.ndarray,
-    A: DirichletMatrix,
-    H: DirichletMatrix,
-    phi: np.ndarray,
-    lam: np.ndarray,
-    config: FitConfig,
+    corpus: Corpus, counts: np.ndarray, loc: np.ndarray, A: DirichletMatrix,
+    a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray,
 ) -> np.ndarray:
     """Trace mixing rows with their fitted means and linear-response
     concentrations.
 
-    ``counts`` and ``phi`` are the fit's sample rows and ``loc`` their
-    location indices.  The fitted rows are empirical-Bayes hyperparameters
-    whose concentration grows with the outer iteration count, and a
-    factorised posterior has no covariance along the line where the
-    unknown profile and the shares trade off.  So the state is reset to
-    the configured priors and taken to its :func:`_fixed_point` there, whose
-    linear-response covariance (Giordano, Broderick and Jordan 2015,
-    arXiv:1506.04088) gives the :func:`_share_variances`, and by the delta
-    method their variances on the logit scale.  Each row keeps its fitted
-    mean and takes the smallest concentration those imply across sources,
-    or, with a warning naming the location, the flat row (concentration =
-    number of sources) where P is not positive definite or the implied
-    concentration falls below the number of sources.
+    ``counts`` are the fit's sample rows and ``loc`` their location indices.
+    Of the fitted rows ``A`` only the means are read: they are
+    empirical-Bayes hyperparameters whose concentration grows with the outer
+    iteration count, and a factorised posterior has no covariance along the
+    line where the unknown profile and the shares trade off.  So the state
+    (``gamma``, ``lam``) the fit's first inference phase returned under the
+    configured priors (mixing rows ``a``, profiles ``eta``) is taken on to
+    its :func:`_fixed_point` there, whose linear-response covariance
+    (Giordano, Broderick and Jordan 2015, arXiv:1506.04088) gives the
+    :func:`_share_variances`, and by the delta method their variances on the
+    logit scale.  Each row keeps its fitted mean and takes the smallest
+    concentration those imply across sources, or, with a warning naming the
+    location, the flat row (concentration = number of sources) where P is
+    not positive definite or the implied concentration falls below the
+    number of sources.
     """
     M = corpus.n_sources
     trace_ids = list(corpus.trace_location_ids)
@@ -737,19 +728,13 @@ def _linear_response_rows(
     if M < 2 or not trace_ids:
         return fitted
 
-    H0, A0 = _prior_matrices(corpus, config)
-    a0 = A0.values[loc]
-    gamma, lam0, phi, sweeps, accepted, rejected = _fixed_point(
-        counts, a0, H0.values, a0 + _allocated(counts, phi), H0.values + (lam - H.values),
-        _LR_TOL, _LR_MAX_SWEEPS,
-    )
-    logger.debug(
-        "fixed-prior point: %d sweeps, %d Newton steps kept, %d rejected",
-        sweeps, accepted, rejected,
-    )
+    gamma, lam, phi, sweeps, accepted, rejected = _fixed_point(
+        counts, a, eta, gamma, lam, _LR_TOL, _LR_MAX_SWEEPS)
+    logger.debug("fixed-prior point: %d sweeps, %d Newton steps kept, %d rejected",
+                 sweeps, accepted, rejected)
 
     try:
-        p_loc, var_share = _share_variances(counts, gamma, lam0, phi, loc, trace_ids)
+        p_loc, var_share = _share_variances(counts, gamma, lam, phi, loc, trace_ids)
     except np.linalg.LinAlgError:
         p_loc = var_share = np.nan
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -775,18 +760,20 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     below ``config.outer_tol``; hitting ``outer_max_iters`` first yields a
     result with ``converged=False`` rather than an error.
     The returned trace rows keep the fitted means and take linear-response
-    concentrations; this last step never raises and adds nothing to
-    ``elbo_trace``.  One warning at the end names each hyperparameter row
-    that ended an M-step unconverged or on a box edge, and how often.
+    concentrations: :func:`_linear_response_rows` continues from the state
+    the first inference phase returned under the configured priors, and
+    reads nothing else of the outer loop.  This last step never raises and
+    adds nothing to ``elbo_trace``.  One warning at the end names each
+    hyperparameter row that ended an M-step unconverged or on a box edge,
+    and how often.
     """
     config = config or FitConfig()
     H, A, loc, counts, gamma = _start(corpus, config)
+    a, eta = A.values[loc], H.values  # the configured priors
     M, T = corpus.n_sources, corpus.n_types
     known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
     phi = np.full((len(loc), T, M), 1.0 / M)
-    gamma, phi, lam = _warm_start_profiles(
-        corpus, counts, A.values[loc], H.values, gamma, phi, known
-    )
+    gamma, phi, lam = _warm_start_profiles(corpus, counts, a, eta, gamma, phi, known)
     gamma, lam, terms = DirichletRows(gamma), DirichletRows(lam), None
 
     elbo_trace: list[float] = []
@@ -799,6 +786,8 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
         gamma, phi, lam, terms, total, sweeps = _inference_phase(
             counts, A.values[loc], H.values, gamma, phi, lam, config, terms
         )
+        if outer == 1:
+            first = gamma.rows, lam.rows  # the configured-prior state
         elbo_trace.append(total)
         logger.debug("outer %d: bound %.6f after %d sweeps", outer, total, sweeps)
         if previous_total is not None and abs(total - previous_total) <= config.outer_tol * max(
@@ -819,7 +808,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     return FitResult(
         H_converged=H,
         A_converged=DirichletMatrix(
-            _linear_response_rows(corpus, counts, loc, A, H, phi, lam.rows, config), role="A"
+            _linear_response_rows(corpus, counts, loc, A, a, eta, *first), role="A"
         ),
         trace_locations=corpus.trace_location_ids,
         gamma=gamma.rows,

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import special
 from scipy.optimize import minimize_scalar
 
+from dustmix import numerics
 from dustmix.numerics import (
     BetaShape,
     CredibleInterval,
@@ -357,6 +358,29 @@ class TestBetaHpdisOracle:
             if not ci.equal_tailed:
                 lo, hi = scalar_search_hpdi(a, b, self.MASS)
                 assert abs(ci.lo - lo) <= 1e-8 and abs(ci.hi - hi) <= 1e-8, (a, b)
+
+    def test_stops_within_the_rounding_of_its_gap(self, monkeypatch):
+        # a profile marginal of the both-known report, at its root after
+        # three Newton steps; there its gap moves in steps of about 9e-13
+        # (terms near 6e3 cancel), below which no step can be told apart
+        a, b = 1198.2240155501418, 148110.6021513863
+        inverses = []
+
+        class CountingSpecial:
+            def __getattr__(self, name):
+                function = getattr(special, name)
+                if name != "betaincinv":
+                    return function
+                return lambda *args: inverses.append(np.size(args[0])) or function(*args)
+
+        monkeypatch.setattr(numerics, "special", CountingSpecial())
+        ci = beta_hpdis([a], [b], self.MASS)[0]
+        monkeypatch.undo()
+        # each evaluation inverts the CDF at both endpoints; the equal-tailed
+        # fallback inverts it for no shape here
+        assert sum(inverses) / 2 <= 4
+        mass, gap = beta_hpdi_check(ci.lo, ci.hi, a, b)
+        assert mass == pytest.approx(self.MASS, abs=1e-10) and abs(gap) <= 1e-10
 
     def test_converged_root_is_kept(self):
         # for these symmetric shapes the log-density gap is exactly 0 at the

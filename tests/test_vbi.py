@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from dustmix import numerics, vbi
+from dustmix import numerics, simulator, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
@@ -26,7 +26,7 @@ from dustmix.model import (
 from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
 from dustmix.posterior import theta_marginal
-from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus
+from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus, run_study
 from dustmix.vbi import (
     FitConfig,
     NumericalFailure,
@@ -852,6 +852,63 @@ class TestBundledFits:
         assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=2e-6, atol=0)
 
 
+# The six fits of a serial run_study over the pooled AT/LQ profiles (shares
+# 0.1/0.5/0.9, n = 1900, 2 replications, seed 0), pinned like the bundled fits
+# and recorded before the linear-response step continued the first phase.
+STUDY_GRID_FITS = json.loads((Path(__file__).parent / "study_grid_fits.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def study_grid_fits():
+    """Each study-grid fit, keyed like its pin, with the sweep counts of its
+    inference phases."""
+    names, profiles = at_lq_point_profiles()
+    spec = StudySpec(catalog=ParticleCatalog(names), true_profiles=profiles,
+                     unknown_shares=(0.1, 0.5, 0.9), sample_sizes=(1900,), replications=2,
+                     rng_seed=0)
+    fits, sweeps = [], []
+    original_fit, phase = simulator.fit, vbi._inference_phase
+
+    def capture(corpus, config):
+        sweeps.append([])
+        fits.append(original_fit(corpus, config))
+        return fits[-1]
+
+    def counting(*args):
+        result = phase(*args)
+        sweeps[-1].append(result[-1])
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "fit", capture)
+        mp.setattr(vbi, "_inference_phase", counting)
+        cells = run_study(spec, FitConfig()).cells
+    keys = [f"share {cell.unknown_share}, n {cell.sample_size}, replication {cell.replication}"
+            for cell in cells]
+    return dict(zip(keys, zip(fits, sweeps)))
+
+
+class TestStudyGridFits:
+    """Regression guard: the benchmark's study-grid fits keep every EB-path
+    output bitwise."""
+
+    @pytest.mark.parametrize("key", list(STUDY_GRID_FITS))
+    def test_outputs_pinned(self, key, study_grid_fits):
+        result, _ = study_grid_fits[key]
+        pinned = STUDY_GRID_FITS[key]
+        assert result.iterations == pinned["iterations"]
+        assert list(result.elbo_trace) == pinned["elbo_trace"]
+        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
+                  "phi": result.phi, "lam": result.lam}
+        assert {name: _digest(values) for name, values in arrays.items()} == pinned["sha256"]
+        assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=2e-6, atol=0)
+
+    def test_a_first_phase_runs_to_its_cap(self, study_grid_fits):
+        # the pins cover an unconverged first phase, which the bundled fits do not
+        _, sweeps = study_grid_fits["share 0.1, n 1900, replication 1"]
+        assert sweeps[0] == FitConfig().estep_max_iters
+
+
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     """Reference: plain sweeps until no parameter moves by a relative ``tol``."""
     for sweeps in range(1, cap + 1):
@@ -869,7 +926,9 @@ def _converged_fixed_point(counts, a, eta, gamma, lam, tol, cap):
 
 
 def _fixed_point_args(corpus):
-    """The arguments ``corpus``'s fit passes to :func:`vbi._fixed_point`."""
+    """The arguments ``corpus``'s fit passes to :func:`vbi._fixed_point`: the
+    configured priors and the state its first inference phase returned under
+    them."""
     captured = []
     original = vbi._fixed_point
 
@@ -885,7 +944,8 @@ def _fixed_point_args(corpus):
 
 @pytest.fixture(scope="module")
 def fixed_prior_start(corpus_at_known):
-    """The arguments the AT-known fit passes to :func:`vbi._fixed_point`."""
+    """The arguments the AT-known fit passes to :func:`vbi._fixed_point`: a
+    configured-prior state from its first inference phase."""
     return _fixed_point_args(corpus_at_known)
 
 
@@ -909,6 +969,27 @@ class TestFixedPoint:
         assert_allclose(rows.sum(axis=1), expected.sum(axis=1), rtol=1e-5)
         assert_allclose(rows / rows.sum(axis=1, keepdims=True),
                         expected / expected.sum(axis=1, keepdims=True), rtol=1e-15)
+
+    def test_continues_the_first_inference_phase(self, corpus_at_known, monkeypatch):
+        # the first phase runs under the configured priors, so the fixed point
+        # starts where it stopped, not from the outer loop's end state
+        phases, starts = [], []
+        phase, fixed_point = vbi._inference_phase, vbi._fixed_point
+        monkeypatch.setattr(vbi, "_inference_phase",
+                            lambda *args: phases.append(phase(*args)) or phases[-1])
+        monkeypatch.setattr(vbi, "_fixed_point",
+                            lambda *args: starts.append(args) or fixed_point(*args))
+        fit(corpus_at_known, FitConfig())
+        assert len(phases) > 1 and len(starts) == 1
+        counts, a, eta, gamma, lam = starts[0][:5]
+        assert np.array_equal(gamma, phases[0][0].rows) and np.array_equal(lam, phases[0][2].rows)
+        config = FitConfig()
+        configured = np.full_like(a, config.flat_weight)
+        for row, (loc_id, _) in zip(configured, corpus_at_known.iter_samples()):
+            role = corpus_at_known.locations[loc_id].role
+            if role.is_known:
+                row[role.source_index] = config.known_weight
+        assert np.array_equal(a, configured) and np.array_equal(eta, np.ones_like(lam))
 
     @pytest.mark.parametrize("name", [
         "study", "counts-times-1e6", "both_known", "at_known", "lq_known"])
