@@ -17,10 +17,10 @@ import logging
 import sys
 import time
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .model import (
@@ -193,9 +193,11 @@ _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 def load_config(path: Path | str | None) -> dict:
     """Parse the run configuration; an empty or missing config reproduces
-    the default setup."""
+    the default setup.  ``unknown_sources`` must be a non-negative integer."""
     raw: dict = {}
     if path is not None:
+        import yaml  # only a config file needs PyYAML; ``import dustmix.cli`` does not
+
         text = Path(path).read_text()
         parsed = yaml.safe_load(text)
         if parsed is None:
@@ -218,8 +220,12 @@ def load_config(path: Path | str | None) -> dict:
         merged.update(block)
         return merged
 
+    sources = raw.get("unknown_sources", 0)
+    if isinstance(sources, bool) or not isinstance(sources, Real) \
+            or not float(sources).is_integer() or sources < 0:
+        raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
     return {
-        "unknown_sources": int(raw.get("unknown_sources", 0)),
+        "unknown_sources": int(sources),
         "fit": section("fit", asdict(FitConfig())),
         "report": section("report", dict(_REPORT_DEFAULTS)),
     }
@@ -300,6 +306,8 @@ def cmd_fit(
 def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     """Parse a study specification; ``profiles: at_lq`` pulls the bundled
     point-estimate profiles (first source known, second unknown)."""
+    import yaml
+
     raw = yaml.safe_load(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: study spec must be a mapping")

@@ -18,6 +18,14 @@ No row ends below its starting value, so the outer bound stays monotone.
 The box (:class:`BoxBounds`) and the solver settings
 (:class:`OptimizerConfig`) are arguments so that tests can set them; the
 fit always passes their defaults.
+
+:func:`mstep` works on plain arrays and is called once per outer iteration
+of the fit.  What does not change within a fit (the trace rows' location
+indices, their sample membership and sample counts) comes in as
+:class:`TraceRows`, built once per fit by :func:`trace_rows`.  H and A go in
+and come out as float arrays with no check of their own: the caller's next
+inference phase reads them through :class:`~dustmix.numerics.DirichletRows`,
+which rejects entries that are not positive and finite.
 """
 
 from __future__ import annotations
@@ -28,17 +36,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .model import Corpus, DirichletMatrix, VariationalState
+from .model import Corpus, VariationalState
 from .numerics import DirichletRows
 
 __all__ = [
     "BoxBounds",
     "OptimizerConfig",
     "RowSolve",
+    "TraceRows",
     "alpha_objective_and_gradient",
     "eta_objective_and_gradient",
     "maximize_rows",
     "mstep",
+    "trace_rows",
 ]
 
 
@@ -142,20 +152,25 @@ def maximize_rows(
     rose or the directional derivative at its end is non-negative; by
     concavity either means the value did not fall, whatever the rounding.
     The objective is never evaluated outside the box, and a row that would
-    end below its value at ``x0`` is returned there, unconverged.
+    end below its value at ``x0`` is returned there, unconverged.  The box
+    masks are built only while some coordinate of the batch sits on an
+    edge; elsewhere they hold nothing, so each row's arithmetic is the same
+    whichever rows share its batch.
     """
     x = np.array(x0, dtype=np.float64)
-    if np.any(x < bounds.lower) or np.any(x > bounds.upper):
+    if x.min(initial=np.inf) < bounds.lower or x.max(initial=-np.inf) > bounds.upper:
         raise ValueError("starting point lies outside the bounds")
     value, grad = _objective(x, stat, n_samples)
-    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+    if not (np.isfinite(value).all() and np.isfinite(grad).all()):
         raise ValueError("objective is non-finite at the starting point")
-    x_start, start = x.copy(), value.copy()
+    x_start, start = x, value  # the loop rebinds x and value, never writes to them
+    n_column = n_samples[:, None]
     iterations = np.zeros(len(x), dtype=np.int64)
     stalled = np.zeros(len(x), dtype=bool)
     for newton in range(config.max_iters + 1):  # the last pass only measures
-        outward = _outward(x, grad, bounds)
-        projected_norm = np.abs(np.where(outward, 0.0, grad)).max(axis=1)
+        edge = x.min(initial=np.inf) <= bounds.lower or x.max(initial=-np.inf) >= bounds.upper
+        outward = _outward(x, grad, bounds) if edge else None
+        projected_norm = np.abs(np.where(outward, 0.0, grad) if edge else grad).max(axis=1)
         pending = ~stalled & (projected_norm > config.grad_tol)
         if not pending.any() or newton == config.max_iters:
             break
@@ -164,11 +179,13 @@ def maximize_rows(
         # by Sherman-Morrison -H^-1 g = -(g - b) / q, b = sum(g/q) / (1/z + sum(1/q)).
         # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it.  Every
         # row takes the step; only the pending rows keep what it finds.
-        inv_q = np.where(outward, 0.0, -1.0 / (n_samples[:, None] * zeta(2.0, x)))
+        inv_q = -1.0 / (n_column * zeta(2.0, x))
+        if edge:
+            inv_q = np.where(outward, 0.0, inv_q)
         z = n_samples * zeta(2.0, x.sum(axis=1))
         b = (grad * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
         step = -(grad - b[:, None]) * inv_q
-        iterations[pending] += 1
+        iterations += pending
         for halving in range(40):  # then the row is given up as stalled
             trial = np.clip(x + 0.5**halving * step, bounds.lower, bounds.upper)
             trial_value, trial_grad = _objective(trial, stat, n_samples)
@@ -176,49 +193,77 @@ def maximize_rows(
             kept = pending & ((trial_value >= value) | (slope >= 0.0))
             if kept.all():
                 x, value, grad = trial, trial_value, trial_grad
-            else:
-                x = np.where(kept[:, None], trial, x)
-                value = np.where(kept, trial_value, value)
-                grad = np.where(kept[:, None], trial_grad, grad)
+                break
+            x = np.where(kept[:, None], trial, x)
+            value = np.where(kept, trial_value, value)
+            grad = np.where(kept[:, None], trial_grad, grad)
             pending &= ~kept
             if not pending.any():
                 break
-        stalled |= pending
+        else:
+            stalled |= pending
 
     converged = projected_norm <= config.grad_tol
     worse = value < start
-    x[worse], value[worse], converged[worse] = x_start[worse], start[worse], False
-    on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
+    if worse.any():
+        x = np.where(worse[:, None], x_start, x)
+        value = np.where(worse, start, value)
+        converged &= ~worse
+        edge = True  # x_start may sit on an edge
+    on_box = np.zeros(len(x), dtype=bool)
+    if edge:
+        on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
     return RowSolve(x, value, iterations, converged, on_box)
 
 
+class TraceRows(NamedTuple):
+    """The trace mixing rows of one corpus as :func:`mstep` reads them:
+    their location indices ``ids``, the rows x samples ``members`` (1 where
+    the sample belongs to the row's location, else 0) and each row's sample
+    count ``n_samples``.  :func:`trace_rows` builds them once per fit."""
+
+    ids: np.ndarray
+    members: np.ndarray
+    n_samples: np.ndarray
+
+
+def trace_rows(loc: np.ndarray, trace_ids: Sequence[int]) -> TraceRows:
+    """The :class:`TraceRows` of the locations ``trace_ids``, given each
+    sample's location index ``loc``."""
+    ids = np.array(trace_ids, dtype=np.intp)
+    members = (loc == ids[:, None]).astype(np.float64)
+    return TraceRows(ids, members, members.sum(axis=1))
+
+
 def mstep(
-    H: DirichletMatrix,
-    A: DirichletMatrix,
+    H: np.ndarray,
+    A: np.ndarray,
     lam: np.ndarray,
     e_log_theta: np.ndarray,
-    loc: np.ndarray,
-    trace_ids: Sequence[int],
+    trace: TraceRows,
     bounds: BoxBounds,
     config: OptimizerConfig,
-) -> tuple[DirichletMatrix, DirichletMatrix, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Replace every profile row and every trace mixing row by its box
     maximizer; known mixing rows are returned untouched.
 
-    ``lam`` is the shared profile posterior, ``e_log_theta`` E log theta
-    under each sample's mixing posterior (its digamma differences, one row
-    per sample) and ``loc`` each sample's location index.  Returns
-    the new H and A and a note for each row that ends unconverged or on a
-    box edge.  A row keeps its previous value when the solve ends below it.
+    ``H`` and ``A`` are the current profile and mixing hyperparameters as
+    arrays, ``lam`` the shared profile posterior, ``e_log_theta`` E log
+    theta under each sample's mixing posterior (its digamma differences, one
+    row per sample) and ``trace`` the corpus's :class:`TraceRows`.  Returns
+    the new H and A as new arrays, unchecked (the caller's next inference
+    phase reads both through :class:`DirichletRows`, which rejects entries
+    that are not positive and finite), and a note for each row that ends
+    unconverged or on a box edge.  A row keeps its previous value when the
+    solve ends below it.
     """
-    new_h, new_a = np.array(lam, dtype=np.float64), np.array(A.values, dtype=np.float64)
-    clipped = np.flatnonzero(((lam < bounds.lower) | (lam > bounds.upper)).any(axis=1))
-    rows = np.array(trace_ids, dtype=np.intp)
-    members = loc == rows[:, None]
+    new_h, new_a = np.array(lam, dtype=np.float64), np.array(A, dtype=np.float64)
     notes: list[str] = []
-    updates = [("A", new_a, A.values, rows, members @ e_log_theta, members.sum(axis=1))]
-    if clipped.size:  # most fits clip no profile row
-        updates.insert(0, ("H", new_h, H.values, clipped, DirichletRows(lam[clipped]).e_log,
+    updates = [("A", new_a, A[trace.ids], trace.ids, trace.members @ e_log_theta,
+                trace.n_samples)]
+    if lam.min() < bounds.lower or lam.max() > bounds.upper:  # most fits clip no profile row
+        clipped = np.flatnonzero(((lam < bounds.lower) | (lam > bounds.upper)).any(axis=1))
+        updates.insert(0, ("H", new_h, H[clipped], clipped, DirichletRows(lam[clipped]).e_log,
                            np.ones(clipped.size)))
     for label, new, old, ids, stat, n_samples in updates:
         if not ids.size:
@@ -226,15 +271,19 @@ def mstep(
         try:
             x0 = np.clip(new[ids], bounds.lower, bounds.upper)
             solve = maximize_rows(stat, n_samples, x0, bounds, config)
-            keep = np.zeros(ids.size, dtype=bool)  # a solve never ends below its start
-            if not np.array_equal(x0, old[ids]):
-                keep = solve.value < _objective(old[ids], stat, n_samples)[0]
+            new[ids] = solve.x
+            # a solve never ends below x0; where the box moved x0 off the old
+            # rows, an old row that scores higher is kept
+            if (x0 != old).any():
+                keep = solve.value < _objective(old, stat, n_samples)[0]
+                new[ids[keep]] = old[keep]
         except (ValueError, ArithmeticError) as exc:
             raise RuntimeError(f"row update failed (matrix {label}): {exc}") from exc
-        new[ids] = np.where(keep[:, None], old[ids], solve.x)
+        if solve.converged.all() and not solve.on_box.any():
+            continue
         for row, converged, on_box in zip(ids, solve.converged, solve.on_box):
             if not converged:
                 notes.append(f"{label} row {row} unconverged")
             if on_box:
                 notes.append(f"{label} row {row} on a box edge")
-    return DirichletMatrix(new_h, role="H"), DirichletMatrix(new_a, role="A"), notes
+    return new_h, new_a, notes

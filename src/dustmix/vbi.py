@@ -30,7 +30,12 @@ The outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (one
 batched Newton solve), warm-starting every phase from the previous state,
 so the bound is monotone across phases too.  The box and the Newton
-settings are the fixed defaults ``_BOX`` and ``_SOLVER``.
+settings are the fixed defaults ``_BOX`` and ``_SOLVER``.  The loop carries
+H and A as float arrays and builds what the M-step needs of the corpus (the
+trace rows' :class:`~dustmix.mstep.TraceRows`) once per fit.  Each phase
+checks the H and A it is given when it reads them as :class:`DirichletRows`;
+they are wrapped as :class:`DirichletMatrix` only by :func:`_start` and for
+the :class:`FitResult`.
 
 :func:`fit` keeps its state in these arrays from the corpus to the
 :class:`FitResult`; :func:`initialize` builds the same starting point as
@@ -54,6 +59,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.special import zeta
@@ -67,7 +73,7 @@ from .model import (
     VariationalState,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig, mstep
+from .mstep import BoxBounds, OptimizerConfig, mstep, trace_rows
 from .numerics import DirichletRows
 
 __all__ = [
@@ -110,7 +116,9 @@ class FitConfig:
     ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
     The box of the hyperparameter rows and the Newton solve's tolerance and
     step cap are fixed (``_BOX``, ``_SOLVER``).  The fit draws no random
-    numbers, so it takes no seed.
+    numbers, so it takes no seed.  Every field must be a real number (a
+    bool or a string is rejected, naming the field); the two caps must be
+    integral and are stored as ``int``.
     """
 
     known_weight: float = 150.0
@@ -121,12 +129,21 @@ class FitConfig:
     outer_max_iters: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol",
+                     "estep_max_iters", "outer_max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("estep_max_iters", "outer_max_iters"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, int(value))
 
 
 # The box every updated hyperparameter row stays in, and the settings of the
@@ -699,14 +716,15 @@ def _share_variances(
 
 
 def _linear_response_rows(
-    corpus: Corpus, counts: np.ndarray, loc: np.ndarray, A: DirichletMatrix,
-    a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray,
+    corpus: Corpus, counts: np.ndarray, loc: np.ndarray, trace_ids: tuple[int, ...],
+    A: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray,
 ) -> np.ndarray:
     """Trace mixing rows with their fitted means and linear-response
     concentrations.
 
-    ``counts`` are the fit's sample rows and ``loc`` their location indices.
-    Of the fitted rows ``A`` only the means are read: they are
+    ``counts`` are the fit's sample rows, ``loc`` their location indices and
+    ``trace_ids`` the ascending trace locations.  Of the fitted rows ``A``
+    (an array) only the means of the trace rows are read: they are
     empirical-Bayes hyperparameters whose concentration grows with the outer
     iteration count, and a factorised posterior has no covariance along the
     line where the unknown profile and the shares trade off.  So the state
@@ -722,8 +740,8 @@ def _linear_response_rows(
     number of sources.
     """
     M = corpus.n_sources
-    trace_ids = list(corpus.trace_location_ids)
-    fitted = A.values[trace_ids]
+    trace_ids = list(trace_ids)
+    fitted = A[trace_ids]
     means = fitted / fitted.sum(axis=1, keepdims=True)
     if M < 2 or not trace_ids:
         return fitted
@@ -759,6 +777,11 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     change of the corpus bound between consecutive inference phases drops
     below ``config.outer_tol``; hitting ``outer_max_iters`` first yields a
     result with ``converged=False`` rather than an error.
+    The trace ids and the M-step's :class:`~dustmix.mstep.TraceRows` are
+    built once, before the loop.  H and A pass through the loop as arrays:
+    every pair the M-step returns is checked by the next inference phase
+    (an M-step always has one after it), and the final H is checked again
+    when it is wrapped for the result.
     The returned trace rows keep the fitted means and take linear-response
     concentrations: :func:`_linear_response_rows` continues from the state
     the first inference phase returned under the configured priors, and
@@ -769,7 +792,10 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     """
     config = config or FitConfig()
     H, A, loc, counts, gamma = _start(corpus, config)
-    a, eta = A.values[loc], H.values  # the configured priors
+    H, A = H.values, A.values  # the loop carries them as arrays
+    a, eta = A[loc], H  # the configured priors
+    trace_ids = corpus.trace_location_ids
+    trace = trace_rows(loc, trace_ids)
     M, T = corpus.n_sources, corpus.n_types
     known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
     phi = np.full((len(loc), T, M), 1.0 / M)
@@ -784,7 +810,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     for outer in range(1, config.outer_max_iters + 1):
         iterations = outer
         gamma, phi, lam, terms, total, sweeps = _inference_phase(
-            counts, A.values[loc], H.values, gamma, phi, lam, config, terms
+            counts, A[loc], H, gamma, phi, lam, config, terms
         )
         if outer == 1:
             first = gamma.rows, lam.rows  # the configured-prior state
@@ -797,8 +823,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            H, A, notes = mstep(H, A, lam.rows, gamma.e_log, loc, corpus.trace_location_ids,
-                                _BOX, _SOLVER)
+            H, A, notes = mstep(H, A, lam.rows, gamma.e_log, trace, _BOX, _SOLVER)
             flagged.update(notes)
     if flagged:
         steps = iterations - 1
@@ -806,11 +831,11 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
         logger.warning("M-step rows ended unconverged or on a box edge: %s", summary)
 
     return FitResult(
-        H_converged=H,
+        H_converged=DirichletMatrix(H, role="H"),
         A_converged=DirichletMatrix(
-            _linear_response_rows(corpus, counts, loc, A, a, eta, *first), role="A"
+            _linear_response_rows(corpus, counts, loc, trace_ids, A, a, eta, *first), role="A"
         ),
-        trace_locations=corpus.trace_location_ids,
+        trace_locations=trace_ids,
         gamma=gamma.rows,
         phi=phi,
         lam=lam.rows,

@@ -218,6 +218,20 @@ class TestCmdFit:
         assert "[unknown-without-trace]" in capsys.readouterr().err
         assert not (tmp_path / "run" / "report.json").exists()
 
+    @pytest.mark.parametrize("text, field", [
+        ("fit: {outer_max_iters: 2.5}\n", "outer_max_iters"),
+        ("fit: {estep_tol: 1e-8}\n", "estep_tol"),  # PyYAML reads 1e-8 as a string
+        ("unknown_sources: 1.7\n", "unknown_sources"),
+    ])
+    def test_mistyped_config_value_is_error(self, tmp_path, capsys, text, field):
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        code = cmd_fit(fixture_path(), config, tmp_path / "run")
+        assert code == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "run").exists()
+
     def test_report_subcommand(self, tmp_path, quick_config, capsys):
         out = tmp_path / "run"
         cmd_fit(fixture_path(), quick_config, out)
@@ -284,12 +298,14 @@ class TestCmdSimulate:
 
 class TestMain:
     def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats adds about 22 MB of resident memory and 0.3 s at import
+        # scipy.stats adds about 22 MB of resident memory and 0.3 s at import;
+        # PyYAML is read only with a config file or a study spec
         env = {**os.environ, "PYTHONPATH": str(Path(dustmix.__file__).resolve().parents[1])}
-        code = "import sys, dustmix, dustmix.cli; print('scipy.stats' in sys.modules)"
+        code = ("import sys, dustmix, dustmix.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'yaml') if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_fit_imports_no_optimize_linalg_or_stats(self, tmp_path):
         # scipy.optimize and scipy.linalg cost about 0.26 s and 23 MB at start-up

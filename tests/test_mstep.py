@@ -23,6 +23,7 @@ from dustmix.mstep import (
     eta_objective_and_gradient,
     maximize_rows,
     mstep,
+    trace_rows,
 )
 from dustmix.numerics import digamma, log_gamma
 from dustmix.vbi import FitConfig, _start, _sweep, corpus_elbo, fit
@@ -168,11 +169,13 @@ def random_trace_rows(rng, n_rows, M):
 
 
 def swept_arrays(corpus, sweeps=20):
-    """Array state a few inference sweeps after the starting point."""
+    """Array state a few inference sweeps after the starting point, with the
+    starting H and A as arrays."""
     H, A, loc, counts, gamma = _start(corpus, FitConfig())
-    lam = H.values.copy()
+    H, A = H.values, A.values
+    lam = H.copy()
     for _ in range(sweeps):
-        gamma, lam, phi = _sweep(counts, A.values[loc], H.values, gamma, lam)
+        gamma, lam, phi = _sweep(counts, A[loc], H, gamma, lam)
     return H, A, counts, loc, gamma, phi, lam
 
 
@@ -243,7 +246,7 @@ class TestMaximizeBox:
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
 
-    def test_batched_rows_match_one_row_solves(self):
+    def test_batched_rows_match_one_row_solves(self, monkeypatch):
         rng = np.random.default_rng(31)
         # a tight tolerance, so the root check can hold the rows to 1e-6
         config = OptimizerConfig(grad_tol=1e-9)
@@ -254,7 +257,7 @@ class TestMaximizeBox:
             assert np.all(batched.converged) and not np.any(batched.on_box)
             for i in range(10):
                 alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], BoxBounds(), config)
-                assert_allclose(batched.x[i], alone.x[0], rtol=1e-12)
+                assert np.array_equal(batched.x[i], alone.x[0])
                 grad = row_gradient(batched.x[i], stat[i], n[i])
                 assert np.abs(projected(batched.x[i], grad, BoxBounds())).max() < config.grad_tol
                 # independent check: the only root of the gradient
@@ -262,6 +265,32 @@ class TestMaximizeBox:
                              np.full(M, 5.0), method="hybr")
                 assert check.success
                 assert_allclose(np.abs(check.x), batched.x[i], rtol=1e-6)
+
+        # Mixed batches in a tight box: rows that stay inside it, rows that
+        # end on an edge and rows that keep a halved Newton step share one
+        # solve, and each matches its one-row solve bit for bit.
+        bounds = BoxBounds(lower=0.05, upper=20.0)
+        evaluations = []
+        objective = mstep_module._objective
+        monkeypatch.setattr(mstep_module, "_objective",
+                            lambda *args: evaluations.append(1) or objective(*args))
+        for M in (2, 3):
+            sizes = rng.integers(1, 6, size=24)
+            scales = rng.choice([0.3, 3.0, 30.0], size=(24, 1)) * rng.uniform(0.5, 3.0, (24, M))
+            stat = np.array([digamma_rows(rng.uniform(0.3, 1.0, (k, M)) * scale).sum(axis=0)
+                             for k, scale in zip(sizes, scales)])
+            n, x0 = sizes.astype(np.float64), np.ones((24, M))
+            batched = maximize_rows(stat, n, x0, bounds, config)
+            kinds = set()
+            for i in range(24):
+                evaluations.clear()
+                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], bounds, config)
+                halved = len(evaluations) > 1 + alone.iterations[0]
+                kinds.add("edge" if alone.on_box[0] else "halved" if halved else "interior")
+                for field in alone._fields:
+                    assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), \
+                        (M, i, field)
+            assert kinds == {"interior", "edge", "halved"}, kinds
 
 
 class TestMstep:
@@ -276,23 +305,23 @@ class TestMstep:
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):
         corpus = self._known_only_corpus()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus)
-        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus.trace_location_ids,
-                         BoxBounds(), OptimizerConfig())
-        assert np.array_equal(A2.values, A.values)
+        trace = trace_rows(loc, corpus.trace_location_ids)
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        assert np.array_equal(A2, A)
 
     def test_known_rows_bitwise_preserved(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
-                         BoxBounds(), OptimizerConfig())
-        assert np.array_equal(A2.values[0], A.values[0])
-        assert np.array_equal(A2.values[1], A.values[1])
-        assert not np.array_equal(A2.values[2], A.values[2])
+        trace = trace_rows(loc, corpus_both_known.trace_location_ids)
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        assert np.array_equal(A2[0], A[0])
+        assert np.array_equal(A2[1], A[1])
+        assert not np.array_equal(A2[2], A[2])
 
     def test_profile_rows_are_lambda_inside_the_box(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        H2, _, notes = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
-                             BoxBounds(), OptimizerConfig())
-        assert np.array_equal(H2.values, lam)
+        trace = trace_rows(loc, corpus_both_known.trace_location_ids)
+        H2, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        assert np.array_equal(H2, lam)
         assert notes == []
 
     def test_unclipped_profile_rows_build_no_statistics(self, corpus_both_known, monkeypatch):
@@ -307,17 +336,17 @@ class TestMstep:
                 built.append(self.rows.shape)
 
         monkeypatch.setattr(mstep_module, "DirichletRows", RecordingRows)
-        H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
-                         BoxBounds(), OptimizerConfig())
-        assert np.array_equal(H2.values, lam)
+        trace = trace_rows(loc, corpus_both_known.trace_location_ids)
+        H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        assert np.array_equal(H2, lam)
         assert built and all(shape[0] for shape in built)
 
     def test_total_bound_never_decreases(self, corpus_both_known):
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
-        before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
-                          BoxBounds(), OptimizerConfig())
-        after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
+        before = corpus_elbo(counts, A[loc], H, gamma, phi, lam)
+        trace = trace_rows(loc, corpus_both_known.trace_location_ids)
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        after = corpus_elbo(counts, A2[loc], H2, gamma, phi, lam)
         assert after >= before - 1e-8
 
     @pytest.mark.parametrize("scenario", ["corpus_both_known", "corpus_at_known"])
@@ -326,15 +355,15 @@ class TestMstep:
         # counts once, with the shared lam's digamma differences
         corpus = request.getfixturevalue(scenario)
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus)
-        before = corpus_elbo(counts, A.values[loc], H.values, gamma, phi, lam)
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, corpus.trace_location_ids,
-                          BoxBounds(), OptimizerConfig())
-        after = corpus_elbo(counts, A2.values[loc], H2.values, gamma, phi, lam)
+        before = corpus_elbo(counts, A[loc], H, gamma, phi, lam)
+        trace = trace_rows(loc, corpus.trace_location_ids)
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        after = corpus_elbo(counts, A2[loc], H2, gamma, phi, lam)
         dg_lam = digamma_rows(lam)
-        change = sum(row_value(H2.values[m], dg_lam[m], 1.0) - row_value(H.values[m], dg_lam[m], 1.0)
+        change = sum(row_value(H2[m], dg_lam[m], 1.0) - row_value(H[m], dg_lam[m], 1.0)
                      for m in range(len(lam)))
         for l, (stat, n) in trace_stats(gamma, loc, corpus.trace_location_ids).items():
-            change += row_value(A2.values[l], stat, n) - row_value(A.values[l], stat, n)
+            change += row_value(A2[l], stat, n) - row_value(A[l], stat, n)
         assert change == pytest.approx(after - before, rel=1e-10)
 
     def test_eta_objective_counts_shared_posterior_once(self, fit_both_known, corpus_both_known):
@@ -361,23 +390,24 @@ class TestMstep:
         loc = np.array([0, 1, 1, 2, 2, 2, 3])
         gamma = rng.uniform(0.5, 15.0, size=(7, 3))
         trace_ids = (1, 2, 3)
-        H = DirichletMatrix(rng.uniform(0.5, 2.0, size=(3, 4)), role="H")
-        A = DirichletMatrix(np.ones((4, 3)), role="A")
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), loc, trace_ids, bounds, OptimizerConfig())
+        H = rng.uniform(0.5, 2.0, size=(3, 4))
+        A = np.ones((4, 3))
+        trace = trace_rows(loc, trace_ids)
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, bounds, OptimizerConfig())
         for m in (2, 1, 0):  # reversed order
             if m == 1:
                 res = maximize_rows(digamma_rows(lam[1:2]), np.ones(1),
                                     np.clip(lam[1:2], bounds.lower, bounds.upper),
                                     bounds, OptimizerConfig())
-                assert_allclose(res.x[0], H2.values[m], atol=1e-8)
+                assert_allclose(res.x[0], H2[m], atol=1e-8)
             else:
-                assert_allclose(lam[m], H2.values[m], atol=1e-8)
+                assert_allclose(lam[m], H2[m], atol=1e-8)
         stats = trace_stats(gamma, loc, trace_ids)
         for l in reversed(trace_ids):
             stat, n = stats[l]
             res = maximize_rows(stat[None], np.array([n]), np.ones((1, 3)), bounds,
                                 OptimizerConfig())
-            assert_allclose(res.x[0], A2.values[l], atol=1e-8)
+            assert_allclose(res.x[0], A2[l], atol=1e-8)
 
     def test_synthetic_gradient_root_recovered(self):
         # profile posterior rows all equal to one target: the optimum sits
@@ -406,15 +436,16 @@ class TestMstep:
         bounds = BoxBounds(upper=50.0)
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace_ids = corpus_both_known.trace_location_ids
-        H2, A2, notes = mstep(H, A, lam, digamma_rows(gamma), loc, trace_ids, bounds, config)
+        trace = trace_rows(loc, trace_ids)
+        H2, A2, notes = mstep(H, A, lam, digamma_rows(gamma), trace, bounds, config)
         dg_lam = digamma_rows(lam)
         for m in range(len(lam)):
-            x = H2.values[m]
+            x = H2[m]
             assert x.min() >= bounds.lower and x.max() <= bounds.upper
             assert np.abs(projected(x, row_gradient(x, dg_lam[m], 1.0), bounds)).max() \
                 <= config.grad_tol
         for l, (stat, n) in trace_stats(gamma, loc, trace_ids).items():
-            x = A2.values[l]
+            x = A2[l]
             assert x.min() >= bounds.lower and x.max() <= bounds.upper
             assert np.abs(projected(x, row_gradient(x, stat, n), bounds)).max() \
                 <= config.grad_tol
@@ -423,8 +454,9 @@ class TestMstep:
 
     def test_unconverged_rows_noted(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        _, _, notes = mstep(H, A, lam, digamma_rows(gamma), loc, corpus_both_known.trace_location_ids,
-                            BoxBounds(), OptimizerConfig(max_iters=1))
+        trace = trace_rows(loc, corpus_both_known.trace_location_ids)
+        _, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(),
+                            OptimizerConfig(max_iters=1))
         assert notes == ["A row 2 unconverged", "A row 3 unconverged"]
 
     def test_fit_warns_about_rows_on_the_box(self, corpus_both_known, caplog, monkeypatch):
@@ -435,6 +467,17 @@ class TestMstep:
         assert len(flagged) == 1
         assert "H row 0 on a box edge in 2 of 2 M-steps" in flagged[0]
         assert "A row 2 on a box edge in 2 of 2 M-steps" in flagged[0]
+
+    def test_fit_wraps_hyperparameters_only_at_its_ends(self, corpus_both_known, monkeypatch):
+        # the outer loop carries H and A as arrays: they are wrapped (and
+        # checked) once at the start and once for the result
+        built = []
+        check = DirichletMatrix.__post_init__
+        monkeypatch.setattr(DirichletMatrix, "__post_init__",
+                            lambda matrix: built.append(matrix.role) or check(matrix))
+        result = fit(corpus_both_known, FitConfig(outer_max_iters=6))
+        assert result.iterations == 6
+        assert sorted(built) == ["A", "A", "H", "H"]
 
     def test_fit_regime_on_bundled_corpus(self, fit_both_known):
         # converged trace rows show the expected dominance pattern

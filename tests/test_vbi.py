@@ -909,6 +909,41 @@ class TestStudyGridFits:
         assert sweeps[0] == FitConfig().estep_max_iters
 
 
+# One fit of the many-traces design (AT known from 12 samples, LQ unknown; 24
+# trace locations of 2 samples at 350 particles, the LQ share of location j
+# drawn from the j-th of 24 equal strata of [0.05, 0.95]; generate_corpus at
+# seed 0), pinned like the study-grid fits.  Its M-steps solve 24 trace rows
+# in one batch, where some rows keep a halved Newton step and others do not.
+MANY_TRACE_FIT = json.loads((Path(__file__).parent / "many_trace_fit.json").read_text())
+
+
+def _many_trace_corpus():
+    names, profiles = at_lq_point_profiles()
+    design = np.random.default_rng(0)
+    shares = 0.05 + 0.9 * (np.arange(24) + design.uniform(size=24)) / 24
+    spec = ScenarioSpec(catalog=ParticleCatalog(names), true_profiles=profiles,
+                        trace_mixtures=tuple((1.0 - u, u) for u in shares),
+                        particles_per_sample=350, samples_per_trace=2, known_sample_counts=(12,))
+    return generate_corpus(spec, design)
+
+
+class TestManyTraceFit:
+    """Regression guard: a fit whose M-step solves many trace rows at once
+    keeps every EB-path output bitwise."""
+
+    def test_outputs_pinned(self):
+        result = fit(_many_trace_corpus(), FitConfig())
+        assert len(result.trace_locations) == 24
+        assert result.iterations == MANY_TRACE_FIT["iterations"]
+        assert list(result.elbo_trace) == MANY_TRACE_FIT["elbo_trace"]
+        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
+                  "phi": result.phi, "lam": result.lam}
+        assert {name: _digest(values) for name, values in arrays.items()} == \
+            MANY_TRACE_FIT["sha256"]
+        assert_allclose(result.A_converged.values, MANY_TRACE_FIT["A_converged"],
+                        rtol=2e-6, atol=0)
+
+
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     """Reference: plain sweeps until no parameter moves by a relative ``tol``."""
     for sweeps in range(1, cap + 1):
