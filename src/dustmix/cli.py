@@ -191,6 +191,14 @@ _CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
 _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a string or a non-integral number raises
+    a ``ValueError`` naming ``name`` (the rule of :class:`FitConfig`)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path: Path | str | None) -> dict:
     """Parse the run configuration; an empty or missing config reproduces
     the default setup.  ``unknown_sources`` must be a non-negative integer."""
@@ -221,8 +229,7 @@ def load_config(path: Path | str | None) -> dict:
         return merged
 
     sources = raw.get("unknown_sources", 0)
-    if isinstance(sources, bool) or not isinstance(sources, Real) \
-            or not float(sources).is_integer() or sources < 0:
+    if _integer("unknown_sources", sources) < 0:
         raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
     return {
         "unknown_sources": int(sources),
@@ -305,7 +312,11 @@ def cmd_fit(
 
 def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     """Parse a study specification; ``profiles: at_lq`` pulls the bundled
-    point-estimate profiles (first source known, second unknown)."""
+    point-estimate profiles (first source known, second unknown).  Each
+    count (``sample_sizes``, ``samples_per_trace``, ``known_samples``,
+    ``known_sample_size``, ``replications``, ``seed``) must be an integer:
+    a bool, a string or a non-integral value raises a ``ValueError`` naming
+    its key."""
     import yaml
 
     raw = yaml.safe_load(Path(path).read_text())
@@ -333,19 +344,22 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
         profiles = profiles / profiles.sum(axis=1, keepdims=True)
 
     second = raw.get("second_trace")
+    sizes, known_size = raw.get("sample_sizes", (100, 700, 1900)), raw.get("known_sample_size")
+    if not isinstance(sizes, (list, tuple)):
+        raise ValueError(f"sample_sizes must be a list of integers, got {sizes!r}")
     return StudySpec(
         catalog=catalog,
         true_profiles=profiles,
         unknown_shares=tuple(float(u) for u in raw.get("unknown_shares", (0.1, 0.5, 0.9))),
-        sample_sizes=tuple(int(n) for n in raw.get("sample_sizes", (100, 700, 1900))),
-        samples_per_trace=int(raw.get("samples_per_trace", 5)),
-        known_sample_counts=(int(raw.get("known_samples", 12)),),
+        sample_sizes=tuple(_integer("sample_sizes", n) for n in sizes),
+        samples_per_trace=_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
+        known_sample_counts=(_integer("known_samples", raw.get("known_samples", 12)),),
         known_particles_per_sample=(
-            int(raw["known_sample_size"]) if raw.get("known_sample_size") else None
+            None if known_size is None else _integer("known_sample_size", known_size) or None
         ),
         second_trace_mixture=tuple(float(v) for v in second) if second else None,
-        replications=int(raw.get("replications", 10)),
-        rng_seed=int(seed if seed is not None else raw.get("seed", 0)),
+        replications=_integer("replications", raw.get("replications", 10)),
+        rng_seed=_integer("seed", seed if seed is not None else raw.get("seed", 0)),
     )
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .model import Corpus, VariationalState
-from .numerics import DirichletRows
+from .numerics import DirichletRows, reduce_last
 
 __all__ = [
     "BoxBounds",
@@ -97,7 +97,7 @@ def _objective(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Objective values and gradients of rows ``x`` (rows x dims)."""
     rows = DirichletRows(x)
-    value = n_samples * rows.log_norm + (x * stat).sum(axis=1)
+    value = n_samples * rows.log_norm + reduce_last(np.add, x * stat)
     return value, stat - n_samples[:, None] * rows.e_log
 
 
@@ -170,7 +170,8 @@ def maximize_rows(
     for newton in range(config.max_iters + 1):  # the last pass only measures
         edge = x.min(initial=np.inf) <= bounds.lower or x.max(initial=-np.inf) >= bounds.upper
         outward = _outward(x, grad, bounds) if edge else None
-        projected_norm = np.abs(np.where(outward, 0.0, grad) if edge else grad).max(axis=1)
+        projected = np.where(outward, 0.0, grad) if edge else grad
+        projected_norm = reduce_last(np.maximum, np.abs(projected))
         pending = ~stalled & (projected_norm > config.grad_tol)
         if not pending.any() or newton == config.max_iters:
             break
@@ -182,14 +183,14 @@ def maximize_rows(
         inv_q = -1.0 / (n_column * zeta(2.0, x))
         if edge:
             inv_q = np.where(outward, 0.0, inv_q)
-        z = n_samples * zeta(2.0, x.sum(axis=1))
-        b = (grad * inv_q).sum(axis=1) / (1.0 / z + inv_q.sum(axis=1))
+        z = n_samples * zeta(2.0, reduce_last(np.add, x))
+        b = reduce_last(np.add, grad * inv_q) / (1.0 / z + reduce_last(np.add, inv_q))
         step = -(grad - b[:, None]) * inv_q
         iterations += pending
         for halving in range(40):  # then the row is given up as stalled
             trial = np.clip(x + 0.5**halving * step, bounds.lower, bounds.upper)
             trial_value, trial_grad = _objective(trial, stat, n_samples)
-            slope = (trial_grad * (trial - x)).sum(axis=1)
+            slope = reduce_last(np.add, trial_grad * (trial - x))
             kept = pending & ((trial_value >= value) | (slope >= 0.0))
             if kept.all():
                 x, value, grad = trial, trial_value, trial_grad

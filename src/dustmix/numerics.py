@@ -12,6 +12,19 @@ interval is the shortest interval of the stated mass; :func:`beta_hpdis`
 finds it for many shapes at once by a bracketed Newton search over the
 lower tail mass, on ``scipy.special`` alone.
 
+The engine's arrays are short along their last axis: a mixing row has one
+entry per source (2 or 3 in practice) and a profile row one per particle
+type (14 in the bundled data).  A numpy reduction over such an axis costs
+several times the elementwise pass that gives the same result, so
+:func:`reduce_last` sums or maximises an axis of at most ``_SHORT_AXIS``
+entries by one elementwise pass per column and hands a longer axis to
+``ufunc.reduce``.  Its result has the same bits as ``ufunc.reduce(x,
+axis=-1)``, hence the cutoff: numpy (2.4) adds a last axis of fewer than
+8 entries in column order, one entry after another, but a longer one by
+pairwise partial sums, which round differently.  ``tests/test_numerics.py``
+checks both sides of the cutoff, so a numpy that changes its order fails
+there first.
+
 All functions are pure; a :class:`DirichletRows` keeps only what its rows
 determine.
 """
@@ -40,6 +53,7 @@ __all__ = [
     "beta_summary",
     "digamma",
     "log_gamma",
+    "reduce_last",
 ]
 
 
@@ -53,6 +67,23 @@ def _positive(x, name: str) -> np.ndarray:
 
 def _like_input(out: np.ndarray):
     return float(out) if np.ndim(out) == 0 else out
+
+
+# The longest last axis that reduce_last reduces column by column.
+_SHORT_AXIS = 7
+
+
+def reduce_last(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` bit for bit, as a new array: by one
+    elementwise ``ufunc`` pass per column when the last axis has 1 to
+    ``_SHORT_AXIS`` entries, else by the reduction itself."""
+    n = x.shape[-1]
+    if not 0 < n <= _SHORT_AXIS:
+        return ufunc.reduce(x, axis=-1)
+    out = x[..., 0].copy() if n == 1 else ufunc(x[..., 0], x[..., 1])
+    for j in range(2, n):
+        ufunc(out, x[..., j], out=out)
+    return out
 
 
 def log_gamma(x):
@@ -95,7 +126,7 @@ class DirichletRows:
 
     def __init__(self, rows) -> None:
         self.rows = np.asarray(rows, dtype=np.float64)
-        self.sums = self.rows.sum(axis=1)
+        self.sums = reduce_last(np.add, self.rows)
         # A NaN propagates into a minimum and fails its test, an infinite entry
         # makes its row sum infinite, and empty rows pass: each reduction
         # starts from its identity.
@@ -119,7 +150,7 @@ class DirichletRows:
     @_lazy
     def log_norm(self) -> np.ndarray:
         """Log normaliser of each row: log Gamma(row sum) - sum log Gamma(row)."""
-        return special.gammaln(self.sums) - special.gammaln(self.rows).sum(axis=1)
+        return special.gammaln(self.sums) - reduce_last(np.add, special.gammaln(self.rows))
 
     @_lazy
     def log_norm_sum(self) -> float:

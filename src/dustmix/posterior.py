@@ -46,8 +46,10 @@ def _midpoints(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-# Every plot CSV shares the x column; its text is made once.
+# Every plot CSV shares the x column; its text, and the text of each row
+# whose density is 0 (most rows of a spiked profile), are made once.
 _GRID_X_TEXT = tuple(map(repr, _midpoints(GRID_POINTS).tolist()))
+_ZERO_ROWS = tuple(f"{x},0.0\r\n" for x in _GRID_X_TEXT)
 
 
 def theta_marginal(a_row: np.ndarray, m: int) -> BetaShape:
@@ -183,11 +185,13 @@ def _slug(text: str) -> str:
 
 
 def _write_density_csv(path: Path, shape: BetaShape) -> None:
-    """The rows ``csv.writer`` would write (repr of each float, CRLF line
-    ends; no field needs quoting), joined in one string."""
+    """The bytes ``csv.writer`` would write (repr of each float, CRLF line
+    ends; no field needs quoting), in one write; only nonzero densities are
+    formatted."""
     _, dens = density_grid(shape)
-    rows = map("{},{}\r\n".format, _GRID_X_TEXT, map(repr, dens.tolist()))
-    path.write_text("x,density\r\n" + "".join(rows), newline="")
+    rows = [zero if value == 0.0 else f"{x},{value!r}\r\n"
+            for x, zero, value in zip(_GRID_X_TEXT, _ZERO_ROWS, dens.tolist())]
+    path.write_bytes(("x,density\r\n" + "".join(rows)).encode())
 
 
 def write_plot_csvs(report: PosteriorReport, out_dir: Path | str) -> list[Path]:

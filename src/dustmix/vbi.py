@@ -74,7 +74,7 @@ from .model import (
     validate_corpus,
 )
 from .mstep import BoxBounds, OptimizerConfig, mstep, trace_rows
-from .numerics import DirichletRows
+from .numerics import DirichletRows, reduce_last
 
 __all__ = [
     "FitConfig",
@@ -218,9 +218,9 @@ def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _responsibilities(gamma: DirichletRows, lam: DirichletRows) -> np.ndarray:
     """Profile plus mixing digammas, normalized per type in log space."""
     log_phi = lam.e_log.T + gamma.psi[:, None, :]
-    log_phi -= log_phi.max(axis=2, keepdims=True)
+    log_phi -= reduce_last(np.maximum, log_phi)[:, :, None]
     phi = np.exp(log_phi)
-    phi /= phi.sum(axis=2, keepdims=True)
+    phi /= reduce_last(np.add, phi)[:, :, None]
     return phi
 
 
@@ -256,13 +256,18 @@ def _relative_step(
 
 def _expected_log_dirichlet(rows: DirichletRows, dg: np.ndarray) -> float:
     """E log Dirichlet(x | row), summed over rows, given E log x = ``dg``."""
-    return float((rows.log_norm + (rows.less_one * dg).sum(axis=1)).sum())
+    return float((rows.log_norm + reduce_last(np.add, rows.less_one * dg)).sum())
 
 
 def _entropy_z(weighted_phi: np.ndarray, phi: np.ndarray) -> float:
-    """Count-weighted entropy of the responsibilities (``weighted_phi``); 0 log 0 = 0."""
-    log_phi = np.log(phi, out=np.zeros_like(phi), where=phi > 0.0)
-    return float(-(weighted_phi * log_phi).sum())
+    """Count-weighted entropy of the responsibilities (``weighted_phi``); 0 log 0 = 0.
+
+    A responsibility that underflowed to 0 is logged as the smallest
+    subnormal instead, which leaves its term finite: its weighted
+    responsibility is 0 too, so the term is a signed zero and the sum has
+    the bits of the sum that skips it.
+    """
+    return float(-(weighted_phi * np.log(np.maximum(phi, 5e-324))).sum())
 
 
 def _bound_terms(
@@ -466,15 +471,16 @@ def _warm_start_profiles(
     bootstrap unknown share.
     """
     gamma, phi = gamma.copy(), phi.copy()
+    known_counts, known_a = counts[known], a[known]
     known_gamma, lam = DirichletRows(gamma[known]), DirichletRows(eta)
     for known_sweeps in range(1, _WARM_SWEEPS + 1):
-        known_gamma, new_lam, phi[known], _ = _sweep_rows(
-            counts[known], a[known], eta, known_gamma, lam)
+        known_gamma, new_lam, known_phi, _ = _sweep_rows(
+            known_counts, known_a, eta, known_gamma, lam)
         settled = np.all(np.abs(new_lam.rows - lam.rows) <= 1e-12 + 1e-10 * np.abs(lam.rows))
         lam = new_lam
         if settled:
             break
-    gamma[known], lam = known_gamma.rows, lam.rows
+    gamma[known], phi[known], lam = known_gamma.rows, known_phi, lam.rows
 
     trace = ~known
     trace_counts, trace_a = counts[trace], a[trace]
@@ -624,8 +630,8 @@ def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
     Sherman-Morrison formula inverts it.
     """
     inv_d = 1.0 / zeta(2.0, rows)
-    s = zeta(2.0, rows.sum(axis=1))
-    scale = s / (1.0 - s * inv_d.sum(axis=1))
+    s = zeta(2.0, reduce_last(np.add, rows))
+    scale = s / (1.0 - s * reduce_last(np.add, inv_d))
     return inv_d[:, :, None] * np.eye(rows.shape[1]) + scale[:, None, None] * (
         inv_d[:, :, None] * inv_d[:, None, :]
     )

@@ -288,6 +288,30 @@ class TestCmdSimulate:
         with pytest.raises(ValueError, match="replications"):
             load_study_spec(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ("replications: 1.5\n", "replications"),
+        ("replications: true\n", "replications"),
+        ("sample_sizes: [1e2]\n", "sample_sizes"),  # PyYAML reads 1e2 as a string
+        ("sample_sizes: [100, 700.5]\n", "sample_sizes"),
+        ("sample_sizes: 100\n", "sample_sizes"),
+        ("samples_per_trace: '5'\n", "samples_per_trace"),
+        ("known_samples: 2.5\n", "known_samples"),
+        ("known_sample_size: 300.5\n", "known_sample_size"),
+        ("seed: 0.5\n", "seed"),
+    ])
+    def test_mistyped_integer_is_error(self, tmp_path, text, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            load_study_spec(path)
+
+    def test_integral_floats_are_read_as_integers(self, tmp_path):
+        path = tmp_path / "study.yaml"
+        path.write_text("sample_sizes: [100.0]\nreplications: 2.0\nknown_sample_size: 300\n")
+        study = load_study_spec(path)
+        assert study.sample_sizes == (100,) and study.replications == 2
+        assert type(study.replications) is int and study.known_particles_per_sample == 300
+
     def test_at_lq_profile_shortcut(self, tmp_path):
         path = tmp_path / "study.yaml"
         path.write_text(yaml.safe_dump({"unknown_shares": [0.5], "sample_sizes": [100]}))

@@ -22,7 +22,9 @@ from dustmix.numerics import (
     beta_summary,
     digamma,
     log_gamma,
+    reduce_last,
 )
+from dustmix.vbi import _responsibilities
 from _oracles import beta_cdf as oracle_cdf
 from _oracles import beta_hpdi_check, beta_interval_mass
 
@@ -160,6 +162,42 @@ class TestDirichletRows:
         dirichlet = DirichletRows(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert dirichlet.log_norm_sum == dirichlet.log_norm.sum()
         assert dirichlet.log_norm_sum is dirichlet.log_norm_sum
+
+
+class TestReduceLast:
+    """reduce_last must give ``ufunc.reduce(x, axis=-1)`` bit for bit; it
+    relies on numpy adding an axis of fewer than 8 entries in column order,
+    so a numpy that changes that order fails here before any fit pin."""
+
+    @staticmethod
+    def _arrays(n):
+        rng = np.random.default_rng(n)
+        for shape in ((40, n), (3, 20, n), (1, n)):  # C-ordered, magnitudes 1e-8 to 1e8
+            yield rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        # the layout of the responsibilities: N x T x M stored as N x M x T
+        gamma, lam = (DirichletRows(rng.uniform(0.5, 50.0, shape)) for shape in ((9, n), (n, 14)))
+        log_phi = lam.e_log.T + gamma.psi[:, None, :]
+        yield log_phi
+        yield _responsibilities(gamma, lam)
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_reduce_bitwise(self, ufunc, n):
+        for x in self._arrays(n):
+            assert np.array_equal(reduce_last(ufunc, x), ufunc.reduce(x, axis=-1)), x.shape
+
+    def test_layout_of_the_responsibilities(self):
+        *_, phi = self._arrays(2)
+        assert phi.shape == (9, 14, 2) and phi.strides == (8 * 28, 8, 8 * 14)
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    def test_one_column_is_a_new_array(self, ufunc):
+        x = np.arange(6.0).reshape(6, 1)
+        out = reduce_last(ufunc, x)
+        assert np.array_equal(out, x[:, 0]) and not np.shares_memory(out, x)
+
+    def test_empty_axis_is_the_reduction(self):
+        assert np.array_equal(reduce_last(np.add, np.ones((3, 0))), np.zeros(3))
 
 
 class TestBetaSummary:

@@ -140,8 +140,11 @@ class TestSerialization:
 
         result, _ = fit_both_known
         report = build_report(result, corpus_both_known)
-        # densities unbounded at an end, flat, and underflowing to 0 on most of the grid
-        extra = [BetaShape(0.3, 0.7), BetaShape(1.0, 1.0), BetaShape(2e5, 1e5)]
+        # densities U-shaped (unbounded at both ends), flat, and 0 on most of
+        # the grid: at both ends, at the upper end only and at the lower end only
+        extra = [BetaShape(0.3, 0.7), BetaShape(0.5, 0.5), BetaShape(1.0, 1.0),
+                 BetaShape(2e5, 1e5), BetaShape(8e4, 6e4), BetaShape(1.0, 3e3),
+                 BetaShape(2.0, 800.0), BetaShape(3e3, 1.0)]
         report = PosteriorReport(
             theta={**report.theta, "edge": tuple(
                 MarginalSummary(f"s{i}", shape, 0.5, None, beta_hpdi(shape, 0.95))

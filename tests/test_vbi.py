@@ -944,6 +944,40 @@ class TestManyTraceFit:
                         rtol=2e-6, atol=0)
 
 
+# One fit with three sources (AT and LQ known from 6 samples each, a third
+# unknown whose profile is the LQ row in reverse type order, renormalised;
+# 3 trace locations of 3 samples at 400 particles; generate_corpus at seed
+# 0), pinned like the study-grid fits.  The other pins have two sources, and
+# rows of three entries are summed in more than one step.
+THREE_SOURCE_FIT = json.loads((Path(__file__).parent / "three_source_fit.json").read_text())
+
+
+def _three_source_corpus():
+    names, profiles = at_lq_point_profiles()
+    third = profiles[1, ::-1] / profiles[1, ::-1].sum()
+    spec = ScenarioSpec(catalog=ParticleCatalog(names), true_profiles=np.vstack([profiles, third]),
+                        trace_mixtures=((0.6, 0.1, 0.3), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)),
+                        particles_per_sample=400, samples_per_trace=3, known_sample_counts=(6, 6))
+    return generate_corpus(spec, np.random.default_rng(0))
+
+
+class TestThreeSourceFit:
+    """Regression guard: a fit with three sources keeps every EB-path
+    output bitwise."""
+
+    def test_outputs_pinned(self):
+        result = fit(_three_source_corpus(), FitConfig())
+        assert result.gamma.shape[1] == 3 and len(result.trace_locations) == 3
+        assert result.iterations == THREE_SOURCE_FIT["iterations"]
+        assert list(result.elbo_trace) == THREE_SOURCE_FIT["elbo_trace"]
+        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
+                  "phi": result.phi, "lam": result.lam}
+        assert {name: _digest(values) for name, values in arrays.items()} == \
+            THREE_SOURCE_FIT["sha256"]
+        assert_allclose(result.A_converged.values, THREE_SOURCE_FIT["A_converged"],
+                        rtol=2e-6, atol=0)
+
+
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     """Reference: plain sweeps until no parameter moves by a relative ``tol``."""
     for sweeps in range(1, cap + 1):
