@@ -34,7 +34,7 @@ from .model import (
 )
 from .posterior import build_report, write_plot_csvs, write_report_json, write_summary_csv
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
-from .vbi import FitConfig, NumericalFailure, fit
+from .vbi import FitConfig, NumericalFailure, as_integer, fit
 
 __all__ = ["IngestError", "RunManifest", "cmd_fit", "cmd_report", "cmd_simulate", "ingest_csv", "main"]
 
@@ -191,17 +191,10 @@ _CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
 _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool, a string or a non-integral number raises
-    a ``ValueError`` naming ``name`` (the rule of :class:`FitConfig`)."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def load_config(path: Path | str | None) -> dict:
     """Parse the run configuration; an empty or missing config reproduces
-    the default setup.  ``unknown_sources`` must be a non-negative integer."""
+    the default setup.  ``unknown_sources`` must be a non-negative integer
+    and ``report.hpdi_mass`` a number strictly between 0 and 1."""
     raw: dict = {}
     if path is not None:
         import yaml  # only a config file needs PyYAML; ``import dustmix.cli`` does not
@@ -229,12 +222,17 @@ def load_config(path: Path | str | None) -> dict:
         return merged
 
     sources = raw.get("unknown_sources", 0)
-    if _integer("unknown_sources", sources) < 0:
+    if as_integer("unknown_sources", sources) < 0:
         raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
+    report = section("report", dict(_REPORT_DEFAULTS))
+    mass = report["hpdi_mass"]
+    # NaN fails the range test too
+    if isinstance(mass, bool) or not isinstance(mass, Real) or not 0.0 < mass < 1.0:
+        raise ValueError(f"report.hpdi_mass must be a number in (0, 1), got {mass!r}")
     return {
         "unknown_sources": int(sources),
         "fit": section("fit", asdict(FitConfig())),
-        "report": section("report", dict(_REPORT_DEFAULTS)),
+        "report": report,
     }
 
 
@@ -351,15 +349,15 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
         catalog=catalog,
         true_profiles=profiles,
         unknown_shares=tuple(float(u) for u in raw.get("unknown_shares", (0.1, 0.5, 0.9))),
-        sample_sizes=tuple(_integer("sample_sizes", n) for n in sizes),
-        samples_per_trace=_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
-        known_sample_counts=(_integer("known_samples", raw.get("known_samples", 12)),),
+        sample_sizes=tuple(as_integer("sample_sizes", n) for n in sizes),
+        samples_per_trace=as_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
+        known_sample_counts=(as_integer("known_samples", raw.get("known_samples", 12)),),
         known_particles_per_sample=(
-            None if known_size is None else _integer("known_sample_size", known_size) or None
+            None if known_size is None else as_integer("known_sample_size", known_size) or None
         ),
         second_trace_mixture=tuple(float(v) for v in second) if second else None,
-        replications=_integer("replications", raw.get("replications", 10)),
-        rng_seed=_integer("seed", seed if seed is not None else raw.get("seed", 0)),
+        replications=as_integer("replications", raw.get("replications", 10)),
+        rng_seed=as_integer("seed", seed if seed is not None else raw.get("seed", 0)),
     )
 
 

@@ -10,9 +10,13 @@ sums digamma differences of the matching variational block over S rows.
   strictly concave, so the update is ``H = lam`` in closed form.  Only a row
   with an entry outside the box goes to the solver, started at ``clip(lam)``.
 * Trace mixing rows sum the mixing posteriors of their location's samples
-  and have no closed form.  One batched Newton solve covers them all; the
-  Hessian is diagonal plus rank one, so a step costs O(sources) per row
-  (Minka 2000, "Estimating a Dirichlet distribution").
+  and have no closed form.  A Newton solve covers them; the Hessian is
+  diagonal plus rank one, so a step costs O(sources) per row (Minka 2000,
+  "Estimating a Dirichlet distribution").  A fit has few such rows (one or
+  two in the bundled and study corpora), and on so few numpy's cost per
+  call outweighs the arithmetic: up to ``_FLOAT_ROWS`` rows are solved one
+  by one on Python floats, more in one batched solve on arrays.  Both paths
+  take the same operations in the same order, so they give the same bits.
 
 No row ends below its starting value, so the outer bound stays monotone.
 The box (:class:`BoxBounds`) and the solver settings
@@ -30,14 +34,18 @@ which rejects entries that are not positive and finite.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import gammaln, psi, zeta
 
 from .model import Corpus, VariationalState
-from .numerics import DirichletRows, reduce_last
+from .numerics import _SHORT_AXIS, DirichletRows, reduce_last
 
 __all__ = [
     "BoxBounds",
@@ -50,6 +58,18 @@ __all__ = [
     "mstep",
     "trace_rows",
 ]
+
+logger = logging.getLogger(__name__)
+
+# The most rows that maximize_rows solves one by one on floats.  On the
+# two-source rows of a fit, a row costs about 25 us on floats and a batched
+# call 110-155 us for 1 to 7 rows (numpy 2.4, scipy 1.17, 2-core x86): the
+# float path takes 0.25 / 0.44 / 0.74 of the batched time at 1 / 2 / 4 rows
+# and breaks even at 6-7.  The cutoff stays below that because a batch
+# costs as much as its slowest row and the float path the sum of its rows.
+_FLOAT_ROWS = 4
+
+_NONFINITE_START = "objective is non-finite at the starting point"
 
 
 @dataclass(frozen=True)
@@ -68,7 +88,7 @@ class BoxBounds:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings of the batched Newton solve (:func:`maximize_rows`): a row
+    """Settings of the Newton solve (:func:`maximize_rows`): a row
     converges once its projected-gradient infinity norm is at most
     ``grad_tol``, and takes at most ``max_iters`` Newton steps."""
 
@@ -145,24 +165,56 @@ def maximize_rows(
     config: OptimizerConfig,
 ) -> RowSolve:
     """Maximize S * (log Gamma(sum x) - sum log Gamma(x)) + <x, stat> over
-    the box for every row at once (``stat`` and ``x0`` are rows x dims,
+    the box for every row (``stat`` and ``x0`` are rows x dims,
     ``n_samples`` holds each row's S).
 
     Each Newton step is projected onto the box and halved until the value
     rose or the directional derivative at its end is non-negative; by
     concavity either means the value did not fall, whatever the rounding.
     The objective is never evaluated outside the box, and a row that would
-    end below its value at ``x0`` is returned there, unconverged.  The box
-    masks are built only while some coordinate of the batch sits on an
-    edge; elsewhere they hold nothing, so each row's arithmetic is the same
-    whichever rows share its batch.
+    end below its value at ``x0`` is returned there, unconverged.
+
+    Each row's arithmetic is the same whichever rows share its batch, so
+    the rows may be solved either way, and both ways give the same bits.  A
+    batch of at most ``_FLOAT_ROWS`` rows of at most ``_SHORT_AXIS`` entries
+    is solved row by row on Python floats (:func:`_maximize_floats`), a
+    larger one by one batched solve on arrays (:func:`_maximize_batch`).
     """
     x = np.array(x0, dtype=np.float64)
-    if x.min(initial=np.inf) < bounds.lower or x.max(initial=-np.inf) > bounds.upper:
+    low, high = x.min(initial=np.inf), x.max(initial=-np.inf)
+    if low < bounds.lower or high > bounds.upper:
         raise ValueError("starting point lies outside the bounds")
+    rows, dims = x.shape
+    solve, path = None, "floats"
+    # A NaN start fails ``low >= bounds.lower`` and is left to the batched
+    # path, whose DirichletRows check rejects it, as is a box whose row sums
+    # could overflow: the float path meets only finite, positive rows.
+    if (0 < rows <= _FLOAT_ROWS and 0 < dims <= _SHORT_AXIS and low >= bounds.lower
+            and dims * bounds.upper < math.inf):
+        try:
+            solve = _maximize_floats(stat, n_samples, x, bounds, config)
+        except ZeroDivisionError:  # which numpy rounds to an infinity instead
+            pass
+    if solve is None:
+        solve, path = _maximize_batch(stat, n_samples, x, bounds, config), "arrays"
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("solved %d rows on %s: %d Newton steps, %d unconverged, %d on the box",
+                     rows, path, solve.iterations.sum(), rows - solve.converged.sum(),
+                     solve.on_box.sum())
+    return solve
+
+
+def _maximize_batch(
+    stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray, bounds: BoxBounds,
+    config: OptimizerConfig,
+) -> RowSolve:
+    """:func:`maximize_rows` on arrays, all rows at once.  The box masks are
+    built only while some coordinate of the batch sits on an edge; elsewhere
+    they hold nothing, so each row's arithmetic is the same whichever rows
+    share its batch."""
     value, grad = _objective(x, stat, n_samples)
     if not (np.isfinite(value).all() and np.isfinite(grad).all()):
-        raise ValueError("objective is non-finite at the starting point")
+        raise ValueError(_NONFINITE_START)
     x_start, start = x, value  # the loop rebinds x and value, never writes to them
     n_column = n_samples[:, None]
     iterations = np.zeros(len(x), dtype=np.int64)
@@ -215,6 +267,78 @@ def maximize_rows(
     if edge:
         on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
     return RowSolve(x, value, iterations, converged, on_box)
+
+
+def _row_objective(x: list, stat: list, n: float) -> tuple[float, list]:
+    """:func:`_objective` of one row of floats, by the same operations in
+    the same order (sums in column order, as :func:`reduce_last` adds)."""
+    total = reduce(add, x)
+    log_gammas = reduce(add, [float(gammaln(v)) for v in x])
+    psi_total = float(psi(total))
+    value = n * (float(gammaln(total)) - log_gammas) + reduce(add, map(mul, x, stat))
+    return value, [s - n * (float(psi(v)) - psi_total) for v, s in zip(x, stat)]
+
+
+def _maximize_floats(
+    stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray, bounds: BoxBounds,
+    config: OptimizerConfig,
+) -> RowSolve:
+    """:func:`maximize_rows` row by row on Python floats, by the operations
+    of :func:`_maximize_batch` in its order, calling ``scipy.special`` on
+    scalars (``zeta`` on the row and its sum at once), so with its bits.  A
+    division by zero raises where numpy would round to an infinity."""
+    rows = list(zip(x.tolist(), stat.tolist(), n_samples.tolist()))
+    starts = [_row_objective(*row) for row in rows]
+    if not all(math.isfinite(value) and all(map(math.isfinite, grad)) for value, grad in starts):
+        raise ValueError(_NONFINITE_START)
+    solves = [_solve_row(*row, *start, bounds, config) for row, start in zip(rows, starts)]
+    x, value, iterations, converged, on_box = zip(*solves)
+    return RowSolve(np.array(x), np.array(value), np.array(iterations, dtype=np.int64),
+                    np.array(converged), np.array(on_box))
+
+
+def _solve_row(
+    x: list, stat: list, n: float, value: float, grad: list, bounds: BoxBounds,
+    config: OptimizerConfig,
+) -> tuple[list, float, int, bool, bool]:
+    """One row of :func:`_maximize_floats`, started at ``x``, where the
+    objective has ``value`` and ``grad``: the fields of its :class:`RowSolve`."""
+    lower, upper, tol = bounds.lower, bounds.upper, config.grad_tol
+    x_start, start = x, value
+    iterations = 0
+    for newton in range(config.max_iters + 1):  # the last pass only measures
+        # the box masks only a row on an edge, as in the batched solve
+        outward = None if lower < min(x) and max(x) < upper else [
+            (v <= lower and g < 0.0) or (v >= upper and g > 0.0) for v, g in zip(x, grad)]
+        projected = grad if outward is None else [
+            0.0 if out else g for out, g in zip(outward, grad)]
+        norm = max(map(abs, projected))
+        if not norm > tol or newton == config.max_iters:
+            break
+        *trigamma, trigamma_total = zeta(2.0, [*x, reduce(add, x)]).tolist()
+        inv_q = [-1.0 / (n * q) for q in trigamma]
+        if outward is not None:
+            inv_q = [0.0 if out else q for out, q in zip(outward, inv_q)]
+        z = n * trigamma_total
+        b = reduce(add, map(mul, grad, inv_q)) / (1.0 / z + reduce(add, inv_q))
+        step = [-(g - b) * q for g, q in zip(grad, inv_q)]
+        iterations += 1
+        for halving in range(40):  # then the row is given up as stalled
+            scale = 0.5**halving
+            trial = [min(max(v + scale * d, lower), upper) for v, d in zip(x, step)]
+            trial_value, trial_grad = _row_objective(trial, stat, n)
+            if trial_value >= value or reduce(
+                add, [g * (t - v) for g, t, v in zip(trial_grad, trial, x)]
+            ) >= 0.0:
+                x, value, grad = trial, trial_value, trial_grad
+                break
+        else:
+            break  # stalled: x keeps its norm, above the tolerance
+
+    converged = norm <= tol
+    if value < start:
+        x, value, converged = x_start, start, False
+    return x, value, iterations, converged, any(v <= lower or v >= upper for v in x)
 
 
 class TraceRows(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 from .model import Corpus, Location, LocationRole, ParticleCatalog, SampleCounts
 from .numerics import beta_summary
 from .posterior import theta_marginal
-from .vbi import FitConfig, fit
+from .vbi import FitConfig, as_integer, fit
 
 __all__ = [
     "CellResult",
@@ -171,6 +171,11 @@ class StudySpec:
     second profile row) in the first trace mixture; ``sample_sizes`` the
     per-sample particle counts.  ``second_trace_mixture`` adds a second
     trace location with a fixed mixing vector (the two-trace situation).
+    Construction checks what :func:`run_study` would otherwise fail on in
+    its cells: each count must be an integer (the rule of
+    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), and the
+    second mixture a probability vector over the two sources; each error
+    names its field.
     """
 
     catalog: ParticleCatalog
@@ -190,18 +195,36 @@ class StudySpec:
             raise ValueError("the study design uses exactly two sources, the first known")
         object.__setattr__(self, "true_profiles", profiles)
         object.__setattr__(self, "unknown_shares", tuple(float(u) for u in self.unknown_shares))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if not self.unknown_shares or not self.sample_sizes:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        # every count is an integer, at least 1 (the seed at least 0), or an
+        # error naming its field: no cell of run_study is left to fail on it
+        def count(name: str, value, least: int = 1) -> int:
+            if as_integer(name, value) < least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+            return int(value)
+
+        for name in ("sample_sizes", "known_sample_counts"):
+            object.__setattr__(self, name, tuple(count(name, v) for v in getattr(self, name)))
+        for name in ("samples_per_trace", "replications"):
+            object.__setattr__(self, name, count(name, getattr(self, name)))
+        object.__setattr__(self, "rng_seed", count("rng_seed", self.rng_seed, least=0))
+        if self.known_particles_per_sample is not None:
+            object.__setattr__(self, "known_particles_per_sample",
+                               count("known_particles_per_sample", self.known_particles_per_sample))
+        if self.second_trace_mixture is not None:
+            mixture = tuple(float(v) for v in self.second_trace_mixture)
+            if len(mixture) != 2:
+                raise ValueError("second_trace_mixture must have one share per source")
+            _check_simplex(np.array(mixture), "second_trace_mixture")
+            object.__setattr__(self, "second_trace_mixture", mixture)
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
         mixtures: list[tuple[float, ...]] = [(1.0 - unknown_share, unknown_share)]
         if self.second_trace_mixture is not None:
-            mixtures.append(tuple(float(v) for v in self.second_trace_mixture))
+            mixtures.append(self.second_trace_mixture)
         return ScenarioSpec(
             catalog=self.catalog,
             true_profiles=self.true_profiles,

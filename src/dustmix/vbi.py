@@ -27,9 +27,10 @@ responsibilities, and every loop builds its priors ``a`` and ``eta`` once.  :fun
 :func:`corpus_elbo` and :func:`elbo_terms` call the kernels on arrays.
 
 The outer loop alternates inference phases with exact box-constrained updates
-of the profile hyperparameters (closed form) and the trace mixing rows (one
-batched Newton solve), warm-starting every phase from the previous state,
-so the bound is monotone across phases too.  The box and the Newton
+of the profile hyperparameters (closed form) and the trace mixing rows (a
+Newton solve, on Python floats for a few rows and on arrays for more;
+see :mod:`~dustmix.mstep`), warm-starting every phase from the previous
+state, so the bound is monotone across phases too.  The box and the Newton
 settings are the fixed defaults ``_BOX`` and ``_SOLVER``.  The loop carries
 H and A as float arrays and builds what the M-step needs of the corpus (the
 trace rows' :class:`~dustmix.mstep.TraceRows`) once per fit.  Each phase
@@ -103,6 +104,14 @@ class NumericalFailure(RuntimeError):
         self.iteration = iteration
 
 
+def as_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, a string or a non-integral number
+    (NaN and infinities too) raises a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Engine settings.
@@ -138,12 +147,10 @@ class FitConfig:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("estep_max_iters", "outer_max_iters"):
-            value = getattr(self, name)
-            if not float(value).is_integer():
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = as_integer(name, getattr(self, name))
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
 
 
 # The box every updated hyperparameter row stays in, and the settings of the

@@ -222,6 +222,11 @@ class TestCmdFit:
         ("fit: {outer_max_iters: 2.5}\n", "outer_max_iters"),
         ("fit: {estep_tol: 1e-8}\n", "estep_tol"),  # PyYAML reads 1e-8 as a string
         ("unknown_sources: 1.7\n", "unknown_sources"),
+        ("report: {hpdi_mass: '0.9'}\n", "report.hpdi_mass"),
+        ("report: {hpdi_mass: 1.5}\n", "report.hpdi_mass"),
+        ("report: {hpdi_mass: 0}\n", "report.hpdi_mass"),
+        ("report: {hpdi_mass: true}\n", "report.hpdi_mass"),
+        ("report: {hpdi_mass: .nan}\n", "report.hpdi_mass"),
     ])
     def test_mistyped_config_value_is_error(self, tmp_path, capsys, text, field):
         config = tmp_path / "config.yaml"

@@ -1,7 +1,12 @@
 import logging
+import math
+from functools import reduce
+from operator import add, mul, sub
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import root
 
@@ -268,12 +273,13 @@ class TestMaximizeBox:
 
         # Mixed batches in a tight box: rows that stay inside it, rows that
         # end on an edge and rows that keep a halved Newton step share one
-        # solve, and each matches its one-row solve bit for bit.
+        # solve on arrays, and each matches its one-row solve, which runs on
+        # floats, bit for bit.
         bounds = BoxBounds(lower=0.05, upper=20.0)
         evaluations = []
-        objective = mstep_module._objective
-        monkeypatch.setattr(mstep_module, "_objective",
-                            lambda *args: evaluations.append(1) or objective(*args))
+        row_objective = mstep_module._row_objective
+        monkeypatch.setattr(mstep_module, "_row_objective",
+                            lambda *args: evaluations.append(1) or row_objective(*args))
         for M in (2, 3):
             sizes = rng.integers(1, 6, size=24)
             scales = rng.choice([0.3, 3.0, 30.0], size=(24, 1)) * rng.uniform(0.5, 3.0, (24, M))
@@ -291,6 +297,135 @@ class TestMaximizeBox:
                     assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), \
                         (M, i, field)
             assert kinds == {"interior", "edge", "halved"}, kinds
+
+
+def replay(evaluations):
+    """Whether a one-row float solve stalled, was restored to its start and
+    halved a step, replayed from the (x, value, grad) of the objective
+    evaluations it made: its start, then each trial of each Newton step."""
+    (x, value, _), start = evaluations[0], evaluations[0][1]
+    trials, halved = 0, False
+    for trial, trial_value, trial_grad in evaluations[1:]:
+        trials += 1
+        if trial_value >= value or reduce(add, map(mul, trial_grad, map(sub, trial, x))) >= 0.0:
+            x, value, halved, trials = trial, trial_value, halved or trials > 1, 0
+    return trials == 40, value < start, halved
+
+
+@st.composite
+def float_batches(draw):
+    """1 to _FLOAT_ROWS rows of 2 to 5 entries in a drawn box, with their
+    solver settings, in one of three regimes.  Each row's maximizer may lie
+    inside or outside the box.  "far" rows start flat, so they take long
+    steps, halve some and end on edges.  "near" rows start within 1e-12 of
+    their maximizer under a tolerance below the rounding, where a row can
+    end under its start.  "convex" rows have a negative sample count, which
+    makes the objective convex, so a Newton step can fail all 40 halvings;
+    a concave row does not stall in practice."""
+    regime = draw(st.sampled_from(["near", "far", "convex"]))
+    dims = draw(st.integers(2, 5))
+    bounds = draw(st.sampled_from([BoxBounds(), BoxBounds(0.05, 2.0), BoxBounds(0.5, 20.0)]))
+    tol = 1e-15 if regime == "near" else draw(st.sampled_from([1e-6, 1e-12]))
+    sign = -1.0 if regime == "convex" else 1.0
+    logs = st.floats(math.log(bounds.lower) - 2.0, math.log(bounds.upper) + 2.0)
+    moves = st.lists(st.floats(-1e-12, 1e-12), min_size=dims, max_size=dims)
+    stat, n, x0 = [], [], []
+    for _ in range(draw(st.integers(1, mstep_module._FLOAT_ROWS))):
+        count = sign * draw(st.sampled_from([1.0, 3.0, 1000.0]))
+        target = np.exp(draw(st.lists(logs, min_size=dims, max_size=dims)))
+        start = target * (1.0 + np.array(draw(moves))) if regime == "near" else np.ones(dims)
+        stat.append(count * digamma_rows(target[None])[0])
+        n.append(count)
+        x0.append(np.clip(start, bounds.lower, bounds.upper))
+    return (np.array(stat), np.array(n), np.array(x0), bounds,
+            OptimizerConfig(grad_tol=tol, max_iters=50))
+
+
+class TestFloatPath:
+    def test_float_rows_match_batched_rows(self, monkeypatch):
+        # Each row solved alone takes the float path; inside a batch above
+        # the cutoff (the drawn rows repeated) it takes the array path.  Every
+        # RowSolve field must agree bit for bit, and a non-finite start must
+        # fail both paths alike.
+        evaluations = []
+        row_objective = mstep_module._row_objective
+
+        def recording(x, stat, n):
+            value, grad = row_objective(x, stat, n)
+            evaluations.append((x, value, grad))
+            return value, grad
+
+        monkeypatch.setattr(mstep_module, "_row_objective", recording)
+        kinds = set()
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(float_batches(), st.sampled_from([None, "nan", "inf"]))
+        def check(batch, poison):
+            stat, n, x0, bounds, config = batch
+            if poison:
+                stat[-1, 0] = float(poison)
+            copies = mstep_module._FLOAT_ROWS // len(x0) + 1
+            tiled = [np.tile(a, (copies,) + (1,) * (a.ndim - 1)) for a in (stat, n, x0)]
+            evaluations.clear()
+            if poison:
+                with pytest.raises(ValueError) as batched_error:
+                    maximize_rows(*tiled, bounds, config)
+                with pytest.raises(ValueError) as alone_error:
+                    maximize_rows(stat[-1:], n[-1:], x0[-1:], bounds, config)
+                assert str(alone_error.value) == str(batched_error.value)
+                return
+            batched = maximize_rows(*tiled, bounds, config)
+            assert evaluations == []  # the batch ran on arrays
+            for i in range(len(x0)):
+                evaluations.clear()
+                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], bounds, config)
+                assert evaluations  # the row ran on floats
+                for field in alone._fields:
+                    assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), \
+                        (i, field)
+                stalled, restored, halved = replay(evaluations)
+                kinds.update(kind for kind, seen in [
+                    ("edge", alone.on_box[0]), ("stalled", stalled), ("restored", restored),
+                    ("halved", halved), ("restored, concave", restored and n[i] > 0)] if seen)
+
+        check()
+        assert kinds == {"edge", "stalled", "restored", "halved", "restored, concave"}, kinds
+
+    def test_division_by_zero_falls_back_to_arrays(self):
+        # a zero sample count divides by zero: the float path gives the
+        # batch to the arrays, which fail as they would have alone
+        stat, x0 = np.array([[-1.0, -2.0]]), np.ones((1, 2))
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as batched_error:
+                mstep_module._maximize_batch(stat, np.zeros(1), x0, BoxBounds(), OptimizerConfig())
+            with pytest.raises(ValueError) as error:
+                maximize_rows(stat, np.zeros(1), x0, BoxBounds(), OptimizerConfig())
+        assert str(error.value) == str(batched_error.value)
+
+    @pytest.mark.parametrize("row, upper", [([np.nan, 1.0], 1e6), ([1e308, 1e308], np.inf)])
+    def test_bad_start_fails_both_paths_alike(self, row, upper):
+        # a NaN start, or one whose sum overflows, is left to the arrays'
+        # DirichletRows check whatever the batch size
+        errors = []
+        for rows in (1, mstep_module._FLOAT_ROWS + 1):
+            x0 = np.array([row] * rows)
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as error:
+                maximize_rows(np.zeros_like(x0), np.ones(rows), x0, BoxBounds(upper=upper),
+                              OptimizerConfig())
+            errors.append(str(error.value))
+        assert errors[0] == errors[1] and "DirichletRows" in errors[0]
+
+    def test_logs_one_debug_line_per_solve(self, caplog):
+        rng = np.random.default_rng(3)
+        with caplog.at_level(logging.DEBUG, logger="dustmix.mstep"):
+            for rows in (1, mstep_module._FLOAT_ROWS + 1):
+                stat, n = random_trace_rows(rng, rows, 2)
+                maximize_rows(stat, n, np.ones((rows, 2)), BoxBounds(), OptimizerConfig())
+        lines = [r.getMessage() for r in caplog.records if r.name == "dustmix.mstep"]
+        assert len(lines) == 2
+        assert lines[0].startswith("solved 1 rows on floats: ")
+        assert lines[1].startswith(f"solved {mstep_module._FLOAT_ROWS + 1} rows on arrays: ")
+        assert all("0 unconverged, 0 on the box" in line for line in lines)
 
 
 class TestMstep:
@@ -326,20 +461,25 @@ class TestMstep:
 
     def test_unclipped_profile_rows_build_no_statistics(self, corpus_both_known, monkeypatch):
         # the profile rows' E log statistics feed only the solve of clipped
-        # rows, so with none clipped no empty set of rows is evaluated
+        # rows, so with none clipped no profile row is evaluated: the two
+        # trace rows are solved on floats, and no DirichletRows is built
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
-        built = []
+        built, evaluated = [], []
 
         class RecordingRows(mstep_module.DirichletRows):
             def __init__(self, rows):
                 super().__init__(rows)
                 built.append(self.rows.shape)
 
+        row_objective = mstep_module._row_objective
         monkeypatch.setattr(mstep_module, "DirichletRows", RecordingRows)
+        monkeypatch.setattr(mstep_module, "_row_objective",
+                            lambda x, *args: evaluated.append(len(x)) or row_objective(x, *args))
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
         H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
         assert np.array_equal(H2, lam)
-        assert built and all(shape[0] for shape in built)
+        assert built == []
+        assert evaluated and set(evaluated) == {A.shape[1]}
 
     def test_total_bound_never_decreases(self, corpus_both_known):
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)

@@ -154,6 +154,34 @@ class TestStudy:
         defaults.update(kwargs)
         return StudySpec(**defaults)
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5),
+        ("replications", True),
+        ("replications", 0),
+        ("sample_sizes", (1.5,)),
+        ("sample_sizes", (40, "80")),
+        ("sample_sizes", (0,)),
+        ("samples_per_trace", 0),
+        ("samples_per_trace", 2.5),
+        ("known_sample_counts", (0,)),
+        ("known_particles_per_sample", 10.5),
+        ("rng_seed", -1),
+        ("rng_seed", 0.5),
+        ("second_trace_mixture", (0.5, 0.6)),
+        ("second_trace_mixture", (0.2, 0.3, 0.5)),
+    ])
+    def test_bad_counts_and_mixture_fail_at_construction(self, catalog, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._study(catalog, **{field: value})
+
+    def test_integral_counts_are_stored_as_int(self, catalog):
+        study = self._study(catalog, sample_sizes=(40.0,), replications=2.0, rng_seed=3.0,
+                            known_particles_per_sample=50.0, second_trace_mixture=(1, 0))
+        assert study.sample_sizes == (40,) and type(study.sample_sizes[0]) is int
+        assert type(study.replications) is int and type(study.rng_seed) is int
+        assert type(study.known_particles_per_sample) is int
+        assert study.second_trace_mixture == (1.0, 0.0)
+
     def test_grid_is_exhaustive(self, catalog):
         study = self._study(catalog)
         results = run_study(study, FitConfig(outer_max_iters=15))
