@@ -49,6 +49,15 @@ def _check_simplex(vec: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a probability vector summing to 1, got {vec}")
 
 
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``, or a ``ValueError`` naming
+    ``name`` (the integer rule of :class:`FitConfig`'s caps)."""
+    count = as_integer(name, value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One generative setting: true profiles, trace mixtures, sample sizes.
@@ -57,7 +66,9 @@ class ScenarioSpec:
     gives the number of control samples per known source.  Control samples
     are drawn from their source's profile alone (degenerate mixing), with
     ``known_particles_per_sample`` particles each (defaults to
-    ``particles_per_sample``).
+    ``particles_per_sample``).  Every count must be an integer, at least 1
+    (the seed at least 0), and is stored as ``int``; an error names its
+    field.
     """
 
     catalog: ParticleCatalog
@@ -84,10 +95,14 @@ class ScenarioSpec:
         object.__setattr__(self, "trace_mixtures", mixtures)
         if len(self.known_sample_counts) > profiles.shape[0]:
             raise ValueError("more known sources than profile rows")
-        if self.particles_per_sample < 1 or self.samples_per_trace < 1:
-            raise ValueError("sample sizes must be at least 1")
-        if any(c < 1 for c in self.known_sample_counts):
-            raise ValueError("known sample counts must be at least 1")
+        object.__setattr__(self, "known_sample_counts", tuple(
+            _count("known_sample_counts", c) for c in self.known_sample_counts))
+        for name in ("particles_per_sample", "samples_per_trace"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.known_particles_per_sample is not None:
+            object.__setattr__(self, "known_particles_per_sample", _count(
+                "known_particles_per_sample", self.known_particles_per_sample))
+        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
 
     @property
     def n_sources(self) -> int:
@@ -201,19 +216,14 @@ class StudySpec:
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
         # every count is an integer, at least 1 (the seed at least 0), or an
         # error naming its field: no cell of run_study is left to fail on it
-        def count(name: str, value, least: int = 1) -> int:
-            if as_integer(name, value) < least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
-            return int(value)
-
         for name in ("sample_sizes", "known_sample_counts"):
-            object.__setattr__(self, name, tuple(count(name, v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_count(name, v) for v in getattr(self, name)))
         for name in ("samples_per_trace", "replications"):
-            object.__setattr__(self, name, count(name, getattr(self, name)))
-        object.__setattr__(self, "rng_seed", count("rng_seed", self.rng_seed, least=0))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
         if self.known_particles_per_sample is not None:
-            object.__setattr__(self, "known_particles_per_sample",
-                               count("known_particles_per_sample", self.known_particles_per_sample))
+            object.__setattr__(self, "known_particles_per_sample", _count(
+                "known_particles_per_sample", self.known_particles_per_sample))
         if self.second_trace_mixture is not None:
             mixture = tuple(float(v) for v in self.second_trace_mixture)
             if len(mixture) != 2:

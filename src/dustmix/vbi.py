@@ -38,6 +38,13 @@ checks the H and A it is given when it reads them as :class:`DirichletRows`;
 they are wrapped as :class:`DirichletMatrix` only by :func:`_start` and for
 the :class:`FitResult`.
 
+Before the first phase :func:`fit` stages its starting point
+(:func:`_warm_start_profiles`): the known samples settle the profile
+posterior, then, with that posterior frozen, each trace row settles at its
+own fixed point by damped Newton steps on its block of the linear-response
+precision (:func:`_settle_trace_rows`), the block the fixed point's Newton
+solve factors too (:func:`_sample_whitening`).
+
 :func:`fit` keeps its state in these arrays from the corpus to the
 :class:`FitResult`; :func:`initialize` builds the same starting point as
 per-sample :class:`VariationalState` objects, which serve only the
@@ -284,16 +291,24 @@ def _bound_terms(
     gamma: DirichletRows,
     phi: np.ndarray,
     lam: DirichletRows,
+    weighted_phi: np.ndarray | None = None,
+    entropy_z: float | None = None,
 ) -> dict[str, float]:
     """The seven bound terms, each summed over the sample rows; the profile
-    block (``log_p_beta``, ``entropy_beta``) is counted once."""
-    weighted_phi = phi * counts[:, :, None]
+    block (``log_p_beta``, ``entropy_beta``) is counted once.  The
+    count-weighted responsibilities and ``entropy_z`` are computed unless
+    given (a swept state's, from :func:`_sweep_rows` and
+    :func:`_collapsed_bound`)."""
+    if weighted_phi is None:
+        weighted_phi = phi * counts[:, :, None]
+    if entropy_z is None:
+        entropy_z = _entropy_z(weighted_phi, phi)
     return {
         "log_p_x": float((weighted_phi * lam.e_log.T).sum()),
         "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
         "log_p_z": float((weighted_phi.sum(axis=1) * gamma.e_log).sum()),
         "entropy_theta": -_expected_log_dirichlet(gamma, gamma.e_log),
-        "entropy_z": _entropy_z(weighted_phi, phi),
+        "entropy_z": entropy_z,
         "log_p_beta": _expected_log_dirichlet(eta, lam.e_log),
         "entropy_beta": -_expected_log_dirichlet(lam, lam.e_log),
     }
@@ -302,15 +317,17 @@ def _bound_terms(
 def _collapsed_bound(
     a: DirichletRows, eta: DirichletRows, gamma: DirichletRows, phi: np.ndarray,
     lam: DirichletRows, weighted_phi: np.ndarray,
-) -> float:
+) -> tuple[float, float]:
     """The bound of a state :func:`_sweep_rows` just returned under priors
     ``a`` and ``eta`` (with its responsibilities and their count-weighted
     form), where every E log weight of the seven terms cancels (Blei, Ng and
     Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma) + l(eta) -
-    l(lam), plus ``entropy_z``.  It holds only for such a state, not for a
-    state whose priors changed or that was not swept (a phase's start)."""
+    l(lam), plus ``entropy_z``; returns the bound and its ``entropy_z``.  It
+    holds only for such a state, not for a state whose priors changed or
+    that was not swept (a phase's start)."""
     log_norms = a.log_norm_sum - gamma.log_norm_sum + eta.log_norm_sum - lam.log_norm_sum
-    return float(log_norms) + _entropy_z(weighted_phi, phi)
+    entropy_z = _entropy_z(weighted_phi, phi)
+    return float(log_norms) + entropy_z, entropy_z
 
 
 def elbo_terms(
@@ -415,6 +432,13 @@ def estep_sample(
     return state
 
 
+# Each warm-start stage sweeps until its settle test holds, for at most
+# _WARM_SWEEPS sweeps; the trace stage makes _WARM_PASSES passes, refreshing
+# the frozen profile posterior between them.  The known stage runs to the
+# cap on the bundled and benchmark corpora (lam still moves by about 1e-7
+# relative).  Per-row Newton steps settle each trace-stage pass in 4-11
+# sweeps there, where plain sweeps needed 57-126 for the first pass on the
+# bundled and many-trace corpora, so for that stage the cap is a guard.
 _WARM_SWEEPS = 50
 _WARM_PASSES = 3
 
@@ -472,10 +496,13 @@ def _warm_start_profiles(
     trace's own blend and absorb it wholesale, which is a measurably worse
     optimum; settling the pinned single-source samples first, then the
     trace responsibilities against that frozen posterior, starts the ascent
-    inside the right basin.  This only picks the starting point; the
+    inside the right basin.  Each trace-stage pass settles every trace row
+    at its own fixed point by per-row Newton steps
+    (:func:`_settle_trace_rows`).  This only picks the starting point; the
     recorded bound sequence begins afterwards.  Returns gamma, phi and lam,
-    and logs at DEBUG what it chose: the sweeps of each stage and the
-    bootstrap unknown share.
+    and logs at DEBUG what it chose: the known stage's sweeps and whether it
+    settled; per trace-stage pass the sweeps, the Newton steps kept and
+    reverted and whether it settled; and the bootstrap unknown share.
     """
     gamma, phi = gamma.copy(), phi.copy()
     known_counts, known_a = counts[known], a[known]
@@ -495,26 +522,94 @@ def _warm_start_profiles(
     if boot is not None:
         lam[-1] = boot[0]
 
-    # the profile posterior is frozen within a pass, so its update is skipped
-    trace_gamma, trace_phi, trace_sweeps = gamma[trace], phi[trace], []
+    trace_gamma, trace_phi, passes = gamma[trace], phi[trace], []
     for _ in range(_WARM_PASSES if trace.any() else 0):
-        frozen = DirichletRows(lam)
-        for sweeps in range(1, _WARM_SWEEPS + 1):
-            new_phi = _responsibilities(DirichletRows(trace_gamma), frozen)
-            trace_gamma = trace_a + _allocated(trace_counts, new_phi)
-            moved = np.abs(new_phi - trace_phi).max()
-            trace_phi = new_phi
-            if moved < 1e-10:
-                break
-        trace_sweeps.append(sweeps)
+        trace_gamma, trace_phi, sweeps, kept, reverted, done = _settle_trace_rows(
+            trace_counts, trace_a, trace_gamma, trace_phi, DirichletRows(lam))
+        passes.append(f"{sweeps} sweeps, {kept} Newton steps kept, {reverted} reverted, "
+                      + ("settled" if done else "not settled"))
         gamma[trace], phi[trace] = trace_gamma, trace_phi
         lam = eta + (phi * counts[:, :, None]).sum(axis=0).T
     logger.debug(
-        "warm start: known stage %d sweeps (%s), trace stage sweeps per pass %s, "
+        "warm start: known stage %d sweeps (%s), trace stage per pass [%s], "
         "bootstrap unknown share %s", known_sweeps, "settled" if settled else "not settled",
-        trace_sweeps, "none" if boot is None else f"{boot[1]:.4g}",
+        "; ".join(passes), "none" if boot is None else f"{boot[1]:.4g}",
     )
     return gamma, phi, lam
+
+
+def _settle_trace_rows(
+    counts: np.ndarray, a: np.ndarray, gamma: np.ndarray, phi: np.ndarray, lam: DirichletRows
+) -> tuple[np.ndarray, np.ndarray, int, int, int, bool]:
+    """One pass of the warm start's trace stage: the trace rows (``counts``,
+    mixing prior rows ``a``, ``gamma`` and ``phi``) swept against the
+    frozen profile posterior ``lam`` until no responsibility moves by 1e-10
+    from one sweep to the next, or ``_WARM_SWEEPS`` sweeps.
+
+    With ``lam`` frozen each row is its own fixed point gamma_n = a_n +
+    allocated(phi(gamma_n)), whose Jacobian is K_n V_n, so the Newton step
+    from gamma_n is V_n^-1 D_n^-1 r_n for the residual r_n = F(gamma_n) -
+    gamma_n, on the per-sample blocks D_n of the linear-response precision
+    (:func:`_sample_whitening`; the profile block drops out).  After each
+    sweep that does not end the pass every row takes that step, damped to
+    min(1, half the distance to the positive boundary along it) as
+    :func:`_newton_point` damps (:func:`_row_newton_points`).  A row whose
+    step is not finite takes its plain sweep instead, and so does every row
+    when some D_n has no Cholesky factor.  So does a row whose Newton point
+    has a larger residual (largest entry) than the point it stepped from:
+    the next sweep shows it and is then made again for that row from its
+    plain sweep.  Returns the rows the last sweep allocates with its
+    responsibilities, the sweeps, the row steps kept and those reverted
+    (by any of the three rules), and whether the pass settled.
+    """
+    def sweep(rows, gamma):
+        """Responsibilities at ``gamma`` of ``rows``, their plain sweep and its residual."""
+        phi = _responsibilities(DirichletRows(gamma), lam)
+        swept = a[rows] + _allocated(counts[rows], phi)
+        return phi, swept, reduce_last(np.maximum, np.abs(swept - gamma))
+
+    taken = grown = 0
+    stepped, fallback, last_residual = np.zeros(len(gamma), dtype=bool), gamma, np.inf
+    for sweeps in range(1, _WARM_SWEEPS + 1):
+        new_phi, swept, residual = sweep(slice(None), gamma)
+        worse = stepped & ~(residual <= last_residual)
+        if worse.any():
+            grown += int(worse.sum())
+            gamma[worse] = fallback[worse]
+            new_phi[worse], swept[worse], residual[worse] = sweep(worse, gamma[worse])
+        settled = np.abs(new_phi - phi).max() < 1e-10
+        phi = new_phi
+        if settled or sweeps == _WARM_SWEEPS:
+            break
+        point = _row_newton_points(counts, gamma, new_phi, swept)
+        stepped = np.isfinite(point).all(axis=1)
+        taken += int(stepped.sum())
+        fallback, last_residual = swept, residual
+        gamma = np.where(stepped[:, None], point, swept)
+    tried = (sweeps - 1) * len(gamma)
+    return swept, phi, sweeps, taken - grown, tried - taken + grown, bool(settled)
+
+
+def _row_newton_points(
+    counts: np.ndarray, gamma: np.ndarray, phi: np.ndarray, swept: np.ndarray
+) -> np.ndarray:
+    """Each row's damped Newton point for the trace stage
+    (:func:`_settle_trace_rows`), from ``gamma`` with the ``phi`` computed
+    there and its plain sweep ``swept``; every row is NaN when some row's
+    block has no Cholesky factor, because the batched factorisation does
+    not say which (from the flat start every row's fails)."""
+    blocks = _dirichlet_log_precision(gamma)
+    weighted = counts[:, :, None] * phi
+    allocation = weighted.sum(axis=1)[:, :, None] * np.eye(gamma.shape[1]) - np.matmul(
+        weighted.transpose(0, 2, 1), phi)
+    try:
+        whiten = _sample_whitening(blocks, allocation)
+    except np.linalg.LinAlgError:
+        return np.full_like(gamma, np.nan)
+    u = np.einsum("nmk,nk->nm", whiten, swept - gamma)
+    step = _sample_steps(blocks, whiten, u)
+    t = np.minimum(1.0, 0.5 * _to_boundary(gamma, step))
+    return gamma + t[:, None] * step
 
 
 def _inference_phase(
@@ -535,7 +630,9 @@ def _inference_phase(
     under earlier priors (a previous phase's return), of which only the two
     prior terms are re-scored; without them all seven are.  The stop rule
     reads each swept state's :func:`_collapsed_bound`, re-scored by the
-    seven terms when not finite so that the failure names its term."""
+    seven terms when not finite so that the failure names its term; the
+    returned state's seven terms take the last sweep's count-weighted
+    responsibilities and ``entropy_z``."""
     a, eta = DirichletRows(a), DirichletRows(eta)
     terms = _bound_terms(counts, a, eta, gamma, phi, lam) if terms is None else {
         **terms, "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
@@ -543,7 +640,7 @@ def _inference_phase(
     previous = _check_terms(terms)
     for sweep in range(1, config.estep_max_iters + 1):
         gamma, lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
-        current = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
+        current, entropy_z = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
         if not np.isfinite(current):
             terms = _bound_terms(counts, a, eta, gamma, phi, lam)
             current = _check_terms(terms, f"inference sweep {sweep}", sweep)
@@ -557,7 +654,7 @@ def _inference_phase(
             change / scale,
             config.estep_max_iters,
         )
-    terms = _bound_terms(counts, a, eta, gamma, phi, lam)
+    terms = _bound_terms(counts, a, eta, gamma, phi, lam, weighted, entropy_z)
     return gamma, phi, lam, terms, _check_terms(terms, f"inference sweep {sweep}", sweep), sweep
 
 
@@ -605,8 +702,9 @@ def _fixed_point(
         trial_gamma, trial_lam, trial_phi, trial_weighted = _sweep_rows(
             counts, a.rows, eta.rows, *point)
         sweeps += 1
-        bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
-        trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam, trial_weighted)
+        bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)[0]
+        trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam,
+                                       trial_weighted)[0]
         if np.isfinite(trial_bound) and trial_bound >= bound:
             gamma, lam, phi = trial_gamma, trial_lam, trial_phi
             accepted += 1
@@ -644,6 +742,29 @@ def _dirichlet_log_precision(rows: np.ndarray) -> np.ndarray:
     )
 
 
+def _sample_whitening(theta_blocks: np.ndarray, allocation: np.ndarray) -> np.ndarray:
+    """W_n = L_n^-1 for each per-sample block D_n = V_n^-1 - K_n = L_n L_n^T
+    of the linear-response precision, from the :func:`_dirichlet_log_precision`
+    blocks V_n^-1 of gamma (``theta_blocks``) and the allocation terms K_n:
+    each particle's allocation covariance diag(phi) - phi phi^T, weighted by
+    its count and summed over the sample's types.  A ``LinAlgError`` says
+    some D_n is not positive definite."""
+    return np.linalg.inv(np.linalg.cholesky(theta_blocks - allocation))
+
+
+def _sample_steps(theta_blocks: np.ndarray, whiten: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """V_n^-1 W_n^T u_n for each sample: with u_n = W_n r_n, the Newton step
+    V_n^-1 D_n^-1 r_n in the mixing posterior (:func:`_sample_whitening`)."""
+    return np.einsum("ijk,ik->ij", theta_blocks, np.einsum("nkm,nk->nm", whiten, u))
+
+
+def _to_boundary(values: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Per row, the multiple of ``step`` that takes ``values`` to the
+    positive boundary (infinite where no entry of the step is negative)."""
+    return reduce_last(np.minimum, np.divide(
+        values, -step, out=np.full_like(values, np.inf), where=step < 0.0))
+
+
 def _linear_response_factor(
     counts: np.ndarray, theta_blocks: np.ndarray, beta_blocks: np.ndarray, phi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -654,18 +775,20 @@ def _linear_response_factor(
     :func:`_dirichlet_log_precision` blocks of gamma (``theta_blocks``) and
     lam (``beta_blocks``); B couples each particle's allocation (covariance
     diag(phi) - phi phi^T) to both, and the allocations are eliminated.  So
-    P = [[D, -X], [-X^T, P_bb]] with one block D_n per sample.  Returns W_n
-    = L_n^-1 for each D_n = L_n L_n^T, the whitened cross blocks W_n X_n
-    (samples x M x M*T) and the Cholesky factor L_S of S = P_bb - sum_n
-    X_n^T D_n^-1 X_n.  P is positive definite exactly when every D_n and S
-    are: a ``LinAlgError`` from either factorisation says it is not.
+    P = [[D, -X], [-X^T, P_bb]] with one block D_n per sample
+    (:func:`_sample_whitening`, with the terms ``w`` of each type kept for
+    X and P_bb).  Returns W_n = L_n^-1 for each D_n = L_n
+    L_n^T, the whitened cross blocks W_n X_n (samples x M x M*T) and the
+    Cholesky factor L_S of S = P_bb - sum_n X_n^T D_n^-1 X_n.  P is
+    positive definite exactly when every D_n and S are: a ``LinAlgError``
+    from either factorisation says it is not.
     """
     (N, T, M) = phi.shape
     weighted = counts[:, :, None] * phi
     w = np.einsum("ntm,mk->ntmk", weighted, np.eye(M)) - np.einsum(
         "ntm,ntk->ntmk", weighted, phi
     )
-    whiten = np.linalg.inv(np.linalg.cholesky(theta_blocks - w.sum(axis=1)))
+    whiten = _sample_whitening(theta_blocks, w.sum(axis=1))
     cross = whiten @ w.transpose(0, 2, 3, 1).reshape(N, M, M * T)
     beta_beta = np.einsum("mtu,mk->mtku", beta_blocks, np.eye(M)) - np.einsum(
         "tmk,tu->mtku", w.sum(axis=0), np.eye(T))
@@ -685,7 +808,9 @@ def _newton_point(
     for P s = F(x) - x = r; on the :func:`_linear_response_factor` blocks,
     s_beta = S^-1 (r_beta + sum_n X_n^T D_n^-1 r_n) and s_n = D_n^-1 (r_n +
     X_n s_beta).  It is damped to min(1, half the distance to the positive
-    boundary along it), so a finite step's point is strictly positive.
+    boundary along it), so a finite step's point is strictly positive.  With
+    the profiles frozen, s_beta = 0 and s_n = D_n^-1 r_n is the trace stage's
+    per-row step (:func:`_row_newton_points`).
     """
     rows = [state.rows for state in x]
     blocks = [_dirichlet_log_precision(values) for values in rows]
@@ -694,10 +819,9 @@ def _newton_point(
     u = np.einsum("nmk,nk->nm", whiten, r_theta)
     s_beta = np.linalg.solve(s_factor.T, np.linalg.solve(
         s_factor, r_beta.ravel() + np.einsum("nmb,nm->b", cross, u)))
-    s_theta = np.einsum("nkm,nk->nm", whiten, u + cross @ s_beta)
-    steps = [np.einsum("ijk,ik->ij", block, part)
-             for block, part in zip(blocks, (s_theta, s_beta.reshape(r_beta.shape)))]
-    t = min(1.0, 0.5 * min((values[step < 0.0] / -step[step < 0.0]).min(initial=np.inf)
+    steps = (_sample_steps(blocks[0], whiten, u + cross @ s_beta),
+             np.einsum("ijk,ik->ij", blocks[1], s_beta.reshape(r_beta.shape)))
+    t = min(1.0, 0.5 * min(_to_boundary(values, step).min(initial=np.inf)
                            for values, step in zip(rows, steps)))
     return tuple(DirichletRows(values + t * step) for values, step in zip(rows, steps))
 

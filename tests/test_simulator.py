@@ -139,6 +139,39 @@ class TestScenario:
                          trace_mixtures=((1.0,),), particles_per_sample=10)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("particles_per_sample", 2.5),
+        ("particles_per_sample", True),
+        ("particles_per_sample", 0),
+        ("samples_per_trace", 2.5),
+        ("samples_per_trace", "3"),
+        ("known_sample_counts", (2.5,)),
+        ("known_sample_counts", (0,)),
+        ("known_particles_per_sample", 10.5),
+        ("known_particles_per_sample", 0),
+        ("rng_seed", -1),
+        ("rng_seed", 0.5),
+    ])
+    def test_bad_counts_fail_at_construction(self, catalog, field, value):
+        # a non-integer count once truncated (particles) or failed later in
+        # generate_corpus with a TypeError naming no field
+        kwargs = dict(catalog=catalog, true_profiles=PROFILES, trace_mixtures=((0.5, 0.5),),
+                      particles_per_sample=10, samples_per_trace=2, known_sample_counts=(2,))
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec(**{**kwargs, field: value})
+
+    def test_integral_counts_are_stored_as_int(self, catalog):
+        spec = ScenarioSpec(catalog=catalog, true_profiles=PROFILES, trace_mixtures=((0.5, 0.5),),
+                            particles_per_sample=50.0, samples_per_trace=3.0,
+                            known_sample_counts=(2.0,), known_particles_per_sample=20.0,
+                            rng_seed=1.0)
+        for value in (spec.particles_per_sample, spec.samples_per_trace,
+                      *spec.known_sample_counts, spec.known_particles_per_sample, spec.rng_seed):
+            assert type(value) is int
+        corpus = generate_corpus(spec)
+        assert [len(l.samples) for l in corpus.locations] == [2, 3]
+        assert [s.total for l in corpus.locations for s in l.samples] == [20, 20, 50, 50, 50]
+
 class TestStudy:
     def _study(self, catalog, **kwargs):
         defaults = dict(

@@ -540,14 +540,106 @@ class TestFit:
                   if record.getMessage().startswith("warm start:")]
         assert len(chosen) == 1 and chosen[0].levelno == logging.DEBUG
         message = chosen[0].getMessage()
-        # the known stage runs its full cap on the bundled corpora
+        # the known stage runs its full cap on the bundled corpora; Newton
+        # steps settle each trace-stage pass well inside it
         assert "known stage 50 sweeps (not settled)" in message
-        passes = message.split("trace stage sweeps per pass [")[1].split("]")[0].split(", ")
-        assert len(passes) == 3 and all(1 <= int(n) <= 50 for n in passes)
+        passes = message.split("trace stage per pass [")[1].split("]")[0].split("; ")
+        assert len(passes) == 3
+        for chosen in passes:
+            match = re.fullmatch(
+                r"(\d+) sweeps, (\d+) Newton steps kept, (\d+) reverted, settled", chosen)
+            assert match and 1 <= int(match[1]) <= 15 and int(match[2]) > 0, chosen
         assert message.split("bootstrap unknown share ")[1].startswith(share)
         # logging changes no output
         assert again.elbo_trace == result.elbo_trace
         assert np.array_equal(again.A_converged.values, result.A_converged.values)
+
+
+def _trace_stage_args(corpus):
+    """The arguments of ``corpus``'s first trace-stage pass: the trace rows'
+    counts, mixing prior rows, gamma and phi, and the frozen profile
+    posterior."""
+    captured = []
+    settle = vbi._settle_trace_rows
+
+    def capture(*args):
+        captured.append(args)
+        return settle(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vbi, "_settle_trace_rows", capture)
+        fit(corpus, FitConfig(outer_max_iters=1))
+    return captured[0]
+
+
+class TestTraceStage:
+    """The warm start's trace stage settles each trace row at its fixed
+    point by per-row Newton steps, with plain sweeps as the fallback."""
+
+    @staticmethod
+    def _plain(monkeypatch, counts, a, gamma, phi, lam):
+        """The stage with every factorisation failing, so that every row
+        takes its plain sweep, and its cap lifted; then called again (one
+        sweep a call) until the rows no longer move.  Returns the first
+        call's result and the rows at rest."""
+        def failing(*args):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(vbi, "_sample_whitening", failing)
+        monkeypatch.setattr(vbi, "_WARM_SWEEPS", 100_000)
+        first = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+        gamma, phi = first[:2]
+        for _ in range(5_000):
+            new_gamma, phi, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+            if np.array_equal(new_gamma, gamma):
+                return first, gamma
+            gamma = new_gamma
+        pytest.fail("plain sweeps did not come to rest")
+
+    @pytest.mark.parametrize("name", ["both_known", "at_known", "lq_known", "three_source"])
+    def test_newton_reaches_the_plain_fixed_point(self, name, request, monkeypatch):
+        corpus = (_three_source_corpus() if name == "three_source"
+                  else request.getfixturevalue(f"corpus_{name}"))
+        args = _trace_stage_args(corpus)
+        gamma, _, sweeps, kept, _, settled = vbi._settle_trace_rows(*args)
+        assert settled and kept > 0 and sweeps <= 15
+        # plain sweeps stopped by the settle test sit up to 2e-8 (relative)
+        # short of their rest point on the 3-source corpus, after 265 sweeps
+        (plain, *_), at_rest = self._plain(monkeypatch, *args)
+        assert_allclose(plain, at_rest, rtol=1e-7, atol=0)
+        assert_allclose(gamma, at_rest, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("spoiled", ["factorisation", "residual"])
+    def test_spoiled_steps_settle_by_plain_sweeps(self, corpus_at_known, spoiled, monkeypatch):
+        # a failing factorisation takes no Newton step; a step that grows its
+        # row's residual (here to 1e3 times the row) is taken back, and that
+        # row's sweep made again from its plain sweep
+        if spoiled == "residual":
+            monkeypatch.setattr(vbi, "_row_newton_points",
+                                lambda counts, gamma, phi, swept: 1e3 * gamma)
+        counts, a, gamma, phi, lam = _trace_stage_args(corpus_at_known)
+        first, _ = self._plain(monkeypatch, counts, a, gamma, phi, lam)
+        new_gamma, new_phi, sweeps, kept, reverted, settled = first
+        assert settled and kept == 0 and reverted == len(gamma) * (sweeps - 1)
+        for _ in range(sweeps):  # plain sweeps, as the stage made them before
+            phi = vbi._responsibilities(numerics.DirichletRows(gamma), lam)
+            gamma = a + vbi._allocated(counts, phi)
+        assert np.array_equal(new_gamma, gamma) and np.array_equal(new_phi, phi)
+
+    @pytest.mark.parametrize("factor", [1e3, 1e-3])
+    def test_row_far_from_its_fixed_point(self, corpus_at_known, factor, monkeypatch):
+        counts, a, gamma, phi, lam = _trace_stage_args(corpus_at_known)
+        rest, rest_phi, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+        start = rest.copy()
+        start[0] *= factor
+        points, newton_points = [], vbi._row_newton_points
+        monkeypatch.setattr(vbi, "_row_newton_points",
+                            lambda *args: points.append(newton_points(*args)) or points[-1])
+        gamma, _, _, kept, _, settled = vbi._settle_trace_rows(counts, a, start, rest_phi, lam)
+        assert settled and kept > 0
+        # every Newton point the stage could take is strictly positive
+        assert all(np.all(point[np.isfinite(point).all(axis=1)] > 0.0) for point in points)
+        assert_allclose(gamma, rest, rtol=1e-12, atol=0)
 
 
 class TestNumericalFailure:
@@ -643,8 +735,8 @@ class TestSharedState:
         scored = []
         bound_terms = vbi._bound_terms
 
-        def recording(counts, a, eta, gamma, phi, lam):
-            terms = bound_terms(counts, a, eta, gamma, phi, lam)
+        def recording(counts, a, eta, gamma, phi, lam, *swept):
+            terms = bound_terms(counts, a, eta, gamma, phi, lam, *swept)
             scored.append(((counts, a.rows, eta.rows, gamma.rows, phi, lam.rows), terms))
             return terms
 
@@ -706,8 +798,9 @@ class TestCollapsedBound:
         # relative to the terms: a bound near zero is a difference of terms
         # hundreds of times larger, and keeps only their rounding
         scale = sum(abs(value) for value in terms.values())
-        collapsed = vbi._collapsed_bound(a, eta, gamma, phi, lam, weighted)
+        collapsed, entropy_z = vbi._collapsed_bound(a, eta, gamma, phi, lam, weighted)
         assert abs(collapsed - vbi._check_terms(terms)) <= 1e-12 * scale
+        assert entropy_z == terms["entropy_z"]
 
     def test_entropy_of_underflowed_responsibilities(self):
         # a responsibility that underflowed to 0 adds 0, and so does a type
@@ -729,7 +822,8 @@ class TestCollapsedBound:
 
         def seven_terms(a, eta, gamma, phi, lam, weighted):
             calls.append(1)
-            return float(sum(vbi._bound_terms(counts, a, eta, gamma, phi, lam).values()))
+            terms = vbi._bound_terms(counts, a, eta, gamma, phi, lam)
+            return float(sum(terms.values())), terms["entropy_z"]
 
         monkeypatch.setattr(vbi, "_collapsed_bound", seven_terms)
         again = fit(corpus, FitConfig())
@@ -768,7 +862,7 @@ class TestFixedPointSharedState:
 
         def recording(a, eta, gamma, phi, lam, weighted):
             bound = collapsed_bound(a, eta, gamma, phi, lam, weighted)
-            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), bound))
+            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), bound[0]))
             return bound
 
         monkeypatch.setattr(vbi, "_collapsed_bound", recording)
@@ -814,9 +908,11 @@ def _digest(values: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-# The bundled fits' outputs as recorded at a3414e1: the full bound trace and
-# the iteration count, sha256 digests of the float64 bytes of the EB-path
-# arrays, and the linear-response trace rows.
+# The bundled fits' outputs as recorded once the warm start's trace stage
+# settled by per-row Newton steps: the full bound trace and the iteration
+# count, sha256 digests of the float64 bytes of the EB-path arrays, and the
+# linear-response trace rows.  The iteration counts and the final bounds
+# (to 1e-12) are those the engine has given since before the pins.
 BUNDLED_FITS = json.loads((Path(__file__).parent / "bundled_fits.json").read_text())
 
 
@@ -853,8 +949,8 @@ class TestBundledFits:
 
 
 # The six fits of a serial run_study over the pooled AT/LQ profiles (shares
-# 0.1/0.5/0.9, n = 1900, 2 replications, seed 0), pinned like the bundled fits
-# and recorded before the linear-response step continued the first phase.
+# 0.1/0.5/0.9, n = 1900, 2 replications, seed 0), pinned and recorded like the
+# bundled fits.
 STUDY_GRID_FITS = json.loads((Path(__file__).parent / "study_grid_fits.json").read_text())
 
 
@@ -912,8 +1008,9 @@ class TestStudyGridFits:
 # One fit of the many-traces design (AT known from 12 samples, LQ unknown; 24
 # trace locations of 2 samples at 350 particles, the LQ share of location j
 # drawn from the j-th of 24 equal strata of [0.05, 0.95]; generate_corpus at
-# seed 0), pinned like the study-grid fits.  Its M-steps solve 24 trace rows
-# in one batch, where some rows keep a halved Newton step and others do not.
+# seed 0), pinned and recorded like the bundled fits.  Its M-steps solve 24
+# trace rows in one batch, where some rows keep a halved Newton step and
+# others do not.
 MANY_TRACE_FIT = json.loads((Path(__file__).parent / "many_trace_fit.json").read_text())
 
 
@@ -947,8 +1044,8 @@ class TestManyTraceFit:
 # One fit with three sources (AT and LQ known from 6 samples each, a third
 # unknown whose profile is the LQ row in reverse type order, renormalised;
 # 3 trace locations of 3 samples at 400 particles; generate_corpus at seed
-# 0), pinned like the study-grid fits.  The other pins have two sources, and
-# rows of three entries are summed in more than one step.
+# 0), pinned and recorded like the bundled fits.  The other pins have two
+# sources, and rows of three entries are summed in more than one step.
 THREE_SOURCE_FIT = json.loads((Path(__file__).parent / "three_source_fit.json").read_text())
 
 
@@ -1087,7 +1184,7 @@ class TestFixedPoint:
 
         def recording_bound(a, eta, gamma, phi, lam, weighted):
             bound = collapsed_bound(a, eta, gamma, phi, lam, weighted)
-            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), gamma, bound))
+            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), gamma, bound[0]))
             return bound
 
         def recording_sweep(counts, a, eta, gamma, lam):
