@@ -17,7 +17,6 @@ import logging
 import sys
 import time
 from dataclasses import asdict, dataclass
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .model import (
 )
 from .posterior import build_report, write_plot_csvs, write_report_json, write_summary_csv
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
-from .vbi import FitConfig, NumericalFailure, as_integer, fit
+from .vbi import FitConfig, NumericalFailure, as_integer, as_real, fit
 
 __all__ = ["IngestError", "RunManifest", "cmd_fit", "cmd_report", "cmd_simulate", "ingest_csv", "main"]
 
@@ -225,9 +224,8 @@ def load_config(path: Path | str | None) -> dict:
     if as_integer("unknown_sources", sources) < 0:
         raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
     report = section("report", dict(_REPORT_DEFAULTS))
-    mass = report["hpdi_mass"]
-    # NaN fails the range test too
-    if isinstance(mass, bool) or not isinstance(mass, Real) or not 0.0 < mass < 1.0:
+    mass = as_real("report.hpdi_mass", report["hpdi_mass"])
+    if not 0.0 < mass < 1.0:  # NaN fails the range test too
         raise ValueError(f"report.hpdi_mass must be a number in (0, 1), got {mass!r}")
     return {
         "unknown_sources": int(sources),
@@ -312,9 +310,11 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     """Parse a study specification; ``profiles: at_lq`` pulls the bundled
     point-estimate profiles (first source known, second unknown).  Each
     count (``sample_sizes``, ``samples_per_trace``, ``known_samples``,
-    ``known_sample_size``, ``replications``, ``seed``) must be an integer:
-    a bool, a string or a non-integral value raises a ``ValueError`` naming
-    its key."""
+    ``known_sample_size``, ``replications``, ``seed``) must be an integer
+    and each share (``unknown_shares``, ``second_trace``) a number: a bool,
+    a string or a non-integral count raises a ``ValueError`` naming its key,
+    as does a ``sample_sizes``, ``unknown_shares`` or ``second_trace`` that
+    is not a list."""
     import yaml
 
     raw = yaml.safe_load(Path(path).read_text())
@@ -341,21 +341,24 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
         profiles = np.asarray(profiles_spec["rows"], dtype=np.float64)
         profiles = profiles / profiles.sum(axis=1, keepdims=True)
 
-    second = raw.get("second_trace")
-    sizes, known_size = raw.get("sample_sizes", (100, 700, 1900)), raw.get("known_sample_size")
-    if not isinstance(sizes, (list, tuple)):
-        raise ValueError(f"sample_sizes must be a list of integers, got {sizes!r}")
+    def listed(key: str, default, item) -> tuple:
+        values = raw.get(key, default)
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{key} must be a list, got {values!r}")
+        return tuple(item(key, value) for value in values)
+
+    second, known_size = raw.get("second_trace"), raw.get("known_sample_size")
     return StudySpec(
         catalog=catalog,
         true_profiles=profiles,
-        unknown_shares=tuple(float(u) for u in raw.get("unknown_shares", (0.1, 0.5, 0.9))),
-        sample_sizes=tuple(as_integer("sample_sizes", n) for n in sizes),
+        unknown_shares=listed("unknown_shares", (0.1, 0.5, 0.9), as_real),
+        sample_sizes=listed("sample_sizes", (100, 700, 1900), as_integer),
         samples_per_trace=as_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
         known_sample_counts=(as_integer("known_samples", raw.get("known_samples", 12)),),
         known_particles_per_sample=(
             None if known_size is None else as_integer("known_sample_size", known_size) or None
         ),
-        second_trace_mixture=tuple(float(v) for v in second) if second else None,
+        second_trace_mixture=None if second is None else listed("second_trace", None, as_real),
         replications=as_integer("replications", raw.get("replications", 10)),
         rng_seed=as_integer("seed", seed if seed is not None else raw.get("seed", 0)),
     )

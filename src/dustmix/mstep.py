@@ -19,9 +19,10 @@ sums digamma differences of the matching variational block over S rows.
   take the same operations in the same order, so they give the same bits.
 
 No row ends below its starting value, so the outer bound stays monotone.
-The box (:class:`BoxBounds`) and the solver settings
-(:class:`OptimizerConfig`) are arguments so that tests can set them; the
-fit always passes their defaults.
+Every row stays in the box [``_LOWER``, ``_UPPER``], which keeps it away
+from the log Gamma singularity and caps runaway concentration.  A row
+converges once its projected-gradient infinity norm is at most
+``_GRAD_TOL``, and takes at most ``_MAX_ITERS`` Newton steps.
 
 :func:`mstep` works on plain arrays and is called once per outer iteration
 of the fit.  What does not change within a fit (the trace rows' location
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -48,8 +48,6 @@ from .model import Corpus, VariationalState
 from .numerics import _SHORT_AXIS, DirichletRows, reduce_last
 
 __all__ = [
-    "BoxBounds",
-    "OptimizerConfig",
     "RowSolve",
     "TraceRows",
     "alpha_objective_and_gradient",
@@ -71,35 +69,10 @@ _FLOAT_ROWS = 4
 
 _NONFINITE_START = "objective is non-finite at the starting point"
 
-
-@dataclass(frozen=True)
-class BoxBounds:
-    """Per-coordinate box for Dirichlet rows; the defaults keep them strictly
-    positive (away from the log Gamma singularity) and cap runaway
-    concentration."""
-
-    lower: float = 1e-6
-    upper: float = 1e6
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lower < self.upper:
-            raise ValueError(f"bounds need 0 < lower < upper, got [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the Newton solve (:func:`maximize_rows`): a row
-    converges once its projected-gradient infinity norm is at most
-    ``grad_tol``, and takes at most ``max_iters`` Newton steps."""
-
-    grad_tol: float = 1e-6
-    max_iters: int = 200
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
+# The box of every updated row, and the Newton solve's tolerance and step cap.
+_LOWER, _UPPER = 1e-6, 1e6
+_GRAD_TOL = 1e-6
+_MAX_ITERS = 200
 
 
 class RowSolve(NamedTuple):
@@ -152,18 +125,12 @@ def alpha_objective_and_gradient(
     return _row_objective_and_gradient(alpha_row, [s.gamma for s in states if s.location_id == l])
 
 
-def _outward(x: np.ndarray, grad: np.ndarray, bounds: BoxBounds) -> np.ndarray:
+def _outward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Coordinates on a box edge whose gradient points out of the box."""
-    return ((x <= bounds.lower) & (grad < 0.0)) | ((x >= bounds.upper) & (grad > 0.0))
+    return ((x <= _LOWER) & (grad < 0.0)) | ((x >= _UPPER) & (grad > 0.0))
 
 
-def maximize_rows(
-    stat: np.ndarray,
-    n_samples: np.ndarray,
-    x0: np.ndarray,
-    bounds: BoxBounds,
-    config: OptimizerConfig,
-) -> RowSolve:
+def maximize_rows(stat: np.ndarray, n_samples: np.ndarray, x0: np.ndarray) -> RowSolve:
     """Maximize S * (log Gamma(sum x) - sum log Gamma(x)) + <x, stat> over
     the box for every row (``stat`` and ``x0`` are rows x dims,
     ``n_samples`` holds each row's S).
@@ -182,21 +149,20 @@ def maximize_rows(
     """
     x = np.array(x0, dtype=np.float64)
     low, high = x.min(initial=np.inf), x.max(initial=-np.inf)
-    if low < bounds.lower or high > bounds.upper:
+    if low < _LOWER or high > _UPPER:
         raise ValueError("starting point lies outside the bounds")
     rows, dims = x.shape
     solve, path = None, "floats"
-    # A NaN start fails ``low >= bounds.lower`` and is left to the batched
-    # path, whose DirichletRows check rejects it, as is a box whose row sums
-    # could overflow: the float path meets only finite, positive rows.
-    if (0 < rows <= _FLOAT_ROWS and 0 < dims <= _SHORT_AXIS and low >= bounds.lower
-            and dims * bounds.upper < math.inf):
+    # A NaN start fails ``low >= _LOWER`` and is left to the batched path,
+    # whose DirichletRows check rejects it: the float path meets only
+    # finite, positive rows.
+    if 0 < rows <= _FLOAT_ROWS and 0 < dims <= _SHORT_AXIS and low >= _LOWER:
         try:
-            solve = _maximize_floats(stat, n_samples, x, bounds, config)
+            solve = _maximize_floats(stat, n_samples, x)
         except ZeroDivisionError:  # which numpy rounds to an infinity instead
             pass
     if solve is None:
-        solve, path = _maximize_batch(stat, n_samples, x, bounds, config), "arrays"
+        solve, path = _maximize_batch(stat, n_samples, x), "arrays"
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("solved %d rows on %s: %d Newton steps, %d unconverged, %d on the box",
                      rows, path, solve.iterations.sum(), rows - solve.converged.sum(),
@@ -204,10 +170,7 @@ def maximize_rows(
     return solve
 
 
-def _maximize_batch(
-    stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray, bounds: BoxBounds,
-    config: OptimizerConfig,
-) -> RowSolve:
+def _maximize_batch(stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray) -> RowSolve:
     """:func:`maximize_rows` on arrays, all rows at once.  The box masks are
     built only while some coordinate of the batch sits on an edge; elsewhere
     they hold nothing, so each row's arithmetic is the same whichever rows
@@ -219,13 +182,13 @@ def _maximize_batch(
     n_column = n_samples[:, None]
     iterations = np.zeros(len(x), dtype=np.int64)
     stalled = np.zeros(len(x), dtype=bool)
-    for newton in range(config.max_iters + 1):  # the last pass only measures
-        edge = x.min(initial=np.inf) <= bounds.lower or x.max(initial=-np.inf) >= bounds.upper
-        outward = _outward(x, grad, bounds) if edge else None
+    for newton in range(_MAX_ITERS + 1):  # the last pass only measures
+        edge = x.min(initial=np.inf) <= _LOWER or x.max(initial=-np.inf) >= _UPPER
+        outward = _outward(x, grad) if edge else None
         projected = np.where(outward, 0.0, grad) if edge else grad
         projected_norm = reduce_last(np.maximum, np.abs(projected))
-        pending = ~stalled & (projected_norm > config.grad_tol)
-        if not pending.any() or newton == config.max_iters:
+        pending = ~stalled & (projected_norm > _GRAD_TOL)
+        if not pending.any() or newton == _MAX_ITERS:
             break
         # Newton step, zero where the box holds a coordinate.  The Hessian is
         # diag(q) + z 11^T with q = -S trigamma(x) and z = S trigamma(sum x), so
@@ -240,7 +203,7 @@ def _maximize_batch(
         step = -(grad - b[:, None]) * inv_q
         iterations += pending
         for halving in range(40):  # then the row is given up as stalled
-            trial = np.clip(x + 0.5**halving * step, bounds.lower, bounds.upper)
+            trial = np.clip(x + 0.5**halving * step, _LOWER, _UPPER)
             trial_value, trial_grad = _objective(trial, stat, n_samples)
             slope = reduce_last(np.add, trial_grad * (trial - x))
             kept = pending & ((trial_value >= value) | (slope >= 0.0))
@@ -256,7 +219,7 @@ def _maximize_batch(
         else:
             stalled |= pending
 
-    converged = projected_norm <= config.grad_tol
+    converged = projected_norm <= _GRAD_TOL
     worse = value < start
     if worse.any():
         x = np.where(worse[:, None], x_start, x)
@@ -265,7 +228,7 @@ def _maximize_batch(
         edge = True  # x_start may sit on an edge
     on_box = np.zeros(len(x), dtype=bool)
     if edge:
-        on_box = ((x <= bounds.lower) | (x >= bounds.upper)).any(axis=1)
+        on_box = ((x <= _LOWER) | (x >= _UPPER)).any(axis=1)
     return RowSolve(x, value, iterations, converged, on_box)
 
 
@@ -279,10 +242,7 @@ def _row_objective(x: list, stat: list, n: float) -> tuple[float, list]:
     return value, [s - n * (float(psi(v)) - psi_total) for v, s in zip(x, stat)]
 
 
-def _maximize_floats(
-    stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray, bounds: BoxBounds,
-    config: OptimizerConfig,
-) -> RowSolve:
+def _maximize_floats(stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray) -> RowSolve:
     """:func:`maximize_rows` row by row on Python floats, by the operations
     of :func:`_maximize_batch` in its order, calling ``scipy.special`` on
     scalars (``zeta`` on the row and its sum at once), so with its bits.  A
@@ -291,29 +251,28 @@ def _maximize_floats(
     starts = [_row_objective(*row) for row in rows]
     if not all(math.isfinite(value) and all(map(math.isfinite, grad)) for value, grad in starts):
         raise ValueError(_NONFINITE_START)
-    solves = [_solve_row(*row, *start, bounds, config) for row, start in zip(rows, starts)]
+    solves = [_solve_row(*row, *start) for row, start in zip(rows, starts)]
     x, value, iterations, converged, on_box = zip(*solves)
     return RowSolve(np.array(x), np.array(value), np.array(iterations, dtype=np.int64),
                     np.array(converged), np.array(on_box))
 
 
 def _solve_row(
-    x: list, stat: list, n: float, value: float, grad: list, bounds: BoxBounds,
-    config: OptimizerConfig,
+    x: list, stat: list, n: float, value: float, grad: list
 ) -> tuple[list, float, int, bool, bool]:
     """One row of :func:`_maximize_floats`, started at ``x``, where the
     objective has ``value`` and ``grad``: the fields of its :class:`RowSolve`."""
-    lower, upper, tol = bounds.lower, bounds.upper, config.grad_tol
+    lower, upper, tol = _LOWER, _UPPER, _GRAD_TOL
     x_start, start = x, value
     iterations = 0
-    for newton in range(config.max_iters + 1):  # the last pass only measures
+    for newton in range(_MAX_ITERS + 1):  # the last pass only measures
         # the box masks only a row on an edge, as in the batched solve
         outward = None if lower < min(x) and max(x) < upper else [
             (v <= lower and g < 0.0) or (v >= upper and g > 0.0) for v, g in zip(x, grad)]
         projected = grad if outward is None else [
             0.0 if out else g for out, g in zip(outward, grad)]
         norm = max(map(abs, projected))
-        if not norm > tol or newton == config.max_iters:
+        if not norm > tol or newton == _MAX_ITERS:
             break
         *trigamma, trigamma_total = zeta(2.0, [*x, reduce(add, x)]).tolist()
         inv_q = [-1.0 / (n * q) for q in trigamma]
@@ -366,11 +325,11 @@ def mstep(
     lam: np.ndarray,
     e_log_theta: np.ndarray,
     trace: TraceRows,
-    bounds: BoxBounds,
-    config: OptimizerConfig,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Replace every profile row and every trace mixing row by its box
-    maximizer; known mixing rows are returned untouched.
+    """Replace every profile row and every trace mixing row by its maximizer
+    in the box [``_LOWER``, ``_UPPER``], found within ``_GRAD_TOL`` in at
+    most ``_MAX_ITERS`` Newton steps; known mixing rows are returned
+    untouched.
 
     ``H`` and ``A`` are the current profile and mixing hyperparameters as
     arrays, ``lam`` the shared profile posterior, ``e_log_theta`` E log
@@ -386,16 +345,16 @@ def mstep(
     notes: list[str] = []
     updates = [("A", new_a, A[trace.ids], trace.ids, trace.members @ e_log_theta,
                 trace.n_samples)]
-    if lam.min() < bounds.lower or lam.max() > bounds.upper:  # most fits clip no profile row
-        clipped = np.flatnonzero(((lam < bounds.lower) | (lam > bounds.upper)).any(axis=1))
+    if lam.min() < _LOWER or lam.max() > _UPPER:  # most fits clip no profile row
+        clipped = np.flatnonzero(((lam < _LOWER) | (lam > _UPPER)).any(axis=1))
         updates.insert(0, ("H", new_h, H[clipped], clipped, DirichletRows(lam[clipped]).e_log,
                            np.ones(clipped.size)))
     for label, new, old, ids, stat, n_samples in updates:
         if not ids.size:
             continue
         try:
-            x0 = np.clip(new[ids], bounds.lower, bounds.upper)
-            solve = maximize_rows(stat, n_samples, x0, bounds, config)
+            x0 = np.clip(new[ids], _LOWER, _UPPER)
+            solve = maximize_rows(stat, n_samples, x0)
             new[ids] = solve.x
             # a solve never ends below x0; where the box moved x0 off the old
             # rows, an old row that scores higher is kept

@@ -146,18 +146,16 @@ def density_grid(shape: BetaShape, n: int = GRID_POINTS) -> tuple[np.ndarray, np
     return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
 
 
-def _marginal_dict(summary: MarginalSummary) -> dict:
-    return {
-        "label": summary.label,
-        "a": summary.shape.a,
-        "b": summary.shape.b,
-        "mean": summary.mean,
-        "mode": summary.mode,
-        "hpdi_lo": summary.interval.lo,
-        "hpdi_hi": summary.interval.hi,
-        "hpdi_mass": summary.interval.mass,
-        "equal_tailed": summary.interval.equal_tailed,
-    }
+# The fields of a marginal's report.json entry and summary.csv row, in order.
+_MARGINAL_FIELDS = ("label", "a", "b", "mean", "mode", "hpdi_lo", "hpdi_hi", "hpdi_mass",
+                    "equal_tailed")
+
+
+def _marginal_dict(s: MarginalSummary) -> dict:
+    return dict(zip(_MARGINAL_FIELDS, (
+        s.label, s.shape.a, s.shape.b, s.mean, s.mode,
+        s.interval.lo, s.interval.hi, s.interval.mass, s.interval.equal_tailed,
+    )))
 
 
 def report_to_dict(report: PosteriorReport) -> dict:
@@ -215,28 +213,23 @@ def write_plot_csvs(report: PosteriorReport, out_dir: Path | str) -> list[Path]:
     return written
 
 
+def _csv_field(value) -> object:
+    """A summary field as ``csv.writer`` should write it: ``None`` empty, a
+    bool as 0/1 and a float by its ``repr``, so that it reads back exactly."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    return repr(value) if isinstance(value, float) else value
+
+
 def write_summary_csv(report: PosteriorReport, path: Path | str) -> None:
+    """One row per marginal: its kind and group, then the fields of its
+    ``report.json`` entry in the same order."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "group", "label", "a", "b", "mean", "mode",
-             "hpdi_lo", "hpdi_hi", "hpdi_mass", "equal_tailed"]
-        )
+        writer.writerow(["kind", "group", *_MARGINAL_FIELDS])
         for kind, block in (("theta", report.theta), ("beta", report.beta)):
             for group, summaries in block.items():
                 for s in summaries:
-                    writer.writerow(
-                        [
-                            kind,
-                            group,
-                            s.label,
-                            repr(s.shape.a),
-                            repr(s.shape.b),
-                            repr(s.mean),
-                            "" if s.mode is None else repr(s.mode),
-                            repr(s.interval.lo),
-                            repr(s.interval.hi),
-                            repr(s.interval.mass),
-                            int(s.interval.equal_tailed),
-                        ]
-                    )
+                    writer.writerow([kind, group, *map(_csv_field, _marginal_dict(s).values())])

@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 
 
 def _check_simplex(vec: np.ndarray, what: str) -> None:
-    if np.any(vec < 0.0) or abs(float(vec.sum()) - 1.0) > 1e-12:
+    if not (np.all(vec >= 0.0) and abs(float(vec.sum()) - 1.0) <= 1e-12):  # NaN fails too
         raise ValueError(f"{what} must be a probability vector summing to 1, got {vec}")
 
 
@@ -85,7 +85,7 @@ class ScenarioSpec:
         if profiles.ndim != 2 or profiles.shape[1] != self.catalog.n_types:
             raise ValueError("true_profiles must be (n_sources, n_types)")
         for row in profiles:
-            _check_simplex(row, "profile row")
+            _check_simplex(row, "true_profiles row")
         object.__setattr__(self, "true_profiles", profiles)
         mixtures = tuple(tuple(float(v) for v in mix) for mix in self.trace_mixtures)
         for mix in mixtures:
@@ -188,9 +188,11 @@ class StudySpec:
     trace location with a fixed mixing vector (the two-trace situation).
     Construction checks what :func:`run_study` would otherwise fail on in
     its cells: each count must be an integer (the rule of
-    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), and the
-    second mixture a probability vector over the two sources; each error
-    names its field.
+    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), the
+    second mixture a probability vector over the two sources, and the
+    profiles probability vectors over the catalog's types; each error names
+    its field.  The checks shared with a cell's :class:`ScenarioSpec` are
+    made by building the first cell's scenario.
     """
 
     catalog: ParticleCatalog
@@ -205,31 +207,27 @@ class StudySpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        profiles = np.asarray(self.true_profiles, dtype=np.float64)
-        if profiles.shape[0] != 2 or len(self.known_sample_counts) != 1:
+        if np.shape(self.true_profiles)[:1] != (2,) or len(self.known_sample_counts) != 1:
             raise ValueError("the study design uses exactly two sources, the first known")
-        object.__setattr__(self, "true_profiles", profiles)
         object.__setattr__(self, "unknown_shares", tuple(float(u) for u in self.unknown_shares))
         if not self.unknown_shares or not self.sample_sizes:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
-        # every count is an integer, at least 1 (the seed at least 0), or an
-        # error naming its field: no cell of run_study is left to fail on it
-        for name in ("sample_sizes", "known_sample_counts"):
-            object.__setattr__(self, name, tuple(_count(name, v) for v in getattr(self, name)))
-        for name in ("samples_per_trace", "replications"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
-        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
-        if self.known_particles_per_sample is not None:
-            object.__setattr__(self, "known_particles_per_sample", _count(
-                "known_particles_per_sample", self.known_particles_per_sample))
+        object.__setattr__(self, "sample_sizes", tuple(
+            _count("sample_sizes", v) for v in self.sample_sizes))
+        object.__setattr__(self, "replications", _count("replications", self.replications))
         if self.second_trace_mixture is not None:
             mixture = tuple(float(v) for v in self.second_trace_mixture)
             if len(mixture) != 2:
                 raise ValueError("second_trace_mixture must have one share per source")
             _check_simplex(np.array(mixture), "second_trace_mixture")
             object.__setattr__(self, "second_trace_mixture", mixture)
+        # every cell's scenario shares these fields; the first one checks them
+        scenario = self.scenario(self.unknown_shares[0], self.sample_sizes[0])
+        for name in ("true_profiles", "samples_per_trace", "known_sample_counts",
+                     "known_particles_per_sample", "rng_seed"):
+            object.__setattr__(self, name, getattr(scenario, name))
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
         mixtures: list[tuple[float, ...]] = [(1.0 - unknown_share, unknown_share)]

@@ -31,7 +31,7 @@ of the profile hyperparameters (closed form) and the trace mixing rows (a
 Newton solve, on Python floats for a few rows and on arrays for more;
 see :mod:`~dustmix.mstep`), warm-starting every phase from the previous
 state, so the bound is monotone across phases too.  The box and the Newton
-settings are the fixed defaults ``_BOX`` and ``_SOLVER``.  The loop carries
+settings are constants of :mod:`~dustmix.mstep`.  The loop carries
 H and A as float arrays and builds what the M-step needs of the corpus (the
 trace rows' :class:`~dustmix.mstep.TraceRows`) once per fit.  Each phase
 checks the H and A it is given when it reads them as :class:`DirichletRows`;
@@ -81,7 +81,7 @@ from .model import (
     VariationalState,
     validate_corpus,
 )
-from .mstep import BoxBounds, OptimizerConfig, mstep, trace_rows
+from .mstep import mstep, trace_rows
 from .numerics import DirichletRows, reduce_last
 
 __all__ = [
@@ -111,6 +111,14 @@ class NumericalFailure(RuntimeError):
         self.iteration = iteration
 
 
+def as_real(name: str, value) -> float:
+    """``value`` as a float; a bool, a string or anything else that is not
+    a real number raises a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def as_integer(name: str, value) -> int:
     """``value`` as an int; a bool, a string or a non-integral number
     (NaN and infinities too) raises a ``ValueError`` naming ``name``."""
@@ -131,7 +139,7 @@ class FitConfig:
     ``estep_max_iters`` caps the sweeps of either.  ``outer_tol`` and
     ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
     The box of the hyperparameter rows and the Newton solve's tolerance and
-    step cap are fixed (``_BOX``, ``_SOLVER``).  The fit draws no random
+    step cap are constants of :mod:`~dustmix.mstep`.  The fit draws no random
     numbers, so it takes no seed.  Every field must be a real number (a
     bool or a string is rejected, naming the field); the two caps must be
     integral and are stored as ``int``.
@@ -147,9 +155,7 @@ class FitConfig:
     def __post_init__(self) -> None:
         for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol",
                      "estep_max_iters", "outer_max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            as_real(name, getattr(self, name))
         for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -158,13 +164,6 @@ class FitConfig:
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
             object.__setattr__(self, name, value)
-
-
-# The box every updated hyperparameter row stays in, and the settings of the
-# Newton solve that updates the trace mixing rows and any profile row the box
-# clips.
-_BOX = BoxBounds()
-_SOLVER = OptimizerConfig()
 
 
 def _start(
@@ -960,7 +959,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             break
         previous_total = total
         if outer < config.outer_max_iters:
-            H, A, notes = mstep(H, A, lam.rows, gamma.e_log, trace, _BOX, _SOLVER)
+            H, A, notes = mstep(H, A, lam.rows, gamma.e_log, trace)
             flagged.update(notes)
     if flagged:
         steps = iterations - 1

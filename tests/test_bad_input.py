@@ -3,9 +3,12 @@ named error or fit to finite outputs with a non-decreasing bound and report
 intervals that contain their means.  Inputs no fit can answer must raise,
 naming their violation."""
 
+import logging
+
 import numpy as np
 import pytest
 
+from dustmix import mstep
 from dustmix.datasets import at_lq_corpus
 from dustmix.model import Corpus, CorpusValidationError, Location, LocationRole, SampleCounts
 from dustmix.posterior import build_report
@@ -98,3 +101,17 @@ def test_bad_input_is_refused_or_fitted_soundly(name):
     assert summaries
     for summary in summaries:
         assert summary.interval.lo <= summary.mean <= summary.interval.hi, summary
+
+
+def test_scaled_counts_fit_on_the_default_box(caplog):
+    # counts of 10^6 and more drive both profile rows past the upper edge of
+    # the M-step's default box: its one M-step clips and solves both, and
+    # the fit warns once, naming both rows
+    with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+        result = fit(BAD_INPUTS["counts-times-1e6"](), FitConfig())
+    flagged = [r.getMessage() for r in caplog.records if "M-step rows" in r.getMessage()]
+    assert flagged == ["M-step rows ended unconverged or on a box edge: "
+                       "H row 0 on a box edge in 1 of 1 M-steps; "
+                       "H row 1 on a box edge in 1 of 1 M-steps"]
+    assert result.iterations == 2
+    assert np.all(result.H_converged.values.max(axis=1) == mstep._UPPER)

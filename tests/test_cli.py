@@ -8,7 +8,6 @@ import pytest
 import yaml
 
 import dustmix
-from dustmix.mstep import BoxBounds, OptimizerConfig
 from dustmix.vbi import FitConfig, NumericalFailure
 import dustmix.cli as cli
 from dustmix.cli import (
@@ -152,9 +151,9 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"unknown config keys: {section}"):
                 load_config(path)
         with pytest.raises(TypeError):
-            FitConfig(bounds=BoxBounds())
+            FitConfig(bounds=None)
         with pytest.raises(TypeError):
-            FitConfig(optimizer=OptimizerConfig())
+            FitConfig(optimizer=None)
 
     def test_seed_override(self, tmp_path, quick_config):
         # the fit draws no random numbers; the seed is provenance only
@@ -309,6 +308,24 @@ class TestCmdSimulate:
         path.write_text(text)
         with pytest.raises(ValueError, match=key):
             load_study_spec(path)
+
+    @pytest.mark.parametrize("text, key", [
+        ("unknown_shares: 0.5\n", "unknown_shares"),
+        ("unknown_shares: ['0.5']\n", "unknown_shares"),
+        ("unknown_shares: [true]\n", "unknown_shares"),
+        ("second_trace: 0.5\n", "second_trace"),
+        ("second_trace: [true, false]\n", "second_trace"),
+        ("second_trace: ['0.5', '0.5']\n", "second_trace"),
+    ])
+    def test_mistyped_share_is_error(self, tmp_path, text, key, capsys):
+        # shares are lists of real numbers; a bare number, a bool or a
+        # string is refused by name, and simulate exits 1 without a traceback
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key):
+            load_study_spec(path)
+        assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
+        assert key in capsys.readouterr().err
 
     def test_integral_floats_are_read_as_integers(self, tmp_path):
         path = tmp_path / "study.yaml"

@@ -2,6 +2,7 @@ import logging
 import math
 from functools import reduce
 from operator import add, mul, sub
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose
 from scipy.optimize import root
 
 from dustmix import mstep as mstep_module
-from dustmix import vbi
 from dustmix.model import (
     Corpus,
     DirichletMatrix,
@@ -22,8 +22,6 @@ from dustmix.model import (
     VariationalState,
 )
 from dustmix.mstep import (
-    BoxBounds,
-    OptimizerConfig,
     alpha_objective_and_gradient,
     eta_objective_and_gradient,
     maximize_rows,
@@ -161,8 +159,16 @@ def row_gradient(x, stat, n):
     return n * (digamma(x.sum()) - digamma(x)) + stat
 
 
-def projected(x, grad, bounds):
-    outward = ((x <= bounds.lower) & (grad < 0.0)) | ((x >= bounds.upper) & (grad > 0.0))
+def set_box(monkeypatch, lower=mstep_module._LOWER, upper=mstep_module._UPPER):
+    """Run the M-step's solves in the box [lower, upper]."""
+    monkeypatch.setattr(mstep_module, "_LOWER", lower)
+    monkeypatch.setattr(mstep_module, "_UPPER", upper)
+
+
+def projected(x, grad):
+    """``grad`` with the coordinates the M-step's box holds zeroed."""
+    lower, upper = mstep_module._LOWER, mstep_module._UPPER
+    outward = ((x <= lower) & (grad < 0.0)) | ((x >= upper) & (grad > 0.0))
     return np.where(outward, 0.0, grad)
 
 
@@ -194,12 +200,12 @@ class TestMaximizeBox:
         rng = np.random.default_rng(5)
         x0 = rng.uniform(0.5, 30.0, size=(6, 4))
         n = np.arange(1.0, 7.0)
-        result = maximize_rows(n[:, None] * digamma_rows(x0), n, x0, BoxBounds(), OptimizerConfig())
+        result = maximize_rows(n[:, None] * digamma_rows(x0), n, x0)
         assert np.array_equal(result.x, x0)
         assert np.all(result.iterations == 0) and np.all(result.converged)
 
     def test_never_evaluates_outside_bounds(self, monkeypatch):
-        bounds = BoxBounds(lower=0.2, upper=3.0)
+        set_box(monkeypatch, 0.2, 3.0)
         seen = []
         objective = mstep_module._objective
 
@@ -211,18 +217,18 @@ class TestMaximizeBox:
         rng = np.random.default_rng(6)
         # maximizers far above the box: every row ends on its upper edge
         stat = digamma_rows(rng.uniform(10.0, 50.0, size=(5, 3)))
-        result = maximize_rows(stat, np.ones(5), np.ones((5, 3)), bounds, OptimizerConfig())
+        result = maximize_rows(stat, np.ones(5), np.ones((5, 3)))
         stacked = np.vstack(seen)
-        assert stacked.min() >= bounds.lower and stacked.max() <= bounds.upper
+        assert stacked.min() >= 0.2 and stacked.max() <= 3.0
         assert np.all(result.on_box) and np.all(result.converged)
 
-    def test_value_never_below_start(self):
+    def test_value_never_below_start(self, monkeypatch):
         rng = np.random.default_rng(9)
-        bounds = BoxBounds(lower=1e-3, upper=1.0)
+        set_box(monkeypatch, 1e-3, 1.0)
         for _ in range(20):
             stat, n = random_trace_rows(rng, 4, 3)
             x0 = rng.uniform(0.1, 0.9, size=(4, 3))
-            result = maximize_rows(stat, n, x0, bounds, OptimizerConfig())
+            result = maximize_rows(stat, n, x0)
             for i in range(4):
                 assert result.value[i] >= row_value(x0[i], stat[i], n[i])
                 assert result.value[i] == pytest.approx(
@@ -230,41 +236,32 @@ class TestMaximizeBox:
 
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[np.nan, 1.0]]),
-                          BoxBounds(), OptimizerConfig())
+            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[np.nan, 1.0]]))
         with pytest.raises(ValueError, match="non-finite"):
-            maximize_rows(np.array([[np.nan, 0.0]]), np.ones(1), np.ones((1, 2)),
-                          BoxBounds(), OptimizerConfig())
+            maximize_rows(np.array([[np.nan, 0.0]]), np.ones(1), np.ones((1, 2)))
 
-    def test_start_outside_bounds_rejected(self):
+    def test_start_outside_bounds_rejected(self, monkeypatch):
+        for row in ([2e6, 0.5], [1e-7, 0.5]):  # outside the default box
+            with pytest.raises(ValueError, match="outside"):
+                maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([row]))
+        set_box(monkeypatch, 0.1, 1.0)
         with pytest.raises(ValueError, match="outside"):
-            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[10.0, 0.5]]),
-                          BoxBounds(lower=0.1, upper=1.0), OptimizerConfig())
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            BoxBounds(lower=2.0, upper=1.0)
-        with pytest.raises(ValueError):
-            BoxBounds(lower=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=0.0)
+            maximize_rows(np.zeros((1, 2)), np.ones(1), np.array([[10.0, 0.5]]))
 
     def test_batched_rows_match_one_row_solves(self, monkeypatch):
         rng = np.random.default_rng(31)
         # a tight tolerance, so the root check can hold the rows to 1e-6
-        config = OptimizerConfig(grad_tol=1e-9)
+        monkeypatch.setattr(mstep_module, "_GRAD_TOL", 1e-9)
         for M in (2, 3, 5):
             stat, n = random_trace_rows(rng, 10, M)
             x0 = np.ones((10, M))
-            batched = maximize_rows(stat, n, x0, BoxBounds(), config)
+            batched = maximize_rows(stat, n, x0)
             assert np.all(batched.converged) and not np.any(batched.on_box)
             for i in range(10):
-                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], BoxBounds(), config)
+                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1])
                 assert np.array_equal(batched.x[i], alone.x[0])
                 grad = row_gradient(batched.x[i], stat[i], n[i])
-                assert np.abs(projected(batched.x[i], grad, BoxBounds())).max() < config.grad_tol
+                assert np.abs(projected(batched.x[i], grad)).max() < 1e-9
                 # independent check: the only root of the gradient
                 check = root(lambda v: row_gradient(np.abs(v), stat[i], n[i]),
                              np.full(M, 5.0), method="hybr")
@@ -275,7 +272,7 @@ class TestMaximizeBox:
         # end on an edge and rows that keep a halved Newton step share one
         # solve on arrays, and each matches its one-row solve, which runs on
         # floats, bit for bit.
-        bounds = BoxBounds(lower=0.05, upper=20.0)
+        set_box(monkeypatch, 0.05, 20.0)
         evaluations = []
         row_objective = mstep_module._row_objective
         monkeypatch.setattr(mstep_module, "_row_objective",
@@ -286,11 +283,11 @@ class TestMaximizeBox:
             stat = np.array([digamma_rows(rng.uniform(0.3, 1.0, (k, M)) * scale).sum(axis=0)
                              for k, scale in zip(sizes, scales)])
             n, x0 = sizes.astype(np.float64), np.ones((24, M))
-            batched = maximize_rows(stat, n, x0, bounds, config)
+            batched = maximize_rows(stat, n, x0)
             kinds = set()
             for i in range(24):
                 evaluations.clear()
-                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], bounds, config)
+                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1])
                 halved = len(evaluations) > 1 + alone.iterations[0]
                 kinds.add("edge" if alone.on_box[0] else "halved" if halved else "interior")
                 for field in alone._fields:
@@ -314,8 +311,8 @@ def replay(evaluations):
 
 @st.composite
 def float_batches(draw):
-    """1 to _FLOAT_ROWS rows of 2 to 5 entries in a drawn box, with their
-    solver settings, in one of three regimes.  Each row's maximizer may lie
+    """1 to _FLOAT_ROWS rows of 2 to 5 entries in a drawn box, with the
+    module settings to solve them under, in one of three regimes.  Each row's maximizer may lie
     inside or outside the box.  "far" rows start flat, so they take long
     steps, halve some and end on edges.  "near" rows start within 1e-12 of
     their maximizer under a tolerance below the rounding, where a row can
@@ -324,10 +321,10 @@ def float_batches(draw):
     a concave row does not stall in practice."""
     regime = draw(st.sampled_from(["near", "far", "convex"]))
     dims = draw(st.integers(2, 5))
-    bounds = draw(st.sampled_from([BoxBounds(), BoxBounds(0.05, 2.0), BoxBounds(0.5, 20.0)]))
+    lower, upper = draw(st.sampled_from([(1e-6, 1e6), (0.05, 2.0), (0.5, 20.0)]))
     tol = 1e-15 if regime == "near" else draw(st.sampled_from([1e-6, 1e-12]))
     sign = -1.0 if regime == "convex" else 1.0
-    logs = st.floats(math.log(bounds.lower) - 2.0, math.log(bounds.upper) + 2.0)
+    logs = st.floats(math.log(lower) - 2.0, math.log(upper) + 2.0)
     moves = st.lists(st.floats(-1e-12, 1e-12), min_size=dims, max_size=dims)
     stat, n, x0 = [], [], []
     for _ in range(draw(st.integers(1, mstep_module._FLOAT_ROWS))):
@@ -336,9 +333,9 @@ def float_batches(draw):
         start = target * (1.0 + np.array(draw(moves))) if regime == "near" else np.ones(dims)
         stat.append(count * digamma_rows(target[None])[0])
         n.append(count)
-        x0.append(np.clip(start, bounds.lower, bounds.upper))
-    return (np.array(stat), np.array(n), np.array(x0), bounds,
-            OptimizerConfig(grad_tol=tol, max_iters=50))
+        x0.append(np.clip(start, lower, upper))
+    return (np.array(stat), np.array(n), np.array(x0),
+            dict(_LOWER=lower, _UPPER=upper, _GRAD_TOL=tol, _MAX_ITERS=50))
 
 
 class TestFloatPath:
@@ -361,32 +358,33 @@ class TestFloatPath:
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @given(float_batches(), st.sampled_from([None, "nan", "inf"]))
         def check(batch, poison):
-            stat, n, x0, bounds, config = batch
+            stat, n, x0, constants = batch
             if poison:
                 stat[-1, 0] = float(poison)
             copies = mstep_module._FLOAT_ROWS // len(x0) + 1
             tiled = [np.tile(a, (copies,) + (1,) * (a.ndim - 1)) for a in (stat, n, x0)]
             evaluations.clear()
-            if poison:
-                with pytest.raises(ValueError) as batched_error:
-                    maximize_rows(*tiled, bounds, config)
-                with pytest.raises(ValueError) as alone_error:
-                    maximize_rows(stat[-1:], n[-1:], x0[-1:], bounds, config)
-                assert str(alone_error.value) == str(batched_error.value)
-                return
-            batched = maximize_rows(*tiled, bounds, config)
-            assert evaluations == []  # the batch ran on arrays
-            for i in range(len(x0)):
-                evaluations.clear()
-                alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1], bounds, config)
-                assert evaluations  # the row ran on floats
-                for field in alone._fields:
-                    assert np.array_equal(getattr(batched, field)[i], getattr(alone, field)[0]), \
-                        (i, field)
-                stalled, restored, halved = replay(evaluations)
-                kinds.update(kind for kind, seen in [
-                    ("edge", alone.on_box[0]), ("stalled", stalled), ("restored", restored),
-                    ("halved", halved), ("restored, concave", restored and n[i] > 0)] if seen)
+            with mock.patch.multiple(mstep_module, **constants):
+                if poison:
+                    with pytest.raises(ValueError) as batched_error:
+                        maximize_rows(*tiled)
+                    with pytest.raises(ValueError) as alone_error:
+                        maximize_rows(stat[-1:], n[-1:], x0[-1:])
+                    assert str(alone_error.value) == str(batched_error.value)
+                    return
+                batched = maximize_rows(*tiled)
+                assert evaluations == []  # the batch ran on arrays
+                for i in range(len(x0)):
+                    evaluations.clear()
+                    alone = maximize_rows(stat[i:i + 1], n[i:i + 1], x0[i:i + 1])
+                    assert evaluations  # the row ran on floats
+                    for field in alone._fields:
+                        assert np.array_equal(getattr(batched, field)[i],
+                                              getattr(alone, field)[0]), (i, field)
+                    stalled, restored, halved = replay(evaluations)
+                    kinds.update(kind for kind, seen in [
+                        ("edge", alone.on_box[0]), ("stalled", stalled), ("restored", restored),
+                        ("halved", halved), ("restored, concave", restored and n[i] > 0)] if seen)
 
         check()
         assert kinds == {"edge", "stalled", "restored", "halved", "restored, concave"}, kinds
@@ -397,21 +395,19 @@ class TestFloatPath:
         stat, x0 = np.array([[-1.0, -2.0]]), np.ones((1, 2))
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError) as batched_error:
-                mstep_module._maximize_batch(stat, np.zeros(1), x0, BoxBounds(), OptimizerConfig())
+                mstep_module._maximize_batch(stat, np.zeros(1), x0)
             with pytest.raises(ValueError) as error:
-                maximize_rows(stat, np.zeros(1), x0, BoxBounds(), OptimizerConfig())
+                maximize_rows(stat, np.zeros(1), x0)
         assert str(error.value) == str(batched_error.value)
 
-    @pytest.mark.parametrize("row, upper", [([np.nan, 1.0], 1e6), ([1e308, 1e308], np.inf)])
-    def test_bad_start_fails_both_paths_alike(self, row, upper):
-        # a NaN start, or one whose sum overflows, is left to the arrays'
-        # DirichletRows check whatever the batch size
+    def test_nan_start_fails_both_paths_alike(self):
+        # a NaN start is left to the arrays' DirichletRows check whatever
+        # the batch size
         errors = []
         for rows in (1, mstep_module._FLOAT_ROWS + 1):
-            x0 = np.array([row] * rows)
-            with np.errstate(over="ignore"), pytest.raises(ValueError) as error:
-                maximize_rows(np.zeros_like(x0), np.ones(rows), x0, BoxBounds(upper=upper),
-                              OptimizerConfig())
+            x0 = np.array([[np.nan, 1.0]] * rows)
+            with pytest.raises(ValueError) as error:
+                maximize_rows(np.zeros_like(x0), np.ones(rows), x0)
             errors.append(str(error.value))
         assert errors[0] == errors[1] and "DirichletRows" in errors[0]
 
@@ -420,7 +416,7 @@ class TestFloatPath:
         with caplog.at_level(logging.DEBUG, logger="dustmix.mstep"):
             for rows in (1, mstep_module._FLOAT_ROWS + 1):
                 stat, n = random_trace_rows(rng, rows, 2)
-                maximize_rows(stat, n, np.ones((rows, 2)), BoxBounds(), OptimizerConfig())
+                maximize_rows(stat, n, np.ones((rows, 2)))
         lines = [r.getMessage() for r in caplog.records if r.name == "dustmix.mstep"]
         assert len(lines) == 2
         assert lines[0].startswith("solved 1 rows on floats: ")
@@ -441,13 +437,13 @@ class TestMstep:
         corpus = self._known_only_corpus()
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus)
         trace = trace_rows(loc, corpus.trace_location_ids)
-        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         assert np.array_equal(A2, A)
 
     def test_known_rows_bitwise_preserved(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
-        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        _, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         assert np.array_equal(A2[0], A[0])
         assert np.array_equal(A2[1], A[1])
         assert not np.array_equal(A2[2], A[2])
@@ -455,7 +451,7 @@ class TestMstep:
     def test_profile_rows_are_lambda_inside_the_box(self, corpus_both_known):
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
-        H2, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        H2, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace)
         assert np.array_equal(H2, lam)
         assert notes == []
 
@@ -476,7 +472,7 @@ class TestMstep:
         monkeypatch.setattr(mstep_module, "_row_objective",
                             lambda x, *args: evaluated.append(len(x)) or row_objective(x, *args))
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
-        H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        H2, _, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         assert np.array_equal(H2, lam)
         assert built == []
         assert evaluated and set(evaluated) == {A.shape[1]}
@@ -485,7 +481,7 @@ class TestMstep:
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus_both_known)
         before = corpus_elbo(counts, A[loc], H, gamma, phi, lam)
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         after = corpus_elbo(counts, A2[loc], H2, gamma, phi, lam)
         assert after >= before - 1e-8
 
@@ -497,7 +493,7 @@ class TestMstep:
         H, A, counts, loc, gamma, phi, lam = swept_arrays(corpus)
         before = corpus_elbo(counts, A[loc], H, gamma, phi, lam)
         trace = trace_rows(loc, corpus.trace_location_ids)
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(), OptimizerConfig())
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         after = corpus_elbo(counts, A2[loc], H2, gamma, phi, lam)
         dg_lam = digamma_rows(lam)
         change = sum(row_value(H2[m], dg_lam[m], 1.0) - row_value(H[m], dg_lam[m], 1.0)
@@ -521,10 +517,10 @@ class TestMstep:
             assert value == pytest.approx(row_value(x, dg_lam[m], 1.0), rel=1e-12)
             assert_allclose(grad, row_gradient(x, dg_lam[m], 1.0), rtol=1e-12, atol=1e-12)
 
-    def test_row_updates_are_separable(self):
+    def test_row_updates_are_separable(self, monkeypatch):
         # optimizing rows through mstep equals optimizing each row alone
         rng = np.random.default_rng(12)
-        bounds = BoxBounds(upper=20.0)
+        set_box(monkeypatch, upper=20.0)
         lam = rng.uniform(0.5, 8.0, size=(3, 4))
         lam[1, 2] = 35.0  # this profile row goes to the solver
         loc = np.array([0, 1, 1, 2, 2, 2, 3])
@@ -533,23 +529,21 @@ class TestMstep:
         H = rng.uniform(0.5, 2.0, size=(3, 4))
         A = np.ones((4, 3))
         trace = trace_rows(loc, trace_ids)
-        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace, bounds, OptimizerConfig())
+        H2, A2, _ = mstep(H, A, lam, digamma_rows(gamma), trace)
         for m in (2, 1, 0):  # reversed order
             if m == 1:
                 res = maximize_rows(digamma_rows(lam[1:2]), np.ones(1),
-                                    np.clip(lam[1:2], bounds.lower, bounds.upper),
-                                    bounds, OptimizerConfig())
+                                    np.clip(lam[1:2], mstep_module._LOWER, 20.0))
                 assert_allclose(res.x[0], H2[m], atol=1e-8)
             else:
                 assert_allclose(lam[m], H2[m], atol=1e-8)
         stats = trace_stats(gamma, loc, trace_ids)
         for l in reversed(trace_ids):
             stat, n = stats[l]
-            res = maximize_rows(stat[None], np.array([n]), np.ones((1, 3)), bounds,
-                                OptimizerConfig())
+            res = maximize_rows(stat[None], np.array([n]), np.ones((1, 3)))
             assert_allclose(res.x[0], A2[l], atol=1e-8)
 
-    def test_synthetic_gradient_root_recovered(self):
+    def test_synthetic_gradient_root_recovered(self, monkeypatch):
         # profile posterior rows all equal to one target: the optimum sits
         # exactly at that target, confirmed by an independent root finder
         target = np.array([4.0, 9.0, 2.0, 7.0])
@@ -566,41 +560,39 @@ class TestMstep:
         assert check.success
         assert_allclose(np.abs(check.x), target, rtol=1e-6)
 
-        result = maximize_rows(3.0 * digamma_rows(target[None]), np.array([3.0]),
-                               np.ones((1, 4)), BoxBounds(), OptimizerConfig(max_iters=500))
+        monkeypatch.setattr(mstep_module, "_MAX_ITERS", 500)
+        result = maximize_rows(3.0 * digamma_rows(target[None]), np.array([3.0]), np.ones((1, 4)))
         assert result.converged[0]
         assert_allclose(result.x[0], target, rtol=1e-6)
 
-    def test_clipped_rows_end_at_box_maximizer(self, corpus_both_known):
-        config = OptimizerConfig()
-        bounds = BoxBounds(upper=50.0)
+    def test_clipped_rows_end_at_box_maximizer(self, corpus_both_known, monkeypatch):
+        set_box(monkeypatch, upper=50.0)
+        lower, tol = mstep_module._LOWER, mstep_module._GRAD_TOL
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace_ids = corpus_both_known.trace_location_ids
         trace = trace_rows(loc, trace_ids)
-        H2, A2, notes = mstep(H, A, lam, digamma_rows(gamma), trace, bounds, config)
+        H2, A2, notes = mstep(H, A, lam, digamma_rows(gamma), trace)
         dg_lam = digamma_rows(lam)
         for m in range(len(lam)):
             x = H2[m]
-            assert x.min() >= bounds.lower and x.max() <= bounds.upper
-            assert np.abs(projected(x, row_gradient(x, dg_lam[m], 1.0), bounds)).max() \
-                <= config.grad_tol
+            assert x.min() >= lower and x.max() <= 50.0
+            assert np.abs(projected(x, row_gradient(x, dg_lam[m], 1.0))).max() <= tol
         for l, (stat, n) in trace_stats(gamma, loc, trace_ids).items():
             x = A2[l]
-            assert x.min() >= bounds.lower and x.max() <= bounds.upper
-            assert np.abs(projected(x, row_gradient(x, stat, n), bounds)).max() \
-                <= config.grad_tol
+            assert x.min() >= lower and x.max() <= 50.0
+            assert np.abs(projected(x, row_gradient(x, stat, n))).max() <= tol
         assert "H row 0 on a box edge" in notes
         assert f"A row {trace_ids[0]} on a box edge" in notes
 
-    def test_unconverged_rows_noted(self, corpus_both_known):
+    def test_unconverged_rows_noted(self, corpus_both_known, monkeypatch):
+        monkeypatch.setattr(mstep_module, "_MAX_ITERS", 1)
         H, A, _, loc, gamma, _, lam = swept_arrays(corpus_both_known)
         trace = trace_rows(loc, corpus_both_known.trace_location_ids)
-        _, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace, BoxBounds(),
-                            OptimizerConfig(max_iters=1))
+        _, _, notes = mstep(H, A, lam, digamma_rows(gamma), trace)
         assert notes == ["A row 2 unconverged", "A row 3 unconverged"]
 
     def test_fit_warns_about_rows_on_the_box(self, corpus_both_known, caplog, monkeypatch):
-        monkeypatch.setattr(vbi, "_BOX", BoxBounds(upper=50.0))
+        set_box(monkeypatch, upper=50.0)
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
             fit(corpus_both_known, FitConfig(outer_max_iters=3))
         flagged = [r.getMessage() for r in caplog.records if "M-step rows" in r.getMessage()]

@@ -128,6 +128,36 @@ class TestSerialization:
         write_summary_csv(report, tmp_path / "summary.csv")
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert len(lines) == 1 + 4 + 28
+        # each row is its report.json entry after its kind and group, every
+        # float exactly, a missing mode empty and a flag as 0/1 (here with a
+        # marginal that has no mode and an equal-tailed interval)
+        shape = BetaShape(0.5, 0.5)
+        report = PosteriorReport(
+            theta={**report.theta, "edge": (
+                MarginalSummary("s", shape, 0.5, None, beta_hpdi(shape, 0.95)),)},
+            beta=report.beta, mass=report.mass, provenance=report.provenance,
+        )
+        assert report.theta["edge"][0].interval.equal_tailed
+        write_summary_csv(report, tmp_path / "summary.csv")
+        write_report_json(report, tmp_path / "report.json")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        entries = [(kind, group, entry) for kind in ("theta", "beta")
+                   for group, block in payload[kind].items() for entry in block]
+        with (tmp_path / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(entries)
+        for row, (kind, group, entry) in zip(rows, entries):
+            assert list(row) == ["kind", "group", *entry]
+            assert (row["kind"], row["group"]) == (kind, group)
+            for key, value in entry.items():
+                if value is None:
+                    assert row[key] == ""
+                elif isinstance(value, bool):
+                    assert row[key] == str(int(value))
+                elif isinstance(value, float):
+                    assert float(row[key]) == value
+                else:
+                    assert row[key] == value
 
     def test_plot_csvs_match_csv_writer(self, tmp_path, fit_both_known, corpus_both_known):
         def reference(path, shape):

@@ -207,6 +207,15 @@ class TestStudy:
         with pytest.raises(ValueError, match=field):
             self._study(catalog, **{field: value})
 
+    @pytest.mark.parametrize("profiles", [
+        [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]],  # three types on a four-type catalog
+        [[0.6, -0.2, 0.3, 0.3], [0.25, 0.25, 0.25, 0.25]],
+        [[np.nan, 0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]],
+    ], ids=["wrong-width", "negative-entry", "nan-entry"])
+    def test_bad_profiles_fail_at_construction(self, catalog, profiles):
+        with pytest.raises(ValueError, match="true_profiles"):
+            self._study(catalog, true_profiles=np.array(profiles))
+
     def test_integral_counts_are_stored_as_int(self, catalog):
         study = self._study(catalog, sample_sizes=(40.0,), replications=2.0, rng_seed=3.0,
                             known_particles_per_sample=50.0, second_trace_mixture=(1, 0))
