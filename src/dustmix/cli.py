@@ -356,7 +356,7 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
         samples_per_trace=as_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
         known_sample_counts=(as_integer("known_samples", raw.get("known_samples", 12)),),
         known_particles_per_sample=(
-            None if known_size is None else as_integer("known_sample_size", known_size) or None
+            None if known_size is None else as_integer("known_sample_size", known_size)
         ),
         second_trace_mixture=None if second is None else listed("second_trace", None, as_real),
         replications=as_integer("replications", raw.get("replications", 10)),

@@ -250,9 +250,12 @@ class FitResult:
     profile hyperparameters.  ``gamma`` (samples x sources) and ``phi``
     (samples x types x sources) hold the mixing posteriors and
     responsibilities, one row per sample in corpus order, and ``lam``
-    (sources x types) the one shared profile posterior.  ``elbo_trace`` has
-    one entry per outer iteration: the seven-term bound of the state its
-    inference phase returns (whose stop rule reads the collapsed bound).
+    (sources x types) the one shared profile posterior.  The sweeps keep
+    the responsibilities in factored form; ``phi`` is those of the last
+    sweep, built once, when the last inference phase scores its state.
+    ``elbo_trace`` has one entry per outer iteration: the seven-term bound
+    of the state its inference phase returns (whose stop rule reads the
+    collapsed bound).
     """
 
     H_converged: DirichletMatrix

@@ -26,7 +26,7 @@ import numpy as np
 from .model import Corpus, Location, LocationRole, ParticleCatalog, SampleCounts
 from .numerics import beta_summary
 from .posterior import theta_marginal
-from .vbi import FitConfig, as_integer, fit
+from .vbi import FitConfig, as_integer, as_real, fit
 
 __all__ = [
     "CellResult",
@@ -67,8 +67,8 @@ class ScenarioSpec:
     are drawn from their source's profile alone (degenerate mixing), with
     ``known_particles_per_sample`` particles each (defaults to
     ``particles_per_sample``).  Every count must be an integer, at least 1
-    (the seed at least 0), and is stored as ``int``; an error names its
-    field.
+    (the seed at least 0), and is stored as ``int``; every share must be a
+    real number (a bool or a string is not); an error names its field.
     """
 
     catalog: ParticleCatalog
@@ -87,7 +87,8 @@ class ScenarioSpec:
         for row in profiles:
             _check_simplex(row, "true_profiles row")
         object.__setattr__(self, "true_profiles", profiles)
-        mixtures = tuple(tuple(float(v) for v in mix) for mix in self.trace_mixtures)
+        mixtures = tuple(tuple(as_real("trace_mixtures", v) for v in mix)
+                         for mix in self.trace_mixtures)
         for mix in mixtures:
             if len(mix) != profiles.shape[0]:
                 raise ValueError("each trace mixture must have one share per source")
@@ -188,11 +189,12 @@ class StudySpec:
     trace location with a fixed mixing vector (the two-trace situation).
     Construction checks what :func:`run_study` would otherwise fail on in
     its cells: each count must be an integer (the rule of
-    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), the
-    second mixture a probability vector over the two sources, and the
-    profiles probability vectors over the catalog's types; each error names
-    its field.  The checks shared with a cell's :class:`ScenarioSpec` are
-    made by building the first cell's scenario.
+    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), each share
+    a real number (a bool or a string is not), the second mixture a
+    probability vector over the two sources, and the profiles probability
+    vectors over the catalog's types; each error names its field.  The
+    checks shared with a cell's :class:`ScenarioSpec` are made by building
+    the first cell's scenario.
     """
 
     catalog: ParticleCatalog
@@ -209,7 +211,8 @@ class StudySpec:
     def __post_init__(self) -> None:
         if np.shape(self.true_profiles)[:1] != (2,) or len(self.known_sample_counts) != 1:
             raise ValueError("the study design uses exactly two sources, the first known")
-        object.__setattr__(self, "unknown_shares", tuple(float(u) for u in self.unknown_shares))
+        object.__setattr__(self, "unknown_shares", tuple(
+            as_real("unknown_shares", u) for u in self.unknown_shares))
         if not self.unknown_shares or not self.sample_sizes:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
@@ -218,7 +221,7 @@ class StudySpec:
             _count("sample_sizes", v) for v in self.sample_sizes))
         object.__setattr__(self, "replications", _count("replications", self.replications))
         if self.second_trace_mixture is not None:
-            mixture = tuple(float(v) for v in self.second_trace_mixture)
+            mixture = tuple(as_real("second_trace_mixture", v) for v in self.second_trace_mixture)
             if len(mixture) != 2:
                 raise ValueError("second_trace_mixture must have one share per source")
             _check_simplex(np.array(mixture), "second_trace_mixture")

@@ -4,26 +4,36 @@ The generative story draws the profile matrix B once for the whole corpus,
 so the fit keeps one shared Dirichlet posterior over the profile rows
 (``lam``, sources x types), while mixing posteriors and responsibilities
 stay per sample.  The state is arrays with one row per sample: ``counts``
-(N x T), ``gamma`` (N x M) and ``phi`` (N x T x M), next to the one ``lam``.
+(N x T) and ``gamma`` (N x M), next to the one ``lam``.  A sweep keeps
+the responsibilities phi (N x T x M) in factored form
+(:class:`_Responsibilities`), and phi is built only where it is read: for
+the Newton points (whose phi the warm start's settle test reads too) and
+the linear-response factor, for the seven bound terms a phase returns
+(whose phi ends in ``FitResult.phi``), once for the warm start's starting
+point, and in the single-sample API.
 
 One kernel, :func:`_sweep_rows`, runs an inference sweep over any set of
 rows: responsibilities and mixing posteriors against the current profile
 posterior, then the profile posterior from the counts every row allocates.
-Each update is the exact coordinate maximizer of the bound given the rest,
-so the bound is non-decreasing sweep over sweep.  One function,
-:func:`_bound_terms`, sums the seven bound terms over rows, counting the
-profile block once.  :func:`estep_sample` and :func:`elbo_terms` are their
-one-row calls (a sample that owns its profile posterior outright).  Right
-after a sweep the terms collapse (:func:`_collapsed_bound`).  An inference
-phase stops on that form and scores its start and returned states by the
-seven terms, of which the next phase re-scores only the two prior terms;
-the fixed point's acceptance of a Newton step compares collapsed bounds; a
-single sample reads the seven terms.
+Since phi_ntm is proportional to exp E log theta_nm times exp E log
+beta_mt, these follow from rows x sources, sources x types and rows x
+types arrays, each row's values its own, bit for bit.  Each update is the
+exact coordinate maximizer of the bound given the rest, so the bound is
+non-decreasing sweep over sweep.  One function, :func:`_bound_terms`, sums
+the seven bound terms over rows from phi, counting the profile block once.
+:func:`estep_sample` and :func:`elbo_terms` are their one-row calls (a
+sample that owns its profile posterior outright).  Right after a sweep the
+terms collapse (:func:`_collapsed_bound`), with the responsibility entropy
+in closed form from the factors.  An inference phase stops on that form
+and scores its start and returned states by the seven terms, of which the
+next phase re-scores only the two prior terms; the fixed point's
+acceptance of a Newton step compares collapsed bounds; a single sample
+reads the seven terms.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
 checked once and with its digammas and log Gammas evaluated at most once:
-a sweep returns its new state in that form, with the count-weighted
-responsibilities, and every loop builds its priors ``a`` and ``eta`` once.  :func:`_sweep`,
+a sweep returns its new state in that form, with its responsibilities,
+and every loop builds its priors ``a`` and ``eta`` once.  :func:`_sweep`,
 :func:`corpus_elbo` and :func:`elbo_terms` call the kernels on arrays.
 
 The outer loop alternates inference phases with exact box-constrained updates
@@ -65,6 +75,7 @@ their Schur complement over the profiles (:func:`_linear_response_factor`).
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
@@ -82,7 +93,7 @@ from .model import (
     validate_corpus,
 )
 from .mstep import mstep, trace_rows
-from .numerics import DirichletRows, reduce_last
+from .numerics import DirichletRows, _lazy, reduce_last
 
 __all__ = [
     "FitConfig",
@@ -223,41 +234,118 @@ def initialize(
     return H, A, states
 
 
-def _allocated(counts: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Counts each sample row allocates to each source (rows x sources)."""
-    return np.matmul(phi.transpose(0, 2, 1), counts[:, :, None])[:, :, 0]
+# A row whose normaliser Z has an entry below this takes its responsibilities
+# in log space.  That covers the zero and subnormal entries, and keeps c / Z
+# and its sums over types and rows finite for count totals below 2^120.
+_Z_FLOOR = 2.0**-900
 
 
-def _responsibilities(gamma: DirichletRows, lam: DirichletRows) -> np.ndarray:
-    """Profile plus mixing digammas, normalized per type in log space."""
-    log_phi = lam.e_log.T + gamma.psi[:, None, :]
-    log_phi -= reduce_last(np.maximum, log_phi)[:, :, None]
-    phi = np.exp(log_phi)
-    phi /= reduce_last(np.add, phi)[:, :, None]
-    return phi
+class _Responsibilities:
+    """The responsibilities of one sweep of the rows ``counts`` from
+    (``gamma``, ``lam``), in factored form (Blei, Ng and Jordan 2003, JMLR
+    3:993; Hoffman, Blei and Bach 2010).
+
+    phi_ntm = e_theta_nm e_beta_mt / Z_nt, with e_theta = exp(psi(gamma) -
+    row max) (rows x sources), e_beta = exp(E log beta - column max)
+    (sources x types) and Z = sum_m e_theta e_beta (rows x types).  So
+    ``allocated`` = e_theta * sum_t (c / Z) e_beta (rows x sources) and
+    ``profile_counts`` = e_beta * sum_n e_theta (c / Z) (sources x types),
+    the counts each row allocates to each source and each profile receives,
+    need no rows x types x sources array; c / Z is taken as c * (1 / Z).  Z
+    and the sum over types are ``np.einsum`` loops, so each row's values are
+    its own, bit for bit, which a BLAS product does not promise; the sum
+    over rows is a matrix product.  ``phi`` is built only when read.
+
+    A row whose Z has an entry below ``_Z_FLOOR`` (or not finite) takes its
+    responsibilities in log space instead, log e_theta + log e_beta
+    normalised per type after subtracting the largest, and a DEBUG line says
+    how many rows did; its c / Z is set to 0, so the other rows keep their
+    bits.
+    """
+
+    def __init__(self, counts: np.ndarray, gamma: DirichletRows, lam: DirichletRows) -> None:
+        self.counts = counts
+        self.log_theta = gamma.psi - reduce_last(np.maximum, gamma.psi)[:, None]
+        self.log_beta = lam.e_log - reduce_last(np.maximum, lam.e_log.T)
+        self.e_theta, self.e_beta = np.exp(self.log_theta), np.exp(self.log_beta)
+        self.z = np.einsum("nm,mt->nt", self.e_theta, self.e_beta)
+        rows = None
+        if not np.minimum.reduce(self.z, axis=None, initial=np.inf) >= _Z_FLOOR:
+            rows = np.flatnonzero(~(self.z >= _Z_FLOOR).all(axis=1))
+            self.z[rows] = 1.0  # a placeholder that keeps 1 / Z finite
+            logger.debug("sweep: %d of %d rows took log-space responsibilities",
+                         len(rows), len(counts))
+        self.inv_z = 1.0 / self.z
+        scaled = counts * self.inv_z
+        if rows is not None:
+            scaled[rows] = 0.0
+        self.allocated = self.e_theta * np.einsum("nt,mt->nm", scaled, self.e_beta)
+        self.profile_counts = self.e_beta * (self.e_theta.T @ scaled)
+        self.guarded = None if rows is None else self._log_space(rows)
+
+    def _log_space(self, rows: np.ndarray) -> tuple:
+        """Take ``rows`` in log space: their responsibilities, allocations and
+        profile counts, and their entropy summed directly (in closed form it
+        would cancel log weights as low as psi(1e-6) = -1e6).  Returns the
+        rows, their phi, the other rows' profile counts and that entropy."""
+        log_phi = self.log_beta.T + self.log_theta[rows][:, None, :]
+        log_phi -= reduce_last(np.maximum, log_phi)[:, :, None]
+        phi = np.exp(log_phi)
+        total = reduce_last(np.add, phi)
+        phi /= total[:, :, None]
+        weighted = self.counts[rows][:, :, None] * phi
+        entropy = -float((weighted * (log_phi - np.log(total)[:, :, None])).sum())
+        self.allocated[rows] = weighted.sum(axis=1)
+        others = self.profile_counts
+        self.profile_counts = others + weighted.sum(axis=0).T
+        return rows, phi, others, entropy
+
+    @_lazy
+    def phi(self) -> np.ndarray:
+        """The responsibilities, rows x types x sources."""
+        phi = self.e_theta[:, None, :] * self.e_beta.T * self.inv_z[:, :, None]
+        if self.guarded is not None:
+            rows, guarded_phi, *_ = self.guarded
+            phi[rows] = guarded_phi
+        return phi
+
+    @_lazy
+    def entropy_z(self) -> float:
+        """Count-weighted entropy of the responsibilities: since log phi = log
+        e_theta + log e_beta - log Z and each (row, type) sums to one, it is
+        sum c log Z - sum allocated log e_theta - sum profile_counts log e_beta,
+        over the rows not taken in log space (whose Z placeholder has log 0),
+        plus their entropy."""
+        allocated, profile_counts, entropy = self.allocated, self.profile_counts, 0.0
+        if self.guarded is not None:
+            rows, _, profile_counts, entropy = self.guarded
+            allocated = allocated.copy()
+            allocated[rows] = 0.0
+        # a scalar has no rows to keep apart, so BLAS may take its sums
+        return float(np.vdot(self.counts, np.log(self.z)) - np.vdot(allocated, self.log_theta)
+                     - np.vdot(profile_counts, self.log_beta)) + entropy
 
 
 def _sweep_rows(
     counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: DirichletRows, lam: DirichletRows
-) -> tuple[DirichletRows, DirichletRows, np.ndarray, np.ndarray]:
+) -> tuple[DirichletRows, DirichletRows, _Responsibilities]:
     """One inference sweep over sample rows (``counts``, mixing prior rows
-    ``a`` and ``gamma``): the :func:`_responsibilities`; each mixing posterior
-    is its ``a`` row plus the counts it allocates; the profile posterior is
-    ``eta`` plus the counts allocated from every row.  Returns the new gamma
-    and lam, checked, the responsibilities and the count-weighted ones.
+    ``a`` and ``gamma``): the :class:`_Responsibilities` against the current
+    profile posterior; each mixing posterior is its ``a`` row plus the
+    counts it allocates; the profile posterior is ``eta`` plus the counts
+    allocated from every row.  Returns the new gamma and lam, checked, and
+    the responsibilities.
     """
-    phi = _responsibilities(gamma, lam)
-    weighted = phi * counts[:, :, None]
-    new_gamma, new_lam = a + _allocated(counts, phi), eta + weighted.sum(axis=0).T
-    return DirichletRows(new_gamma), DirichletRows(new_lam), phi, weighted
+    swept = _Responsibilities(counts, gamma, lam)
+    return DirichletRows(a + swept.allocated), DirichletRows(eta + swept.profile_counts), swept
 
 
 def _sweep(
     counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_sweep_rows` on the state (``gamma``, ``lam``) as arrays: gamma, lam, phi."""
-    gamma, lam, phi, _ = _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
-    return gamma.rows, lam.rows, phi
+    gamma, lam, swept = _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
+    return gamma.rows, lam.rows, swept.phi
 
 
 def _relative_step(
@@ -290,43 +378,34 @@ def _bound_terms(
     gamma: DirichletRows,
     phi: np.ndarray,
     lam: DirichletRows,
-    weighted_phi: np.ndarray | None = None,
-    entropy_z: float | None = None,
 ) -> dict[str, float]:
     """The seven bound terms, each summed over the sample rows; the profile
-    block (``log_p_beta``, ``entropy_beta``) is counted once.  The
-    count-weighted responsibilities and ``entropy_z`` are computed unless
-    given (a swept state's, from :func:`_sweep_rows` and
-    :func:`_collapsed_bound`)."""
-    if weighted_phi is None:
-        weighted_phi = phi * counts[:, :, None]
-    if entropy_z is None:
-        entropy_z = _entropy_z(weighted_phi, phi)
+    block (``log_p_beta``, ``entropy_beta``) is counted once."""
+    weighted_phi = phi * counts[:, :, None]
     return {
         "log_p_x": float((weighted_phi * lam.e_log.T).sum()),
         "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
         "log_p_z": float((weighted_phi.sum(axis=1) * gamma.e_log).sum()),
         "entropy_theta": -_expected_log_dirichlet(gamma, gamma.e_log),
-        "entropy_z": entropy_z,
+        "entropy_z": _entropy_z(weighted_phi, phi),
         "log_p_beta": _expected_log_dirichlet(eta, lam.e_log),
         "entropy_beta": -_expected_log_dirichlet(lam, lam.e_log),
     }
 
 
 def _collapsed_bound(
-    a: DirichletRows, eta: DirichletRows, gamma: DirichletRows, phi: np.ndarray,
-    lam: DirichletRows, weighted_phi: np.ndarray,
-) -> tuple[float, float]:
-    """The bound of a state :func:`_sweep_rows` just returned under priors
-    ``a`` and ``eta`` (with its responsibilities and their count-weighted
-    form), where every E log weight of the seven terms cancels (Blei, Ng and
-    Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma) + l(eta) -
-    l(lam), plus ``entropy_z``; returns the bound and its ``entropy_z``.  It
-    holds only for such a state, not for a state whose priors changed or
-    that was not swept (a phase's start)."""
+    a: DirichletRows, eta: DirichletRows, gamma: DirichletRows, lam: DirichletRows,
+    swept: _Responsibilities,
+) -> float:
+    """The bound of a state (``gamma``, ``lam``) that :func:`_sweep_rows`
+    just returned under priors ``a`` and ``eta``, with its responsibilities
+    ``swept``, where every E log weight of the seven terms cancels (Blei, Ng
+    and Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma) +
+    l(eta) - l(lam), plus the closed-form ``entropy_z``.  It holds only for
+    such a state, not for a state whose priors changed or that was not
+    swept (a phase's start)."""
     log_norms = a.log_norm_sum - gamma.log_norm_sum + eta.log_norm_sum - lam.log_norm_sum
-    entropy_z = _entropy_z(weighted_phi, phi)
-    return float(log_norms) + entropy_z, entropy_z
+    return float(log_norms) + swept.entropy_z
 
 
 def elbo_terms(
@@ -393,9 +472,10 @@ def estep_sample(
     Each sweep is the one-row call of the corpus kernel :func:`_sweep_rows`:
     responsibilities from the current profile and mixing posteriors, then
     gamma and lambda from the new responsibilities (``lam = eta + count *
-    phi``).  Stops once a sweep moves no gamma or lambda entry by more than
-    a relative ``config.estep_tol``; at ``estep_max_iters`` it returns the
-    state it has and logs a warning with the step left.  Each sweep's bound
+    phi``), whose ``phi`` the state keeps.  Stops once a sweep moves no
+    gamma or lambda entry by more than a relative ``config.estep_tol``; at
+    ``estep_max_iters`` it returns the state it has and logs a warning with
+    the step left.  Each sweep's bound
     is recorded in ``elbo_steps``.  The stopping rule is the one difference
     from a corpus inference phase: near the fixed point the bound is flat,
     so consecutive bounds can agree to the last bit while the parameters
@@ -409,9 +489,9 @@ def estep_sample(
 
     state.elbo_steps = []
     for sweep in range(1, config.estep_max_iters + 1):
-        new_gamma, new_lam, phi, _ = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
+        new_gamma, new_lam, swept = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
         moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
-        gamma, lam = new_gamma, new_lam
+        gamma, lam, phi = new_gamma, new_lam, swept.phi
 
         state.gamma, state.lam, state.phi = gamma.rows[0], lam.rows, phi[0]
         where = f"sweep {sweep} at location {state.location_id}, sample {state.sample_index}"
@@ -484,7 +564,6 @@ def _warm_start_profiles(
     a: np.ndarray,
     eta: np.ndarray,
     gamma: np.ndarray,
-    phi: np.ndarray,
     known: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage the starting point: known samples shape the profile posterior
@@ -494,26 +573,28 @@ def _warm_start_profiles(
     ascent from flat profiles lets an unidentified source lock onto a
     trace's own blend and absorb it wholesale, which is a measurably worse
     optimum; settling the pinned single-source samples first, then the
-    trace responsibilities against that frozen posterior, starts the ascent
-    inside the right basin.  Each trace-stage pass settles every trace row
-    at its own fixed point by per-row Newton steps
-    (:func:`_settle_trace_rows`).  This only picks the starting point; the
-    recorded bound sequence begins afterwards.  Returns gamma, phi and lam,
-    and logs at DEBUG what it chose: the known stage's sweeps and whether it
-    settled; per trace-stage pass the sweeps, the Newton steps kept and
-    reverted and whether it settled; and the bootstrap unknown share.
+    trace responsibilities (from flat ones) against that frozen posterior,
+    starts the ascent inside the right basin.  Each trace-stage pass settles
+    every trace row at its own fixed point by per-row Newton steps
+    (:func:`_settle_trace_rows`), and the profile posterior is then eta plus
+    the counts the last sweeps of both stages allocate.  This only picks the
+    starting point; the recorded bound sequence begins afterwards.  Returns
+    gamma, the responsibilities of those last sweeps (built here, once) and
+    lam, and logs at DEBUG what it chose: the known stage's sweeps and
+    whether it settled; per trace-stage pass the sweeps, the Newton steps
+    kept and reverted and whether it settled; and the bootstrap unknown share.
     """
-    gamma, phi = gamma.copy(), phi.copy()
+    gamma = gamma.copy()
     known_counts, known_a = counts[known], a[known]
     known_gamma, lam = DirichletRows(gamma[known]), DirichletRows(eta)
     for known_sweeps in range(1, _WARM_SWEEPS + 1):
-        known_gamma, new_lam, known_phi, _ = _sweep_rows(
+        known_gamma, new_lam, known_swept = _sweep_rows(
             known_counts, known_a, eta, known_gamma, lam)
         settled = np.all(np.abs(new_lam.rows - lam.rows) <= 1e-12 + 1e-10 * np.abs(lam.rows))
         lam = new_lam
         if settled:
             break
-    gamma[known], phi[known], lam = known_gamma.rows, known_phi, lam.rows
+    gamma[known], lam = known_gamma.rows, lam.rows
 
     trace = ~known
     trace_counts, trace_a = counts[trace], a[trace]
@@ -521,29 +602,34 @@ def _warm_start_profiles(
     if boot is not None:
         lam[-1] = boot[0]
 
-    trace_gamma, trace_phi, passes = gamma[trace], phi[trace], []
+    trace_gamma, trace_phi, passes = gamma[trace], 1.0 / a.shape[1], []
     for _ in range(_WARM_PASSES if trace.any() else 0):
-        trace_gamma, trace_phi, sweeps, kept, reverted, done = _settle_trace_rows(
+        trace_gamma, trace_swept, sweeps, kept, reverted, done = _settle_trace_rows(
             trace_counts, trace_a, trace_gamma, trace_phi, DirichletRows(lam))
+        trace_phi = trace_swept.phi
         passes.append(f"{sweeps} sweeps, {kept} Newton steps kept, {reverted} reverted, "
                       + ("settled" if done else "not settled"))
-        gamma[trace], phi[trace] = trace_gamma, trace_phi
-        lam = eta + (phi * counts[:, :, None]).sum(axis=0).T
+        gamma[trace] = trace_gamma
+        lam = eta + known_swept.profile_counts + trace_swept.profile_counts
     logger.debug(
         "warm start: known stage %d sweeps (%s), trace stage per pass [%s], "
         "bootstrap unknown share %s", known_sweeps, "settled" if settled else "not settled",
         "; ".join(passes), "none" if boot is None else f"{boot[1]:.4g}",
     )
+    phi = np.empty((*counts.shape, a.shape[1]))
+    phi[known], phi[trace] = known_swept.phi, trace_phi
     return gamma, phi, lam
 
 
 def _settle_trace_rows(
-    counts: np.ndarray, a: np.ndarray, gamma: np.ndarray, phi: np.ndarray, lam: DirichletRows
-) -> tuple[np.ndarray, np.ndarray, int, int, int, bool]:
+    counts: np.ndarray, a: np.ndarray, gamma: np.ndarray, phi: np.ndarray | float,
+    lam: DirichletRows,
+) -> tuple[np.ndarray, _Responsibilities, int, int, int, bool]:
     """One pass of the warm start's trace stage: the trace rows (``counts``,
-    mixing prior rows ``a``, ``gamma`` and ``phi``) swept against the
-    frozen profile posterior ``lam`` until no responsibility moves by 1e-10
-    from one sweep to the next, or ``_WARM_SWEEPS`` sweeps.
+    mixing prior rows ``a``, ``gamma`` and ``phi``, which may be the flat
+    1 / sources) swept against the frozen profile posterior ``lam`` until
+    no responsibility moves by 1e-10 from one sweep to the next, or
+    ``_WARM_SWEEPS`` sweeps.
 
     With ``lam`` frozen each row is its own fixed point gamma_n = a_n +
     allocated(phi(gamma_n)), whose Jacobian is K_n V_n, so the Newton step
@@ -556,37 +642,39 @@ def _settle_trace_rows(
     step is not finite takes its plain sweep instead, and so does every row
     when some D_n has no Cholesky factor.  So does a row whose Newton point
     has a larger residual (largest entry) than the point it stepped from:
-    the next sweep shows it and is then made again for that row from its
-    plain sweep.  Returns the rows the last sweep allocates with its
-    responsibilities, the sweeps, the row steps kept and those reverted
-    (by any of the three rules), and whether the pass settled.
+    the next sweep shows it and is then made again from the plain sweeps of
+    those rows (each row's sweep is its own, bit for bit, so the other rows
+    repeat theirs).  The settle test reads the responsibilities that the
+    Newton points need.  Returns the rows the last sweep allocates with its
+    :class:`_Responsibilities`, the sweeps, the row steps kept and those
+    reverted (by any of the three rules), and whether the pass settled.
     """
-    def sweep(rows, gamma):
-        """Responsibilities at ``gamma`` of ``rows``, their plain sweep and its residual."""
-        phi = _responsibilities(DirichletRows(gamma), lam)
-        swept = a[rows] + _allocated(counts[rows], phi)
-        return phi, swept, reduce_last(np.maximum, np.abs(swept - gamma))
+    def sweep(gamma):
+        """The responsibilities at ``gamma``, its plain sweep and their residual."""
+        swept = _Responsibilities(counts, DirichletRows(gamma), lam)
+        new = a + swept.allocated
+        return swept, new, reduce_last(np.maximum, np.abs(new - gamma))
 
     taken = grown = 0
     stepped, fallback, last_residual = np.zeros(len(gamma), dtype=bool), gamma, np.inf
     for sweeps in range(1, _WARM_SWEEPS + 1):
-        new_phi, swept, residual = sweep(slice(None), gamma)
+        swept, new, residual = sweep(gamma)
         worse = stepped & ~(residual <= last_residual)
         if worse.any():
             grown += int(worse.sum())
-            gamma[worse] = fallback[worse]
-            new_phi[worse], swept[worse], residual[worse] = sweep(worse, gamma[worse])
-        settled = np.abs(new_phi - phi).max() < 1e-10
-        phi = new_phi
+            gamma = np.where(worse[:, None], fallback, gamma)
+            swept, new, residual = sweep(gamma)
+        settled = np.abs(swept.phi - phi).max() < 1e-10
+        phi = swept.phi
         if settled or sweeps == _WARM_SWEEPS:
             break
-        point = _row_newton_points(counts, gamma, new_phi, swept)
+        point = _row_newton_points(counts, gamma, phi, new)
         stepped = np.isfinite(point).all(axis=1)
         taken += int(stepped.sum())
-        fallback, last_residual = swept, residual
-        gamma = np.where(stepped[:, None], point, swept)
+        fallback, last_residual = new, residual
+        gamma = np.where(stepped[:, None], point, new)
     tried = (sweeps - 1) * len(gamma)
-    return swept, phi, sweeps, taken - grown, tried - taken + grown, bool(settled)
+    return new, swept, sweeps, taken - grown, tried - taken + grown, bool(settled)
 
 
 def _row_newton_points(
@@ -627,21 +715,21 @@ def _inference_phase(
     ``estep_max_iters`` it returns what it has and logs a warning with the
     bound change left.  ``terms`` are the seven terms of the start state
     under earlier priors (a previous phase's return), of which only the two
-    prior terms are re-scored; without them all seven are.  The stop rule
-    reads each swept state's :func:`_collapsed_bound`, re-scored by the
-    seven terms when not finite so that the failure names its term; the
-    returned state's seven terms take the last sweep's count-weighted
-    responsibilities and ``entropy_z``."""
+    prior terms are re-scored; without them all seven are, from ``phi``.
+    The stop rule reads each swept state's :func:`_collapsed_bound`,
+    re-scored by the seven terms when not finite so that the failure names
+    its term.  The last sweep's responsibilities are built once, for the
+    returned state's seven terms and the returned phi."""
     a, eta = DirichletRows(a), DirichletRows(eta)
     terms = _bound_terms(counts, a, eta, gamma, phi, lam) if terms is None else {
         **terms, "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
         "log_p_beta": _expected_log_dirichlet(eta, lam.e_log)}
     previous = _check_terms(terms)
     for sweep in range(1, config.estep_max_iters + 1):
-        gamma, lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
-        current, entropy_z = _collapsed_bound(a, eta, gamma, phi, lam, weighted)
-        if not np.isfinite(current):
-            terms = _bound_terms(counts, a, eta, gamma, phi, lam)
+        gamma, lam, swept = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        current = _collapsed_bound(a, eta, gamma, lam, swept)
+        if not math.isfinite(current):
+            terms = _bound_terms(counts, a, eta, gamma, swept.phi, lam)
             current = _check_terms(terms, f"inference sweep {sweep}", sweep)
         change, scale = abs(current - previous), max(abs(previous), 1e-12)
         if change <= config.estep_tol * scale:
@@ -653,7 +741,8 @@ def _inference_phase(
             change / scale,
             config.estep_max_iters,
         )
-    terms = _bound_terms(counts, a, eta, gamma, phi, lam, weighted, entropy_z)
+    phi = swept.phi
+    terms = _bound_terms(counts, a, eta, gamma, phi, lam)
     return gamma, phi, lam, terms, _check_terms(terms, f"inference sweep {sweep}", sweep), sweep
 
 
@@ -686,7 +775,7 @@ def _fixed_point(
     sweeps = accepted = rejected = 0
     while sweeps < cap:
         x = gamma, lam
-        gamma, lam, phi, weighted = _sweep_rows(counts, a.rows, eta.rows, *x)
+        gamma, lam, swept = _sweep_rows(counts, a.rows, eta.rows, *x)
         sweeps += 1
         moved = _relative_step(x[0].rows, x[1].rows, gamma.rows, lam.rows)
         if moved < tol:
@@ -694,24 +783,22 @@ def _fixed_point(
         if sweeps == cap:
             continue
         try:
-            point = _newton_point(counts, x, phi, (gamma, lam))
+            point = _newton_point(counts, x, swept.phi, (gamma, lam))
         except (np.linalg.LinAlgError, ValueError):  # no Cholesky factor, or a non-finite step
             rejected += 1
             continue
-        trial_gamma, trial_lam, trial_phi, trial_weighted = _sweep_rows(
-            counts, a.rows, eta.rows, *point)
+        trial_gamma, trial_lam, trial = _sweep_rows(counts, a.rows, eta.rows, *point)
         sweeps += 1
-        bound = _collapsed_bound(a, eta, gamma, phi, lam, weighted)[0]
-        trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_phi, trial_lam,
-                                       trial_weighted)[0]
+        bound = _collapsed_bound(a, eta, gamma, lam, swept)
+        trial_bound = _collapsed_bound(a, eta, trial_gamma, trial_lam, trial)
         if np.isfinite(trial_bound) and trial_bound >= bound:
-            gamma, lam, phi = trial_gamma, trial_lam, trial_phi
+            gamma, lam, swept = trial_gamma, trial_lam, trial
             accepted += 1
         else:
             rejected += 1
     else:
         logger.warning("fixed-prior phase still moving by %.1e after %d sweeps", moved, cap)
-    return gamma.rows, lam.rows, phi, sweeps, accepted, rejected
+    return gamma.rows, lam.rows, swept.phi, sweeps, accepted, rejected
 
 
 # The linear-response covariance holds at a fixed point of the fixed-prior
@@ -932,10 +1019,8 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     a, eta = A[loc], H  # the configured priors
     trace_ids = corpus.trace_location_ids
     trace = trace_rows(loc, trace_ids)
-    M, T = corpus.n_sources, corpus.n_types
     known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
-    phi = np.full((len(loc), T, M), 1.0 / M)
-    gamma, phi, lam = _warm_start_profiles(corpus, counts, a, eta, gamma, phi, known)
+    gamma, phi, lam = _warm_start_profiles(corpus, counts, a, eta, gamma, known)
     gamma, lam, terms = DirichletRows(gamma), DirichletRows(lam), None
 
     elbo_trace: list[float] = []

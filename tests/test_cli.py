@@ -327,6 +327,14 @@ class TestCmdSimulate:
         assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
         assert key in capsys.readouterr().err
 
+    def test_zero_known_sample_size_is_error(self, tmp_path):
+        # 0 once read as "not given", so the control samples silently took
+        # the trace samples' particle count
+        path = tmp_path / "bad.yaml"
+        path.write_text("known_sample_size: 0\n")
+        with pytest.raises(ValueError, match="known_particles_per_sample"):
+            load_study_spec(path)
+
     def test_integral_floats_are_read_as_integers(self, tmp_path):
         path = tmp_path / "study.yaml"
         path.write_text("sample_sizes: [100.0]\nreplications: 2.0\nknown_sample_size: 300\n")

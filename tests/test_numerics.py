@@ -24,7 +24,6 @@ from dustmix.numerics import (
     log_gamma,
     reduce_last,
 )
-from dustmix.vbi import _responsibilities
 from _oracles import beta_cdf as oracle_cdf
 from _oracles import beta_hpdi_check, beta_interval_mass
 
@@ -174,11 +173,12 @@ class TestReduceLast:
         rng = np.random.default_rng(n)
         for shape in ((40, n), (3, 20, n), (1, n)):  # C-ordered, magnitudes 1e-8 to 1e8
             yield rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-        # the layout of the responsibilities: N x T x M stored as N x M x T
+        # the layout of the log-space responsibilities (the sweep's underflow
+        # guard): N x T x M stored as N x M x T
         gamma, lam = (DirichletRows(rng.uniform(0.5, 50.0, shape)) for shape in ((9, n), (n, 14)))
         log_phi = lam.e_log.T + gamma.psi[:, None, :]
         yield log_phi
-        yield _responsibilities(gamma, lam)
+        yield np.exp(log_phi - reduce_last(np.maximum, log_phi)[:, :, None])
 
     @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
     @pytest.mark.parametrize("n", range(1, 11))

@@ -172,6 +172,14 @@ class TestScenario:
         assert [len(l.samples) for l in corpus.locations] == [2, 3]
         assert [s.total for l in corpus.locations for s in l.samples] == [20, 20, 50, 50, 50]
 
+    @pytest.mark.parametrize("mixture", [("0.5", "0.5"), (True, False), (0.5, None)])
+    def test_mistyped_trace_share_fails_by_name(self, catalog, mixture):
+        # a string share once passed float() and a bool read as 1.0 or 0.0
+        with pytest.raises(ValueError, match="trace_mixtures"):
+            ScenarioSpec(catalog=catalog, true_profiles=PROFILES, trace_mixtures=(mixture,),
+                         particles_per_sample=10)
+
+
 class TestStudy:
     def _study(self, catalog, **kwargs):
         defaults = dict(
@@ -204,6 +212,17 @@ class TestStudy:
         ("second_trace_mixture", (0.2, 0.3, 0.5)),
     ])
     def test_bad_counts_and_mixture_fail_at_construction(self, catalog, field, value):
+        with pytest.raises(ValueError, match=field):
+            self._study(catalog, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("unknown_shares", ("0.5",)),
+        ("unknown_shares", (0.3, True)),
+        ("second_trace_mixture", ("0.5", "0.5")),
+        ("second_trace_mixture", (True, False)),
+    ])
+    def test_mistyped_shares_fail_by_name(self, catalog, field, value):
+        # these were read with float(), which takes a numeric string and a bool
         with pytest.raises(ValueError, match=field):
             self._study(catalog, **{field: value})
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.special import gammaln
 
 from dustmix import numerics, simulator, vbi
 from dustmix.model import (
@@ -557,8 +558,8 @@ class TestFit:
 
 def _trace_stage_args(corpus):
     """The arguments of ``corpus``'s first trace-stage pass: the trace rows'
-    counts, mixing prior rows, gamma and phi, and the frozen profile
-    posterior."""
+    counts, mixing prior rows, gamma and phi (the flat 1 / sources), and the
+    frozen profile posterior."""
     captured = []
     settle = vbi._settle_trace_rows
 
@@ -588,9 +589,10 @@ class TestTraceStage:
         monkeypatch.setattr(vbi, "_sample_whitening", failing)
         monkeypatch.setattr(vbi, "_WARM_SWEEPS", 100_000)
         first = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
-        gamma, phi = first[:2]
+        gamma, phi = first[0], first[1].phi
         for _ in range(5_000):
-            new_gamma, phi, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+            new_gamma, swept, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+            phi = swept.phi
             if np.array_equal(new_gamma, gamma):
                 return first, gamma
             gamma = new_gamma
@@ -619,23 +621,24 @@ class TestTraceStage:
                                 lambda counts, gamma, phi, swept: 1e3 * gamma)
         counts, a, gamma, phi, lam = _trace_stage_args(corpus_at_known)
         first, _ = self._plain(monkeypatch, counts, a, gamma, phi, lam)
-        new_gamma, new_phi, sweeps, kept, reverted, settled = first
+        new_gamma, new_swept, sweeps, kept, reverted, settled = first
         assert settled and kept == 0 and reverted == len(gamma) * (sweeps - 1)
         for _ in range(sweeps):  # plain sweeps, as the stage made them before
-            phi = vbi._responsibilities(numerics.DirichletRows(gamma), lam)
-            gamma = a + vbi._allocated(counts, phi)
-        assert np.array_equal(new_gamma, gamma) and np.array_equal(new_phi, phi)
+            swept = vbi._Responsibilities(counts, numerics.DirichletRows(gamma), lam)
+            gamma = a + swept.allocated
+        assert np.array_equal(new_gamma, gamma) and np.array_equal(new_swept.phi, swept.phi)
 
     @pytest.mark.parametrize("factor", [1e3, 1e-3])
     def test_row_far_from_its_fixed_point(self, corpus_at_known, factor, monkeypatch):
         counts, a, gamma, phi, lam = _trace_stage_args(corpus_at_known)
-        rest, rest_phi, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
+        rest, rest_swept, *_ = vbi._settle_trace_rows(counts, a, gamma, phi, lam)
         start = rest.copy()
         start[0] *= factor
         points, newton_points = [], vbi._row_newton_points
         monkeypatch.setattr(vbi, "_row_newton_points",
                             lambda *args: points.append(newton_points(*args)) or points[-1])
-        gamma, _, _, kept, _, settled = vbi._settle_trace_rows(counts, a, start, rest_phi, lam)
+        gamma, _, _, kept, _, settled = vbi._settle_trace_rows(counts, a, start, rest_swept.phi,
+                                                              lam)
         assert settled and kept > 0
         # every Newton point the stage could take is strictly positive
         assert all(np.all(point[np.isfinite(point).all(axis=1)] > 0.0) for point in points)
@@ -656,13 +659,13 @@ class TestNumericalFailure:
         sweep, calls = vbi._sweep_rows, []
 
         def spoiling_sweep(counts, *args):
-            gamma, lam, phi, weighted = sweep(counts, *args)
+            gamma, lam, swept = sweep(counts, *args)
             calls.append(1)
             if len(calls) == 2:
-                phi = phi.copy()
-                phi[0, 0, 0] = np.nan
-                weighted = phi * counts[:, :, None]
-            return gamma, lam, phi, weighted
+                swept.phi = swept.phi.copy()
+                swept.phi[0, 0, 0] = np.nan
+                swept.entropy_z = np.nan
+            return gamma, lam, swept
 
         monkeypatch.setattr(vbi, "_sweep_rows", spoiling_sweep)
         gamma, lam = numerics.DirichletRows(state["gamma"]), numerics.DirichletRows(state["lam"])
@@ -735,8 +738,8 @@ class TestSharedState:
         scored = []
         bound_terms = vbi._bound_terms
 
-        def recording(counts, a, eta, gamma, phi, lam, *swept):
-            terms = bound_terms(counts, a, eta, gamma, phi, lam, *swept)
+        def recording(counts, a, eta, gamma, phi, lam):
+            terms = bound_terms(counts, a, eta, gamma, phi, lam)
             scored.append(((counts, a.rows, eta.rows, gamma.rows, phi, lam.rows), terms))
             return terms
 
@@ -792,15 +795,15 @@ class TestCollapsedBound:
     def test_equals_corpus_elbo_after_a_sweep(self, instance):
         counts, a, eta, gamma, lam = instance
         a, eta, gamma, lam = map(numerics.DirichletRows, (a, eta, gamma, lam))
-        gamma, lam, phi, weighted = vbi._sweep_rows(counts, a.rows, eta.rows, gamma, lam)
-        assert np.array_equal(weighted, phi * counts[:, :, None])
-        terms = vbi._bound_terms(counts, a, eta, gamma, phi, lam)
+        gamma, lam, swept = vbi._sweep_rows(counts, a.rows, eta.rows, gamma, lam)
+        terms = vbi._bound_terms(counts, a, eta, gamma, swept.phi, lam)
         # relative to the terms: a bound near zero is a difference of terms
         # hundreds of times larger, and keeps only their rounding
         scale = sum(abs(value) for value in terms.values())
-        collapsed, entropy_z = vbi._collapsed_bound(a, eta, gamma, phi, lam, weighted)
+        collapsed = vbi._collapsed_bound(a, eta, gamma, lam, swept)
         assert abs(collapsed - vbi._check_terms(terms)) <= 1e-12 * scale
-        assert entropy_z == terms["entropy_z"]
+        # the closed-form entropy against the one summed over phi
+        assert abs(swept.entropy_z - terms["entropy_z"]) <= 1e-12 * scale
 
     def test_entropy_of_underflowed_responsibilities(self):
         # a responsibility that underflowed to 0 adds 0, and so does a type
@@ -820,10 +823,9 @@ class TestCollapsedBound:
         counts = np.array([sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64)
         calls = []
 
-        def seven_terms(a, eta, gamma, phi, lam, weighted):
+        def seven_terms(a, eta, gamma, lam, swept):
             calls.append(1)
-            terms = vbi._bound_terms(counts, a, eta, gamma, phi, lam)
-            return float(sum(terms.values())), terms["entropy_z"]
+            return float(sum(vbi._bound_terms(counts, a, eta, gamma, swept.phi, lam).values()))
 
         monkeypatch.setattr(vbi, "_collapsed_bound", seven_terms)
         again = fit(corpus, FitConfig())
@@ -848,6 +850,123 @@ class TestCollapsedBound:
         assert len(calls) == 2
 
 
+def _log_space_sweep(counts, a, eta, gamma, lam):
+    """Reference: one sweep with the responsibilities in log space (the
+    digammas of each source and type, normalised per type after subtracting
+    the largest), each mixing and profile posterior from their count-weighted
+    sums, and the collapsed bound with the responsibility entropy summed over
+    them.  The digammas are first shifted by their row and column maxima,
+    which the normalisation cancels: unshifted, digammas of 1e-6 (-1e6) lose
+    their last ten digits in the sum.  Returns gamma, lam, phi, the bound
+    and the scale of its rounding: the summed magnitudes of the log Gammas
+    of the four normalisers and of the count-weighted log weights, which
+    the closed-form entropy adds up before they cancel."""
+    gamma, lam = numerics.DirichletRows(gamma), numerics.DirichletRows(lam)
+    log_theta = gamma.psi - gamma.psi.max(axis=1, keepdims=True)
+    log_beta = lam.e_log - lam.e_log.max(axis=0)
+    log_phi = log_beta.T + log_theta[:, None, :]
+    log_phi -= log_phi.max(axis=2, keepdims=True)
+    phi = np.exp(log_phi)
+    total = phi.sum(axis=2, keepdims=True)
+    phi /= total
+    weighted = phi * counts[:, :, None]
+    new_gamma, new_lam = a + weighted.sum(axis=1), eta + weighted.sum(axis=0).T
+    entropy = -(weighted * (log_phi - np.log(total))).sum()
+    norms = [numerics.DirichletRows(rows).log_norm_sum for rows in (a, new_gamma, eta, new_lam)]
+    scale = sum(np.abs(gammaln(values)).sum() for rows in (a, new_gamma, eta, new_lam)
+                for values in (rows, rows.sum(axis=1)))
+    scale += (weighted * np.abs(log_beta.T + log_theta[:, None, :])).sum() + abs(entropy)
+    return new_gamma, new_lam, phi, norms[0] - norms[1] + norms[2] - norms[3] + entropy, scale
+
+
+# gamma (1e3, 1e-3) against profiles whose type-0 weight is largest for the
+# other source: every source's e_theta e_beta for type 0 underflows, so Z does
+UNDERFLOW = {"counts": np.array([[5.0, 3.0]]), "a": np.full((1, 2), 1e-6),
+             "eta": np.full((2, 2), 1e-6), "gamma": np.array([[1e3, 1e-3]]),
+             "lam": np.array([[1e-3, 50.0], [50.0, 50.0]])}
+
+
+@st.composite
+def _wide_sweep_instances(draw):
+    """Counts as in :func:`_sweep_instances`, with priors and a state drawn
+    log-uniformly over [1e-6, 1e6], the box of the fitted rows, so that
+    some rows' normalisers underflow."""
+    N, M, T = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    counts = draw(arrays(np.float64, (N, T),
+                         elements=st.sampled_from([0.0, 0.0, 1.0, 3.0, 40.0, 2000.0])))
+    counts[:, 0] = np.maximum(counts[:, 0], 1.0)
+
+    def positive(shape):
+        return 10.0 ** draw(arrays(np.float64, shape, elements=st.floats(-6.0, 6.0)))
+    return counts, positive((N, M)), positive((M, T)), positive((N, M)), positive((M, T))
+
+
+class TestFactoredSweep:
+    """The sweep forms the responsibilities from rows x sources, sources x
+    types and rows x types factors; it must give what the log-space sweep
+    gives, row by row."""
+
+    @staticmethod
+    def _check(instance):
+        counts, a, eta, gamma, lam = instance
+        new_gamma, new_lam, swept = vbi._sweep_rows(
+            counts, a, eta, numerics.DirichletRows(gamma), numerics.DirichletRows(lam))
+        ref_gamma, ref_lam, ref_phi, ref_bound, scale = _log_space_sweep(*instance)
+        assert_allclose(new_gamma.rows, ref_gamma, rtol=1e-12, atol=0)
+        assert_allclose(new_lam.rows, ref_lam, rtol=1e-12, atol=0)
+        # an entry below 2^-122 can be a subnormal product over a normal Z
+        assert_allclose(swept.phi, ref_phi, rtol=1e-12, atol=2.0**-120)
+        priors = numerics.DirichletRows(a), numerics.DirichletRows(eta)
+        bound = vbi._collapsed_bound(*priors, new_gamma, new_lam, swept)
+        assert np.isfinite(bound) and abs(bound - ref_bound) <= 1e-12 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(_wide_sweep_instances())
+    def test_matches_the_log_space_sweep(self, instance):
+        self._check(instance)
+
+    def test_underflowed_normaliser_matches_the_log_space_sweep(self):
+        instance = tuple(UNDERFLOW.values())
+        gamma, lam = numerics.DirichletRows(UNDERFLOW["gamma"]), numerics.DirichletRows(
+            UNDERFLOW["lam"])
+        swept = vbi._Responsibilities(UNDERFLOW["counts"], gamma, lam)
+        assert swept.guarded is not None
+        self._check(instance)
+
+    def test_logs_the_rows_it_takes_in_log_space(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
+            vbi._sweep(*UNDERFLOW.values())
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "sweep: 1 of 1 rows took log-space responsibilities")]
+        caplog.clear()
+        state = _domain_instance()
+        with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
+            vbi._sweep(state["counts"], state["a"], state["eta"], state["gamma"], state["lam"])
+        assert not caplog.records
+
+    def test_rows_of_a_large_sweep_match_one_row_sweeps(self):
+        # each row's values are its own, bit for bit, with the underflowed
+        # row among them; the profile posterior adds every row's allocations
+        rng = np.random.default_rng(11)
+        N, M, T = 492, 2, 14
+        counts = rng.integers(0, 400, size=(N, T)).astype(np.float64)
+        counts[:, 0] += 1.0
+        a, eta = rng.uniform(0.5, 150.0, size=(N, M)), rng.uniform(0.5, 3.0, size=(M, T))
+        gamma, lam = rng.uniform(1.0, 3000.0, size=(N, M)), rng.uniform(1.0, 3000.0, size=(M, T))
+        gamma[7] = [1e3, 1e-6]
+        lam[0, 0] = 1e-6
+        new_gamma, new_lam, swept = vbi._sweep_rows(
+            counts, a, eta, numerics.DirichletRows(gamma), numerics.DirichletRows(lam))
+        assert list(swept.guarded[0]) == [7]
+        allocated = np.zeros((M, T))
+        for n in range(N):
+            row = vbi._sweep(counts[n:n + 1], a[n:n + 1], eta, gamma[n:n + 1], lam)
+            assert np.array_equal(new_gamma.rows[n], row[0][0])
+            assert np.array_equal(swept.phi[n], row[2][0])
+            allocated += row[1] - eta
+        assert_allclose(new_lam.rows, eta + allocated, rtol=1e-12)
+
+
 class TestFixedPointSharedState:
     """The Newton loop builds each state once: a kept state's bound and the
     next cycle's plain sweep share its evaluations, and the priors' log
@@ -860,9 +979,9 @@ class TestFixedPointSharedState:
         collapsed_bound = vbi._collapsed_bound
         counts = fixed_prior_start[0]
 
-        def recording(a, eta, gamma, phi, lam, weighted):
-            bound = collapsed_bound(a, eta, gamma, phi, lam, weighted)
-            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), bound[0]))
+        def recording(a, eta, gamma, lam, swept):
+            bound = collapsed_bound(a, eta, gamma, lam, swept)
+            scored.append(((a.rows, eta.rows, gamma.rows, swept.phi, lam.rows), bound))
             return bound
 
         monkeypatch.setattr(vbi, "_collapsed_bound", recording)
@@ -1182,9 +1301,9 @@ class TestFixedPoint:
         scored, starts = [], []
         collapsed_bound, sweep = vbi._collapsed_bound, vbi._sweep_rows
 
-        def recording_bound(a, eta, gamma, phi, lam, weighted):
-            bound = collapsed_bound(a, eta, gamma, phi, lam, weighted)
-            scored.append(((a.rows, eta.rows, gamma.rows, phi, lam.rows), gamma, bound[0]))
+        def recording_bound(a, eta, gamma, lam, swept):
+            bound = collapsed_bound(a, eta, gamma, lam, swept)
+            scored.append(((a.rows, eta.rows, gamma.rows, swept.phi, lam.rows), gamma, bound))
             return bound
 
         def recording_sweep(counts, a, eta, gamma, lam):
