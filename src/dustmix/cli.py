@@ -52,7 +52,8 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     """Read a sample CSV into a validated corpus.
 
     Rows are grouped into locations by the ``location`` column (order of
-    first appearance); all rows of a location must agree on its role.
+    first appearance); all rows of a location must agree on its role.  A
+    count is ASCII decimal digits, at most the largest 64-bit integer.
     """
     path = Path(path)
     try:
@@ -91,16 +92,17 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
             )
         counts = np.zeros(catalog.n_types, dtype=np.int64)
         for c, cell in enumerate(row[2:], start=3):
-            try:
-                value = int(cell)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{r}: column {c} ({header[c - 1]!r}): not an integer: {cell!r}"
-                ) from None
+            where = f"{path}:{r}: column {c} ({header[c - 1]!r})"
+            count = cell.strip()
+            digits = count.removeprefix("-")
+            # int() would also take "1_0", "+1" and other scripts' digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise IngestError(f"{where}: not an integer: {cell!r}")
+            value = int(count)
             if value < 0:
-                raise IngestError(
-                    f"{path}:{r}: column {c} ({header[c - 1]!r}): negative count {value}"
-                )
+                raise IngestError(f"{where}: negative count {value}")
+            if value > np.iinfo(np.int64).max:
+                raise IngestError(f"{where}: count {value} does not fit in a 64-bit integer")
             counts[c - 3] = value
         if counts.sum() < 1:
             raise IngestError(f"{path}:{r}: sample holds no particles")
@@ -410,29 +412,37 @@ def cmd_simulate(
     return EXIT_OK
 
 
-def cmd_report(run_dir: Path | str) -> int:
-    """Print a readable summary of a previous fit run."""
-    path = Path(run_dir) / "report.json"
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def _report_lines(payload: dict) -> list[str]:
+    """The summary lines of a ``report.json`` payload."""
     prov = payload.get("provenance", {})
-    print(f"converged: {prov.get('converged')}   iterations: {prov.get('iterations')}")
+    lines = [f"converged: {prov.get('converged')}   iterations: {prov.get('iterations')}"]
     mass = payload.get("mass", 0.95)
-    print(f"\nsource contributions per trace location ({mass:.0%} HPDI):")
+    lines.append(f"\nsource contributions per trace location ({mass:.0%} HPDI):")
     for loc, rows in payload.get("theta", {}).items():
-        for row in rows:
-            print(
-                f"  {loc:>10s}  {row['label']:>12s}  mean {row['mean']:.4f}"
-                f"   [{row['hpdi_lo']:.4f}, {row['hpdi_hi']:.4f}]"
-            )
-    print("\nprofile means per source (top five types):")
+        lines += [f"  {loc:>10s}  {row['label']:>12s}  mean {row['mean']:.4f}"
+                  f"   [{row['hpdi_lo']:.4f}, {row['hpdi_hi']:.4f}]" for row in rows]
+    lines.append("\nprofile means per source (top five types):")
     for source, rows in payload.get("beta", {}).items():
         top = sorted(rows, key=lambda r: r["mean"], reverse=True)[:5]
         parts = ", ".join(f"{r['label']} {r['mean']:.3f}" for r in top)
-        print(f"  {source:>10s}: {parts}")
+        lines.append(f"  {source:>10s}: {parts}")
+    return lines
+
+
+def cmd_report(run_dir: Path | str) -> int:
+    """Print a readable summary of a previous fit run; a ``report.json``
+    that cannot be read, or is not shaped as :func:`cmd_fit` writes it, is
+    an error naming the file."""
+    path = Path(run_dir) / "report.json"
+    try:
+        lines = _report_lines(json.loads(path.read_text()))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        print(f"error: malformed {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print("\n".join(lines))
     return EXIT_OK
 
 

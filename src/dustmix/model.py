@@ -251,11 +251,11 @@ class FitResult:
     (samples x types x sources) hold the mixing posteriors and
     responsibilities, one row per sample in corpus order, and ``lam``
     (sources x types) the one shared profile posterior.  The sweeps keep
-    the responsibilities in factored form; ``phi`` is those of the last
-    sweep, built once, when the last inference phase scores its state.
-    ``elbo_trace`` has one entry per outer iteration: the seven-term bound
-    of the state its inference phase returns (whose stop rule reads the
-    collapsed bound).
+    the responsibilities in factored form; ``phi`` is those of the fit's
+    last sweep, built once, from its factors.  ``elbo_trace`` has one entry
+    per outer iteration: the collapsed bound (log normalisers plus the
+    responsibility entropy, which equals the seven-term bound right after a
+    sweep) of the state its inference phase returns.
     """
 
     H_converged: DirichletMatrix

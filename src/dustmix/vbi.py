@@ -8,9 +8,8 @@ stay per sample.  The state is arrays with one row per sample: ``counts``
 the responsibilities phi (N x T x M) in factored form
 (:class:`_Responsibilities`), and phi is built only where it is read: for
 the Newton points (whose phi the warm start's settle test reads too) and
-the linear-response factor, for the seven bound terms a phase returns
-(whose phi ends in ``FitResult.phi``), once for the warm start's starting
-point, and in the single-sample API.
+the linear-response factor, once per fit from the last sweep for
+``FitResult.phi``, and in the single-sample API.
 
 One kernel, :func:`_sweep_rows`, runs an inference sweep over any set of
 rows: responsibilities and mixing posteriors against the current profile
@@ -24,11 +23,11 @@ the seven bound terms over rows from phi, counting the profile block once.
 :func:`estep_sample` and :func:`elbo_terms` are their one-row calls (a
 sample that owns its profile posterior outright).  Right after a sweep the
 terms collapse (:func:`_collapsed_bound`), with the responsibility entropy
-in closed form from the factors.  An inference phase stops on that form
-and scores its start and returned states by the seven terms, of which the
-next phase re-scores only the two prior terms; the fixed point's
-acceptance of a Newton step compares collapsed bounds; a single sample
-reads the seven terms.
+in closed form from the factors.  An inference phase scores only the
+states its sweeps make, by that form, and stops when two consecutive ones
+agree; the fixed point's acceptance of a Newton step compares collapsed
+bounds; a single sample and :func:`corpus_elbo` read the seven terms,
+which a fit evaluates only to name a non-finite term.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
 checked once and with its digammas and log Gammas evaluated at most once:
@@ -403,7 +402,9 @@ def _collapsed_bound(
     and Jordan 2003, JMLR 3:993): the log normalisers l(a) - l(gamma) +
     l(eta) - l(lam), plus the closed-form ``entropy_z``.  It holds only for
     such a state, not for a state whose priors changed or that was not
-    swept (a phase's start)."""
+    swept (a phase's start), so an inference phase scores only the states
+    its sweeps make, and each entry of ``FitResult.elbo_trace`` is this
+    bound of the state a phase returns."""
     log_norms = a.log_norm_sum - gamma.log_norm_sum + eta.log_norm_sum - lam.log_norm_sum
     return float(log_norms) + swept.entropy_z
 
@@ -565,7 +566,7 @@ def _warm_start_profiles(
     eta: np.ndarray,
     gamma: np.ndarray,
     known: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stage the starting point: known samples shape the profile posterior
     before any trace sample commits its responsibilities.
 
@@ -579,10 +580,10 @@ def _warm_start_profiles(
     (:func:`_settle_trace_rows`), and the profile posterior is then eta plus
     the counts the last sweeps of both stages allocate.  This only picks the
     starting point; the recorded bound sequence begins afterwards.  Returns
-    gamma, the responsibilities of those last sweeps (built here, once) and
-    lam, and logs at DEBUG what it chose: the known stage's sweeps and
-    whether it settled; per trace-stage pass the sweeps, the Newton steps
-    kept and reverted and whether it settled; and the bootstrap unknown share.
+    gamma and lam, and logs at DEBUG what it chose: the known stage's sweeps
+    and whether it settled; per trace-stage pass the sweeps, the Newton
+    steps kept and reverted and whether it settled; and the bootstrap
+    unknown share.
     """
     gamma = gamma.copy()
     known_counts, known_a = counts[known], a[known]
@@ -616,9 +617,7 @@ def _warm_start_profiles(
         "bootstrap unknown share %s", known_sweeps, "settled" if settled else "not settled",
         "; ".join(passes), "none" if boot is None else f"{boot[1]:.4g}",
     )
-    phi = np.empty((*counts.shape, a.shape[1]))
-    phi[known], phi[trace] = known_swept.phi, trace_phi
-    return gamma, phi, lam
+    return gamma, lam
 
 
 def _settle_trace_rows(
@@ -704,46 +703,38 @@ def _inference_phase(
     a: np.ndarray,
     eta: np.ndarray,
     gamma: DirichletRows,
-    phi: np.ndarray,
     lam: DirichletRows,
     config: FitConfig,
-    terms: dict[str, float] | None = None,
-) -> tuple[DirichletRows, np.ndarray, DirichletRows, dict[str, float], float, int]:
+) -> tuple[DirichletRows, DirichletRows, _Responsibilities, float, int]:
     """One full inference phase: sweep all sample rows and the shared
-    profile posterior until the corpus bound stabilizes.  Returns gamma,
-    phi, lam, their seven bound terms, the bound and the sweep count; at
-    ``estep_max_iters`` it returns what it has and logs a warning with the
-    bound change left.  ``terms`` are the seven terms of the start state
-    under earlier priors (a previous phase's return), of which only the two
-    prior terms are re-scored; without them all seven are, from ``phi``.
-    The stop rule reads each swept state's :func:`_collapsed_bound`,
-    re-scored by the seven terms when not finite so that the failure names
-    its term.  The last sweep's responsibilities are built once, for the
-    returned state's seven terms and the returned phi."""
+    profile posterior until the bounds of two consecutive sweeps agree to a
+    relative ``estep_tol``, so at least two sweeps.  Only states a sweep has
+    just made are scored, each by its :func:`_collapsed_bound`; one that is
+    not finite is re-scored by the seven terms so that the failure names its
+    term.  Returns gamma, lam, the last sweep's responsibilities, their
+    bound and the sweep count; at ``estep_max_iters`` it returns what it has
+    and logs a warning with the bound change left."""
     a, eta = DirichletRows(a), DirichletRows(eta)
-    terms = _bound_terms(counts, a, eta, gamma, phi, lam) if terms is None else {
-        **terms, "log_p_theta": _expected_log_dirichlet(a, gamma.e_log),
-        "log_p_beta": _expected_log_dirichlet(eta, lam.e_log)}
-    previous = _check_terms(terms)
+    previous = None
     for sweep in range(1, config.estep_max_iters + 1):
         gamma, lam, swept = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         current = _collapsed_bound(a, eta, gamma, lam, swept)
         if not math.isfinite(current):
             terms = _bound_terms(counts, a, eta, gamma, swept.phi, lam)
             current = _check_terms(terms, f"inference sweep {sweep}", sweep)
-        change, scale = abs(current - previous), max(abs(previous), 1e-12)
-        if change <= config.estep_tol * scale:
-            break
+        if previous is not None:
+            change, scale = abs(current - previous), max(abs(previous), 1e-12)
+            if change <= config.estep_tol * scale:
+                break
         previous = current
     else:
-        logger.warning(
-            "inference phase: bound still changing by %.1e (relative) after %d sweeps",
-            change / scale,
-            config.estep_max_iters,
-        )
-    phi = swept.phi
-    terms = _bound_terms(counts, a, eta, gamma, phi, lam)
-    return gamma, phi, lam, terms, _check_terms(terms, f"inference sweep {sweep}", sweep), sweep
+        if sweep == 1:
+            logger.warning("inference phase: stopped at its cap after 1 sweep, "
+                           "with no bound change to compare")
+        else:
+            logger.warning("inference phase: bound still changing by %.1e (relative) "
+                           "after %d sweeps", change / scale, sweep)
+    return gamma, lam, swept, current, sweep
 
 
 def _fixed_point(
@@ -1020,8 +1011,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     trace_ids = corpus.trace_location_ids
     trace = trace_rows(loc, trace_ids)
     known = np.array([corpus.locations[l].role.is_known for l in loc], dtype=bool)
-    gamma, phi, lam = _warm_start_profiles(corpus, counts, a, eta, gamma, known)
-    gamma, lam, terms = DirichletRows(gamma), DirichletRows(lam), None
+    gamma, lam = map(DirichletRows, _warm_start_profiles(corpus, counts, a, eta, gamma, known))
 
     elbo_trace: list[float] = []
     flagged: Counter[str] = Counter()
@@ -1030,9 +1020,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     iterations = 0
     for outer in range(1, config.outer_max_iters + 1):
         iterations = outer
-        gamma, phi, lam, terms, total, sweeps = _inference_phase(
-            counts, A[loc], H, gamma, phi, lam, config, terms
-        )
+        gamma, lam, swept, total, sweeps = _inference_phase(counts, A[loc], H, gamma, lam, config)
         if outer == 1:
             first = gamma.rows, lam.rows  # the configured-prior state
         elbo_trace.append(total)
@@ -1058,7 +1046,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
         ),
         trace_locations=trace_ids,
         gamma=gamma.rows,
-        phi=phi,
+        phi=swept.phi,
         lam=lam.rows,
         elbo_trace=tuple(elbo_trace),
         converged=converged,

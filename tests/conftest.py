@@ -3,23 +3,25 @@ import time
 import numpy as np
 import pytest
 
-from dustmix.datasets import at_lq_corpus, at_lq_point_profiles
+from dustmix.datasets import at_lq_point_profiles
 from dustmix.vbi import FitConfig, fit
+
+from _pins import bundled_corpus
 
 
 @pytest.fixture(scope="session")
 def corpus_both_known():
-    return at_lq_corpus()
+    return bundled_corpus("both_known")
 
 
 @pytest.fixture(scope="session")
 def corpus_at_known():
-    return at_lq_corpus(unknown_sources=1, drop_known="LQ")
+    return bundled_corpus("at_known")
 
 
 @pytest.fixture(scope="session")
 def corpus_lq_known():
-    return at_lq_corpus(unknown_sources=1, drop_known="AT")
+    return bundled_corpus("lq_known")
 
 
 @pytest.fixture(scope="session")

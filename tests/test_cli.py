@@ -79,6 +79,25 @@ class TestIngest:
         with pytest.raises(IngestError, match="not an integer"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["1_0", "+1", "\u0661\u0662", "-", "1e3"])
+    def test_count_is_ascii_decimal_digits(self, tmp_path, cell):
+        # int() reads the first three as 10, 1 and 12
+        path = write_csv(tmp_path, [f"k,known:s,1,{cell},0"])
+        with pytest.raises(IngestError, match=r":2: column 4 \('b'\): not an integer"):
+            ingest_csv(path)
+
+    def test_count_fits_in_int64(self, tmp_path, capsys):
+        largest = 2**63 - 1
+        path = write_csv(tmp_path, [f"k,known:s,0,{largest},0"])
+        assert ingest_csv(path).locations[0].samples[0].counts.tolist() == [0, largest, 0]
+        for value in (2**63, 2**64):
+            path = write_csv(tmp_path, [f"k,known:s,1,{value},0"])
+            with pytest.raises(IngestError,
+                               match=rf":2: column 4 \('b'\): count {value} does not fit"):
+                ingest_csv(path)
+        assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: column 4")
+
     def test_unknown_role(self, tmp_path):
         path = write_csv(tmp_path, ["k,mystery,1,1,1"])
         with pytest.raises(IngestError, match="role"):
@@ -243,6 +262,20 @@ class TestCmdFit:
         text = capsys.readouterr().out
         assert "e1" in text and "AT" in text
         assert cmd_report(tmp_path / "nowhere") == 1
+
+    @pytest.mark.parametrize("payload", [
+        [],
+        {"theta": []},
+        {"theta": {"e1": [{"label": "AT", "hpdi_lo": 0.1, "hpdi_hi": 0.3}]}},
+        {"beta": {"AT": [{"label": "a"}]}},
+        {"mass": "0.95"},
+    ], ids=["list", "theta-list", "row-without-mean", "profile-without-mean", "mass-string"])
+    def test_malformed_report_is_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        assert cmd_report(tmp_path) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed {path}: ")
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import json
 import logging
 import re
@@ -13,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
 
-from dustmix import numerics, simulator, vbi
+from dustmix import numerics, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
@@ -27,7 +26,7 @@ from dustmix.model import (
 from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
 from dustmix.posterior import theta_marginal
-from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus, run_study
+from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus
 from dustmix.vbi import (
     FitConfig,
     NumericalFailure,
@@ -38,6 +37,7 @@ from dustmix.vbi import (
     initialize,
 )
 from test_bad_input import BAD_INPUTS
+import _pins
 from _oracles import (
     EXACT_SHARE_SD,
     FROZEN_2X2,
@@ -467,10 +467,24 @@ class TestFit:
             Location("t", LocationRole.trace(), (SampleCounts(np.array([4, 3, 3]), 1, 0),)),
         )
         corpus = Corpus(catalog, locations, 1)
-        with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
-            fit(corpus, FitConfig(estep_max_iters=1, outer_max_iters=3))
-        assert any("inference phase" in record.getMessage() and "after 1 sweeps"
-                   in record.getMessage() for record in caplog.records)
+
+        def phase_warnings(config):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
+                fit(corpus, config)
+            return [record.getMessage() for record in caplog.records
+                    if record.getMessage().startswith("inference phase")]
+
+        # a phase capped at one sweep has no bound change to report
+        warned = phase_warnings(FitConfig(estep_max_iters=1, outer_max_iters=3))
+        assert warned and all(message == "inference phase: stopped at its cap after 1 sweep, "
+                              "with no bound change to compare" for message in warned)
+        warned = phase_warnings(FitConfig(estep_tol=1e-300, estep_max_iters=2, outer_max_iters=3))
+        assert warned
+        for message in warned:
+            match = re.fullmatch(r"inference phase: bound still changing by (\S+) \(relative\) "
+                                 r"after 2 sweeps", message)
+            assert match and np.isfinite(float(match[1])), message
 
     def test_duplicated_sample_states_identical(self):
         catalog = ParticleCatalog(("a", "b", "c"))
@@ -523,6 +537,15 @@ class TestFit:
         assert result.gamma.shape == (N, M)
         assert result.phi.shape == (N, T, M)
         assert result.lam.shape == (M, T)
+
+    def test_makes_no_seven_term_bound(self, corpus_both_known, fit_both_known, monkeypatch):
+        # every bound a finite fit reads is a swept state's collapsed bound
+        calls = []
+        bound_terms = vbi._bound_terms
+        monkeypatch.setattr(vbi, "_bound_terms", lambda *args: calls.append(1) or bound_terms(*args))
+        result = fit(corpus_both_known, FitConfig())
+        assert np.isfinite(result.elbo_trace).all() and not calls
+        assert result.elbo_trace == fit_both_known[0].elbo_trace
 
     def test_deterministic(self, corpus_both_known, fit_both_known):
         result, _ = fit_both_known
@@ -600,7 +623,7 @@ class TestTraceStage:
 
     @pytest.mark.parametrize("name", ["both_known", "at_known", "lq_known", "three_source"])
     def test_newton_reaches_the_plain_fixed_point(self, name, request, monkeypatch):
-        corpus = (_three_source_corpus() if name == "three_source"
+        corpus = (_pins.three_source_corpus() if name == "three_source"
                   else request.getfixturevalue(f"corpus_{name}"))
         args = _trace_stage_args(corpus)
         gamma, _, sweeps, kept, _, settled = vbi._settle_trace_rows(*args)
@@ -670,8 +693,8 @@ class TestNumericalFailure:
         monkeypatch.setattr(vbi, "_sweep_rows", spoiling_sweep)
         gamma, lam = numerics.DirichletRows(state["gamma"]), numerics.DirichletRows(state["lam"])
         with pytest.raises(NumericalFailure) as err:
-            vbi._inference_phase(state["counts"], state["a"], state["eta"], gamma,
-                                 state["phi"], lam, FitConfig(estep_tol=1e-300))
+            vbi._inference_phase(state["counts"], state["a"], state["eta"], gamma, lam,
+                                 FitConfig(estep_tol=1e-300))
         assert err.value.iteration == 2
         assert err.value.term == "log_p_x"
         assert "inference sweep 2" in str(err.value)
@@ -728,28 +751,48 @@ def phase_start(corpus_both_known):
     return captured[0]
 
 
+def _assert_is_corpus_elbo(bound, counts, a, eta, gamma, phi, lam):
+    """``bound`` equals :func:`vbi.corpus_elbo` of the state to 1e-12 of
+    its summed absolute terms, the tolerance of :class:`TestCollapsedBound`."""
+    terms = vbi._bound_terms(counts, *map(numerics.DirichletRows, (a, eta, gamma)), phi,
+                             numerics.DirichletRows(lam))
+    scale = sum(abs(value) for value in terms.values())
+    assert abs(bound - vbi.corpus_elbo(counts, a, eta, gamma, phi, lam)) <= 1e-12 * scale
+
+
 class TestSharedState:
     """An inference phase builds each state once; its collapsed bound and
     the next sweep share that state's special-function evaluations."""
 
     def test_bounds_equal_corpus_elbo(self, phase_start, monkeypatch):
-        # the seven terms score the start state and the returned state; the
-        # stop rule reads the collapsed bound of the states between
+        # the phase scores each swept state once, by its collapsed bound, and
+        # returns the last one's state, responsibilities and bound
         scored = []
-        bound_terms = vbi._bound_terms
+        collapsed_bound = vbi._collapsed_bound
 
-        def recording(counts, a, eta, gamma, phi, lam):
-            terms = bound_terms(counts, a, eta, gamma, phi, lam)
-            scored.append(((counts, a.rows, eta.rows, gamma.rows, phi, lam.rows), terms))
-            return terms
+        def recording(a, eta, gamma, lam, swept):
+            bound = collapsed_bound(a, eta, gamma, lam, swept)
+            scored.append(((a.rows, eta.rows, gamma.rows, swept.phi, lam.rows), bound))
+            return bound
 
-        monkeypatch.setattr(vbi, "_bound_terms", recording)
-        *_, bound, sweeps = vbi._inference_phase(*phase_start[:6], FitConfig(estep_tol=1e-12))
+        monkeypatch.setattr(vbi, "_collapsed_bound", recording)
+        gamma, lam, swept, bound, sweeps = vbi._inference_phase(
+            *phase_start[:5], FitConfig(estep_tol=1e-12))
         monkeypatch.undo()
-        assert sweeps > 1 and len(scored) == 2
-        for args, terms in scored:
-            assert vbi._check_terms(terms) == vbi.corpus_elbo(*args)
-        assert bound == vbi.corpus_elbo(*scored[-1][0])
+        assert sweeps > 2 and len(scored) == sweeps
+        for args, collapsed in scored:
+            _assert_is_corpus_elbo(collapsed, phase_start[0], *args)
+        _, _, last_gamma, last_phi, last_lam = scored[-1][0]
+        assert bound == scored[-1][1]
+        assert gamma.rows is last_gamma and lam.rows is last_lam and swept.phi is last_phi
+
+    def test_phase_from_its_fixed_point_makes_two_sweeps(self, phase_start):
+        # no sweep moves a state at its fixed point, so the first two
+        # sweeps' bounds agree; the start state itself is not scored
+        counts, a, eta, gamma, lam = phase_start[:5]
+        gamma, lam, *_ = vbi._fixed_point(counts, a, eta, gamma.rows, lam.rows, 1e-12, 20_000)
+        rest = numerics.DirichletRows(gamma), numerics.DirichletRows(lam)
+        assert vbi._inference_phase(counts, a, eta, *rest, FitConfig())[-1] == 2
 
     @staticmethod
     def _work(phase_start, sweeps, monkeypatch):
@@ -757,7 +800,7 @@ class TestSharedState:
         at ``sweeps`` sweeps."""
         config = FitConfig(estep_tol=1e-300, estep_max_iters=sweeps)
         with _counting_work(monkeypatch) as counts:
-            assert vbi._inference_phase(*phase_start[:6], config)[-1] == sweeps
+            assert vbi._inference_phase(*phase_start[:5], config)[-1] == sweeps
         return counts
 
     def test_one_sweep_evaluates_each_state_once(self, phase_start, monkeypatch):
@@ -830,10 +873,11 @@ class TestCollapsedBound:
         monkeypatch.setattr(vbi, "_collapsed_bound", seven_terms)
         again = fit(corpus, FitConfig())
         assert calls
-        for name in ("gamma", "phi", "lam", "elbo_trace", "trace_locations", "converged",
-                     "iterations"):
+        for name in ("gamma", "phi", "lam", "trace_locations", "converged", "iterations"):
             assert np.array_equal(getattr(again, name), getattr(result, name)), name
         assert np.array_equal(again.H_converged.values, result.H_converged.values)
+        # the trace holds each returned state's bound in the patched form
+        assert_allclose(again.elbo_trace, result.elbo_trace, rtol=1e-12, atol=0)
         # a near-tie Newton acceptance can go either way under the two forms'
         # rounding; the linear-response rows are good to about 1e-6 anyway
         assert_allclose(again.A_converged.values, result.A_converged.values, rtol=2e-6, atol=0)
@@ -841,13 +885,13 @@ class TestCollapsedBound:
     @pytest.mark.parametrize("config", [
         FitConfig(), FitConfig(estep_tol=1e-300, estep_max_iters=7), FitConfig(estep_max_iters=1)
     ])
-    def test_phase_scores_two_states_by_seven_terms(self, phase_start, config, monkeypatch):
+    def test_phase_makes_no_seven_term_bound(self, phase_start, config, monkeypatch):
         calls = []
         bound_terms = vbi._bound_terms
         monkeypatch.setattr(vbi, "_bound_terms", lambda *args: calls.append(1) or bound_terms(*args))
         monkeypatch.setattr(vbi.logger, "disabled", True)
-        vbi._inference_phase(*phase_start[:6], config)
-        assert len(calls) == 2
+        vbi._inference_phase(*phase_start[:5], config)
+        assert not calls
 
 
 def _log_space_sweep(counts, a, eta, gamma, lam):
@@ -988,13 +1032,8 @@ class TestFixedPointSharedState:
         *_, accepted, rejected = vbi._fixed_point(*fixed_prior_start)
         monkeypatch.undo()
         assert accepted > 0 and len(scored) == 2 * (accepted + rejected)
-        for (a, eta, gamma, phi, lam), bound in scored:
-            a_rows, eta_rows, gamma_rows, lam_rows = map(numerics.DirichletRows,
-                                                         (a, eta, gamma, lam))
-            terms = vbi._bound_terms(counts, a_rows, eta_rows, gamma_rows, phi, lam_rows)
-            # the tolerance of TestCollapsedBound, on the summed absolute terms
-            scale = sum(abs(value) for value in terms.values())
-            assert abs(bound - vbi.corpus_elbo(counts, a, eta, gamma, phi, lam)) <= 1e-12 * scale
+        for args, bound in scored:
+            _assert_is_corpus_elbo(bound, counts, *args)
 
     def test_one_cycle_evaluates_each_state_once(self, fixed_prior_start, monkeypatch):
         # a cycle is two sweeps, so caps of 3 and 7 sweeps run one and three
@@ -1023,16 +1062,20 @@ class TestFixedPointSharedState:
         assert not calls
 
 
-def _digest(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
-
-
 # The bundled fits' outputs as recorded once the warm start's trace stage
 # settled by per-row Newton steps: the full bound trace and the iteration
 # count, sha256 digests of the float64 bytes of the EB-path arrays, and the
-# linear-response trace rows.  The iteration counts and the final bounds
-# (to 1e-12) are those the engine has given since before the pins.
+# linear-response trace rows (``python tests/_pins.py`` re-records the bound
+# traces).  The iteration counts and the final bounds (to 1e-12) are those
+# the engine has given since before the pins.
 BUNDLED_FITS = json.loads((Path(__file__).parent / "bundled_fits.json").read_text())
+
+
+def _assert_pinned(result, pinned):
+    assert result.iterations == pinned["iterations"]
+    assert list(result.elbo_trace) == pinned["elbo_trace"]
+    assert _pins.digests(result) == pinned["sha256"]
+    assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=_pins.A_RTOL, atol=0)
 
 
 class TestBundledFits:
@@ -1057,14 +1100,7 @@ class TestBundledFits:
         result = request.getfixturevalue(f"fit_{scenario}")
         if scenario == "both_known":
             result = result[0]
-        pinned = BUNDLED_FITS[scenario]
-        assert result.iterations == pinned["iterations"]
-        assert list(result.elbo_trace) == pinned["elbo_trace"]
-        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
-                  "phi": result.phi, "lam": result.lam}
-        assert {name: _digest(values) for name, values in arrays.items()} == pinned["sha256"]
-        # the linear-response rows come from a fixed point good to about 1e-6
-        assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=2e-6, atol=0)
+        _assert_pinned(result, BUNDLED_FITS[scenario])
 
 
 # The six fits of a serial run_study over the pooled AT/LQ profiles (shares
@@ -1077,30 +1113,7 @@ STUDY_GRID_FITS = json.loads((Path(__file__).parent / "study_grid_fits.json").re
 def study_grid_fits():
     """Each study-grid fit, keyed like its pin, with the sweep counts of its
     inference phases."""
-    names, profiles = at_lq_point_profiles()
-    spec = StudySpec(catalog=ParticleCatalog(names), true_profiles=profiles,
-                     unknown_shares=(0.1, 0.5, 0.9), sample_sizes=(1900,), replications=2,
-                     rng_seed=0)
-    fits, sweeps = [], []
-    original_fit, phase = simulator.fit, vbi._inference_phase
-
-    def capture(corpus, config):
-        sweeps.append([])
-        fits.append(original_fit(corpus, config))
-        return fits[-1]
-
-    def counting(*args):
-        result = phase(*args)
-        sweeps[-1].append(result[-1])
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "fit", capture)
-        mp.setattr(vbi, "_inference_phase", counting)
-        cells = run_study(spec, FitConfig()).cells
-    keys = [f"share {cell.unknown_share}, n {cell.sample_size}, replication {cell.replication}"
-            for cell in cells]
-    return dict(zip(keys, zip(fits, sweeps)))
+    return _pins.study_grid_fits()
 
 
 class TestStudyGridFits:
@@ -1110,13 +1123,7 @@ class TestStudyGridFits:
     @pytest.mark.parametrize("key", list(STUDY_GRID_FITS))
     def test_outputs_pinned(self, key, study_grid_fits):
         result, _ = study_grid_fits[key]
-        pinned = STUDY_GRID_FITS[key]
-        assert result.iterations == pinned["iterations"]
-        assert list(result.elbo_trace) == pinned["elbo_trace"]
-        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
-                  "phi": result.phi, "lam": result.lam}
-        assert {name: _digest(values) for name, values in arrays.items()} == pinned["sha256"]
-        assert_allclose(result.A_converged.values, pinned["A_converged"], rtol=2e-6, atol=0)
+        _assert_pinned(result, STUDY_GRID_FITS[key])
 
     def test_a_first_phase_runs_to_its_cap(self, study_grid_fits):
         # the pins cover an unconverged first phase, which the bundled fits do not
@@ -1124,23 +1131,11 @@ class TestStudyGridFits:
         assert sweeps[0] == FitConfig().estep_max_iters
 
 
-# One fit of the many-traces design (AT known from 12 samples, LQ unknown; 24
-# trace locations of 2 samples at 350 particles, the LQ share of location j
-# drawn from the j-th of 24 equal strata of [0.05, 0.95]; generate_corpus at
-# seed 0), pinned and recorded like the bundled fits.  Its M-steps solve 24
-# trace rows in one batch, where some rows keep a halved Newton step and
-# others do not.
+# One fit of the many-traces design (:func:`_pins.many_trace_corpus`),
+# pinned and recorded like the bundled fits.  Its M-steps solve 24 trace
+# rows in one batch, where some rows keep a halved Newton step and others
+# do not.
 MANY_TRACE_FIT = json.loads((Path(__file__).parent / "many_trace_fit.json").read_text())
-
-
-def _many_trace_corpus():
-    names, profiles = at_lq_point_profiles()
-    design = np.random.default_rng(0)
-    shares = 0.05 + 0.9 * (np.arange(24) + design.uniform(size=24)) / 24
-    spec = ScenarioSpec(catalog=ParticleCatalog(names), true_profiles=profiles,
-                        trace_mixtures=tuple((1.0 - u, u) for u in shares),
-                        particles_per_sample=350, samples_per_trace=2, known_sample_counts=(12,))
-    return generate_corpus(spec, design)
 
 
 class TestManyTraceFit:
@@ -1148,33 +1143,15 @@ class TestManyTraceFit:
     keeps every EB-path output bitwise."""
 
     def test_outputs_pinned(self):
-        result = fit(_many_trace_corpus(), FitConfig())
+        result = fit(_pins.many_trace_corpus(), FitConfig())
         assert len(result.trace_locations) == 24
-        assert result.iterations == MANY_TRACE_FIT["iterations"]
-        assert list(result.elbo_trace) == MANY_TRACE_FIT["elbo_trace"]
-        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
-                  "phi": result.phi, "lam": result.lam}
-        assert {name: _digest(values) for name, values in arrays.items()} == \
-            MANY_TRACE_FIT["sha256"]
-        assert_allclose(result.A_converged.values, MANY_TRACE_FIT["A_converged"],
-                        rtol=2e-6, atol=0)
+        _assert_pinned(result, MANY_TRACE_FIT)
 
 
-# One fit with three sources (AT and LQ known from 6 samples each, a third
-# unknown whose profile is the LQ row in reverse type order, renormalised;
-# 3 trace locations of 3 samples at 400 particles; generate_corpus at seed
-# 0), pinned and recorded like the bundled fits.  The other pins have two
-# sources, and rows of three entries are summed in more than one step.
+# One fit with three sources (:func:`_pins.three_source_corpus`), pinned and
+# recorded like the bundled fits.  The other pins have two sources, and rows
+# of three entries are summed in more than one step.
 THREE_SOURCE_FIT = json.loads((Path(__file__).parent / "three_source_fit.json").read_text())
-
-
-def _three_source_corpus():
-    names, profiles = at_lq_point_profiles()
-    third = profiles[1, ::-1] / profiles[1, ::-1].sum()
-    spec = ScenarioSpec(catalog=ParticleCatalog(names), true_profiles=np.vstack([profiles, third]),
-                        trace_mixtures=((0.6, 0.1, 0.3), (0.2, 0.5, 0.3), (0.3, 0.3, 0.4)),
-                        particles_per_sample=400, samples_per_trace=3, known_sample_counts=(6, 6))
-    return generate_corpus(spec, np.random.default_rng(0))
 
 
 class TestThreeSourceFit:
@@ -1182,16 +1159,9 @@ class TestThreeSourceFit:
     output bitwise."""
 
     def test_outputs_pinned(self):
-        result = fit(_three_source_corpus(), FitConfig())
+        result = fit(_pins.three_source_corpus(), FitConfig())
         assert result.gamma.shape[1] == 3 and len(result.trace_locations) == 3
-        assert result.iterations == THREE_SOURCE_FIT["iterations"]
-        assert list(result.elbo_trace) == THREE_SOURCE_FIT["elbo_trace"]
-        arrays = {"H_converged": result.H_converged.values, "gamma": result.gamma,
-                  "phi": result.phi, "lam": result.lam}
-        assert {name: _digest(values) for name, values in arrays.items()} == \
-            THREE_SOURCE_FIT["sha256"]
-        assert_allclose(result.A_converged.values, THREE_SOURCE_FIT["A_converged"],
-                        rtol=2e-6, atol=0)
+        _assert_pinned(result, THREE_SOURCE_FIT)
 
 
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
@@ -1267,7 +1237,7 @@ class TestFixedPoint:
         fit(corpus_at_known, FitConfig())
         assert len(phases) > 1 and len(starts) == 1
         counts, a, eta, gamma, lam = starts[0][:5]
-        assert np.array_equal(gamma, phases[0][0].rows) and np.array_equal(lam, phases[0][2].rows)
+        assert np.array_equal(gamma, phases[0][0].rows) and np.array_equal(lam, phases[0][1].rows)
         config = FitConfig()
         configured = np.full_like(a, config.flat_weight)
         for row, (loc_id, _) in zip(configured, corpus_at_known.iter_samples()):
