@@ -52,14 +52,18 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     """Read a sample CSV into a validated corpus.
 
     Rows are grouped into locations by the ``location`` column (order of
-    first appearance); all rows of a location must agree on its role.  A
-    count is ASCII decimal digits, at most the largest 64-bit integer.
+    first appearance); all rows of a location must agree on its role.  The
+    file is UTF-8, with or without a byte-order mark.  A count is ASCII
+    decimal digits, and a row's counts and their total are at most the
+    largest 64-bit integer.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
@@ -90,7 +94,7 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
             raise IngestError(
                 f"{path}:{r}: role must be 'trace' or 'known:<source_name>', got {role!r}"
             )
-        counts = np.zeros(catalog.n_types, dtype=np.int64)
+        counts, total = np.zeros(catalog.n_types, dtype=np.int64), 0
         for c, cell in enumerate(row[2:], start=3):
             where = f"{path}:{r}: column {c} ({header[c - 1]!r})"
             count = cell.strip()
@@ -104,8 +108,11 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
             if value > np.iinfo(np.int64).max:
                 raise IngestError(f"{where}: count {value} does not fit in a 64-bit integer")
             counts[c - 3] = value
-        if counts.sum() < 1:
+            total += value
+        if total < 1:
             raise IngestError(f"{path}:{r}: sample holds no particles")
+        if total > np.iinfo(np.int64).max:
+            raise IngestError(f"{path}:{r}: total count {total} does not fit in a 64-bit integer")
         if loc_name not in roles:
             order.append(loc_name)
             roles[loc_name] = role

@@ -1,4 +1,4 @@
-"""Domain types for particle-count corpora and the variational state.
+"""Domain types for particle-count corpora and the result of a fit.
 
 A corpus is a fixed catalog of particle types plus an ordered list of
 sampling locations, each holding count samples.  Locations are either known
@@ -11,7 +11,7 @@ row and the collapsed representation is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "LocationRole",
     "ParticleCatalog",
     "SampleCounts",
-    "VariationalState",
     "Violation",
     "collapse_to_counts",
     "validate_corpus",
@@ -77,8 +76,11 @@ class SampleCounts:
         arr = arr.astype(np.int64)
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")
-        if int(arr.sum()) < 1:
+        total = sum(arr.tolist())  # Python ints: an int64 sum would wrap
+        if total < 1:
             raise ValueError("a sample must contain at least one particle")
+        if total > np.iinfo(np.int64).max:
+            raise ValueError(f"the sample's total count {total} does not fit in a 64-bit integer")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
@@ -212,29 +214,6 @@ class DirichletMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-
-@dataclass
-class VariationalState:
-    """One sample's variational parameters and its current bound, for the
-    single-sample API; a corpus fit keeps its state in arrays instead.
-
-    ``phi`` holds one responsibility row per particle type (types absent
-    from the sample included, with zero weight in every bound term), so the
-    state is O(types x sources) regardless of particle count.  ``lam`` is
-    the profile posterior the sample is scored against: a single-sample
-    inference owns it, while states built for one corpus all hold the one
-    shared profile posterior.  ``elbo_steps`` records the bound after each
-    coordinate sweep of the most recent single-sample inference call.
-    """
-
-    location_id: int
-    sample_index: int
-    gamma: np.ndarray
-    lam: np.ndarray
-    phi: np.ndarray
-    elbo: float = float("nan")
-    elbo_steps: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.special import gammaln, psi, zeta
 
-from .model import Corpus, VariationalState
+from .model import Corpus
 from .numerics import _SHORT_AXIS, DirichletRows, reduce_last
 
 __all__ = [
@@ -94,8 +94,8 @@ def _objective(
     return value, stat - n_samples[:, None] * rows.e_log
 
 
-def _row_objective_and_gradient(x: np.ndarray, rows: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    """Objective of one row ``x`` against the stacked posterior ``rows``."""
+def _row_objective_and_gradient(x: np.ndarray, rows: np.ndarray) -> tuple[float, np.ndarray]:
+    """Objective of one row ``x`` against the posterior ``rows``."""
     x = np.asarray(x, dtype=np.float64)
     dg = DirichletRows(np.array(rows, dtype=np.float64).reshape(-1, x.size)).e_log
     value, grad = _objective(x[None], dg.sum(axis=0)[None], np.array([float(len(dg))]))
@@ -103,26 +103,27 @@ def _row_objective_and_gradient(x: np.ndarray, rows: list[np.ndarray]) -> tuple[
 
 
 def eta_objective_and_gradient(
-    m: int, eta_row: np.ndarray, states: Sequence[VariationalState]
+    m: int, eta_row: np.ndarray, lams: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Bound contribution of profile row ``m`` and its gradient, summed over
-    the distinct profile posteriors the states hold: the states of one
-    corpus fit share one, which the bound counts once."""
-    distinct = {id(state.lam): state.lam[m] for state in states}
-    return _row_objective_and_gradient(eta_row, list(distinct.values()))
+    the profile posteriors ``lams``: one (sources x types), as a corpus fit
+    shares it and the bound counts it once, or a stack of them (one per
+    sample that owns its own)."""
+    return _row_objective_and_gradient(eta_row, np.asarray(lams)[..., m, :])
 
 
 def alpha_objective_and_gradient(
     l: int,
     alpha_row: np.ndarray,
-    states: Sequence[VariationalState],
+    gammas: np.ndarray,
     corpus: Corpus,
 ) -> tuple[float, np.ndarray]:
     """Bound contribution of the mixing row of trace location ``l`` and its
-    gradient, summed over that location's samples."""
+    gradient, summed over the mixing posteriors ``gammas`` of that
+    location's samples (one row per sample)."""
     if corpus.locations[l].role.is_known:
         raise ValueError(f"location {l} is pinned to a known source; its mixing row is frozen")
-    return _row_objective_and_gradient(alpha_row, [s.gamma for s in states if s.location_id == l])
+    return _row_objective_and_gradient(alpha_row, gammas)
 
 
 def _outward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:

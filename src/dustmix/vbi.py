@@ -20,20 +20,21 @@ types arrays, each row's values its own, bit for bit.  Each update is the
 exact coordinate maximizer of the bound given the rest, so the bound is
 non-decreasing sweep over sweep.  One function, :func:`_bound_terms`, sums
 the seven bound terms over rows from phi, counting the profile block once.
-:func:`estep_sample` and :func:`elbo_terms` are their one-row calls (a
-sample that owns its profile posterior outright).  Right after a sweep the
-terms collapse (:func:`_collapsed_bound`), with the responsibility entropy
-in closed form from the factors.  An inference phase scores only the
-states its sweeps make, by that form, and stops when two consecutive ones
-agree; the fixed point's acceptance of a Newton step compares collapsed
-bounds; a single sample and :func:`corpus_elbo` read the seven terms,
-which a fit evaluates only to name a non-finite term.
+:func:`estep_sample` runs both on one row (a sample that owns its profile
+posterior outright), and a sample's bound is :func:`corpus_elbo` of its
+row.  Right after a sweep the terms collapse (:func:`_collapsed_bound`),
+with the responsibility entropy in closed form from the factors.  An
+inference phase scores only the states its sweeps make, by that form, and
+stops when two consecutive ones agree; the fixed point's acceptance of a
+Newton step compares collapsed bounds; a single sample and
+:func:`corpus_elbo` read the seven terms, which a fit evaluates only to
+name a non-finite term.
 
 Both kernels read a state (``gamma``, ``lam``) as :class:`DirichletRows`,
 checked once and with its digammas and log Gammas evaluated at most once:
 a sweep returns its new state in that form, with its responsibilities,
-and every loop builds its priors ``a`` and ``eta`` once.  :func:`_sweep`,
-:func:`corpus_elbo` and :func:`elbo_terms` call the kernels on arrays.
+and every loop builds its priors ``a`` and ``eta`` once.
+:func:`corpus_elbo` and :func:`elbo_terms` call the bound kernel on arrays.
 
 The outer loop alternates inference phases with exact box-constrained updates
 of the profile hyperparameters (closed form) and the trace mixing rows (a
@@ -44,8 +45,7 @@ settings are constants of :mod:`~dustmix.mstep`.  The loop carries
 H and A as float arrays and builds what the M-step needs of the corpus (the
 trace rows' :class:`~dustmix.mstep.TraceRows`) once per fit.  Each phase
 checks the H and A it is given when it reads them as :class:`DirichletRows`;
-they are wrapped as :class:`DirichletMatrix` only by :func:`_start` and for
-the :class:`FitResult`.
+they are wrapped as :class:`DirichletMatrix` only for the :class:`FitResult`.
 
 Before the first phase :func:`fit` stages its starting point
 (:func:`_warm_start_profiles`): the known samples settle the profile
@@ -54,10 +54,10 @@ own fixed point by damped Newton steps on its block of the linear-response
 precision (:func:`_settle_trace_rows`), the block the fixed point's Newton
 solve factors too (:func:`_sample_whitening`).
 
-:func:`fit` keeps its state in these arrays from the corpus to the
-:class:`FitResult`; :func:`initialize` builds the same starting point as
-per-sample :class:`VariationalState` objects, which serve only the
-single-sample API (:func:`estep_sample`, :func:`elbo_sample`).
+:func:`fit` keeps its state in these arrays from the starting point that
+:func:`initialize` returns to the :class:`FitResult`, and the single-sample
+API (:func:`estep_sample`, :func:`elbo_terms`, :func:`corpus_elbo`) takes
+and returns the same arrays, one row of them.
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
 report reads: each keeps its fitted mean and takes its concentration from
@@ -88,7 +88,6 @@ from .model import (
     DirichletMatrix,
     FitResult,
     SampleCounts,
-    VariationalState,
     validate_corpus,
 )
 from .mstep import mstep, trace_rows
@@ -98,7 +97,6 @@ __all__ = [
     "FitConfig",
     "NumericalFailure",
     "corpus_elbo",
-    "elbo_sample",
     "elbo_terms",
     "estep_sample",
     "fit",
@@ -151,8 +149,9 @@ class FitConfig:
     The box of the hyperparameter rows and the Newton solve's tolerance and
     step cap are constants of :mod:`~dustmix.mstep`.  The fit draws no random
     numbers, so it takes no seed.  Every field must be a real number (a
-    bool or a string is rejected, naming the field); the two caps must be
-    integral and are stored as ``int``.
+    bool or a string is rejected, naming the field); the two weights and
+    the two tolerances must be positive and finite, and the two caps
+    integral and at least 1 (stored as ``int``).
     """
 
     known_weight: float = 150.0
@@ -167,8 +166,9 @@ class FitConfig:
                      "estep_max_iters", "outer_max_iters"):
             as_real(name, getattr(self, name))
         for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails the range test too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("estep_max_iters", "outer_max_iters"):
             value = as_integer(name, getattr(self, name))
             if value < 1:
@@ -176,61 +176,31 @@ class FitConfig:
             object.__setattr__(self, name, value)
 
 
-def _start(
+def initialize(
     corpus: Corpus, config: FitConfig
-) -> tuple[DirichletMatrix, DirichletMatrix, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate the corpus and build the starting point as arrays.
 
-    Returns the configured priors H and A (flat profiles, and mixing rows
-    that pin each known location to its source and leave trace rows flat),
-    each sample's location index ``loc``, the counts (samples x types) and
-    the starting mixing posteriors ``gamma``: each sample's mixing row plus
+    Returns the configured priors: the profile rows ``eta`` (flat, all ones)
+    and the mixing rows ``A`` (each known location pinned to its source by
+    ``known_weight``, ``flat_weight`` elsewhere; trace rows flat); then each
+    sample's location index ``loc``, the counts (samples x types) and the
+    starting mixing posteriors ``gamma``: each sample's mixing row plus
     total_count / (n_sources * total_samples).  Samples are in corpus order.
     """
     violations = validate_corpus(corpus)
     if violations:
         raise CorpusValidationError(violations)
-    a = np.full((corpus.n_locations, corpus.n_sources), config.flat_weight, dtype=np.float64)
+    A = np.full((corpus.n_locations, corpus.n_sources), config.flat_weight, dtype=np.float64)
     for i, location in enumerate(corpus.locations):
         if location.role.is_known:
-            a[i, location.role.source_index] = config.known_weight
+            A[i, location.role.source_index] = config.known_weight
     loc = np.array([loc_id for loc_id, _ in corpus.iter_samples()], dtype=np.intp)
     counts = np.array(
         [sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64
     ).reshape(-1, corpus.n_types)
-    gamma = a[loc] + counts.sum(axis=1, keepdims=True) / (corpus.n_sources * len(loc))
-    H = DirichletMatrix(np.ones((corpus.n_sources, corpus.n_types)), role="H")
-    return H, DirichletMatrix(a, role="A"), loc, counts, gamma
-
-
-def initialize(
-    corpus: Corpus, config: FitConfig
-) -> tuple[DirichletMatrix, DirichletMatrix, list[VariationalState]]:
-    """The starting point of :func:`_start` as per-sample states, for the
-    single-sample API (:func:`estep_sample`, :func:`elbo_sample`).
-
-    Profiles start flat (all ones).  The mixing matrix pins each known
-    location to its source via ``known_weight``; trace rows start flat.
-    Each state's gamma is its row of the starting mixing posteriors,
-    responsibilities start uniform, every state shares one profile
-    posterior that starts at the profile matrix itself, and each ``elbo``
-    is that sample's bound with the profile block counted in full.
-    """
-    H, A, loc, _, gamma = _start(corpus, config)
-    M, T = corpus.n_sources, corpus.n_types
-    lam = np.array(H.values, dtype=np.float64)
-    states: list[VariationalState] = []
-    for (loc_id, sample), gamma_row in zip(corpus.iter_samples(), gamma):
-        state = VariationalState(
-            location_id=loc_id,
-            sample_index=sample.sample_index,
-            gamma=gamma_row,
-            lam=lam,
-            phi=np.full((T, M), 1.0 / M),
-        )
-        state.elbo = elbo_sample(sample, A.values[loc_id], H, state)
-        states.append(state)
-    return H, A, states
+    gamma = A[loc] + counts.sum(axis=1, keepdims=True) / (corpus.n_sources * len(loc))
+    return np.ones((corpus.n_sources, corpus.n_types)), A, loc, counts, gamma
 
 
 # A row whose normaliser Z has an entry below this takes its responsibilities
@@ -339,14 +309,6 @@ def _sweep_rows(
     return DirichletRows(a + swept.allocated), DirichletRows(eta + swept.profile_counts), swept
 
 
-def _sweep(
-    counts: np.ndarray, a: np.ndarray, eta: np.ndarray, gamma: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_sweep_rows` on the state (``gamma``, ``lam``) as arrays: gamma, lam, phi."""
-    gamma, lam, swept = _sweep_rows(counts, a, eta, DirichletRows(gamma), DirichletRows(lam))
-    return gamma.rows, lam.rows, swept.phi
-
-
 def _relative_step(
     gamma: np.ndarray, lam: np.ndarray, new_gamma: np.ndarray, new_lam: np.ndarray
 ) -> float:
@@ -410,17 +372,19 @@ def _collapsed_bound(
 
 
 def elbo_terms(
-    counts: SampleCounts,
-    alpha_row: np.ndarray,
-    H: DirichletMatrix,
-    state: VariationalState,
+    counts: np.ndarray,
+    a: np.ndarray,
+    eta: np.ndarray,
+    gamma: np.ndarray,
+    phi: np.ndarray,
+    lam: np.ndarray,
 ) -> dict[str, float]:
-    """The seven bound terms for one sample, keyed by their standard names."""
-    a, eta, gamma, lam = map(DirichletRows, (
-        np.asarray(alpha_row, dtype=np.float64)[None], H.values, state.gamma[None], state.lam
-    ))
-    c = counts.counts.astype(np.float64)[None]
-    return _bound_terms(c, a, eta, gamma, state.phi[None], lam)
+    """The seven bound terms of the sample rows (``counts``, mixing prior
+    rows ``a``, ``gamma``, ``phi``) under the profile prior ``eta`` and the
+    shared profile posterior ``lam``, keyed by their standard names; each is
+    summed over the rows, and the profile block is counted once."""
+    a, eta, gamma, lam = map(DirichletRows, (a, eta, gamma, lam))
+    return _bound_terms(counts, a, eta, gamma, phi, lam)
 
 
 def _check_terms(terms: dict[str, float], where: str = "", sweep: int | None = None) -> float:
@@ -436,16 +400,6 @@ def _check_terms(terms: dict[str, float], where: str = "", sweep: int | None = N
     return total
 
 
-def elbo_sample(
-    counts: SampleCounts,
-    alpha_row: np.ndarray,
-    H: DirichletMatrix,
-    state: VariationalState,
-) -> float:
-    """Per-sample evidence lower bound; raises naming any non-finite term."""
-    return _check_terms(elbo_terms(counts, alpha_row, H, state))
-
-
 def corpus_elbo(
     counts: np.ndarray,
     a: np.ndarray,
@@ -454,62 +408,60 @@ def corpus_elbo(
     phi: np.ndarray,
     lam: np.ndarray,
 ) -> float:
-    """Bound of all sample rows (``counts``, mixing prior rows ``a``,
-    ``gamma``, ``phi``) under the shared profile posterior ``lam``; raises
-    naming any non-finite term."""
-    a, eta, gamma, lam = map(DirichletRows, (a, eta, gamma, lam))
-    return _check_terms(_bound_terms(counts, a, eta, gamma, phi, lam))
+    """The bound of the sample rows, the sum of their :func:`elbo_terms`
+    (one row is one sample's bound); raises naming any non-finite term."""
+    return _check_terms(elbo_terms(counts, a, eta, gamma, phi, lam))
 
 
 def estep_sample(
     counts: SampleCounts,
     alpha_row: np.ndarray,
-    H: DirichletMatrix,
-    state: VariationalState,
+    eta: np.ndarray,
+    gamma: np.ndarray,
+    lam: np.ndarray,
     config: FitConfig,
-) -> VariationalState:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Coordinate-ascent sweeps for one sample that owns its profile posterior.
 
-    Each sweep is the one-row call of the corpus kernel :func:`_sweep_rows`:
-    responsibilities from the current profile and mixing posteriors, then
-    gamma and lambda from the new responsibilities (``lam = eta + count *
-    phi``), whose ``phi`` the state keeps.  Stops once a sweep moves no
-    gamma or lambda entry by more than a relative ``config.estep_tol``; at
+    ``alpha_row`` and ``eta`` are the sample's mixing and profile priors,
+    ``gamma`` (sources) and ``lam`` (sources x types) the state to start
+    from.  Each sweep is the one-row call of the corpus kernel
+    :func:`_sweep_rows`: responsibilities from the current profile and
+    mixing posteriors, then gamma and lambda from the new responsibilities
+    (``lam = eta + count * phi``).  Stops once a sweep moves no gamma or
+    lambda entry by more than a relative ``config.estep_tol``; at
     ``estep_max_iters`` it returns the state it has and logs a warning with
-    the step left.  Each sweep's bound
-    is recorded in ``elbo_steps``.  The stopping rule is the one difference
-    from a corpus inference phase: near the fixed point the bound is flat,
-    so consecutive bounds can agree to the last bit while the parameters
-    still move.  :func:`_inference_phase` keeps its bound-change stop,
-    because changing it would move the stopping point of every fit.
+    the step left.  Returns gamma, lam, the responsibilities phi (types x
+    sources) and each sweep's bound, the last that of the returned state.
+    The stopping rule is the one difference from a corpus inference phase:
+    near the fixed point the bound is flat, so consecutive bounds can agree
+    to the last bit while the parameters still move.
+    :func:`_inference_phase` keeps its bound-change stop, because changing
+    it would move the stopping point of every fit.
     """
     c = counts.counts.astype(np.float64)[None]
     alpha = DirichletRows(np.asarray(alpha_row, dtype=np.float64)[None])
-    eta = DirichletRows(H.values)
-    gamma, lam = DirichletRows(state.gamma[None]), DirichletRows(state.lam)
+    eta = DirichletRows(eta)
+    gamma, lam = DirichletRows(np.asarray(gamma, dtype=np.float64)[None]), DirichletRows(lam)
 
-    state.elbo_steps = []
+    bounds: list[float] = []
     for sweep in range(1, config.estep_max_iters + 1):
         new_gamma, new_lam, swept = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
         moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
         gamma, lam, phi = new_gamma, new_lam, swept.phi
-
-        state.gamma, state.lam, state.phi = gamma.rows[0], lam.rows, phi[0]
-        where = f"sweep {sweep} at location {state.location_id}, sample {state.sample_index}"
-        current = _check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam), where, sweep)
-        state.elbo = current
-        state.elbo_steps.append(current)
+        where = f"sweep {sweep} at location {counts.location_id}, sample {counts.sample_index}"
+        bounds.append(_check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam), where, sweep))
         if moved <= config.estep_tol:
             break
     else:
         logger.warning(
             "estep_sample at location %d, sample %d: still moving by %.1e after %d sweeps",
-            state.location_id,
-            state.sample_index,
+            counts.location_id,
+            counts.sample_index,
             moved,
             config.estep_max_iters,
         )
-    return state
+    return gamma.rows[0], lam.rows, phi[0], bounds
 
 
 # Each warm-start stage sweeps until its settle test holds, for at most
@@ -986,11 +938,11 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     """Alternate inference phases and hyperparameter updates to convergence.
 
     The state is held as arrays (one row per sample, one shared ``lam``)
-    from :func:`_start` to the returned :class:`FitResult`; no per-sample
-    state object is built.  Convergence is declared when the relative
-    change of the corpus bound between consecutive inference phases drops
-    below ``config.outer_tol``; hitting ``outer_max_iters`` first yields a
-    result with ``converged=False`` rather than an error.
+    from :func:`initialize` to the returned :class:`FitResult`.
+    Convergence is declared when the relative change of the corpus bound
+    between consecutive inference phases drops below ``config.outer_tol``;
+    hitting ``outer_max_iters`` first yields a result with
+    ``converged=False`` rather than an error.
     The trace ids and the M-step's :class:`~dustmix.mstep.TraceRows` are
     built once, before the loop.  H and A pass through the loop as arrays:
     every pair the M-step returns is checked by the next inference phase
@@ -1005,8 +957,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     and how often.
     """
     config = config or FitConfig()
-    H, A, loc, counts, gamma = _start(corpus, config)
-    H, A = H.values, A.values  # the loop carries them as arrays
+    H, A, loc, counts, gamma = initialize(corpus, config)
     a, eta = A[loc], H  # the configured priors
     trace_ids = corpus.trace_location_ids
     trace = trace_rows(loc, trace_ids)

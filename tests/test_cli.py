@@ -98,6 +98,33 @@ class TestIngest:
         assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}:2: column 4")
 
+    def test_total_fits_in_int64(self, tmp_path, capsys):
+        # both counts fit; their int64 sum would wrap to a negative total
+        largest = 2**63 - 1
+        path = write_csv(tmp_path, [f"k,known:s,1,{largest},0"])
+        with pytest.raises(IngestError,
+                           match=rf":2: total count {largest + 1} does not fit in a 64-bit"):
+            ingest_csv(path)
+        assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: total count")
+
+    def test_utf8_byte_order_mark(self, tmp_path):
+        # the "CSV UTF-8" that spreadsheet programs save starts with one
+        path = write_csv(tmp_path, ["k,known:s,1,2,0", "t,trace,3,1,1"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        corpus = ingest_csv(path)
+        assert corpus.catalog.type_names == ("a", "b", "c")
+        assert [(l.name, l.samples[0].counts.tolist()) for l in corpus.locations] == [
+            ("k", [1, 2, 0]), ("t", [3, 1, 1])]
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = write_csv(tmp_path, ["k,known:s,1,2,0"])
+        path.write_bytes(path.read_bytes().replace(b"k,", "\u00e9,".encode("latin-1")))
+        with pytest.raises(IngestError, match=f"^{path}: not UTF-8 text"):
+            ingest_csv(path)
+        assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
     def test_unknown_role(self, tmp_path):
         path = write_csv(tmp_path, ["k,mystery,1,1,1"])
         with pytest.raises(IngestError, match="role"):
@@ -245,6 +272,10 @@ class TestCmdFit:
         ("report: {hpdi_mass: 0}\n", "report.hpdi_mass"),
         ("report: {hpdi_mass: true}\n", "report.hpdi_mass"),
         ("report: {hpdi_mass: .nan}\n", "report.hpdi_mass"),
+        ("fit: {outer_tol: .inf}\n", "outer_tol"),
+        ("fit: {estep_tol: .inf}\n", "estep_tol"),
+        ("fit: {known_weight: .inf}\n", "known_weight"),
+        ("fit: {flat_weight: .inf}\n", "flat_weight"),
     ])
     def test_mistyped_config_value_is_error(self, tmp_path, capsys, text, field):
         config = tmp_path / "config.yaml"

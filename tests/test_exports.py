@@ -21,3 +21,11 @@ def test_solver_settings_are_not_package_exports():
     for module in (dustmix, importlib.import_module("dustmix.mstep")):
         for name in ("BoxBounds", "OptimizerConfig"):
             assert name not in module.__all__ and not hasattr(module, name)
+
+
+def test_single_sample_state_is_not_defined():
+    # the single-sample API runs on the corpus path's arrays: no per-sample
+    # state type and no per-sample bound function
+    for module in map(importlib.import_module, MODULES):
+        for name in ("VariationalState", "elbo_sample"):
+            assert name not in module.__all__ and not hasattr(module, name)

@@ -50,6 +50,14 @@ class TestSampleCounts:
         assert sample.total == 5
         assert sample.counts.dtype == np.int64
 
+    def test_total_must_fit_in_int64(self):
+        # each count fits, but an int64 sum of these would wrap below one
+        with pytest.raises(ValueError,
+                           match="total count 9223372036854775813 does not fit in a 64-bit"):
+            SampleCounts(np.array([2**62, 2**62, 5]))
+        largest = 2**63 - 1
+        assert SampleCounts(np.array([2**62, largest - 2**62])).total == largest
+
 
 class TestCollapse:
     def test_counts_occurrences(self, small_catalog):

@@ -19,7 +19,6 @@ from dustmix.model import (
     LocationRole,
     ParticleCatalog,
     SampleCounts,
-    VariationalState,
 )
 from dustmix.mstep import (
     alpha_objective_and_gradient,
@@ -29,22 +28,14 @@ from dustmix.mstep import (
     trace_rows,
 )
 from dustmix.numerics import digamma, log_gamma
-from dustmix.vbi import FitConfig, _start, _sweep, corpus_elbo, fit
+from dustmix.numerics import DirichletRows
+from dustmix.vbi import FitConfig, _sweep_rows, corpus_elbo, fit, initialize
 
 
-def random_states(rng, n_samples, M, T, location_ids=None):
-    states = []
-    for i in range(n_samples):
-        states.append(
-            VariationalState(
-                location_id=0 if location_ids is None else location_ids[i],
-                sample_index=i,
-                gamma=rng.uniform(0.3, 8.0, size=M),
-                lam=rng.uniform(0.3, 8.0, size=(M, T)),
-                phi=rng.dirichlet(np.ones(M), size=T),
-            )
-        )
-    return states
+def random_states(rng, n_samples, M, T):
+    """Mixing posteriors (samples x sources) and profile posteriors (samples
+    x sources x types) of ``n_samples`` samples that each own theirs."""
+    return rng.uniform(0.3, 8.0, size=(n_samples, M)), rng.uniform(0.3, 8.0, size=(n_samples, M, T))
 
 
 def central_difference(fun, x, step_scale=1e-5):
@@ -61,8 +52,8 @@ def central_difference(fun, x, step_scale=1e-5):
 class TestEtaObjective:
     def test_single_type_is_identically_zero(self):
         rng = np.random.default_rng(0)
-        states = random_states(rng, 3, M=2, T=1)
-        value, grad = eta_objective_and_gradient(0, np.array([1.7]), states)
+        _, lams = random_states(rng, 3, M=2, T=1)
+        value, grad = eta_objective_and_gradient(0, np.array([1.7]), lams)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -72,27 +63,25 @@ class TestEtaObjective:
             M = int(rng.integers(1, 5))
             T = int(rng.integers(2, 7))
             m = int(rng.integers(0, M))
-            states = random_states(rng, int(rng.integers(1, 6)), M, T)
+            _, lams = random_states(rng, int(rng.integers(1, 6)), M, T)
             eta_row = rng.uniform(0.2, 6.0, size=T)
-            _, grad = eta_objective_and_gradient(m, eta_row, states)
+            _, grad = eta_objective_and_gradient(m, eta_row, lams)
             numeric = central_difference(
-                lambda x: eta_objective_and_gradient(m, x, states)[0], eta_row
+                lambda x: eta_objective_and_gradient(m, x, lams)[0], eta_row
             )
             assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
     def test_gradient_vanishes_at_matching_lambda(self):
         # single sample whose profile posterior row equals the candidate row
         row = np.array([2.0, 5.0, 3.0])
-        state = VariationalState(0, 0, gamma=np.array([1.0]),
-                                 lam=row[None, :].copy(), phi=np.ones((3, 1)))
-        _, grad = eta_objective_and_gradient(0, row, [state])
+        _, grad = eta_objective_and_gradient(0, row, row[None, :])
         assert_allclose(grad, 0.0, atol=1e-10)
 
     def test_rejects_nonpositive_row(self):
         rng = np.random.default_rng(1)
-        states = random_states(rng, 1, 2, 3)
+        _, lams = random_states(rng, 1, 2, 3)
         with pytest.raises(ValueError):
-            eta_objective_and_gradient(0, np.array([1.0, -0.5, 2.0]), states)
+            eta_objective_and_gradient(0, np.array([1.0, -0.5, 2.0]), lams)
 
 
 class TestAlphaObjective:
@@ -111,9 +100,7 @@ class TestAlphaObjective:
             (Location("t", LocationRole.trace(), (SampleCounts(np.array([2, 2]), 0, 0),)),),
             1,
         )
-        state = VariationalState(0, 0, gamma=np.array([4.0]),
-                                 lam=np.ones((1, 2)), phi=np.ones((2, 1)))
-        value, grad = alpha_objective_and_gradient(0, np.array([1.0]), [state], corpus)
+        value, grad = alpha_objective_and_gradient(0, np.array([1.0]), np.array([[4.0]]), corpus)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -122,29 +109,24 @@ class TestAlphaObjective:
         corpus = self._corpus()
         for _ in range(100):
             M = 2
-            states = random_states(rng, int(rng.integers(1, 5)), M, 2,
-                                   location_ids=[1] * 4)
+            gammas, _ = random_states(rng, int(rng.integers(1, 5)), M, 2)
             alpha_row = rng.uniform(0.2, 6.0, size=M)
-            _, grad = alpha_objective_and_gradient(1, alpha_row, states, corpus)
+            _, grad = alpha_objective_and_gradient(1, alpha_row, gammas, corpus)
             numeric = central_difference(
-                lambda x: alpha_objective_and_gradient(1, x, states, corpus)[0], alpha_row
+                lambda x: alpha_objective_and_gradient(1, x, gammas, corpus)[0], alpha_row
             )
             assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
     def test_gradient_vanishes_at_matching_gamma(self):
         corpus = self._corpus()
         row = np.array([2.5, 4.5])
-        state = VariationalState(1, 0, gamma=row.copy(),
-                                 lam=np.ones((2, 2)), phi=np.full((2, 2), 0.5))
-        _, grad = alpha_objective_and_gradient(1, row, [state], corpus)
+        _, grad = alpha_objective_and_gradient(1, row, row[None, :], corpus)
         assert_allclose(grad, 0.0, atol=1e-10)
 
     def test_known_row_rejected(self):
         corpus = self._corpus()
-        state = VariationalState(0, 0, gamma=np.array([1.0, 1.0]),
-                                 lam=np.ones((2, 2)), phi=np.full((2, 2), 0.5))
         with pytest.raises(ValueError, match="frozen"):
-            alpha_objective_and_gradient(0, np.array([1.0, 1.0]), [state], corpus)
+            alpha_objective_and_gradient(0, np.array([1.0, 1.0]), np.ones((1, 2)), corpus)
 
 
 def digamma_rows(rows):
@@ -182,12 +164,11 @@ def random_trace_rows(rng, n_rows, M):
 def swept_arrays(corpus, sweeps=20):
     """Array state a few inference sweeps after the starting point, with the
     starting H and A as arrays."""
-    H, A, loc, counts, gamma = _start(corpus, FitConfig())
-    H, A = H.values, A.values
-    lam = H.copy()
+    H, A, loc, counts, gamma = initialize(corpus, FitConfig())
+    gamma, lam = DirichletRows(gamma), DirichletRows(H)
     for _ in range(sweeps):
-        gamma, lam, phi = _sweep(counts, A[loc], H, gamma, lam)
-    return H, A, counts, loc, gamma, phi, lam
+        gamma, lam, swept = _sweep_rows(counts, A[loc], H, gamma, lam)
+    return H, A, counts, loc, gamma.rows, swept.phi, lam.rows
 
 
 def trace_stats(gamma, loc, trace_ids):
@@ -502,20 +483,18 @@ class TestMstep:
             change += row_value(A2[l], stat, n) - row_value(A[l], stat, n)
         assert change == pytest.approx(after - before, rel=1e-10)
 
-    def test_eta_objective_counts_shared_posterior_once(self, fit_both_known, corpus_both_known):
-        # states viewing the fitted arrays all hold one lam, whose block the
-        # bound counts once
+    def test_eta_objective_counts_shared_posterior_once(self, fit_both_known):
+        # a fit's samples share one lam, passed once, whose block the bound
+        # counts once; a stack of profile posteriors counts each
         result, _ = fit_both_known
         lam = result.lam
-        states = [VariationalState(loc_id, sample.sample_index, gamma=result.gamma[n], lam=lam,
-                                   phi=result.phi[n])
-                  for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples())]
-        assert len(states) > 1 and all(state.lam is lam for state in states)
         dg_lam = digamma_rows(lam)
         for m, x in enumerate(result.H_converged.values):
-            value, grad = eta_objective_and_gradient(m, x, states)
+            value, grad = eta_objective_and_gradient(m, x, lam)
             assert value == pytest.approx(row_value(x, dg_lam[m], 1.0), rel=1e-12)
             assert_allclose(grad, row_gradient(x, dg_lam[m], 1.0), rtol=1e-12, atol=1e-12)
+            value, _ = eta_objective_and_gradient(m, x, np.stack([lam, lam]))
+            assert value == pytest.approx(row_value(x, 2.0 * dg_lam[m], 2.0), rel=1e-12)
 
     def test_row_updates_are_separable(self, monkeypatch):
         # optimizing rows through mstep equals optimizing each row alone
@@ -547,13 +526,9 @@ class TestMstep:
         # profile posterior rows all equal to one target: the optimum sits
         # exactly at that target, confirmed by an independent root finder
         target = np.array([4.0, 9.0, 2.0, 7.0])
-        states = [
-            VariationalState(0, i, gamma=np.array([1.0]),
-                             lam=target[None, :].copy(), phi=np.ones((4, 1)))
-            for i in range(3)
-        ]
+        lams = np.tile(target, (3, 1, 1))
         check = root(
-            lambda x: eta_objective_and_gradient(0, np.abs(x), states)[1],
+            lambda x: eta_objective_and_gradient(0, np.abs(x), lams)[1],
             np.full(4, 5.0),
             method="hybr",
         )
@@ -600,16 +575,16 @@ class TestMstep:
         assert "H row 0 on a box edge in 2 of 2 M-steps" in flagged[0]
         assert "A row 2 on a box edge in 2 of 2 M-steps" in flagged[0]
 
-    def test_fit_wraps_hyperparameters_only_at_its_ends(self, corpus_both_known, monkeypatch):
-        # the outer loop carries H and A as arrays: they are wrapped (and
-        # checked) once at the start and once for the result
+    def test_fit_wraps_hyperparameters_only_for_its_result(self, corpus_both_known, monkeypatch):
+        # the fit carries H and A as arrays from initialize on: they are
+        # wrapped (and checked) once, for the result
         built = []
         check = DirichletMatrix.__post_init__
         monkeypatch.setattr(DirichletMatrix, "__post_init__",
                             lambda matrix: built.append(matrix.role) or check(matrix))
         result = fit(corpus_both_known, FitConfig(outer_max_iters=6))
         assert result.iterations == 6
-        assert sorted(built) == ["A", "A", "H", "H"]
+        assert sorted(built) == ["A", "H"]
 
     def test_fit_regime_on_bundled_corpus(self, fit_both_known):
         # converged trace rows show the expected dominance pattern

@@ -16,12 +16,10 @@ from dustmix import numerics, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
-    DirichletMatrix,
     Location,
     LocationRole,
     ParticleCatalog,
     SampleCounts,
-    VariationalState,
 )
 from dustmix.datasets import at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
@@ -30,7 +28,7 @@ from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus
 from dustmix.vbi import (
     FitConfig,
     NumericalFailure,
-    elbo_sample,
+    corpus_elbo,
     elbo_terms,
     estep_sample,
     fit,
@@ -47,17 +45,13 @@ from _oracles import (
 )
 
 
-def make_state(alpha, eta, counts, n_samples_total=1):
-    M = len(alpha)
-    T = len(counts)
-    state = VariationalState(
-        location_id=0,
-        sample_index=0,
-        gamma=np.asarray(alpha, float) + sum(counts) / (M * n_samples_total),
-        lam=np.asarray(eta, float).copy(),
-        phi=np.full((T, M), 1.0 / M),
-    )
-    return state
+def estep_from_start(alpha, eta, counts_vec, config=None):
+    """:func:`estep_sample` of one sample from the start a lone sample gets:
+    gamma = alpha + count / sources, lam = eta.  Returns gamma, lam, phi and
+    the bounds."""
+    counts = SampleCounts(np.asarray(counts_vec), 0, 0)
+    gamma = np.asarray(alpha, float) + counts.total / len(alpha)
+    return estep_sample(counts, alpha, eta, gamma, eta, config or FitConfig())
 
 
 def random_instances():
@@ -76,36 +70,23 @@ def random_instances():
 
 class TestInitialize:
     def test_both_known_pattern(self, corpus_both_known):
-        H, A, states = initialize(corpus_both_known, FitConfig())
-        assert_allclose(H.values, 1.0)
-        a = A.values
+        eta, a, loc, counts, gamma = initialize(corpus_both_known, FitConfig())
+        assert_allclose(eta, 1.0)
         assert a.shape == (4, 2)
         assert_allclose(a[0], [150.0, 1.0])   # AT location
         assert_allclose(a[1], [1.0, 150.0])   # LQ location
         assert_allclose(a[2], [1.0, 1.0])     # traces
         assert_allclose(a[3], [1.0, 1.0])
-        assert len(states) == 26
-        samples = list(corpus_both_known.iter_samples())
-        for state, (loc_id, sample) in zip(states, samples):
-            expected = a[loc_id] + sample.total / (2 * 26)
-            assert_allclose(state.gamma, expected)
-            assert_allclose(state.phi, 0.5)
-            assert_allclose(state.lam, 1.0)
-            assert np.isfinite(state.elbo)
+        assert len(loc) == len(counts) == len(gamma) == 26
+        for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples()):
+            assert loc[n] == loc_id and np.array_equal(counts[n], sample.counts)
+            assert_allclose(gamma[n], a[loc_id] + sample.total / (2 * 26))
 
     def test_single_known_pattern(self, corpus_at_known):
-        H, A, states = initialize(corpus_at_known, FitConfig())
-        a = A.values
+        _, a, *_ = initialize(corpus_at_known, FitConfig())
         assert a.shape == (3, 2)
         assert_allclose(a[0], [150.0, 1.0])
         assert_allclose(a[1:], 1.0)
-
-    def test_single_source_phi_is_one(self):
-        catalog = ParticleCatalog(("a", "b"))
-        loc = Location("k", LocationRole.known(0), (SampleCounts(np.array([3, 1]), 0, 0),))
-        corpus = Corpus(catalog, (loc,), 0)
-        _, _, states = initialize(corpus, FitConfig())
-        assert_allclose(states[0].phi, 1.0)
 
     def test_refuses_invalid_corpus(self):
         catalog = ParticleCatalog(("a", "b"))
@@ -121,40 +102,37 @@ class TestInitialize:
         with pytest.raises(ValueError):
             FitConfig(outer_max_iters=0)
 
+    @pytest.mark.parametrize("name", ["known_weight", "flat_weight", "estep_tol", "outer_tol"])
+    def test_config_refuses_infinite_settings(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            FitConfig(**{name: np.inf})
+
 
 class TestEstepSample:
     def test_single_source_closed_form(self):
         alpha = np.array([2.0])
         eta = np.array([[1.5, 2.5, 1.0]])
-        counts = SampleCounts(np.array([4, 1, 2]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
-        state = make_state(alpha, eta, [4, 1, 2])
-        out = estep_sample(counts, alpha, H, state, FitConfig())
-        assert_allclose(out.phi, 1.0)
-        assert_allclose(out.gamma, alpha + 7.0)
-        assert_allclose(out.lam, eta + np.array([[4.0, 1.0, 2.0]]))
-        assert len(out.elbo_steps) <= 2  # settles after the first sweep
+        gamma, lam, phi, bounds = estep_from_start(alpha, eta, [4, 1, 2])
+        assert_allclose(phi, 1.0)
+        assert_allclose(gamma, alpha + 7.0)
+        assert_allclose(lam, eta + np.array([[4.0, 1.0, 2.0]]))
+        assert len(bounds) <= 2  # settles after the first sweep
 
     def test_symmetric_instance_uniform_responsibilities(self):
         alpha = np.array([1.3, 1.3, 1.3])
         eta = np.tile(np.array([2.0, 1.0, 3.0, 1.0]), (3, 1))
-        counts = SampleCounts(np.array([5, 0, 2, 1]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
-        state = make_state(alpha, eta, [5, 0, 2, 1])
-        out = estep_sample(counts, alpha, H, state, FitConfig())
-        assert_allclose(out.phi, 1.0 / 3.0, atol=1e-14)
+        _, _, phi, _ = estep_from_start(alpha, eta, [5, 0, 2, 1])
+        assert_allclose(phi, 1.0 / 3.0, atol=1e-14)
 
     def test_oracle_fixed_point(self):
         # two sources, two types: compare against the 64-digit fixed point
         alpha = np.array([1.0, 1.0])
         eta = np.array([[2.0, 1.0], [1.0, 2.0]])
-        counts = SampleCounts(np.array([3, 1]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
-        state = make_state(alpha, eta, [3, 1])
-        out = estep_sample(counts, alpha, H, state, FitConfig(estep_tol=1e-16, estep_max_iters=5000))
-        assert_allclose(out.gamma, FROZEN_2X2["gamma"], atol=1e-8)
-        assert_allclose(out.lam, FROZEN_2X2["lam"], atol=1e-8)
-        assert_allclose(out.phi, FROZEN_2X2["phi"], atol=1e-8)
+        gamma, lam, phi, _ = estep_from_start(
+            alpha, eta, [3, 1], FitConfig(estep_tol=1e-16, estep_max_iters=5000))
+        assert_allclose(gamma, FROZEN_2X2["gamma"], atol=1e-8)
+        assert_allclose(lam, FROZEN_2X2["lam"], atol=1e-8)
+        assert_allclose(phi, FROZEN_2X2["phi"], atol=1e-8)
 
     def test_oracle_regenerates_frozen_values(self):
         gamma, lam, phi, terms = fixed_point_2x2()
@@ -165,21 +143,17 @@ class TestEstepSample:
 
     def test_elbo_monotone_across_sweeps(self, corpus_both_known):
         config = FitConfig()
-        H, A, states = initialize(corpus_both_known, config)
-        for state, (loc_id, sample) in zip(states, corpus_both_known.iter_samples()):
-            out = estep_sample(sample, A.values[loc_id], H, state, config)
-            steps = np.array(out.elbo_steps)
-            assert np.all(np.diff(steps) >= -1e-8)
+        eta, A, _, _, gamma = initialize(corpus_both_known, config)
+        for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples()):
+            *_, bounds = estep_sample(sample, A[loc_id], eta, gamma[n], eta, config)
+            assert np.all(np.diff(bounds) >= -1e-8)
 
     def test_count_identities(self):
         for alpha, eta, counts_vec in random_instances():
-            counts = SampleCounts(counts_vec, 0, 0)
-            H = DirichletMatrix(eta, role="H")
-            state = make_state(alpha, eta, counts_vec)
-            out = estep_sample(counts, alpha, H, state, FitConfig())
-            n = counts.total
-            assert (out.gamma - alpha).sum() == pytest.approx(n, abs=1e-9)
-            assert (out.lam - eta).sum() == pytest.approx(n, abs=1e-9)
+            gamma, lam, _, _ = estep_from_start(alpha, eta, counts_vec)
+            n = counts_vec.sum()
+            assert (gamma - alpha).sum() == pytest.approx(n, abs=1e-9)
+            assert (lam - eta).sum() == pytest.approx(n, abs=1e-9)
 
     def test_type_permutation_equivariance(self):
         rng = np.random.default_rng(4)
@@ -190,24 +164,19 @@ class TestEstepSample:
         perm = rng.permutation(T)
         config = FitConfig(estep_tol=1e-12)
 
-        H = DirichletMatrix(eta, role="H")
-        state = make_state(alpha, eta, counts_vec)
-        base = estep_sample(SampleCounts(counts_vec, 0, 0), alpha, H, state, config)
+        gamma, lam, phi, _ = estep_from_start(alpha, eta, counts_vec, config)
+        gamma_p, lam_p, phi_p, _ = estep_from_start(alpha, eta[:, perm], counts_vec[perm], config)
 
-        H_p = DirichletMatrix(eta[:, perm], role="H")
-        state_p = make_state(alpha, eta[:, perm], counts_vec[perm])
-        permuted = estep_sample(SampleCounts(counts_vec[perm], 0, 0), alpha, H_p, state_p, config)
-
-        assert_allclose(permuted.gamma, base.gamma, atol=1e-10)
-        assert_allclose(permuted.lam, base.lam[:, perm], atol=1e-10)
-        assert_allclose(permuted.phi, base.phi[perm, :], atol=1e-10)
+        assert_allclose(gamma_p, gamma, atol=1e-10)
+        assert_allclose(lam_p, lam[:, perm], atol=1e-10)
+        assert_allclose(phi_p, phi[perm, :], atol=1e-10)
 
     @staticmethod
-    def _next_sweep_step(counts, alpha, H, out):
-        """Largest relative gamma/lam change of one more sweep from ``out``."""
-        gamma, lam = out.gamma.copy(), out.lam.copy()
-        again = estep_sample(counts, alpha, H, out, FitConfig(estep_max_iters=1))
-        return max(np.abs(again.gamma / gamma - 1.0).max(), np.abs(again.lam / lam - 1.0).max())
+    def _next_sweep_step(counts_vec, alpha, eta, gamma, lam):
+        """Largest relative gamma/lam change of one more sweep from (gamma, lam)."""
+        again_gamma, again_lam, _, _ = estep_sample(SampleCounts(counts_vec, 0, 0), alpha, eta,
+                                                    gamma, lam, FitConfig(estep_max_iters=1))
+        return max(np.abs(again_gamma / gamma - 1.0).max(), np.abs(again_lam / lam - 1.0).max())
 
     def test_stops_at_parameter_fixed_point(self):
         # the bound goes flat before the parameters stop moving, so the
@@ -215,52 +184,43 @@ class TestEstepSample:
         # more than estep_tol
         alpha = np.array([1.0, 1.0])
         eta = np.array([[2.0, 1.0], [1.0, 2.0]])
-        counts = SampleCounts(np.array([3, 1]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
         config = FitConfig(estep_tol=1e-16, estep_max_iters=5000)
-        out = estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]), config)
-        assert self._next_sweep_step(counts, alpha, H, out) <= config.estep_tol
+        gamma, lam, _, _ = estep_from_start(alpha, eta, [3, 1], config)
+        assert self._next_sweep_step(np.array([3, 1]), alpha, eta, gamma, lam) <= config.estep_tol
 
         config = FitConfig()
         for alpha, eta, counts_vec in random_instances():
-            counts = SampleCounts(counts_vec, 0, 0)
-            H = DirichletMatrix(eta, role="H")
-            out = estep_sample(counts, alpha, H, make_state(alpha, eta, counts_vec), config)
-            assert self._next_sweep_step(counts, alpha, H, out) <= config.estep_tol
+            gamma, lam, _, _ = estep_from_start(alpha, eta, counts_vec, config)
+            assert self._next_sweep_step(counts_vec, alpha, eta, gamma, lam) <= config.estep_tol
 
     def test_warns_when_stopped_at_cap(self, caplog):
         # the FROZEN_2X2 instance
         alpha = np.array([1.0, 1.0])
         eta = np.array([[2.0, 1.0], [1.0, 2.0]])
-        counts = SampleCounts(np.array([3, 1]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
-            estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]),
-                         FitConfig(estep_max_iters=3))
+            estep_from_start(alpha, eta, [3, 1], FitConfig(estep_max_iters=3))
         assert any("after 3 sweeps" in record.getMessage() for record in caplog.records)
 
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
-            estep_sample(counts, alpha, H, make_state(alpha, eta, [3, 1]), FitConfig())
+            estep_from_start(alpha, eta, [3, 1])
         assert not caplog.records
 
     def test_bounds_are_the_swept_states_bounds(self):
-        # each recorded bound is elbo_sample of the state that sweep made,
-        # bit for bit, and so is the state's final elbo
+        # each recorded bound is the one-row corpus_elbo of the state that
+        # sweep made, bit for bit, and the last sweep's state is returned
         for alpha, eta, counts_vec in random_instances():
-            counts = SampleCounts(counts_vec, 0, 0)
-            H = DirichletMatrix(eta, role="H")
-            out = estep_sample(counts, alpha, H, make_state(alpha, eta, counts_vec), FitConfig())
-            state = make_state(alpha, eta, counts_vec)
+            gamma, lam, phi, bounds = estep_from_start(alpha, eta, counts_vec)
+            c, a = counts_vec[None].astype(float), alpha[None]
+            mixing = numerics.DirichletRows(a + counts_vec.sum() / len(alpha))
+            profiles = numerics.DirichletRows(eta)
             expected = []
-            for _ in out.elbo_steps:
-                gamma, lam, phi = vbi._sweep(counts_vec[None].astype(float), alpha[None],
-                                             eta, state.gamma[None], state.lam)
-                state.gamma, state.lam, state.phi = gamma[0], lam, phi[0]
-                expected.append(elbo_sample(counts, alpha, H, state))
-            assert out.elbo_steps == expected
-            assert out.elbo == expected[-1]
-            assert np.array_equal(out.gamma, state.gamma) and np.array_equal(out.lam, state.lam)
+            for _ in bounds:
+                mixing, profiles, swept = vbi._sweep_rows(c, a, eta, mixing, profiles)
+                expected.append(corpus_elbo(c, a, eta, mixing.rows, swept.phi, profiles.rows))
+            assert bounds == expected
+            assert np.array_equal(gamma, mixing.rows[0]) and np.array_equal(lam, profiles.rows)
+            assert np.array_equal(phi, swept.phi[0])
 
 
 class TestSweep:
@@ -275,23 +235,26 @@ class TestSweep:
             a = rng.uniform(0.2, 5.0, size=(N, M))
             eta = rng.uniform(0.2, 5.0, size=(M, T))
             gamma = rng.uniform(0.5, 30.0, size=(N, M))
-            lam = rng.uniform(0.5, 40.0, size=(M, T))
-            new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
+            lam = numerics.DirichletRows(rng.uniform(0.5, 40.0, size=(M, T)))
+            new_gamma, new_lam, swept = vbi._sweep_rows(
+                counts, a, eta, numerics.DirichletRows(gamma), lam)
             allocated = np.zeros((M, T))
             for n in range(N):
-                row = vbi._sweep(counts[n:n + 1], a[n:n + 1], eta, gamma[n:n + 1], lam)
-                assert_allclose(new_gamma[n], row[0][0], rtol=0, atol=0)
-                assert_allclose(phi[n], row[2][0], rtol=0, atol=0)
-                allocated += row[1] - eta
-            assert_allclose(new_lam, eta + allocated, rtol=1e-12)
+                row_gamma, row_lam, row = vbi._sweep_rows(
+                    counts[n:n + 1], a[n:n + 1], eta, numerics.DirichletRows(gamma[n:n + 1]), lam)
+                assert_allclose(new_gamma.rows[n], row_gamma.rows[0], rtol=0, atol=0)
+                assert_allclose(swept.phi[n], row.phi[0], rtol=0, atol=0)
+                allocated += row_lam.rows - eta
+            assert_allclose(new_lam.rows, eta + allocated, rtol=1e-12)
 
     def test_no_rows(self):
         eta = np.array([[1.0, 2.0, 3.0], [2.0, 2.0, 1.0]])
         lam = eta + 4.0
-        gamma, new_lam, phi = vbi._sweep(np.zeros((0, 3)), np.ones((0, 2)), eta,
-                                         np.ones((0, 2)), lam)
-        assert gamma.shape == (0, 2) and phi.shape == (0, 3, 2)
-        assert np.array_equal(new_lam, eta)
+        gamma, new_lam, swept = vbi._sweep_rows(
+            np.zeros((0, 3)), np.ones((0, 2)), eta, numerics.DirichletRows(np.ones((0, 2))),
+            numerics.DirichletRows(lam))
+        assert gamma.rows.shape == (0, 2) and swept.phi.shape == (0, 3, 2)
+        assert np.array_equal(new_lam.rows, eta)
         assert numerics.DirichletRows(np.ones((0, 3))).e_log.shape == (0, 3)
 
 
@@ -333,24 +296,25 @@ class TestDomainCheck:
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             vbi.corpus_elbo(**_spoiled(name, bad))
 
-    # the sweep evaluates digammas of gamma and lam only; a and eta enter it
-    # by addition, and the next state's check catches what they spoil
+    # the sweep reads gamma and lam as checked DirichletRows and evaluates
+    # digammas of those only; a and eta enter it by addition, and the next
+    # state's check catches what they spoil
     @pytest.mark.parametrize("bad", BAD_VALUES)
     @pytest.mark.parametrize("name", ["gamma", "lam"])
     def test_sweep(self, name, bad):
         state = _spoiled(name, bad)
         with pytest.raises(ValueError), np.errstate(over="ignore"):
-            vbi._sweep(state["counts"], state["a"], state["eta"], state["gamma"], state["lam"])
+            vbi._sweep_rows(state["counts"], state["a"], state["eta"],
+                            *map(numerics.DirichletRows, (state["gamma"], state["lam"])))
 
 
 class TestElboSample:
+    """A sample's bound is the one-row call of :func:`corpus_elbo`."""
+
     def test_single_type_data_term_is_zero(self):
         # with one particle type the data term is psi(lam) - psi(lam) = 0
-        counts = SampleCounts(np.array([5]), 0, 0)
-        H = DirichletMatrix(np.array([[2.0]]), role="H")
-        state = VariationalState(0, 0, gamma=np.array([3.0]),
-                                 lam=np.array([[2.5]]), phi=np.ones((1, 1)))
-        terms = elbo_terms(counts, np.array([2.0]), H, state)
+        terms = elbo_terms(np.array([[5.0]]), np.array([[2.0]]), np.array([[2.0]]),
+                           np.array([[3.0]]), np.ones((1, 1, 1)), np.array([[2.5]]))
         assert terms["log_p_x"] == 0.0
 
     def test_responsibility_entropy_bounds(self):
@@ -358,31 +322,23 @@ class TestElboSample:
         M, T = 4, 6
         counts_vec = rng.integers(0, 25, size=T)
         counts_vec[0] = max(counts_vec[0], 1)
-        counts = SampleCounts(counts_vec, 0, 0)
         eta = rng.uniform(0.5, 4.0, size=(M, T))
-        H = DirichletMatrix(eta, role="H")
         phi = rng.dirichlet(np.ones(M), size=T)
-        state = VariationalState(0, 0, gamma=rng.uniform(0.5, 5.0, size=M),
-                                 lam=eta.copy(), phi=phi)
-        terms = elbo_terms(counts, rng.uniform(0.5, 3.0, size=M), H, state)
-        n = counts.total
+        gamma = rng.uniform(0.5, 5.0, size=M)
+        terms = elbo_terms(counts_vec[None].astype(float), rng.uniform(0.5, 3.0, size=(1, M)),
+                           eta, gamma[None], phi[None], eta)
+        n = counts_vec.sum()
         assert -1e-12 <= terms["entropy_z"] <= n * np.log(M) + 1e-12
 
     def test_oracle_terms(self):
-        alpha = np.array([1.0, 1.0])
-        eta = np.array([[2.0, 1.0], [1.0, 2.0]])
-        counts = SampleCounts(np.array([3, 1]), 0, 0)
-        H = DirichletMatrix(eta, role="H")
-        state = VariationalState(
-            0, 0,
-            gamma=np.array(FROZEN_2X2["gamma"]),
-            lam=np.array(FROZEN_2X2["lam"]),
-            phi=np.array(FROZEN_2X2["phi"]),
-        )
-        terms = elbo_terms(counts, alpha, H, state)
+        row = {"counts": np.array([[3.0, 1.0]]), "a": np.array([[1.0, 1.0]]),
+               "eta": np.array([[2.0, 1.0], [1.0, 2.0]]),
+               "gamma": np.array([FROZEN_2X2["gamma"]]), "phi": np.array([FROZEN_2X2["phi"]]),
+               "lam": np.array(FROZEN_2X2["lam"])}
+        terms = elbo_terms(**row)
         for name, expected in FROZEN_2X2["terms"].items():
             assert terms[name] == pytest.approx(expected, abs=1e-8), name
-        assert elbo_sample(counts, alpha, H, state) == pytest.approx(FROZEN_2X2["elbo"], abs=1e-8)
+        assert corpus_elbo(**row) == pytest.approx(FROZEN_2X2["elbo"], abs=1e-8)
 
 
 class TestCorpusElbo:
@@ -390,24 +346,21 @@ class TestCorpusElbo:
     profile block counted once, not once per sample."""
 
     @staticmethod
-    def _check(samples, a, H, gamma, phi, lam):
-        counts = np.array([sample.counts for sample in samples], dtype=np.float64)
-        states = [VariationalState(0, n, gamma=g, lam=lam, phi=p)
-                  for n, (g, p) in enumerate(zip(gamma, phi))]
-        per_sample = sum(elbo_sample(sample, a_row, H, state)
-                         for sample, a_row, state in zip(samples, a, states))
-        terms = elbo_terms(samples[0], a[0], H, states[0])
+    def _check(counts, a, eta, gamma, phi, lam):
+        per_sample = sum(corpus_elbo(*(rows[n:n + 1] for rows in (counts, a)), eta,
+                                     *(rows[n:n + 1] for rows in (gamma, phi)), lam)
+                         for n in range(len(counts)))
+        terms = elbo_terms(counts[:1], a[:1], eta, gamma[:1], phi[:1], lam)
         profile = terms["log_p_beta"] + terms["entropy_beta"]
-        expected = per_sample - (len(samples) - 1) * profile
-        total = vbi.corpus_elbo(counts, a, H.values, gamma, phi, lam)
+        expected = per_sample - (len(counts) - 1) * profile
+        total = corpus_elbo(counts, a, eta, gamma, phi, lam)
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_fitted_states(self, fit_both_known, corpus_both_known):
         result, _ = fit_both_known
-        _, A, _ = initialize(corpus_both_known, FitConfig())
-        loc, samples = zip(*corpus_both_known.iter_samples())
-        self._check(list(samples), A.values[list(loc)], result.H_converged,
-                    result.gamma, result.phi, result.lam)
+        _, A, loc, counts, _ = initialize(corpus_both_known, FitConfig())
+        self._check(counts, A[loc], result.H_converged.values, result.gamma, result.phi,
+                    result.lam)
 
     def test_random_instances(self):
         rng = np.random.default_rng(6)
@@ -415,13 +368,13 @@ class TestCorpusElbo:
             N = int(rng.integers(2, 6))
             M = int(rng.integers(1, 5))
             T = int(rng.integers(2, 7))
-            H = DirichletMatrix(rng.uniform(0.2, 5.0, size=(M, T)), role="H")
+            eta = rng.uniform(0.2, 5.0, size=(M, T))
             lam = rng.uniform(0.5, 40.0, size=(M, T))
-            samples = [SampleCounts(rng.integers(1, 30, size=T), 0, n) for n in range(N)]
+            counts = np.array([rng.integers(1, 30, size=T) for _ in range(N)], dtype=np.float64)
             rows = [(rng.uniform(0.5, 30.0, size=M), rng.dirichlet(np.ones(M), size=T))
                     for _ in range(N)]
             gamma, phi = (np.array(block) for block in zip(*rows))
-            self._check(samples, rng.uniform(0.2, 5.0, size=(N, M)), H, gamma, phi, lam)
+            self._check(counts, rng.uniform(0.2, 5.0, size=(N, M)), eta, gamma, phi, lam)
 
 
 class TestFit:
@@ -516,22 +469,14 @@ class TestFit:
         assert [v.code for v in err.value.violations] == ["unknown-without-trace"]
 
     def test_builds_no_per_sample_states(self, corpus_both_known, monkeypatch):
-        # the fit keeps its state in arrays: no initialize call, no state
-        # object and no per-sample bound
-        calls = {"initialize": 0, "elbo_sample": 0, "VariationalState": 0}
-
-        def counting(name):
-            original = getattr(vbi, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(vbi, name, counting(name))
+        # the fit keeps its state in arrays, from the starting point that
+        # initialize returns to the result
+        starts = []
+        start = vbi.initialize
+        monkeypatch.setattr(vbi, "initialize",
+                            lambda *args: starts.append(start(*args)) or starts[-1])
         result = fit(corpus_both_known, FitConfig())
-        assert calls == {"initialize": 0, "elbo_sample": 0, "VariationalState": 0}
+        assert len(starts) == 1 and all(isinstance(part, np.ndarray) for part in starts[0])
         N, M, T = (corpus_both_known.n_samples, corpus_both_known.n_sources,
                    corpus_both_known.n_types)
         assert result.gamma.shape == (N, M)
@@ -979,13 +924,15 @@ class TestFactoredSweep:
 
     def test_logs_the_rows_it_takes_in_log_space(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
-            vbi._sweep(*UNDERFLOW.values())
+            vbi._sweep_rows(UNDERFLOW["counts"], UNDERFLOW["a"], UNDERFLOW["eta"],
+                            *map(numerics.DirichletRows, (UNDERFLOW["gamma"], UNDERFLOW["lam"])))
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
             (logging.DEBUG, "sweep: 1 of 1 rows took log-space responsibilities")]
         caplog.clear()
         state = _domain_instance()
         with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
-            vbi._sweep(state["counts"], state["a"], state["eta"], state["gamma"], state["lam"])
+            vbi._sweep_rows(state["counts"], state["a"], state["eta"],
+                            *map(numerics.DirichletRows, (state["gamma"], state["lam"])))
         assert not caplog.records
 
     def test_rows_of_a_large_sweep_match_one_row_sweeps(self):
@@ -999,15 +946,17 @@ class TestFactoredSweep:
         gamma, lam = rng.uniform(1.0, 3000.0, size=(N, M)), rng.uniform(1.0, 3000.0, size=(M, T))
         gamma[7] = [1e3, 1e-6]
         lam[0, 0] = 1e-6
-        new_gamma, new_lam, swept = vbi._sweep_rows(
-            counts, a, eta, numerics.DirichletRows(gamma), numerics.DirichletRows(lam))
+        lam = numerics.DirichletRows(lam)
+        new_gamma, new_lam, swept = vbi._sweep_rows(counts, a, eta, numerics.DirichletRows(gamma),
+                                                    lam)
         assert list(swept.guarded[0]) == [7]
         allocated = np.zeros((M, T))
         for n in range(N):
-            row = vbi._sweep(counts[n:n + 1], a[n:n + 1], eta, gamma[n:n + 1], lam)
-            assert np.array_equal(new_gamma.rows[n], row[0][0])
-            assert np.array_equal(swept.phi[n], row[2][0])
-            allocated += row[1] - eta
+            row_gamma, row_lam, row = vbi._sweep_rows(
+                counts[n:n + 1], a[n:n + 1], eta, numerics.DirichletRows(gamma[n:n + 1]), lam)
+            assert np.array_equal(new_gamma.rows[n], row_gamma.rows[0])
+            assert np.array_equal(swept.phi[n], row.phi[0])
+            allocated += row_lam.rows - eta
         assert_allclose(new_lam.rows, eta + allocated, rtol=1e-12)
 
 
@@ -1166,13 +1115,14 @@ class TestThreeSourceFit:
 
 def _plain_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     """Reference: plain sweeps until no parameter moves by a relative ``tol``."""
+    gamma, lam = numerics.DirichletRows(gamma), numerics.DirichletRows(lam)
     for sweeps in range(1, cap + 1):
-        new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
-        moved = vbi._relative_step(gamma, lam, new_gamma, new_lam)
+        new_gamma, new_lam, swept = vbi._sweep_rows(counts, a, eta, gamma, lam)
+        moved = vbi._relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
         gamma, lam = new_gamma, new_lam
         if moved < tol:
             break
-    return gamma, lam, phi, sweeps
+    return gamma.rows, lam.rows, swept.phi, sweeps
 
 
 def _converged_fixed_point(counts, a, eta, gamma, lam, tol, cap):
@@ -1348,8 +1298,9 @@ class TestFixedPoint:
         assert any(ratio == pytest.approx(0.5, rel=1e-12) for ratio in ratios)
         assert sweeps < vbi._LR_MAX_SWEEPS
         counts, a, eta = fixed_prior_start[:3]
-        new_gamma, new_lam, _ = vbi._sweep(counts, a, eta, gamma, lam)
-        assert vbi._relative_step(gamma, lam, new_gamma, new_lam) < vbi._LR_TOL
+        new_gamma, new_lam, _ = vbi._sweep_rows(counts, a, eta, *map(numerics.DirichletRows,
+                                                                     (gamma, lam)))
+        assert vbi._relative_step(gamma, lam, new_gamma.rows, new_lam.rows) < vbi._LR_TOL
 
     def test_fewer_sweeps_than_plain_sweeping(self, fixed_prior_start):
         sweeps = vbi._fixed_point(*fixed_prior_start)[3]
@@ -1444,9 +1395,11 @@ def _newton_state(corpus, args):
     sample's location, the trace location ids, x = (gamma, lam), the phi of
     the plain sweep from x and that sweep's (gamma, lam)."""
     counts, a, eta, gamma, lam = args[:5]
-    new_gamma, new_lam, phi = vbi._sweep(counts, a, eta, gamma, lam)
-    loc = vbi._start(corpus, FitConfig())[2]
-    return counts, loc, list(corpus.trace_location_ids), (gamma, lam), phi, (new_gamma, new_lam)
+    new_gamma, new_lam, swept = vbi._sweep_rows(counts, a, eta, *map(numerics.DirichletRows,
+                                                                     (gamma, lam)))
+    loc = vbi.initialize(corpus, FitConfig())[2]
+    return (counts, loc, list(corpus.trace_location_ids), (gamma, lam), swept.phi,
+            (new_gamma.rows, new_lam.rows))
 
 
 def _random_state(seed):
@@ -1462,10 +1415,12 @@ def _random_state(seed):
     loc, a, eta = np.arange(N) % (M + 1), np.ones((N, M)), np.ones((M, T))
     known = np.flatnonzero(loc < M - 1)
     a[known, loc[known]] = 150.0
-    gamma, lam = rng.uniform(1.0, 20.0, size=(N, M)), rng.uniform(1.0, 20.0, size=(M, T))
+    state = map(numerics.DirichletRows, (rng.uniform(1.0, 20.0, size=(N, M)),
+                                         rng.uniform(1.0, 20.0, size=(M, T))))
     for _ in range(200):
-        gamma, lam, _ = vbi._sweep(counts, a, eta, gamma, lam)
-    phi = vbi._sweep(counts, a, eta, gamma, lam)[2]
+        *state, _ = vbi._sweep_rows(counts, a, eta, *state)
+    phi = vbi._sweep_rows(counts, a, eta, *state)[2].phi
+    gamma, lam = (values.rows for values in state)
     swept = tuple(values * rng.uniform(0.5, 2.0, size=values.shape) for values in (gamma, lam))
     return counts, loc, [M - 1, M], (gamma, lam), phi, swept
 
