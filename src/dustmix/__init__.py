@@ -17,7 +17,6 @@ from .model import (
     ParticleCatalog,
     SampleCounts,
     Violation,
-    collapse_to_counts,
     validate_corpus,
 )
 from .numerics import (
@@ -56,7 +55,6 @@ __all__ = [
     "beta_profile_marginal",
     "beta_summary",
     "build_report",
-    "collapse_to_counts",
     "digamma",
     "fit",
     "generate_sample",

@@ -168,7 +168,8 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance record written next to every run's outputs."""
+    """Provenance record written next to every run's outputs; ``seed`` is
+    the study seed of a ``simulate`` run and ``None`` for a fit."""
 
     tool: str
     version: str
@@ -199,16 +200,25 @@ _CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
 _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
+def _load_yaml(path: Path | str):
+    """The YAML document in ``path``, read as UTF-8 text; a file that is not
+    UTF-8 is a ``ValueError`` naming it."""
+    import yaml  # only a config file or a spec needs PyYAML; ``import dustmix.cli`` does not
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    return yaml.safe_load(text)
+
+
 def load_config(path: Path | str | None) -> dict:
     """Parse the run configuration; an empty or missing config reproduces
     the default setup.  ``unknown_sources`` must be a non-negative integer
     and ``report.hpdi_mass`` a number strictly between 0 and 1."""
     raw: dict = {}
     if path is not None:
-        import yaml  # only a config file needs PyYAML; ``import dustmix.cli`` does not
-
-        text = Path(path).read_text()
-        parsed = yaml.safe_load(text)
+        parsed = _load_yaml(path)
         if parsed is None:
             parsed = {}
         if not isinstance(parsed, dict):
@@ -270,11 +280,11 @@ def cmd_fit(
     corpus_path: Path | str,
     config_path: Path | str | None,
     out_dir: Path | str,
-    seed: int | None = None,
     threads: int = 1,
     force: bool = False,
 ) -> int:
-    """Fit a corpus and write report, plot data, bound trace and manifest."""
+    """Fit a corpus and write report, plot data, bound trace and manifest.
+    The fit draws no random numbers, so it takes no seed."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
@@ -297,7 +307,7 @@ def cmd_fit(
             command="fit",
             inputs=tuple(inputs),
             config=config,
-            seed=seed,
+            seed=None,
             threads=threads,
             wall_clock_s=time.perf_counter() - started,
             iterations=result.iterations,
@@ -324,9 +334,7 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     a string or a non-integral count raises a ``ValueError`` naming its key,
     as does a ``sample_sizes``, ``unknown_shares`` or ``second_trace`` that
     is not a list."""
-    import yaml
-
-    raw = yaml.safe_load(Path(path).read_text())
+    raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: study spec must be a mapping")
     known_keys = {
@@ -465,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("corpus", type=Path, help="input sample CSV")
     fit_p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
     fit_p.add_argument("--out", type=Path, required=True, help="output directory")
-    fit_p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in the manifest; the fit draws no random numbers")
     fit_p.add_argument("--threads", type=int, default=1,
                        help="recorded in the manifest; the fit runs on one thread")
     fit_p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
@@ -495,8 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     if args.command == "fit":
-        return cmd_fit(args.corpus, args.config, args.out, seed=args.seed,
-                       threads=args.threads, force=args.force)
+        return cmd_fit(args.corpus, args.config, args.out, threads=args.threads, force=args.force)
     if args.command == "simulate":
         return cmd_simulate(args.spec, args.config, args.out, seed=args.seed,
                             threads=args.threads, force=args.force)

@@ -26,7 +26,6 @@ __all__ = [
     "ParticleCatalog",
     "SampleCounts",
     "Violation",
-    "collapse_to_counts",
     "validate_corpus",
 ]
 
@@ -49,12 +48,6 @@ class ParticleCatalog:
     def n_types(self) -> int:
         return len(self.type_names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.type_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown particle type: {name!r}") from None
-
 
 @dataclass(frozen=True)
 class SampleCounts:
@@ -72,10 +65,12 @@ class SampleCounts:
             rounded = np.rint(arr)
             if not np.all(np.isfinite(arr)) or np.any(np.abs(arr - rounded) > 0):
                 raise ValueError("counts must be integers")
+            if np.any(rounded >= 2.0**63):  # the int64 cast would wrap it
+                raise ValueError(f"count {int(rounded.max())} does not fit in a 64-bit integer")
             arr = rounded
-        arr = arr.astype(np.int64)
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")
+        arr = arr.astype(np.int64)
         total = sum(arr.tolist())  # Python ints: an int64 sum would wrap
         if total < 1:
             raise ValueError("a sample must contain at least one particle")
@@ -190,14 +185,11 @@ class Corpus:
 
 @dataclass(frozen=True)
 class DirichletMatrix:
-    """Positive matrix whose rows are Dirichlet parameter vectors.
-
-    ``role`` is "H" for the sources-by-types profile hyperparameters or "A"
-    for the locations-by-sources mixing hyperparameters.
-    """
+    """Read-only positive matrix whose rows are Dirichlet parameter vectors:
+    a fit's sources-by-types profile hyperparameters or its trace
+    locations-by-sources share posteriors (see :class:`FitResult`)."""
 
     values: np.ndarray
-    role: str
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=np.float64)
@@ -205,15 +197,9 @@ class DirichletMatrix:
             raise ValueError("DirichletMatrix must be two-dimensional")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("DirichletMatrix entries must be positive and finite")
-        if self.role not in ("H", "A"):
-            raise ValueError(f"role must be 'H' or 'A', got {self.role!r}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True)
@@ -266,21 +252,6 @@ class CorpusValidationError(ValueError):
         self.violations = tuple(violations)
         lines = "; ".join(str(v) for v in self.violations)
         super().__init__(f"corpus failed validation: {lines}")
-
-
-def collapse_to_counts(
-    labels: Sequence[str],
-    catalog: ParticleCatalog,
-    location_id: int = 0,
-    sample_index: int = 0,
-) -> SampleCounts:
-    """Collapse a list of particle-type labels into a per-type count vector."""
-    if len(labels) == 0:
-        raise ValueError("cannot build a sample from zero particles")
-    counts = np.zeros(catalog.n_types, dtype=np.int64)
-    for label in labels:
-        counts[catalog.index_of(label)] += 1
-    return SampleCounts(counts=counts, location_id=location_id, sample_index=sample_index)
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:

@@ -6,11 +6,11 @@ raises ``ValueError`` instead of coming back as inf or nan.  They are the
 checked public API; the engine evaluates special functions only through
 :class:`DirichletRows`, which takes that check once, on the rows and their
 sums when built, and then runs ``psi`` and ``gammaln`` unchecked, each at
-most once per set of rows.  The Beta normaliser, CDF and quantile
-are ``betaln``, ``betainc`` and ``betaincinv``.  The highest-density
-interval is the shortest interval of the stated mass; :func:`beta_hpdis`
-finds it for many shapes at once by a bracketed Newton search over the
-lower tail mass, on ``scipy.special`` alone.
+most once per set of rows.  The Beta normaliser and quantile are
+``betaln`` and ``betaincinv``.  The highest-density interval is the
+shortest interval of the stated mass; :func:`beta_hpdis` finds it for many
+shapes at once by a bracketed Newton search over the lower tail mass, on
+``scipy.special`` alone.
 
 The engine's arrays are short along their last axis: a mixing row has one
 entry per source (2 or 3 in practice) and a profile row one per particle
@@ -44,11 +44,8 @@ __all__ = [
     "BetaSummary",
     "CredibleInterval",
     "DirichletRows",
-    "beta_cdf",
     "beta_hpdi",
     "beta_hpdis",
-    "beta_log_pdf",
-    "beta_pdf",
     "beta_quantile",
     "beta_summary",
     "digamma",
@@ -217,26 +214,6 @@ def beta_summary(shape: BetaShape) -> BetaSummary:
     if shape.a > 1.0 and shape.b > 1.0:
         mode = (shape.a - 1.0) / (shape.a + shape.b - 2.0)
     return BetaSummary(mean=mean, mode=mode)
-
-
-def beta_log_pdf(x: float, shape: BetaShape) -> float:
-    """Log density of Beta(a, b) at x; -inf outside [0, 1], and the limit
-    (+inf, a finite value or -inf) at the endpoints."""
-    if not 0.0 <= x <= 1.0:
-        return -math.inf
-    a, b = shape.a, shape.b
-    return float(
-        special.xlogy(a - 1.0, x) + special.xlog1py(b - 1.0, -x) - special.betaln(a, b)
-    )
-
-
-def beta_pdf(x: float, shape: BetaShape) -> float:
-    return math.exp(beta_log_pdf(x, shape))
-
-
-def beta_cdf(x: float, shape: BetaShape) -> float:
-    """Regularized incomplete beta I_x(a, b), 0 below 0 and 1 above 1."""
-    return float(special.betainc(shape.a, shape.b, min(max(x, 0.0), 1.0)))
 
 
 def beta_quantile(u: float, shape: BetaShape) -> float:

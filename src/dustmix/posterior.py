@@ -40,15 +40,11 @@ __all__ = [
 ]
 
 GRID_POINTS = 512
-
-
-def _midpoints(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
-
+_GRID_X = (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS
 
 # Every plot CSV shares the x column; its text, and the text of each row
 # whose density is 0 (most rows of a spiked profile), are made once.
-_GRID_X_TEXT = tuple(map(repr, _midpoints(GRID_POINTS).tolist()))
+_GRID_X_TEXT = tuple(map(repr, _GRID_X.tolist()))
 _ZERO_ROWS = tuple(f"{x},0.0\r\n" for x in _GRID_X_TEXT)
 
 
@@ -135,14 +131,14 @@ def build_report(fit: FitResult, corpus: Corpus, mass: float = 0.95) -> Posterio
     return PosteriorReport(theta=theta, beta=beta, mass=mass, provenance=provenance)
 
 
-def density_grid(shape: BetaShape, n: int = GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """Beta density on an n-point midpoint grid covering [0, 1].
+def density_grid(shape: BetaShape) -> tuple[np.ndarray, np.ndarray]:
+    """Beta density on the ``GRID_POINTS``-point midpoint grid covering [0, 1].
 
     Midpoints keep the curve finite when a shape parameter sits at or below
     one (density unbounded at an endpoint).
     """
     a, b = shape.a, shape.b
-    x = _midpoints(n)
+    x = _GRID_X.copy()
     return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
 
 

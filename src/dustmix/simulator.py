@@ -66,9 +66,10 @@ class ScenarioSpec:
     gives the number of control samples per known source.  Control samples
     are drawn from their source's profile alone (degenerate mixing), with
     ``known_particles_per_sample`` particles each (defaults to
-    ``particles_per_sample``).  Every count must be an integer, at least 1
-    (the seed at least 0), and is stored as ``int``; every share must be a
-    real number (a bool or a string is not); an error names its field.
+    ``particles_per_sample``).  Every count must be an integer, at least 1,
+    and is stored as ``int``; every share must be a real number (a bool or a
+    string is not); an error names its field.  The spec holds no seed:
+    :func:`generate_corpus` draws from the generator it is given.
     """
 
     catalog: ParticleCatalog
@@ -78,7 +79,6 @@ class ScenarioSpec:
     samples_per_trace: int = 5
     known_sample_counts: tuple[int, ...] = (12,)
     known_particles_per_sample: int | None = None
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         profiles = np.asarray(self.true_profiles, dtype=np.float64)
@@ -103,7 +103,6 @@ class ScenarioSpec:
         if self.known_particles_per_sample is not None:
             object.__setattr__(self, "known_particles_per_sample", _count(
                 "known_particles_per_sample", self.known_particles_per_sample))
-        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
 
     @property
     def n_sources(self) -> int:
@@ -136,9 +135,9 @@ def generate_sample(
     return SampleCounts(counts=counts, location_id=location_id, sample_index=sample_index)
 
 
-def generate_corpus(spec: ScenarioSpec, rng: np.random.Generator | None = None) -> Corpus:
-    """Materialize one corpus from a scenario: known locations then traces."""
-    rng = rng if rng is not None else np.random.default_rng(np.random.SeedSequence(spec.rng_seed))
+def generate_corpus(spec: ScenarioSpec, rng: np.random.Generator) -> Corpus:
+    """Materialize one corpus from a scenario, known locations then traces,
+    with every draw from ``rng``."""
     M = spec.n_sources
     locations: list[Location] = []
     loc_id = 0
@@ -226,10 +225,11 @@ class StudySpec:
                 raise ValueError("second_trace_mixture must have one share per source")
             _check_simplex(np.array(mixture), "second_trace_mixture")
             object.__setattr__(self, "second_trace_mixture", mixture)
+        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
         # every cell's scenario shares these fields; the first one checks them
         scenario = self.scenario(self.unknown_shares[0], self.sample_sizes[0])
         for name in ("true_profiles", "samples_per_trace", "known_sample_counts",
-                     "known_particles_per_sample", "rng_seed"):
+                     "known_particles_per_sample"):
             object.__setattr__(self, name, getattr(scenario, name))
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
@@ -244,7 +244,6 @@ class StudySpec:
             samples_per_trace=self.samples_per_trace,
             known_sample_counts=self.known_sample_counts,
             known_particles_per_sample=self.known_particles_per_sample,
-            rng_seed=self.rng_seed,
         )
 
 

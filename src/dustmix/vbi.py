@@ -991,9 +991,9 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
         logger.warning("M-step rows ended unconverged or on a box edge: %s", summary)
 
     return FitResult(
-        H_converged=DirichletMatrix(H, role="H"),
+        H_converged=DirichletMatrix(H),
         A_converged=DirichletMatrix(
-            _linear_response_rows(corpus, counts, loc, trace_ids, A, a, eta, *first), role="A"
+            _linear_response_rows(corpus, counts, loc, trace_ids, A, a, eta, *first)
         ),
         trace_locations=trace_ids,
         gamma=gamma.rows,

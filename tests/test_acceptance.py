@@ -267,7 +267,7 @@ class TestCriterion10Determinism:
         runs = []
         for tag in ("one", "two"):
             out = tmp_path / f"fit-{tag}"
-            code = cmd_fit(fixture_path(), config, out, seed=0)
+            code = cmd_fit(fixture_path(), config, out)
             assert code in (0, 2)
             runs.append(out)
         fit_files = sorted(p.name for p in runs[0].iterdir() if p.suffix in (".json", ".csv"))

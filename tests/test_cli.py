@@ -125,6 +125,21 @@ class TestIngest:
         assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
+    def test_duplicate_type_names(self, tmp_path):
+        path = write_csv(tmp_path, ["k,known:s,1,1,1"], header="location,role,a,b,a")
+        with pytest.raises(IngestError, match=f"^{path}: catalog type names must be unique"):
+            ingest_csv(path)
+
+    def test_empty_location_name(self, tmp_path):
+        path = write_csv(tmp_path, [" ,known:s,1,1,1"])
+        with pytest.raises(IngestError, match=f"^{path}:2: empty location name"):
+            ingest_csv(path)
+
+    def test_empty_source_name(self, tmp_path):
+        path = write_csv(tmp_path, ["k,known: ,1,1,1"])
+        with pytest.raises(IngestError, match=f"^{path}: location 'k' claims an empty source"):
+            ingest_csv(path)
+
     def test_unknown_role(self, tmp_path):
         path = write_csv(tmp_path, ["k,mystery,1,1,1"])
         with pytest.raises(IngestError, match="role"):
@@ -201,11 +216,26 @@ class TestConfig:
         with pytest.raises(TypeError):
             FitConfig(optimizer=None)
 
-    def test_seed_override(self, tmp_path, quick_config):
-        # the fit draws no random numbers; the seed is provenance only
-        out = tmp_path / "run"
-        cmd_fit(fixture_path(), quick_config, out, seed=42)
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 42
+    def test_seed_override(self, tmp_path):
+        # only a study draws random numbers: the seed argument (``--seed``)
+        # overrides its spec's seed, and the fit takes no seed
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump(TINY_STUDY))
+        assert load_study_spec(path).rng_seed == 5
+        assert load_study_spec(path, seed=9).rng_seed == 9
+        with pytest.raises(TypeError):
+            cmd_fit(fixture_path(), None, tmp_path / "run", seed=9)
+
+    @pytest.mark.parametrize("text, message", [
+        ("- 1\n- 2\n", "config must be a mapping"),
+        ("fit: 3\n", "config section 'fit' must be a mapping"),
+        ("unknown_sources: -1\n", "unknown_sources must be a non-negative integer, got -1"),
+    ])
+    def test_malformed_config_is_named(self, tmp_path, text, message):
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +247,26 @@ def quick_config(tmp_path_factory):
 
 
 class TestCmdFit:
+    def test_converged_fit_exits_ok(self, tmp_path):
+        out = tmp_path / "run"
+        assert cmd_fit(fixture_path(), None, out) == cli.EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is True
+        assert manifest["seed"] is None  # the fit draws no random numbers
+
+    def test_config_not_utf8_is_named(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes("# caf\u00e9\nfit: {outer_max_iters: 2}\n".encode("latin-1"))
+        assert cmd_fit(fixture_path(), config, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text")
+
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("")
+        assert cmd_fit(fixture_path(), None, out) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: output path {out} exists and is not a directory\n")
+
     def test_exit_codes_and_outputs(self, tmp_path, quick_config):
         out = tmp_path / "run"
         code = cmd_fit(fixture_path(), quick_config, out)
@@ -309,21 +359,33 @@ class TestCmdFit:
         assert out == "" and err.startswith(f"error: malformed {path}: ")
 
 
+TINY_STUDY = {
+    "profiles": {
+        "types": ["a", "b", "c", "d"],
+        "rows": [[0.7, 0.2, 0.05, 0.05], [0.05, 0.1, 0.25, 0.6]],
+    },
+    "unknown_shares": [0.3],
+    "sample_sizes": [60],
+    "samples_per_trace": 2,
+    "known_samples": 3,
+    "replications": 1,
+    "seed": 5,
+}
+
+
 @pytest.fixture(scope="module")
 def tiny_study_spec(tmp_path_factory):
     path = tmp_path_factory.mktemp("spec") / "study.yaml"
-    path.write_text(yaml.safe_dump({
-        "profiles": {
-            "types": ["a", "b", "c", "d"],
-            "rows": [[0.7, 0.2, 0.05, 0.05], [0.05, 0.1, 0.25, 0.6]],
-        },
-        "unknown_shares": [0.3],
-        "sample_sizes": [60],
-        "samples_per_trace": 2,
-        "known_samples": 3,
-        "replications": 1,
-        "seed": 5,
-    }))
+    path.write_text(yaml.safe_dump(TINY_STUDY))
+    return path
+
+
+@pytest.fixture(scope="module")
+def converging_study_spec(tmp_path_factory):
+    # the tiny study with larger samples, whose one cell converges
+    path = tmp_path_factory.mktemp("spec") / "study.yaml"
+    path.write_text(yaml.safe_dump(
+        {**TINY_STUDY, "sample_sizes": [200], "samples_per_trace": 3, "known_samples": 4}))
     return path
 
 
@@ -337,6 +399,27 @@ class TestCmdSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
+
+    def test_converged_study_exits_ok(self, tmp_path, converging_study_spec):
+        out = tmp_path / "study"
+        assert cmd_simulate(converging_study_spec, None, out) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["converged"] is True
+
+    def test_spec_not_utf8_is_named(self, tmp_path, capsys):
+        path = tmp_path / "study.yaml"
+        path.write_bytes("# caf\u00e9\nreplications: 1\n".encode("latin-1"))
+        assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("text, message", [
+        ("- 1\n", "study spec must be a mapping"),
+        ("profiles: pooled\n", "profiles must be 'at_lq' or a mapping with 'types' and 'rows'"),
+    ])
+    def test_malformed_spec_is_named(self, tmp_path, text, message):
+        path = tmp_path / "study.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_study_spec(path)
 
     def test_seed_contract(self, tmp_path, tiny_study_spec):
         out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))
@@ -451,3 +534,20 @@ class TestMain:
                      "--out", str(out)])
         assert code == 2
         assert (out / "report.json").exists()
+
+    def test_fit_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(fixture_path()), "--out", "run", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    def test_simulate_and_report_dispatch(self, tmp_path, converging_study_spec, capsys):
+        out = tmp_path / "study"
+        assert main(["simulate", str(converging_study_spec), "--out", str(out),
+                     "--seed", "5"]) == cli.EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
+        run = tmp_path / "fit"
+        assert main(["fit", str(fixture_path()), "--out", str(run)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert main(["report", str(run)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("converged: True")

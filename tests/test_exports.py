@@ -1,8 +1,11 @@
 import importlib
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import dustmix
+from dustmix.posterior import density_grid
 
 MODULES = ["dustmix", "dustmix.cli", "dustmix.datasets", "dustmix.model", "dustmix.mstep",
            "dustmix.numerics", "dustmix.posterior", "dustmix.simulator", "dustmix.vbi"]
@@ -29,3 +32,24 @@ def test_single_sample_state_is_not_defined():
     for module in map(importlib.import_module, MODULES):
         for name in ("VariationalState", "elbo_sample"):
             assert name not in module.__all__ and not hasattr(module, name)
+
+
+def test_unused_helpers_are_not_defined():
+    # scalar Beta density and CDF, and building a sample from particle labels:
+    # nothing in the package or its benchmark called them
+    for module in map(importlib.import_module, MODULES):
+        for name in ("beta_log_pdf", "beta_pdf", "beta_cdf", "collapse_to_counts"):
+            assert name not in module.__all__ and not hasattr(module, name)
+    assert not hasattr(dustmix.ParticleCatalog, "index_of")
+
+
+def test_options_that_changed_nothing_are_refused():
+    # a scenario's seed (the corpus is drawn from the generator passed in),
+    # a matrix's role and the density grid's size (every caller used the
+    # default); the fit's seed is checked in test_cli
+    assert "rng_seed" not in {f.name for f in fields(dustmix.ScenarioSpec)}
+    with pytest.raises(TypeError):
+        dustmix.DirichletMatrix(np.ones((1, 2)), role="H")
+    assert not hasattr(dustmix.DirichletMatrix, "shape")
+    with pytest.raises(TypeError):
+        density_grid(dustmix.BetaShape(2.0, 2.0), n=8)

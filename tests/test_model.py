@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dustmix.datasets import at_lq_corpus
 from dustmix.model import (
     Corpus,
     DirichletMatrix,
@@ -8,7 +9,6 @@ from dustmix.model import (
     LocationRole,
     ParticleCatalog,
     SampleCounts,
-    collapse_to_counts,
     validate_corpus,
 )
 
@@ -26,10 +26,6 @@ class TestCatalog:
     def test_unique_names(self):
         with pytest.raises(ValueError):
             ParticleCatalog(("a", "b", "a"))
-
-    def test_index_of_unknown(self, small_catalog):
-        with pytest.raises(KeyError):
-            small_catalog.index_of("Feldspar")
 
 
 class TestSampleCounts:
@@ -58,20 +54,22 @@ class TestSampleCounts:
         largest = 2**63 - 1
         assert SampleCounts(np.array([2**62, largest - 2**62])).total == largest
 
+    @pytest.mark.parametrize("count", [2.0**63, 1e19], ids=["2**63", "1e19"])
+    def test_float_count_must_fit_in_int64(self, count):
+        # refused by name before the int64 cast, which would wrap them to -2**63
+        with pytest.raises(ValueError, match=f"count {int(count)} does not fit in a 64-bit"):
+            SampleCounts(np.array([count, 1.0]))
+        assert SampleCounts(np.array([2.0**62, 1.0])).total == 2**62 + 1
 
-class TestCollapse:
-    def test_counts_occurrences(self, small_catalog):
-        sample = collapse_to_counts(["Quartz", "Quartz", "Biotite"], small_catalog)
-        assert sample.counts.tolist() == [0, 1, 2]
-        assert sample.total == 3
+    def test_rejects_matrix(self):
+        with pytest.raises(ValueError, match="counts must be a one-dimensional vector"):
+            SampleCounts(np.ones((2, 2), dtype=np.int64))
 
-    def test_empty_rejected(self, small_catalog):
-        with pytest.raises(ValueError):
-            collapse_to_counts([], small_catalog)
 
-    def test_unknown_label_named(self, small_catalog):
-        with pytest.raises(KeyError, match="Gypsum"):
-            collapse_to_counts(["Quartz", "Gypsum"], small_catalog)
+class TestLocationRole:
+    def test_known_source_index_non_negative(self):
+        with pytest.raises(ValueError, match="source_index must be non-negative"):
+            LocationRole.known(-1)
 
 
 def _two_source_corpus(small_catalog, n_unknown=0, claims=(0, 1)):
@@ -96,6 +94,11 @@ class TestValidateCorpus:
     def test_two_unknown_sources_flagged(self, small_catalog):
         violations = validate_corpus(_two_source_corpus(small_catalog, n_unknown=2))
         assert any(v.code == "unknown-source-limit" for v in violations)
+
+    def test_negative_unknown_source_count_flagged(self, small_catalog):
+        violations = validate_corpus(_two_source_corpus(small_catalog, n_unknown=-1))
+        assert [(v.code, v.message) for v in violations] == [
+            ("unknown-source-count", "unknown-source count cannot be negative")]
 
     @pytest.mark.parametrize("trace_samples", [None, ()])
     def test_unknown_source_without_trace_sample_flagged(self, small_catalog, trace_samples):
@@ -163,6 +166,10 @@ class TestCorpusProperties:
             189, 21, 1, 3, 3, 0, 9, 3, 0, 16, 5, 74, 0, 11,
         ]
 
+    def test_dropping_an_absent_location_is_named(self):
+        with pytest.raises(KeyError, match="no location named 'XX' in the bundled corpus"):
+            at_lq_corpus(drop_known="XX")
+
     def test_unknown_source_naming(self, corpus_at_known):
         assert corpus_at_known.source_names == ("AT", "unknown")
         assert corpus_at_known.n_sources == 2
@@ -176,13 +183,9 @@ class TestCorpusProperties:
 class TestDirichletMatrix:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            DirichletMatrix(np.array([[1.0, 0.0]]), role="H")
-
-    def test_rejects_bad_role(self):
-        with pytest.raises(ValueError):
-            DirichletMatrix(np.ones((2, 2)), role="X")
+            DirichletMatrix(np.array([[1.0, 0.0]]))
 
     def test_values_read_only(self):
-        matrix = DirichletMatrix(np.ones((2, 3)), role="H")
+        matrix = DirichletMatrix(np.ones((2, 3)))
         with pytest.raises(ValueError):
             matrix.values[0, 0] = 2.0

@@ -581,10 +581,11 @@ class TestMstep:
         built = []
         check = DirichletMatrix.__post_init__
         monkeypatch.setattr(DirichletMatrix, "__post_init__",
-                            lambda matrix: built.append(matrix.role) or check(matrix))
+                            lambda matrix: built.append(matrix) or check(matrix))
         result = fit(corpus_both_known, FitConfig(outer_max_iters=6))
         assert result.iterations == 6
-        assert sorted(built) == ["A", "H"]
+        assert len(built) == 2
+        assert built[0] is result.H_converged and built[1] is result.A_converged
 
     def test_fit_regime_on_bundled_corpus(self, fit_both_known):
         # converged trace rows show the expected dominance pattern

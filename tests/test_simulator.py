@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from dustmix import simulator
 from dustmix.model import ParticleCatalog, SampleCounts
 from dustmix.simulator import (
     ScenarioSpec,
@@ -110,7 +113,7 @@ class TestScenario:
             samples_per_trace=3,
             known_sample_counts=(4,),
         )
-        corpus = generate_corpus(spec)
+        corpus = generate_corpus(spec, np.random.default_rng(np.random.SeedSequence(0)))
         assert corpus.n_locations == 3
         assert corpus.n_unknown_sources == 1
         assert [len(l.samples) for l in corpus.locations] == [4, 3, 3]
@@ -126,7 +129,7 @@ class TestScenario:
             known_sample_counts=(2,),
             known_particles_per_sample=200,
         )
-        corpus = generate_corpus(spec)
+        corpus = generate_corpus(spec, np.random.default_rng(np.random.SeedSequence(0)))
         assert all(s.total == 200 for s in corpus.locations[0].samples)
         assert all(s.total == 50 for s in corpus.locations[1].samples)
 
@@ -137,6 +140,12 @@ class TestScenario:
         with pytest.raises(ValueError):
             ScenarioSpec(catalog=catalog, true_profiles=np.array([[0.5, 0.5]]),
                          trace_mixtures=((1.0,),), particles_per_sample=10)
+        with pytest.raises(ValueError, match="each trace mixture must have one share per source"):
+            ScenarioSpec(catalog=catalog, true_profiles=PROFILES,
+                         trace_mixtures=((0.2, 0.3, 0.5),), particles_per_sample=10)
+        with pytest.raises(ValueError, match="more known sources than profile rows"):
+            ScenarioSpec(catalog=catalog, true_profiles=PROFILES, trace_mixtures=((0.5, 0.5),),
+                         particles_per_sample=10, known_sample_counts=(2, 2, 2))
 
 
     @pytest.mark.parametrize("field, value", [
@@ -149,8 +158,6 @@ class TestScenario:
         ("known_sample_counts", (0,)),
         ("known_particles_per_sample", 10.5),
         ("known_particles_per_sample", 0),
-        ("rng_seed", -1),
-        ("rng_seed", 0.5),
     ])
     def test_bad_counts_fail_at_construction(self, catalog, field, value):
         # a non-integer count once truncated (particles) or failed later in
@@ -163,12 +170,11 @@ class TestScenario:
     def test_integral_counts_are_stored_as_int(self, catalog):
         spec = ScenarioSpec(catalog=catalog, true_profiles=PROFILES, trace_mixtures=((0.5, 0.5),),
                             particles_per_sample=50.0, samples_per_trace=3.0,
-                            known_sample_counts=(2.0,), known_particles_per_sample=20.0,
-                            rng_seed=1.0)
+                            known_sample_counts=(2.0,), known_particles_per_sample=20.0)
         for value in (spec.particles_per_sample, spec.samples_per_trace,
-                      *spec.known_sample_counts, spec.known_particles_per_sample, spec.rng_seed):
+                      *spec.known_sample_counts, spec.known_particles_per_sample):
             assert type(value) is int
-        corpus = generate_corpus(spec)
+        corpus = generate_corpus(spec, np.random.default_rng(np.random.SeedSequence(0)))
         assert [len(l.samples) for l in corpus.locations] == [2, 3]
         assert [s.total for l in corpus.locations for s in l.samples] == [20, 20, 50, 50, 50]
 
@@ -213,6 +219,14 @@ class TestStudy:
     ])
     def test_bad_counts_and_mixture_fail_at_construction(self, catalog, field, value):
         with pytest.raises(ValueError, match=field):
+            self._study(catalog, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("true_profiles", np.vstack([PROFILES, PROFILES[:1]])),
+        ("known_sample_counts", (3, 3)),
+    ], ids=["three-sources", "two-known"])
+    def test_design_must_be_one_known_and_one_unknown(self, catalog, field, value):
+        with pytest.raises(ValueError, match="exactly two sources, the first known"):
             self._study(catalog, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
@@ -271,6 +285,28 @@ class TestStudy:
         assert run_study(base, FitConfig(outer_max_iters=15)).cells != run_study(
             other, FitConfig(outer_max_iters=15)
         ).cells
+
+    def test_failed_cells_are_recorded(self, catalog, monkeypatch, tmp_path):
+        # a cell whose fit raises keeps the study running: its row carries
+        # the error, blank estimates, and counts as a failure in the aggregate
+        def failing_fit(corpus, config):
+            raise ValueError("fit exploded")
+
+        monkeypatch.setattr(simulator, "fit", failing_fit)
+        study = self._study(catalog, unknown_shares=(0.3,), sample_sizes=(40,),
+                            second_trace_mixture=(0.5, 0.5))
+        results = run_study(study)
+        assert [c.error for c in results.cells] == ["fit exploded"] * 2
+        assert all(c.theta_unknown_mean == () and not c.converged for c in results.cells)
+        assert results.aggregate() == [
+            {"unknown_share": 0.3, "sample_size": 40, "replications": 0, "failures": 2}]
+        write_cells_csv(results, tmp_path / "cells.csv")
+        rows = list(csv.reader((tmp_path / "cells.csv").read_text().splitlines()))
+        assert len(rows) == 3 and all(len(row) == len(rows[0]) for row in rows)
+        for rep, row in enumerate(rows[1:]):
+            # share, size, replication, converged, iterations, then a blank
+            # bound, 2 traces x (mean, mode) and 4 profile entries, the error
+            assert row == ["0.3", "40", str(rep), "0", "0"] + [""] * 9 + ["fit exploded"]
 
     def test_threaded_matches_serial(self, catalog):
         study = self._study(catalog)
