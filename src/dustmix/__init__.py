@@ -27,7 +27,7 @@ from .numerics import (
     digamma,
     log_gamma,
 )
-from .posterior import PosteriorReport, beta_profile_marginal, build_report, theta_marginal
+from .posterior import PosteriorReport, build_report, theta_marginal
 from .simulator import ScenarioSpec, StudySpec, generate_sample, profiles_from_counts, run_study
 from .vbi import FitConfig, NumericalFailure, fit
 
@@ -52,7 +52,6 @@ __all__ = [
     "Violation",
     "__version__",
     "beta_hpdi",
-    "beta_profile_marginal",
     "beta_summary",
     "build_report",
     "digamma",

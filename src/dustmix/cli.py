@@ -31,7 +31,8 @@ from .model import (
     SampleCounts,
     validate_corpus,
 )
-from .posterior import build_report, write_plot_csvs, write_report_json, write_summary_csv
+from .posterior import (build_report, write_plot_csvs, write_report_json, write_summary_csv,
+                        write_table)
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
 from .vbi import FitConfig, NumericalFailure, as_integer, as_real, fit
 
@@ -268,14 +269,6 @@ def _prepare_out_dir(out: Path, force: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
 
-def _write_elbo_trace(trace, path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "elbo"])
-        for i, value in enumerate(trace, start=1):
-            writer.writerow([i, repr(float(value))])
-
-
 def cmd_fit(
     corpus_path: Path | str,
     config_path: Path | str | None,
@@ -297,7 +290,8 @@ def cmd_fit(
         write_report_json(report, out / "report.json")
         write_summary_csv(report, out / "summary.csv")
         write_plot_csvs(report, out)
-        _write_elbo_trace(result.elbo_trace, out / "elbo_trace.csv")
+        write_table(out / "elbo_trace.csv", ["iteration", "elbo"],
+                    enumerate(result.elbo_trace, start=1))
         inputs = [_input_record(Path(corpus_path))]
         if config_path is not None:
             inputs.append(_input_record(Path(config_path)))

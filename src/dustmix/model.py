@@ -63,11 +63,14 @@ class SampleCounts:
             raise ValueError("counts must be a one-dimensional vector")
         if not np.issubdtype(arr.dtype, np.integer):
             rounded = np.rint(arr)
-            if not np.all(np.isfinite(arr)) or np.any(np.abs(arr - rounded) > 0):
+            if (arr.dtype == np.bool_ or not np.all(np.isfinite(arr))
+                    or np.any(np.abs(arr - rounded) > 0)):
                 raise ValueError("counts must be integers")
             if np.any(rounded >= 2.0**63):  # the int64 cast would wrap it
                 raise ValueError(f"count {int(rounded.max())} does not fit in a 64-bit integer")
             arr = rounded
+        elif arr.dtype == np.uint64 and np.any(arr >= np.uint64(2**63)):
+            raise ValueError(f"count {int(arr.max())} does not fit in a 64-bit integer")
         if np.any(arr < 0):
             raise ValueError("counts must be non-negative")
         arr = arr.astype(np.int64)

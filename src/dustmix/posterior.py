@@ -5,11 +5,14 @@ marginal of one coordinate against the rest is a Beta whose parameters come
 straight off the row.  A trace mixing row carries the fitted mean share and
 a linear-response concentration (see ``FitResult.A_converged``), so its
 intervals reflect the model's uncertainty about the share; a profile row is
-the fitted profile hyperparameter matrix row.  The report collects, for each trace location and
-source, and for each source and particle type, the Beta shape plus mean,
-interior mode and highest-density interval, together with enough provenance
-to reproduce the run.  Plot data (density curves on a 512-point grid) are
-derived deterministically from the shapes at write time.
+the fitted profile hyperparameter matrix row.  The report collects, for each
+trace location and source, and for each source and particle type, the Beta
+shape plus mean, interior mode and highest-density interval, together with
+enough provenance to reproduce the run.  Plot data (density curves on a
+512-point grid) are derived deterministically from the shapes at write time.
+
+Every CSV table goes through :func:`write_table` but the 512-row density
+CSVs, whose bytes :func:`_write_density_csv` builds by hand twice as fast.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import betaln
@@ -29,7 +34,6 @@ from .numerics import BetaShape, CredibleInterval, beta_hpdis, beta_summary
 __all__ = [
     "MarginalSummary",
     "PosteriorReport",
-    "beta_profile_marginal",
     "build_report",
     "density_grid",
     "report_to_dict",
@@ -37,6 +41,7 @@ __all__ = [
     "write_plot_csvs",
     "write_report_json",
     "write_summary_csv",
+    "write_table",
 ]
 
 GRID_POINTS = 512
@@ -48,16 +53,11 @@ _GRID_X_TEXT = tuple(map(repr, _GRID_X.tolist()))
 _ZERO_ROWS = tuple(f"{x},0.0\r\n" for x in _GRID_X_TEXT)
 
 
-def theta_marginal(a_row: np.ndarray, m: int) -> BetaShape:
-    """Beta marginal of source ``m``'s share in a mixing row."""
-    row = np.asarray(a_row, dtype=np.float64)
-    return BetaShape(a=float(row[m]), b=float(row.sum() - row[m]))
-
-
-def beta_profile_marginal(h_row: np.ndarray, t: int) -> BetaShape:
-    """Beta marginal of type ``t``'s proportion in a profile row."""
-    row = np.asarray(h_row, dtype=np.float64)
-    return BetaShape(a=float(row[t]), b=float(row.sum() - row[t]))
+def theta_marginal(row: np.ndarray, i: int) -> BetaShape:
+    """Beta marginal of entry ``i`` of a Dirichlet row: a source's share in a
+    mixing row, or a particle type's proportion in a profile row."""
+    row = np.asarray(row, dtype=np.float64)
+    return BetaShape(a=float(row[i]), b=float(row.sum() - row[i]))
 
 
 @dataclass(frozen=True)
@@ -85,37 +85,18 @@ def build_report(fit: FitResult, corpus: Corpus, mass: float = 0.95) -> Posterio
     Every marginal's interval comes from one :func:`beta_hpdis` call.
     """
     source_names = corpus.source_names
-    type_names = corpus.catalog.type_names
-    theta_shapes = {
-        corpus.locations[loc_idx].name: [
-            (source_names[m], theta_marginal(fit.A_converged.values[row_idx], m))
-            for m in range(len(source_names))
-        ]
-        for row_idx, loc_idx in enumerate(fit.trace_locations)
-    }
-    beta_shapes = {
-        name: [
-            (type_names[t], beta_profile_marginal(fit.H_converged.values[m], t))
-            for t in range(len(type_names))
-        ]
-        for m, name in enumerate(source_names)
-    }
-
-    shapes = [
-        shape for block in (theta_shapes, beta_shapes) for group in block.values()
-        for _, shape in group
-    ]
-    intervals = iter(beta_hpdis([s.a for s in shapes], [s.b for s in shapes], mass))
-    theta, beta = [
-        {
-            group: tuple(
-                MarginalSummary(label, shape, *beta_summary(shape), next(intervals))
-                for label, shape in pairs
-            )
-            for group, pairs in block.items()
-        }
-        for block in (theta_shapes, beta_shapes)
-    ]
+    groups = [("theta", corpus.locations[loc_idx].name, source_names, fit.A_converged.values[r])
+              for r, loc_idx in enumerate(fit.trace_locations)]
+    groups += [("beta", name, corpus.catalog.type_names, fit.H_converged.values[m])
+               for m, name in enumerate(source_names)]
+    marginals = [(label, theta_marginal(row, i))
+                 for _, _, labels, row in groups for i, label in enumerate(labels)]
+    intervals = beta_hpdis([s.a for _, s in marginals], [s.b for _, s in marginals], mass)
+    summaries = (MarginalSummary(label, shape, *beta_summary(shape), interval)
+                 for (label, shape), interval in zip(marginals, intervals))
+    blocks: dict[str, dict[str, tuple[MarginalSummary, ...]]] = {"theta": {}, "beta": {}}
+    for kind, group, labels, _ in groups:
+        blocks[kind][group] = tuple(islice(summaries, len(labels)))
 
     provenance = {
         "converged": fit.converged,
@@ -128,7 +109,8 @@ def build_report(fit: FitResult, corpus: Corpus, mass: float = 0.95) -> Posterio
         "hpdi_mass": mass,
     }
 
-    return PosteriorReport(theta=theta, beta=beta, mass=mass, provenance=provenance)
+    return PosteriorReport(theta=blocks["theta"], beta=blocks["beta"], mass=mass,
+                           provenance=provenance)
 
 
 def density_grid(shape: BetaShape) -> tuple[np.ndarray, np.ndarray]:
@@ -179,9 +161,9 @@ def _slug(text: str) -> str:
 
 
 def _write_density_csv(path: Path, shape: BetaShape) -> None:
-    """The bytes ``csv.writer`` would write (repr of each float, CRLF line
-    ends; no field needs quoting), in one write; only nonzero densities are
-    formatted."""
+    """The bytes :func:`write_table` would write (repr of each float, CRLF
+    line ends; no field needs quoting), in one write; only nonzero densities
+    are formatted.  On these 512-row tables that is about twice as fast."""
     _, dens = density_grid(shape)
     rows = [zero if value == 0.0 else f"{x},{value!r}\r\n"
             for x, zero, value in zip(_GRID_X_TEXT, _ZERO_ROWS, dens.tolist())]
@@ -210,22 +192,29 @@ def write_plot_csvs(report: PosteriorReport, out_dir: Path | str) -> list[Path]:
 
 
 def _csv_field(value) -> object:
-    """A summary field as ``csv.writer`` should write it: ``None`` empty, a
-    bool as 0/1 and a float by its ``repr``, so that it reads back exactly."""
+    """A field as a table holds it: ``None`` empty, a bool as 0/1 and a
+    float by the ``repr`` of its Python float (numpy's ``repr`` names its
+    type), so that it reads back exactly; anything else as ``csv`` writes it."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return int(value)
-    return repr(value) if isinstance(value, float) else value
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def write_table(path: Path | str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, each field
+    formatted by :func:`_csv_field`."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_csv_field(value) for value in row] for row in rows)
 
 
 def write_summary_csv(report: PosteriorReport, path: Path | str) -> None:
     """One row per marginal: its kind and group, then the fields of its
     ``report.json`` entry in the same order."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "group", *_MARGINAL_FIELDS])
-        for kind, block in (("theta", report.theta), ("beta", report.beta)):
-            for group, summaries in block.items():
-                for s in summaries:
-                    writer.writerow([kind, group, *map(_csv_field, _marginal_dict(s).values())])
+    write_table(path, ["kind", "group", *_MARGINAL_FIELDS], (
+        [kind, group, *_marginal_dict(s).values()]
+        for kind, block in (("theta", report.theta), ("beta", report.beta))
+        for group, summaries in block.items() for s in summaries))

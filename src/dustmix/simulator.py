@@ -14,7 +14,6 @@ independently and may run in parallel.
 
 from __future__ import annotations
 
-import csv
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .model import Corpus, Location, LocationRole, ParticleCatalog, SampleCounts
 from .numerics import beta_summary
-from .posterior import theta_marginal
+from .posterior import theta_marginal, write_table
 from .vbi import FitConfig, as_integer, as_real, fit
 
 __all__ = [
@@ -361,37 +360,22 @@ def write_cells_csv(results: StudyResults, path: Path | str) -> None:
     header = ["unknown_share", "sample_size", "replication", "converged", "iterations", "elbo"]
     for j in range(n_traces):
         header += [f"trace{j}_mean", f"trace{j}_mode"]
-    header += [f"beta_unknown_{t}" for t in range(n_types)]
-    header.append("error")
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c in results.cells:
-            row: list = [repr(c.unknown_share), c.sample_size, c.replication,
-                         int(c.converged), c.iterations,
-                         "" if np.isnan(c.elbo) else repr(c.elbo)]
-            for j in range(n_traces):
-                if c.error is None:
-                    row += [repr(c.theta_unknown_mean[j]), repr(c.theta_unknown_mode[j])]
-                else:
-                    row += ["", ""]
-            if c.error is None:
-                row += [repr(v) for v in c.beta_unknown_mean]
-            else:
-                row += [""] * n_types
-            row.append(c.error or "")
-            writer.writerow(row)
+    header += [*(f"beta_unknown_{t}" for t in range(n_types)), "error"]
+    rows = []
+    for c in results.cells:
+        if c.error is None:
+            fitted = [v for j in range(n_traces)
+                      for v in (c.theta_unknown_mean[j], c.theta_unknown_mode[j])]
+            fitted += c.beta_unknown_mean
+        else:
+            fitted = [None] * (2 * n_traces + n_types)
+        rows.append([c.unknown_share, c.sample_size, c.replication, c.converged, c.iterations,
+                     None if np.isnan(c.elbo) else c.elbo, *fitted, c.error])
+    write_table(path, header, rows)
 
 
 def write_aggregate_csv(results: StudyResults, path: Path | str) -> None:
     rows = results.aggregate()
-    if not rows:
-        return
-    header = list(rows[0].keys())
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                repr(v) if isinstance(v, float) else v for v in (row.get(k, "") for k in header)
-            ])
+    if rows:
+        header = list(rows[0])
+        write_table(path, header, ([row.get(k) for k in header] for row in rows))

@@ -22,6 +22,7 @@ from dustmix.cli import (
     main,
 )
 from dustmix.datasets import fixture_path
+import _outputs
 
 HEADER = "location,role,a,b,c"
 
@@ -495,6 +496,22 @@ class TestCmdSimulate:
         study = load_study_spec(path)
         assert study.true_profiles.shape == (2, 14)
         assert study.catalog.n_types == 14
+
+
+def test_outputs_tool_digests_every_written_file(tmp_path):
+    # tests/_outputs.py: each fit's report, tables and 4 + 28 density curves,
+    # and the study's two tables; never a manifest
+    digests = _outputs.write_outputs(tmp_path)
+    fit_files = {"report.json", "summary.csv", "elbo_trace.csv"}
+    for run, _ in _outputs.SCENARIOS:
+        names = [key.split("/")[1] for key in digests if key.startswith(f"{run}/")]
+        assert fit_files <= set(names) and len(names) == 3 + 32
+        assert sum(name.startswith("theta_") for name in names) == 4
+        assert sum(name.startswith("beta_") for name in names) == 28
+    assert [key for key in digests if key.startswith("simulate/")] == [
+        "simulate/study_aggregate.csv", "simulate/study_cells.csv"]
+    assert len(digests) == 3 * 35 + 2
+    assert all(len(digest) == 64 for digest in digests.values())
 
 
 class TestMain:

@@ -36,9 +36,11 @@ def test_single_sample_state_is_not_defined():
 
 def test_unused_helpers_are_not_defined():
     # scalar Beta density and CDF, and building a sample from particle labels:
-    # nothing in the package or its benchmark called them
+    # nothing in the package or its benchmark called them; a profile row's
+    # marginal, which theta_marginal reads like any Dirichlet row's
     for module in map(importlib.import_module, MODULES):
-        for name in ("beta_log_pdf", "beta_pdf", "beta_cdf", "collapse_to_counts"):
+        for name in ("beta_log_pdf", "beta_pdf", "beta_cdf", "collapse_to_counts",
+                     "beta_profile_marginal"):
             assert name not in module.__all__ and not hasattr(module, name)
     assert not hasattr(dustmix.ParticleCatalog, "index_of")
 

@@ -61,6 +61,19 @@ class TestSampleCounts:
             SampleCounts(np.array([count, 1.0]))
         assert SampleCounts(np.array([2.0**62, 1.0])).total == 2**62 + 1
 
+    def test_unsigned_count_must_fit_in_int64(self):
+        # refused by name: the int64 cast would wrap 2**63 to a negative total
+        with pytest.raises(ValueError, match=f"count {2**63} does not fit in a 64-bit"):
+            SampleCounts(np.array([2**63, 1], dtype=np.uint64))
+        largest = np.array([2**63 - 1], dtype=np.uint64)
+        assert SampleCounts(largest).total == 2**63 - 1
+        assert SampleCounts(np.array([3, 1], dtype=np.uint8)).total == 4
+
+    def test_rejects_bool(self):
+        # np.rint turns a bool array into float16 counts
+        with pytest.raises(ValueError, match="counts must be integers"):
+            SampleCounts(np.array([True, False]))
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError, match="counts must be a one-dimensional vector"):
             SampleCounts(np.ones((2, 2), dtype=np.int64))

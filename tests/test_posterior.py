@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,7 +10,6 @@ from dustmix.numerics import BetaShape, beta_hpdi
 from dustmix.posterior import (
     MarginalSummary,
     PosteriorReport,
-    beta_profile_marginal,
     build_report,
     density_grid,
     report_to_dict,
@@ -17,6 +17,7 @@ from dustmix.posterior import (
     write_plot_csvs,
     write_report_json,
     write_summary_csv,
+    write_table,
 )
 
 from conftest import theta_interval
@@ -43,22 +44,23 @@ class TestThetaMarginal:
 
 
 class TestProfileMarginal:
+    # a profile row's marginals are read like a mixing row's
     def test_published_row(self):
         row = np.array([2315.42, 227.43, 17.50, 79.56, 33.14, 25.33, 70.77,
                         41.80, 7.76, 230.05, 45.80, 922.44, 1.98, 121.65])
-        shape = beta_profile_marginal(row, 0)
+        shape = theta_marginal(row, 0)
         assert shape.a == pytest.approx(2315.42)
         assert shape.b == pytest.approx(row.sum() - 2315.42)
 
     def test_flat_row(self):
-        shape = beta_profile_marginal(np.ones(14), 3)
+        shape = theta_marginal(np.ones(14), 3)
         assert (shape.a, shape.b) == (1.0, 13.0)
         assert shape.a / (shape.a + shape.b) == pytest.approx(1.0 / 14.0)
 
     def test_one_hot_dominant(self):
         row = np.full(14, 1e-6)
         row[5] = 1e6
-        shape = beta_profile_marginal(row, 5)
+        shape = theta_marginal(row, 5)
         assert shape.a / (shape.a + shape.b) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -103,6 +105,23 @@ class TestDensityGrid:
     def test_integrates_to_one_when_resolved(self, a, b):
         x, dens = density_grid(BetaShape(a, b))
         assert np.trapezoid(dens, x) == pytest.approx(1.0, abs=1e-3)
+
+
+class TestWriteTable:
+    def test_fields_as_csv_writer_gives_them_formatted(self, tmp_path):
+        # None empty, a bool as 0/1, a float (numpy's too) by its repr, and
+        # anything else as csv writes it, quoted where it must be
+        rows = [[None, True, 0.1, -0.0, 1e-300, 7, "a,b"],
+                [None, False, np.float64(0.25), float("nan"), -1.5e300, -7, "c"]]
+        formatted = [["", 1, "0.1", "-0.0", "1e-300", 7, "a,b"],
+                     ["", 0, "0.25", "nan", "-1.5e+300", -7, "c"]]
+        header = ["none", "bool", "float", "zero", "tiny", "int", "text"]
+        write_table(tmp_path / "table.csv", header, rows)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(header)
+        writer.writerows(formatted)
+        assert (tmp_path / "table.csv").read_bytes() == expected.getvalue().encode()
 
 
 class TestSerialization:

@@ -34,9 +34,11 @@ from dustmix.vbi import (
     fit,
     initialize,
 )
+from conftest import theta_interval
 from test_bad_input import BAD_INPUTS
 import _pins
 from _oracles import (
+    EXACT_SHARE_MEAN,
     EXACT_SHARE_SD,
     FROZEN_2X2,
     bundled_counts,
@@ -1486,14 +1488,18 @@ def _share_sd(row):
 
 
 class TestShareUncertainty:
-    @pytest.mark.parametrize("scenario", ["both-known", "at-known", "lq-known"])
-    def test_share_sd_matches_exact_posterior(self, scenario, request):
-        # the fitted hyperparameter rows alone give sds 10-25x too small
+    @staticmethod
+    def _bundled_fit(scenario, request):
         key = scenario.replace("-", "_")
         result = request.getfixturevalue(f"fit_{key}")
         if scenario == "both-known":
             result = result[0]
-        corpus = request.getfixturevalue(f"corpus_{key}")
+        return result, request.getfixturevalue(f"corpus_{key}")
+
+    @pytest.mark.parametrize("scenario", ["both-known", "at-known", "lq-known"])
+    def test_share_sd_matches_exact_posterior(self, scenario, request):
+        # the fitted hyperparameter rows alone give sds 10-25x too small
+        result, corpus = self._bundled_fit(scenario, request)
         for row, loc_idx in zip(result.A_converged.values, result.trace_locations):
             name = corpus.locations[loc_idx].name
             ratio = _share_sd(row) / EXACT_SHARE_SD[scenario][name]
@@ -1507,6 +1513,23 @@ class TestShareUncertainty:
         )
         expected = EXACT_SHARE_SD["lq-known"]
         assert_allclose(sd[:, 1], [expected["e1"], expected["e2"]], rtol=0.1)
+
+    @pytest.mark.parametrize("scenario", ["both-known", "at-known", "lq-known"])
+    def test_share_mean_matches_exact_posterior(self, scenario, request):
+        # the largest gap is 0.0252, at AT-known e2, whose chains spread by 0.0035
+        result, corpus = self._bundled_fit(scenario, request)
+        for name, exact in EXACT_SHARE_MEAN[scenario].items():
+            mean, _ = theta_interval(result, corpus, name, 1)
+            assert abs(mean - exact) <= 0.03, (name, mean, exact)
+
+    def test_exact_share_means_regenerate(self):
+        counts = bundled_counts()
+        mean, _ = gibbs_trace_shares(
+            [counts["LQ"]], [counts["e1"][0], counts["e2"][0]], 2,
+            sweeps=20000, burn_in=2000, seed=1,
+        )
+        expected = EXACT_SHARE_MEAN["lq-known"]
+        assert_allclose(mean[:, 1], [expected["e1"], expected["e2"]], atol=0.005)
 
     def test_rows_usable_after_one_outer_iteration(self, corpus_lq_known):
         rows = fit(corpus_lq_known, FitConfig(outer_max_iters=1)).A_converged.values
