@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import sys
@@ -25,10 +26,8 @@ from . import __version__
 from .model import (
     Corpus,
     CorpusValidationError,
-    Location,
     LocationRole,
     ParticleCatalog,
-    SampleCounts,
     validate_corpus,
 )
 from .posterior import (build_report, write_plot_csvs, write_report_json, write_summary_csv,
@@ -56,7 +55,8 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     first appearance); all rows of a location must agree on its role.  The
     file is UTF-8, with or without a byte-order mark.  A count is ASCII
     decimal digits, and a row's counts and their total are at most the
-    largest 64-bit integer.
+    largest 64-bit integer.  Blank lines are skipped; an error names the
+    file line its record ends on (a quoted field may span lines).
     """
     path = Path(path)
     try:
@@ -65,11 +65,13 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # (the file line a record ends on, its fields) for every record that is not blank
+    rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
         raise IngestError(f"{path}: file is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in first[1]]
     if len(header) < 4 or header[0].lower() != "location" or header[1].lower() != "role":
         raise IngestError(
             f"{path}: header must be 'location,role,<type names...>' with at least two types"
@@ -79,14 +81,10 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from exc
 
-    order: list[str] = []
-    roles: dict[str, str] = {}
-    samples: dict[str, list[np.ndarray]] = {}
-    for r, row in enumerate(rows[1:], start=2):
+    groups: dict[str, tuple[str, list[np.ndarray]]] = {}
+    for r, row in rows:
         if len(row) != len(header):
-            raise IngestError(
-                f"{path}:{r}: expected {len(header)} columns, got {len(row)}"
-            )
+            raise IngestError(f"{path}:{r}: expected {len(header)} columns, got {len(row)}")
         loc_name = row[0].strip()
         role = row[1].strip()
         if not loc_name:
@@ -114,21 +112,18 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
             raise IngestError(f"{path}:{r}: sample holds no particles")
         if total > np.iinfo(np.int64).max:
             raise IngestError(f"{path}:{r}: total count {total} does not fit in a 64-bit integer")
-        if loc_name not in roles:
-            order.append(loc_name)
-            roles[loc_name] = role
-            samples[loc_name] = []
-        elif roles[loc_name] != role:
+        first_role, vectors = groups.setdefault(loc_name, (role, []))
+        if first_role != role:
             raise IngestError(
                 f"{path}:{r}: location {loc_name!r} declared with conflicting roles "
-                f"{roles[loc_name]!r} and {role!r}"
+                f"{first_role!r} and {role!r}"
             )
-        samples[loc_name].append(counts)
+        vectors.append(counts)
 
-    source_order: list[str] = []
     claimed_by: dict[str, str] = {}
-    for loc_name in order:
-        role = roles[loc_name]
+    located = []
+    for loc_name, (role, vectors) in groups.items():
+        loc_role = LocationRole.trace()
         if role.startswith("known:"):
             source_name = role[len("known:"):].strip()
             if not source_name:
@@ -138,27 +133,10 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
                     f"{path}: known source {source_name!r} claimed by both "
                     f"{claimed_by[source_name]!r} and {loc_name!r}"
                 )
+            loc_role = LocationRole.known(len(claimed_by))
             claimed_by[source_name] = loc_name
-            source_order.append(source_name)
-
-    locations: list[Location] = []
-    for i, loc_name in enumerate(order):
-        role = roles[loc_name]
-        if role.startswith("known:"):
-            loc_role = LocationRole.known(source_order.index(role[len("known:"):].strip()))
-        else:
-            loc_role = LocationRole.trace()
-        loc_samples = tuple(
-            SampleCounts(counts=arr, location_id=i, sample_index=s)
-            for s, arr in enumerate(samples[loc_name])
-        )
-        locations.append(Location(name=loc_name, role=loc_role, samples=loc_samples))
-
-    corpus = Corpus(
-        catalog=catalog,
-        locations=tuple(locations),
-        n_unknown_sources=unknown_sources,
-    )
+        located.append((loc_name, loc_role, vectors))
+    corpus = Corpus.from_groups(catalog, located, unknown_sources)
     violations = validate_corpus(corpus)
     if violations:
         raise IngestError(

@@ -10,11 +10,12 @@ pipeline.
 from __future__ import annotations
 
 import importlib.resources
+import itertools
 from pathlib import Path
 
 import numpy as np
 
-from .model import Corpus
+from .model import Corpus, LocationRole
 from .simulator import profiles_from_counts
 
 __all__ = ["at_lq_corpus", "at_lq_point_profiles", "fixture_path"]
@@ -34,7 +35,8 @@ def at_lq_corpus(unknown_sources: int = 0, drop_known: str | None = None) -> Cor
 
     ``drop_known`` removes that location's control samples entirely (its
     source then has to be declared via ``unknown_sources=1``), which turns
-    the two-known-source setup into the single-known-source ones.
+    the two-known-source setup into the single-known-source ones.  The
+    remaining known locations claim sources 0, 1, ... in their order.
     """
     from .cli import ingest_csv
 
@@ -44,23 +46,10 @@ def at_lq_corpus(unknown_sources: int = 0, drop_known: str | None = None) -> Cor
     kept = [loc for loc in corpus.locations if loc.name != drop_known]
     if len(kept) == len(corpus.locations):
         raise KeyError(f"no location named {drop_known!r} in the bundled corpus")
-    relabeled = []
-    next_known = 0
-    for i, loc in enumerate(kept):
-        role = loc.role
-        if role.is_known:
-            role = role.known(next_known)
-            next_known += 1
-        samples = tuple(
-            type(s)(counts=s.counts, location_id=i, sample_index=s.sample_index)
-            for s in loc.samples
-        )
-        relabeled.append(type(loc)(name=loc.name, role=role, samples=samples))
-    return Corpus(
-        catalog=corpus.catalog,
-        locations=tuple(relabeled),
-        n_unknown_sources=unknown_sources,
-    )
+    known = itertools.count()
+    return Corpus.from_groups(corpus.catalog, (
+        (loc.name, LocationRole.known(next(known)) if loc.role.is_known else loc.role,
+         [s.counts for s in loc.samples]) for loc in kept), unknown_sources)
 
 
 def at_lq_point_profiles() -> tuple[tuple[str, ...], np.ndarray]:

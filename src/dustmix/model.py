@@ -1,18 +1,20 @@
 """Domain types for particle-count corpora and the result of a fit.
 
 A corpus is a fixed catalog of particle types plus an ordered list of
-sampling locations, each holding count samples.  Locations are either known
-surfaces tied to exactly one source (their mixing prior stays pinned during
-fitting) or trace surfaces whose source mixture is the estimand.  Per-sample
-data are stored as per-type counts: responsibilities depend on a particle
-only through its type, so all particles of a type share one responsibility
-row and the collapsed representation is exact.
+sampling locations, each holding count samples; :meth:`Corpus.from_groups`
+builds every corpus in ``dustmix`` and numbers each sample by its location's
+position and its own.  Locations are either known surfaces tied to exactly
+one source (their mixing prior stays pinned during fitting) or trace
+surfaces whose source mixture is the estimand.  Per-sample data are stored
+as per-type counts: responsibilities depend on a particle only through its
+type, so all particles of a type share one responsibility row and the
+collapsed representation is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,6 +140,20 @@ class Corpus:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "locations", tuple(self.locations))
+
+    @classmethod
+    def from_groups(
+        cls,
+        catalog: ParticleCatalog,
+        groups: Iterable[tuple[str, LocationRole, Iterable[np.ndarray]]],
+        n_unknown_sources: int = 0,
+    ) -> "Corpus":
+        """The corpus of ``groups``: one (name, role, count vectors) triple per
+        location, in location order.  Each sample's ``location_id`` and
+        ``sample_index`` are its location's position and its own."""
+        return cls(catalog, tuple(
+            Location(name, role, tuple(SampleCounts(c, i, s) for s, c in enumerate(vectors)))
+            for i, (name, role, vectors) in enumerate(groups)), n_unknown_sources)
 
     @property
     def n_locations(self) -> int:
@@ -279,30 +295,13 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         if not loc.samples:
             violations.append(Violation("empty-location", f"location {loc.name!r} holds no sample"))
         for sample in loc.samples:
+            where = f"sample {sample.sample_index} at location {loc.name!r}"
             if sample.counts.shape[0] != T:
-                violations.append(
-                    Violation(
-                        "sample-length",
-                        f"sample {sample.sample_index} at location {loc.name!r} has "
-                        f"{sample.counts.shape[0]} type counts, catalog has {T}",
-                    )
-                )
+                message = f"{where} has {sample.counts.shape[0]} type counts, catalog has {T}"
+                violations.append(Violation("sample-length", message))
             if sample.location_id != i:
-                violations.append(
-                    Violation(
-                        "sample-location",
-                        f"sample {sample.sample_index} at location {loc.name!r} carries "
-                        f"location_id {sample.location_id}, expected {i}",
-                    )
-                )
-            if np.any(sample.counts < 0) or sample.counts.sum() < 1:
-                violations.append(
-                    Violation(
-                        "sample-counts",
-                        f"sample {sample.sample_index} at location {loc.name!r} must hold "
-                        "non-negative counts totalling at least one particle",
-                    )
-                )
+                message = f"{where} carries location_id {sample.location_id}, expected {i}"
+                violations.append(Violation("sample-location", message))
 
     n_known = len(claims)
     for idx, names in sorted(claims.items()):

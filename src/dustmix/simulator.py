@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Corpus, Location, LocationRole, ParticleCatalog, SampleCounts
+from .model import Corpus, LocationRole, ParticleCatalog, SampleCounts
 from .numerics import beta_summary
 from .posterior import theta_marginal, write_table
 from .vbi import FitConfig, as_integer, as_real, fit
@@ -112,15 +112,8 @@ class ScenarioSpec:
         return len(self.known_sample_counts)
 
 
-def generate_sample(
-    theta: Sequence[float],
-    profiles: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    location_id: int = 0,
-    sample_index: int = 0,
-) -> SampleCounts:
-    """Draw one n-particle sample: source ~ theta, type ~ that source's profile."""
+def _draw_counts(theta: Sequence[float], profiles: np.ndarray, n: int,
+                 rng: np.random.Generator) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     profiles = np.asarray(profiles, dtype=np.float64)
     if n < 1:
@@ -131,39 +124,32 @@ def generate_sample(
     for m, n_m in enumerate(per_source):
         if n_m > 0:
             counts += rng.multinomial(int(n_m), profiles[m])
-    return SampleCounts(counts=counts, location_id=location_id, sample_index=sample_index)
+    return counts
+
+
+def generate_sample(
+    theta: Sequence[float],
+    profiles: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
+) -> SampleCounts:
+    """Draw one n-particle sample: source ~ theta, type ~ that source's profile.
+    Its ids are 0: :meth:`Corpus.from_groups` numbers the samples of a corpus."""
+    return SampleCounts(_draw_counts(theta, profiles, n, rng))
 
 
 def generate_corpus(spec: ScenarioSpec, rng: np.random.Generator) -> Corpus:
     """Materialize one corpus from a scenario, known locations then traces,
-    with every draw from ``rng``."""
+    with every draw from ``rng`` in that order, sample by sample."""
     M = spec.n_sources
-    locations: list[Location] = []
-    loc_id = 0
     known_n = spec.known_particles_per_sample or spec.particles_per_sample
-    for k, n_samples in enumerate(spec.known_sample_counts):
-        theta = np.zeros(M)
-        theta[k] = 1.0
-        samples = tuple(
-            generate_sample(theta, spec.true_profiles, known_n, rng,
-                            location_id=loc_id, sample_index=s)
-            for s in range(n_samples)
-        )
-        locations.append(Location(name=f"known_{k}", role=LocationRole.known(k), samples=samples))
-        loc_id += 1
-    for j, mixture in enumerate(spec.trace_mixtures):
-        samples = tuple(
-            generate_sample(mixture, spec.true_profiles, spec.particles_per_sample, rng,
-                            location_id=loc_id, sample_index=s)
-            for s in range(spec.samples_per_trace)
-        )
-        locations.append(Location(name=f"trace_{j}", role=LocationRole.trace(), samples=samples))
-        loc_id += 1
-    return Corpus(
-        catalog=spec.catalog,
-        locations=tuple(locations),
-        n_unknown_sources=M - spec.n_known,
-    )
+    plan = [(f"known_{k}", LocationRole.known(k), np.eye(M)[k], known_n, n_samples)
+            for k, n_samples in enumerate(spec.known_sample_counts)]
+    plan += [(f"trace_{j}", LocationRole.trace(), mixture, spec.particles_per_sample,
+              spec.samples_per_trace) for j, mixture in enumerate(spec.trace_mixtures)]
+    return Corpus.from_groups(spec.catalog, (
+        (name, role, [_draw_counts(theta, spec.true_profiles, n, rng) for _ in range(n_samples)])
+        for name, role, theta, n, n_samples in plan), M - spec.n_known)
 
 
 def profiles_from_counts(samples: Sequence[SampleCounts]) -> np.ndarray:
@@ -375,7 +361,12 @@ def write_cells_csv(results: StudyResults, path: Path | str) -> None:
 
 
 def write_aggregate_csv(results: StudyResults, path: Path | str) -> None:
-    rows = results.aggregate()
-    if rows:
-        header = list(rows[0])
-        write_table(path, header, ([row.get(k) for k in header] for row in rows))
+    """Write :meth:`StudyResults.aggregate`, one row per grid cell.  The
+    header comes from the spec, so a cell whose replications all failed
+    leaves its means blank."""
+    n_types = results.spec.true_profiles.shape[1]
+    n_traces = 2 if results.spec.second_trace_mixture is not None else 1
+    header = ["unknown_share", "sample_size", "replications", "failures"]
+    header += [f"trace{j}_{what}" for j in range(n_traces) for what in ("mean", "mode", "abs_err")]
+    header += [f"beta_unknown_{t}" for t in range(n_types)]
+    write_table(path, header, ([row.get(k) for k in header] for row in results.aggregate()))

@@ -10,7 +10,7 @@ import pytest
 
 from dustmix import mstep
 from dustmix.datasets import at_lq_corpus
-from dustmix.model import Corpus, CorpusValidationError, Location, LocationRole, SampleCounts
+from dustmix.model import Corpus, CorpusValidationError, Location, LocationRole
 from dustmix.posterior import build_report
 from dustmix.vbi import FitConfig, NumericalFailure, fit
 
@@ -18,15 +18,9 @@ from dustmix.vbi import FitConfig, NumericalFailure, fit
 def _rebuilt(corpus, keep_location=lambda loc: True, samples=lambda loc: loc.samples,
              counts=lambda loc, c: c):
     """``corpus`` with locations filtered, samples chosen and counts mapped."""
-    locations = []
-    for loc in filter(keep_location, corpus.locations):
-        i = len(locations)
-        chosen = tuple(
-            SampleCounts(counts(loc, np.array(s.counts)), location_id=i, sample_index=k)
-            for k, s in enumerate(samples(loc))
-        )
-        locations.append(Location(loc.name, loc.role, chosen))
-    return Corpus(corpus.catalog, tuple(locations), corpus.n_unknown_sources)
+    return Corpus.from_groups(corpus.catalog, (
+        (loc.name, loc.role, [counts(loc, np.array(s.counts)) for s in samples(loc)])
+        for loc in filter(keep_location, corpus.locations)), corpus.n_unknown_sources)
 
 
 def _zeroed_type(corpus):

@@ -109,6 +109,29 @@ class TestIngest:
         assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}:2: total count")
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # blank lines are skipped but still counted
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"{HEADER}\n\nk,known:s,1,1,1\n\nt,trace,1,x,1\n")
+        with pytest.raises(IngestError, match=rf"^{path}:5: column 4 \('b'\): not an integer"):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"])
+    def test_unicode_line_separator_stays_in_its_field(self, tmp_path, separator):
+        # only \n and \r end a CSV line; str.splitlines also breaks at these
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"{HEADER}\nk{separator}1,known:s,1,1,1\nt,trace,1,2,1\n",
+                        encoding="utf-8")
+        assert [l.name for l in ingest_csv(path).locations] == [f"k{separator}1", "t"]
+
+    def test_quoted_line_break_stays_in_its_field(self, tmp_path):
+        path = write_csv(tmp_path, ['"e\n1",known:s,1,1,1', "t,trace,1,2,1"])
+        assert [l.name for l in ingest_csv(path).locations] == ["e\n1", "t"]
+        # the record after it starts on file line 4
+        path = write_csv(tmp_path, ['"e\n1",known:s,1,1,1', "t,trace,x,2,1"])
+        with pytest.raises(IngestError, match=rf"^{path}:4: column 3 \('a'\)"):
+            ingest_csv(path)
+
     def test_utf8_byte_order_mark(self, tmp_path):
         # the "CSV UTF-8" that spreadsheet programs save starts with one
         path = write_csv(tmp_path, ["k,known:s,1,2,0", "t,trace,3,1,1"])

@@ -45,6 +45,15 @@ def test_unused_helpers_are_not_defined():
     assert not hasattr(dustmix.ParticleCatalog, "index_of")
 
 
+def test_generate_sample_takes_no_ids():
+    # a lone draw belongs to no corpus; Corpus.from_groups numbers a corpus's
+    # samples by their positions
+    rng = np.random.default_rng(0)
+    for ids in ({"location_id": 0}, {"sample_index": 0}):
+        with pytest.raises(TypeError):
+            dustmix.generate_sample([0.5, 0.5], np.full((2, 2), 0.5), 10, rng, **ids)
+
+
 def test_options_that_changed_nothing_are_refused():
     # a scenario's seed (the corpus is drawn from the generator passed in),
     # a matrix's role and the density grid's size (every caller used the

@@ -86,15 +86,38 @@ class TestLocationRole:
 
 
 def _two_source_corpus(small_catalog, n_unknown=0, claims=(0, 1)):
-    locations = (
-        Location("k0", LocationRole.known(claims[0]),
-                 (SampleCounts(np.array([5, 1, 1]), 0, 0),)),
-        Location("k1", LocationRole.known(claims[1]),
-                 (SampleCounts(np.array([1, 5, 1]), 1, 0),)),
-        Location("t", LocationRole.trace(),
-                 (SampleCounts(np.array([2, 2, 2]), 2, 0),)),
-    )
-    return Corpus(small_catalog, locations, n_unknown)
+    return Corpus.from_groups(small_catalog, [
+        ("k0", LocationRole.known(claims[0]), [np.array([5, 1, 1])]),
+        ("k1", LocationRole.known(claims[1]), [np.array([1, 5, 1])]),
+        ("t", LocationRole.trace(), [np.array([2, 2, 2])]),
+    ], n_unknown)
+
+
+class TestFromGroups:
+    def test_ids_are_positions(self, small_catalog):
+        corpus = Corpus.from_groups(small_catalog, [
+            ("k", LocationRole.known(0), [np.array([5, 1, 1]), np.array([4, 1, 0])]),
+            ("t", LocationRole.trace(), [np.array([1, 1, 1]), [2, 2, 2], np.array([0, 0, 3])]),
+        ], 1)
+        assert [(loc.name, loc.role) for loc in corpus.locations] == [
+            ("k", LocationRole.known(0)), ("t", LocationRole.trace())]
+        assert [(s.location_id, s.sample_index, s.counts.tolist())
+                for loc in corpus.locations for s in loc.samples] == [
+            (0, 0, [5, 1, 1]), (0, 1, [4, 1, 0]),
+            (1, 0, [1, 1, 1]), (1, 1, [2, 2, 2]), (1, 2, [0, 0, 3])]
+        assert corpus.n_unknown_sources == 1
+        assert validate_corpus(corpus) == []
+
+    def test_counts_are_checked_when_built(self, small_catalog):
+        # validate_corpus has no count check: every sample is built checked,
+        # and its counts cannot be changed afterwards
+        with pytest.raises(ValueError, match="non-negative"):
+            Corpus.from_groups(small_catalog, [("k", LocationRole.known(0), [[1, -1, 1]])])
+        with pytest.raises(ValueError, match="at least one particle"):
+            Corpus.from_groups(small_catalog, [("k", LocationRole.known(0), [[0, 0, 0]])])
+        sample = _two_source_corpus(small_catalog).locations[0].samples[0]
+        with pytest.raises(ValueError, match="read-only"):
+            sample.counts[0] = -1
 
 
 class TestValidateCorpus:
@@ -145,11 +168,7 @@ class TestValidateCorpus:
         assert "source-index-range" in codes
 
     def test_sample_length_mismatch_flagged(self, small_catalog):
-        bad = Corpus(
-            small_catalog,
-            (Location("k0", LocationRole.known(0), (SampleCounts(np.array([1, 1]), 0, 0),)),),
-            0,
-        )
+        bad = Corpus.from_groups(small_catalog, [("k0", LocationRole.known(0), [[1, 1]])])
         assert any(v.code == "sample-length" for v in validate_corpus(bad))
 
     def test_wrong_location_id_flagged(self, small_catalog):

@@ -15,10 +15,8 @@ from dustmix import mstep as mstep_module
 from dustmix.model import (
     Corpus,
     DirichletMatrix,
-    Location,
     LocationRole,
     ParticleCatalog,
-    SampleCounts,
 )
 from dustmix.mstep import (
     alpha_objective_and_gradient,
@@ -86,20 +84,14 @@ class TestEtaObjective:
 
 class TestAlphaObjective:
     def _corpus(self):
-        catalog = ParticleCatalog(("a", "b"))
-        locations = (
-            Location("k", LocationRole.known(0), (SampleCounts(np.array([3, 1]), 0, 0),)),
-            Location("t", LocationRole.trace(), (SampleCounts(np.array([1, 2]), 1, 0),)),
-        )
-        return Corpus(catalog, locations, 1)
+        return Corpus.from_groups(ParticleCatalog(("a", "b")), [
+            ("k", LocationRole.known(0), [np.array([3, 1])]),
+            ("t", LocationRole.trace(), [np.array([1, 2])]),
+        ], 1)
 
     def test_single_source_is_identically_zero(self):
-        catalog = ParticleCatalog(("a", "b"))
-        corpus = Corpus(
-            catalog,
-            (Location("t", LocationRole.trace(), (SampleCounts(np.array([2, 2]), 0, 0),)),),
-            1,
-        )
+        corpus = Corpus.from_groups(ParticleCatalog(("a", "b")),
+                                    [("t", LocationRole.trace(), [np.array([2, 2])])], 1)
         value, grad = alpha_objective_and_gradient(0, np.array([1.0]), np.array([[4.0]]), corpus)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert_allclose(grad, 0.0, atol=1e-12)
@@ -407,12 +399,10 @@ class TestFloatPath:
 
 class TestMstep:
     def _known_only_corpus(self):
-        catalog = ParticleCatalog(("a", "b", "c"))
-        locations = (
-            Location("k0", LocationRole.known(0), (SampleCounts(np.array([5, 1, 1]), 0, 0),)),
-            Location("k1", LocationRole.known(1), (SampleCounts(np.array([1, 5, 1]), 1, 0),)),
-        )
-        return Corpus(catalog, locations, 0)
+        return Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
+            ("k0", LocationRole.known(0), [np.array([5, 1, 1])]),
+            ("k1", LocationRole.known(1), [np.array([1, 5, 1])]),
+        ])
 
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):
         corpus = self._known_only_corpus()

@@ -8,7 +8,9 @@ from scipy import stats
 from dustmix import simulator
 from dustmix.model import ParticleCatalog, SampleCounts
 from dustmix.simulator import (
+    CellResult,
     ScenarioSpec,
+    StudyResults,
     StudySpec,
     generate_corpus,
     generate_sample,
@@ -307,6 +309,24 @@ class TestStudy:
             # share, size, replication, converged, iterations, then a blank
             # bound, 2 traces x (mean, mode) and 4 profile entries, the error
             assert row == ["0.3", "40", str(rep), "0", "0"] + [""] * 9 + ["fit exploded"]
+
+    def test_aggregate_header_comes_from_the_spec(self, catalog, tmp_path):
+        # every replication of the first cell failed: the header still names
+        # every trace and profile column, and only that cell's means are blank
+        study = self._study(catalog, sample_sizes=(40,), second_trace_mixture=(0.5, 0.5))
+        failed = [CellResult(0.3, 40, rep, error="fit exploded") for rep in range(2)]
+        fitted = [CellResult(0.7, 40, rep, theta_unknown_mean=(0.5 + rep / 4, 0.5),
+                             theta_unknown_mode=(0.5, 0.5), beta_unknown_mean=(0.25,) * 4,
+                             converged=True, iterations=3, elbo=-1.0) for rep in range(2)]
+        write_aggregate_csv(StudyResults(study, tuple(failed + fitted)), tmp_path / "agg.csv")
+        rows = list(csv.reader((tmp_path / "agg.csv").read_text().splitlines()))
+        assert rows[0] == ["unknown_share", "sample_size", "replications", "failures",
+                           "trace0_mean", "trace0_mode", "trace0_abs_err",
+                           "trace1_mean", "trace1_mode", "trace1_abs_err",
+                           "beta_unknown_0", "beta_unknown_1", "beta_unknown_2", "beta_unknown_3"]
+        assert rows[1:] == [
+            ["0.3", "40", "0", "2"] + [""] * 10,
+            ["0.7", "40", "2", "0", "0.625", "0.5", "0.125", "0.5", "0.5", "0.0"] + ["0.25"] * 4]
 
     def test_threaded_matches_serial(self, catalog):
         study = self._study(catalog)

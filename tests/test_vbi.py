@@ -16,7 +16,6 @@ from dustmix import numerics, vbi
 from dustmix.model import (
     Corpus,
     CorpusValidationError,
-    Location,
     LocationRole,
     ParticleCatalog,
     SampleCounts,
@@ -91,9 +90,8 @@ class TestInitialize:
         assert_allclose(a[1:], 1.0)
 
     def test_refuses_invalid_corpus(self):
-        catalog = ParticleCatalog(("a", "b"))
-        loc = Location("t", LocationRole.trace(), (SampleCounts(np.array([1, 1]), 0, 0),))
-        corpus = Corpus(catalog, (loc,), 2)
+        corpus = Corpus.from_groups(ParticleCatalog(("a", "b")),
+                                    [("t", LocationRole.trace(), [np.array([1, 1])])], 2)
         with pytest.raises(CorpusValidationError) as err:
             initialize(corpus, FitConfig())
         assert any(v.code == "unknown-source-limit" for v in err.value.violations)
@@ -379,6 +377,15 @@ class TestCorpusElbo:
             self._check(counts, rng.uniform(0.2, 5.0, size=(N, M)), eta, gamma, phi, lam)
 
 
+def _one_trace_corpus(*trace_samples):
+    """One known location of one sample, one trace location (one sample
+    [4, 3, 3] unless given) and one unknown source, over three types."""
+    return Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
+        ("k", LocationRole.known(0), [np.array([6, 2, 2])]),
+        ("t", LocationRole.trace(), trace_samples or [np.array([4, 3, 3])]),
+    ], 1)
+
+
 class TestFit:
     def test_known_only_profile_recovery(self, corpus_both_known, pooled_profiles):
         known_only = Corpus(
@@ -393,12 +400,10 @@ class TestFit:
         assert result.A_converged.values.shape == (0, 2)
 
     def test_single_source_trace_degenerate(self):
-        catalog = ParticleCatalog(("a", "b", "c"))
-        locations = (
-            Location("k", LocationRole.known(0), (SampleCounts(np.array([5, 3, 2]), 0, 0),)),
-            Location("t", LocationRole.trace(), (SampleCounts(np.array([1, 1, 8]), 1, 0),)),
-        )
-        corpus = Corpus(catalog, locations, 0)
+        corpus = Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
+            ("k", LocationRole.known(0), [np.array([5, 3, 2])]),
+            ("t", LocationRole.trace(), [np.array([1, 1, 8])]),
+        ])
         result = fit(corpus, FitConfig(outer_max_iters=20))
         row = result.A_converged.values[0]
         assert row.shape == (1,)
@@ -416,12 +421,7 @@ class TestFit:
         assert len(result.elbo_trace) == 1
 
     def test_inference_phase_warns_at_cap(self, caplog):
-        catalog = ParticleCatalog(("a", "b", "c"))
-        locations = (
-            Location("k", LocationRole.known(0), (SampleCounts(np.array([6, 2, 2]), 0, 0),)),
-            Location("t", LocationRole.trace(), (SampleCounts(np.array([4, 3, 3]), 1, 0),)),
-        )
-        corpus = Corpus(catalog, locations, 1)
+        corpus = _one_trace_corpus()
 
         def phase_warnings(config):
             caplog.clear()
@@ -442,15 +442,8 @@ class TestFit:
             assert match and np.isfinite(float(match[1])), message
 
     def test_duplicated_sample_states_identical(self):
-        catalog = ParticleCatalog(("a", "b", "c"))
         base = np.array([4, 3, 3])
-        locations = (
-            Location("k", LocationRole.known(0),
-                     (SampleCounts(np.array([6, 2, 2]), 0, 0),)),
-            Location("t", LocationRole.trace(),
-                     (SampleCounts(base, 1, 0), SampleCounts(base.copy(), 1, 1))),
-        )
-        corpus = Corpus(catalog, locations, 1)
+        corpus = _one_trace_corpus(base, base.copy())
         result = fit(corpus, FitConfig(outer_max_iters=30))
         twins = [n for n, (loc_id, _) in enumerate(corpus.iter_samples()) if loc_id == 1]
         assert_allclose(result.gamma[twins[0]], result.gamma[twins[1]], rtol=0, atol=0)
@@ -1541,12 +1534,7 @@ class TestShareUncertainty:
                 assert interval.lo <= beta_summary(shape).mean <= interval.hi
 
     def test_flat_row_when_response_is_unusable(self, monkeypatch, caplog):
-        catalog = ParticleCatalog(("a", "b", "c"))
-        locations = (
-            Location("k", LocationRole.known(0), (SampleCounts(np.array([6, 2, 2]), 0, 0),)),
-            Location("t", LocationRole.trace(), (SampleCounts(np.array([4, 3, 3]), 1, 0),)),
-        )
-        corpus = Corpus(catalog, locations, 1)
+        corpus = _one_trace_corpus()
         config = FitConfig(outer_max_iters=5)
         usable = fit(corpus, config).A_converged.values[0]
         factor = vbi._linear_response_factor
