@@ -2,9 +2,12 @@
 
 Input samples arrive as CSV with a header row ``location,role,<type...>``
 where ``role`` is ``known:<source_name>`` or ``trace``; one data row per
-sample.  Every run writes a manifest recording input hashes and the full
-configuration next to its outputs.  Outputs are bit-stable for fixed inputs,
-configuration and seed; wall-clock timing lives only in the manifest.
+sample.  Every ``fit`` and ``simulate`` run writes a ``manifest.json`` next
+to its outputs: the tool and version, the command, the path and sha256 of
+each input file, the full configuration, the seed, the thread count, the
+wall-clock time, and the iteration count and convergence flag.  Outputs are
+bit-stable for fixed inputs, configuration and seed; wall-clock timing lives
+only in the manifest.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +38,7 @@ from .posterior import (build_report, write_plot_csvs, write_report_json, write_
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
 from .vbi import FitConfig, NumericalFailure, as_integer, as_real, fit
 
-__all__ = ["IngestError", "RunManifest", "cmd_fit", "cmd_report", "cmd_simulate", "ingest_csv", "main"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["IngestError", "cmd_fit", "cmd_report", "cmd_simulate", "ingest_csv", "main"]
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,8 +67,17 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    # (the file line a record ends on, its fields) for every record that is not blank
-    rows = ((reader.line_num, row) for row in reader if any(cell.strip() for cell in row))
+
+    def records():
+        # (the file line a record ends on, its fields) for every record that is not blank
+        try:
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    yield reader.line_num, row
+        except csv.Error as exc:  # a field over the csv module's size limit
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from exc
+
+    rows = records()
     first = next(rows, None)
     if first is None:
         raise IngestError(f"{path}: file is empty")
@@ -145,50 +155,23 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     return corpus
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record written next to every run's outputs; ``seed`` is
-    the study seed of a ``simulate`` run and ``None`` for a fit."""
-
-    tool: str
-    version: str
-    command: str
-    inputs: tuple[dict, ...]
-    config: dict
-    seed: int | None
-    threads: int
-    wall_clock_s: float
-    iterations: int | None = None
-    converged: bool | None = None
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def _input_record(path: Path) -> dict:
-    return {"path": str(path), "sha256": _sha256(path)}
-
-
 _CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
 _REPORT_DEFAULTS = {"hpdi_mass": 0.95}
 
 
 def _load_yaml(path: Path | str):
     """The YAML document in ``path``, read as UTF-8 text; a file that is not
-    UTF-8 is a ``ValueError`` naming it."""
+    UTF-8, or not valid YAML, is a ``ValueError`` naming it."""
     import yaml  # only a config file or a spec needs PyYAML; ``import dustmix.cli`` does not
 
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-    return yaml.safe_load(text)
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"{path}: not valid YAML: {exc}") from exc
 
 
 def load_config(path: Path | str | None) -> dict:
@@ -232,10 +215,6 @@ def load_config(path: Path | str | None) -> dict:
     }
 
 
-def build_fit_config(config: dict) -> FitConfig:
-    return FitConfig(**config["fit"])
-
-
 def _prepare_out_dir(out: Path, force: bool) -> None:
     if out.exists():
         if not out.is_dir():
@@ -247,6 +226,29 @@ def _prepare_out_dir(out: Path, force: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
 
 
+def _write_manifest(out: Path, command: str, started: float, paths: list, config: dict,
+                    seed: int | None, threads: int, iterations: int | None,
+                    converged: bool) -> None:
+    """Write ``out/manifest.json``, with the sha256 of each input path (a
+    ``None``, no config file, is skipped) and ``wall_clock_s`` since
+    ``started``, the one value that changes from run to run."""
+    inputs = [Path(path) for path in paths if path is not None]
+    manifest = {
+        "tool": "dustmix",
+        "version": __version__,
+        "command": command,
+        "inputs": [{"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+                   for path in inputs],
+        "config": config,
+        "seed": seed,
+        "threads": threads,
+        "wall_clock_s": time.perf_counter() - started,
+        "iterations": iterations,
+        "converged": converged,
+    }
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
 def cmd_fit(
     corpus_path: Path | str,
     config_path: Path | str | None,
@@ -255,12 +257,14 @@ def cmd_fit(
     force: bool = False,
 ) -> int:
     """Fit a corpus and write report, plot data, bound trace and manifest.
-    The fit draws no random numbers, so it takes no seed."""
+    The fit draws no random numbers, so it takes no seed, and runs on one
+    thread: ``threads`` is only recorded in the manifest, and stays while
+    the benchmark passes ``threads=1``."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
         config = load_config(config_path)
-        fit_config = build_fit_config(config)
+        fit_config = FitConfig(**config["fit"])
         corpus = ingest_csv(corpus_path, unknown_sources=config["unknown_sources"])
         _prepare_out_dir(out, force)
         result = fit(corpus, fit_config)
@@ -270,21 +274,8 @@ def cmd_fit(
         write_plot_csvs(report, out)
         write_table(out / "elbo_trace.csv", ["iteration", "elbo"],
                     enumerate(result.elbo_trace, start=1))
-        inputs = [_input_record(Path(corpus_path))]
-        if config_path is not None:
-            inputs.append(_input_record(Path(config_path)))
-        RunManifest(
-            tool="dustmix",
-            version=__version__,
-            command="fit",
-            inputs=tuple(inputs),
-            config=config,
-            seed=None,
-            threads=threads,
-            wall_clock_s=time.perf_counter() - started,
-            iterations=result.iterations,
-            converged=result.converged,
-        ).write(out / "manifest.json")
+        _write_manifest(out, "fit", started, [corpus_path, config_path], config, None,
+                        threads, result.iterations, result.converged)
     except (IngestError, CorpusValidationError, NumericalFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -366,28 +357,16 @@ def cmd_simulate(
     out = Path(out_dir)
     try:
         config = load_config(config_path)
-        fit_config = build_fit_config(config)
+        fit_config = FitConfig(**config["fit"])
         study = load_study_spec(spec_path, seed)
         _prepare_out_dir(out, force)
         results = run_study(study, fit_config, threads=threads)
         write_cells_csv(results, out / "study_cells.csv")
         write_aggregate_csv(results, out / "study_aggregate.csv")
-        inputs = [_input_record(Path(spec_path))]
-        if config_path is not None:
-            inputs.append(_input_record(Path(config_path)))
         clean = all(c.error is None and c.converged for c in results.cells)
-        RunManifest(
-            tool="dustmix",
-            version=__version__,
-            command="simulate",
-            inputs=tuple(inputs),
-            config={**config, "study_seed": study.rng_seed},
-            seed=study.rng_seed,
-            threads=threads,
-            wall_clock_s=time.perf_counter() - started,
-            iterations=None,
-            converged=clean,
-        ).write(out / "manifest.json")
+        _write_manifest(out, "simulate", started, [spec_path, config_path],
+                        {**config, "study_seed": study.rng_seed}, study.rng_seed,
+                        threads, None, clean)
     except (IngestError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -445,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("corpus", type=Path, help="input sample CSV")
     fit_p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
     fit_p.add_argument("--out", type=Path, required=True, help="output directory")
-    fit_p.add_argument("--threads", type=int, default=1,
-                       help="recorded in the manifest; the fit runs on one thread")
     fit_p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     fit_p.add_argument("--verbose", action="store_true")
 
@@ -461,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep_p = sub.add_parser("report", help="print the summary of a previous fit run")
     rep_p.add_argument("run_dir", type=Path, help="directory written by 'dustmix fit'")
-    rep_p.add_argument("--verbose", action="store_true")
     return parser
 
 
@@ -473,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr,
     )
     if args.command == "fit":
-        return cmd_fit(args.corpus, args.config, args.out, threads=args.threads, force=args.force)
+        return cmd_fit(args.corpus, args.config, args.out, force=args.force)
     if args.command == "simulate":
         return cmd_simulate(args.spec, args.config, args.out, seed=args.seed,
                             threads=args.threads, force=args.force)

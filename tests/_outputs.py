@@ -4,12 +4,15 @@
 its three scenarios (both sources known, only AT known, only LQ known) and
 ``cmd_simulate`` on ``STUDY``, a small fixed spec with a second trace, in a
 temporary directory.  It prints one ``<sha256>  <run>/<file>`` line per
-output file.  ``manifest.json`` is left out: it holds the wall-clock time
-and the input paths, which change from run to run.  Run it in two checkouts
-and diff what it prints to show that a change keeps every output byte.
+output file.  A ``manifest.json`` is hashed without its ``wall_clock_s``
+line and with each input path cut to its file name, the two things in it
+that change from run to run.  Run it in two checkouts and diff what it
+prints to show that a change keeps every output byte.
 """
 
 import hashlib
+import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -37,9 +40,21 @@ STUDY = {
 }
 
 
+def digest(path: Path) -> str:
+    """The sha256 of a written file; of a manifest without its wall-clock
+    time and with its input paths cut to file names."""
+    if path.name != "manifest.json":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    text = path.read_text()
+    for item in json.loads(text)["inputs"]:
+        text = text.replace(json.dumps(item["path"]), json.dumps(Path(item["path"]).name))
+    text = re.sub(r'\n *"wall_clock_s": [^\n]*', "", text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def write_outputs(root: Path) -> dict[str, str]:
-    """Run the three fits and the study in ``root``; the sha256 of each file
-    they write but the manifests, keyed by ``<run>/<file>`` in name order."""
+    """Run the three fits and the study in ``root``; the digest of each file
+    they write, keyed by ``<run>/<file>`` in name order."""
     lines = [line for line in fixture_path().read_text().splitlines() if line.strip()]
     config = root / "unknown_sources_1.yaml"
     config.write_text("unknown_sources: 1\n")
@@ -54,9 +69,8 @@ def write_outputs(root: Path) -> dict[str, str]:
     failed = [run for run, code in codes.items() if code == EXIT_ERROR]
     if failed:
         raise RuntimeError(f"runs failed: {', '.join(failed)}")
-    return {f"{run}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-            for run in codes for path in sorted((root / run).iterdir())
-            if path.name != "manifest.json"}
+    return {f"{run}/{path.name}": digest(path)
+            for run in codes for path in sorted((root / run).iterdir())}
 
 
 def main() -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,6 @@ from dustmix.vbi import FitConfig, NumericalFailure
 import dustmix.cli as cli
 from dustmix.cli import (
     IngestError,
-    build_fit_config,
     cmd_fit,
     cmd_report,
     cmd_simulate,
@@ -26,11 +26,25 @@ import _outputs
 
 HEADER = "location,role,a,b,c"
 
+MANIFEST_KEYS = ["tool", "version", "command", "inputs", "config", "seed", "threads",
+                 "wall_clock_s", "iterations", "converged"]
+
 
 def write_csv(tmp_path, rows, header=HEADER):
     path = tmp_path / "corpus.csv"
     path.write_text("\n".join([header] + rows) + "\n")
     return path
+
+
+def read_manifest(out, inputs):
+    """``out/manifest.json``, after checking its keys in order and that it
+    records each of ``inputs`` with the sha256 of its bytes."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["inputs"] == [
+        {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for path in inputs]
+    return manifest
 
 
 class TestIngest:
@@ -149,6 +163,14 @@ class TestIngest:
         assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
         assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
+    def test_field_over_csv_limit(self, tmp_path, capsys):
+        # the csv module refuses a field of more than 131,072 characters
+        path = write_csv(tmp_path, ["x" * 200_000 + ",known:s,1,2,0", "t,trace,1,2,1"])
+        with pytest.raises(IngestError, match=rf"^{path}:2: field larger than field limit"):
+            ingest_csv(path)
+        assert cmd_fit(path, None, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: field larger than")
+
     def test_duplicate_type_names(self, tmp_path):
         path = write_csv(tmp_path, ["k,known:s,1,1,1"], header="location,role,a,b,a")
         with pytest.raises(IngestError, match=f"^{path}: catalog type names must be unique"):
@@ -188,7 +210,7 @@ class TestIngest:
 class TestConfig:
     def test_defaults_without_file(self):
         config = load_config(None)
-        fit_config = build_fit_config(config)
+        fit_config = FitConfig(**config["fit"])
         assert fit_config.known_weight == 150.0
         assert fit_config.outer_tol == 1e-6
         assert fit_config == FitConfig()
@@ -207,7 +229,7 @@ class TestConfig:
             "fit": {"outer_max_iters": 7, "known_weight": 99.0},
         }))
         config = load_config(path)
-        fit_config = build_fit_config(config)
+        fit_config = FitConfig(**config["fit"])
         assert config["unknown_sources"] == 1
         assert fit_config.outer_max_iters == 7
         assert fit_config.known_weight == 99.0
@@ -274,15 +296,19 @@ class TestCmdFit:
     def test_converged_fit_exits_ok(self, tmp_path):
         out = tmp_path / "run"
         assert cmd_fit(fixture_path(), None, out) == cli.EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out, [fixture_path()])  # no config file to record
         assert manifest["converged"] is True
         assert manifest["seed"] is None  # the fit draws no random numbers
 
     def test_config_not_utf8_is_named(self, tmp_path, capsys):
+        # and a config that is not valid YAML, whose PyYAML error is no ValueError
         config = tmp_path / "config.yaml"
-        config.write_bytes("# caf\u00e9\nfit: {outer_max_iters: 2}\n".encode("latin-1"))
-        assert cmd_fit(fixture_path(), config, tmp_path / "run") == cli.EXIT_ERROR
-        assert capsys.readouterr().err.startswith(f"error: {config}: not UTF-8 text")
+        for data, message in (
+                ("# caf\u00e9\nfit: {outer_max_iters: 2}\n".encode("latin-1"), "not UTF-8 text"),
+                (b"fit: [unclosed\n", "not valid YAML")):
+            config.write_bytes(data)
+            assert cmd_fit(fixture_path(), config, tmp_path / "run") == cli.EXIT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: {config}: {message}")
 
     def test_output_path_is_a_file(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -298,11 +324,9 @@ class TestCmdFit:
         for name in ("report.json", "summary.csv", "elbo_trace.csv", "manifest.json"):
             assert (out / name).exists(), name
         assert (out / "theta_e1_at.csv").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out, [fixture_path(), quick_config])
         assert manifest["command"] == "fit"
         assert manifest["converged"] is False
-        assert len(manifest["inputs"]) == 2
-        assert all(len(item["sha256"]) == 64 for item in manifest["inputs"])
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = cmd_fit(tmp_path / "absent.csv", None, tmp_path / "out")
@@ -420,7 +444,7 @@ class TestCmdSimulate:
         assert code in (0, 2)
         assert (out / "study_cells.csv").exists()
         assert (out / "study_aggregate.csv").exists()
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out, [tiny_study_spec])
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
 
@@ -430,10 +454,13 @@ class TestCmdSimulate:
         assert json.loads((out / "manifest.json").read_text())["converged"] is True
 
     def test_spec_not_utf8_is_named(self, tmp_path, capsys):
+        # and a spec that is not valid YAML, whose PyYAML error is no ValueError
         path = tmp_path / "study.yaml"
-        path.write_bytes("# caf\u00e9\nreplications: 1\n".encode("latin-1"))
-        assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
-        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+        for data, message in (("# caf\u00e9\nreplications: 1\n".encode("latin-1"), "not UTF-8 text"),
+                              (b"unknown_shares: [0.5\n", "not valid YAML")):
+            path.write_bytes(data)
+            assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
+            assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("text, message", [
         ("- 1\n", "study spec must be a mapping"),
@@ -522,19 +549,24 @@ class TestCmdSimulate:
 
 
 def test_outputs_tool_digests_every_written_file(tmp_path):
-    # tests/_outputs.py: each fit's report, tables and 4 + 28 density curves,
-    # and the study's two tables; never a manifest
-    digests = _outputs.write_outputs(tmp_path)
-    fit_files = {"report.json", "summary.csv", "elbo_trace.csv"}
+    # tests/_outputs.py: each fit's report, tables, manifest and 4 + 28
+    # density curves, and the study's two tables and manifest
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    digests = _outputs.write_outputs(first)
+    fit_files = {"report.json", "summary.csv", "elbo_trace.csv", "manifest.json"}
     for run, _ in _outputs.SCENARIOS:
         names = [key.split("/")[1] for key in digests if key.startswith(f"{run}/")]
-        assert fit_files <= set(names) and len(names) == 3 + 32
+        assert fit_files <= set(names) and len(names) == 4 + 32
         assert sum(name.startswith("theta_") for name in names) == 4
         assert sum(name.startswith("beta_") for name in names) == 28
     assert [key for key in digests if key.startswith("simulate/")] == [
-        "simulate/study_aggregate.csv", "simulate/study_cells.csv"]
-    assert len(digests) == 3 * 35 + 2
+        "simulate/manifest.json", "simulate/study_aggregate.csv", "simulate/study_cells.csv"]
+    assert len(digests) == 3 * 36 + 3
     assert all(len(digest) == 64 for digest in digests.values())
+    # a manifest's digest leaves out its wall-clock time and where the run was
+    assert _outputs.write_outputs(second) == digests
 
 
 class TestMain:
@@ -580,6 +612,16 @@ class TestMain:
             main(["fit", str(fixture_path()), "--out", "run", "--seed", "0"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    def test_options_that_changed_nothing_are_refused(self, capsys):
+        # the fit runs on one thread, and a report logs nothing
+        for argv, option in ((["fit", str(fixture_path()), "--out", "run", "--threads", "2"],
+                              "--threads 2"),
+                             (["report", "run", "--verbose"], "--verbose")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_simulate_and_report_dispatch(self, tmp_path, converging_study_spec, capsys):
         out = tmp_path / "study"
