@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import (
-    Corpus,
-    CorpusValidationError,
-    LocationRole,
-    ParticleCatalog,
-    validate_corpus,
-)
+from .model import Corpus, LocationRole, ParticleCatalog, validate_corpus
 from .posterior import (build_report, write_plot_csvs, write_report_json, write_summary_csv,
                         write_table)
 from .simulator import StudySpec, run_study, write_aggregate_csv, write_cells_csv
@@ -276,7 +270,7 @@ def cmd_fit(
                     enumerate(result.elbo_trace, start=1))
         _write_manifest(out, "fit", started, [corpus_path, config_path], config, None,
                         threads, result.iterations, result.converged)
-    except (IngestError, CorpusValidationError, NumericalFailure, ValueError, OSError) as exc:
+    except (NumericalFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if not result.converged:
@@ -288,15 +282,46 @@ def cmd_fit(
     return EXIT_OK
 
 
+def _study_profiles(block) -> tuple[ParticleCatalog, np.ndarray]:
+    """The catalog and profiles of a study spec's ``profiles`` block:
+    ``at_lq``, the bundled point-estimate profiles (first source known,
+    second unknown), or a mapping of exactly ``types``, a list of type names
+    (strings or numbers), and ``rows``, one list of non-negative numbers per
+    source, one per type, with a positive sum that is scaled to 1."""
+    if block == "at_lq":
+        from .datasets import at_lq_point_profiles
+
+        names, profiles = at_lq_point_profiles()
+        return ParticleCatalog(names), profiles
+    if not isinstance(block, dict) or set(block) != {"types", "rows"}:
+        raise ValueError("profiles must be 'at_lq' or a mapping with 'types' and 'rows' "
+                         f"and no other key, got {block!r}")
+    types, rows = block["types"], block["rows"]
+    if not isinstance(types, list) or not all(
+            isinstance(name, (str, int, float)) and not isinstance(name, bool) for name in types):
+        raise ValueError(f"profiles.types must be a list of names (strings or numbers), "
+                         f"got {types!r}")
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"profiles.rows must be a list of lists of numbers, got {rows!r}")
+    for row in rows:
+        values = [as_real("profiles.rows", value) for value in row]
+        if (len(values) != len(types) or not all(0.0 <= v < np.inf for v in values)
+                or not 0.0 < sum(values) < np.inf):
+            raise ValueError("each of profiles.rows must hold one non-negative number per type "
+                             f"and have a positive sum, got {row!r}")
+    profiles = np.asarray(rows, dtype=np.float64)
+    return ParticleCatalog(tuple(types)), profiles / profiles.sum(axis=1, keepdims=True)
+
+
 def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
-    """Parse a study specification; ``profiles: at_lq`` pulls the bundled
-    point-estimate profiles (first source known, second unknown).  Each
-    count (``sample_sizes``, ``samples_per_trace``, ``known_samples``,
-    ``known_sample_size``, ``replications``, ``seed``) must be an integer
-    and each share (``unknown_shares``, ``second_trace``) a number: a bool,
-    a string or a non-integral count raises a ``ValueError`` naming its key,
-    as does a ``sample_sizes``, ``unknown_shares`` or ``second_trace`` that
-    is not a list."""
+    """Parse a study specification into a :class:`StudySpec`, which checks
+    every field, so an error names the field, not the key.  ``profiles``
+    (default ``at_lq``) is read by :func:`_study_profiles`; of the other
+    keys, ``known_samples: n`` is ``known_sample_counts=(n,)``,
+    ``known_sample_size`` is ``known_particles_per_sample``,
+    ``second_trace`` is ``second_trace_mixture`` and ``seed`` is
+    ``rng_seed``, which a ``seed`` argument overrides; every other key is
+    its field."""
     raw = _load_yaml(path)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: study spec must be a mapping")
@@ -308,39 +333,18 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     if extra:
         raise ValueError(f"unknown study-spec keys: {', '.join(sorted(extra))}")
 
-    profiles_spec = raw.get("profiles", "at_lq")
-    if profiles_spec == "at_lq":
-        from .datasets import at_lq_point_profiles
-
-        names, profiles = at_lq_point_profiles()
-        catalog = ParticleCatalog(names)
-    else:
-        if not isinstance(profiles_spec, dict) or "types" not in profiles_spec or "rows" not in profiles_spec:
-            raise ValueError("profiles must be 'at_lq' or a mapping with 'types' and 'rows'")
-        catalog = ParticleCatalog(tuple(profiles_spec["types"]))
-        profiles = np.asarray(profiles_spec["rows"], dtype=np.float64)
-        profiles = profiles / profiles.sum(axis=1, keepdims=True)
-
-    def listed(key: str, default, item) -> tuple:
-        values = raw.get(key, default)
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"{key} must be a list, got {values!r}")
-        return tuple(item(key, value) for value in values)
-
-    second, known_size = raw.get("second_trace"), raw.get("known_sample_size")
+    catalog, profiles = _study_profiles(raw.get("profiles", "at_lq"))
     return StudySpec(
         catalog=catalog,
         true_profiles=profiles,
-        unknown_shares=listed("unknown_shares", (0.1, 0.5, 0.9), as_real),
-        sample_sizes=listed("sample_sizes", (100, 700, 1900), as_integer),
-        samples_per_trace=as_integer("samples_per_trace", raw.get("samples_per_trace", 5)),
-        known_sample_counts=(as_integer("known_samples", raw.get("known_samples", 12)),),
-        known_particles_per_sample=(
-            None if known_size is None else as_integer("known_sample_size", known_size)
-        ),
-        second_trace_mixture=None if second is None else listed("second_trace", None, as_real),
-        replications=as_integer("replications", raw.get("replications", 10)),
-        rng_seed=as_integer("seed", seed if seed is not None else raw.get("seed", 0)),
+        unknown_shares=raw.get("unknown_shares", (0.1, 0.5, 0.9)),
+        sample_sizes=raw.get("sample_sizes", (100, 700, 1900)),
+        samples_per_trace=raw.get("samples_per_trace", 5),
+        known_sample_counts=(raw.get("known_samples", 12),),
+        known_particles_per_sample=raw.get("known_sample_size"),
+        second_trace_mixture=raw.get("second_trace"),
+        replications=raw.get("replications", 10),
+        rng_seed=seed if seed is not None else raw.get("seed", 0),
     )
 
 
@@ -367,7 +371,7 @@ def cmd_simulate(
         _write_manifest(out, "simulate", started, [spec_path, config_path],
                         {**config, "study_seed": study.rng_seed}, study.rng_seed,
                         threads, None, clean)
-    except (IngestError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if not clean:

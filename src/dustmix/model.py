@@ -39,6 +39,9 @@ class ParticleCatalog:
     type_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.type_names, str):
+            raise ValueError("type_names must be a sequence of names, not a string, "
+                             f"got {self.type_names!r}")
         names = tuple(str(n) for n in self.type_names)
         object.__setattr__(self, "type_names", names)
         if len(names) < 2:

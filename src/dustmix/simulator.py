@@ -25,7 +25,7 @@ import numpy as np
 from .model import Corpus, LocationRole, ParticleCatalog, SampleCounts
 from .numerics import beta_summary
 from .posterior import theta_marginal, write_table
-from .vbi import FitConfig, as_integer, as_real, fit
+from .vbi import FitConfig, as_count, as_real, fit
 
 __all__ = [
     "CellResult",
@@ -48,13 +48,12 @@ def _check_simplex(vec: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a probability vector summing to 1, got {vec}")
 
 
-def _count(name: str, value, least: int = 1) -> int:
-    """``value`` as an int of at least ``least``, or a ``ValueError`` naming
-    ``name`` (the integer rule of :class:`FitConfig`'s caps)."""
-    count = as_integer(name, value)
-    if count < least:
-        raise ValueError(f"{name} must be at least {least}, got {value!r}")
-    return count
+def _each(name: str, values, item) -> tuple:
+    """``item(name, value)`` of each value in the list or tuple ``values``;
+    anything else is a ``ValueError`` naming ``name``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    return tuple(item(name, value) for value in values)
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,11 @@ class ScenarioSpec:
         if len(self.known_sample_counts) > profiles.shape[0]:
             raise ValueError("more known sources than profile rows")
         object.__setattr__(self, "known_sample_counts", tuple(
-            _count("known_sample_counts", c) for c in self.known_sample_counts))
+            as_count("known_sample_counts", c) for c in self.known_sample_counts))
         for name in ("particles_per_sample", "samples_per_trace"):
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.known_particles_per_sample is not None:
-            object.__setattr__(self, "known_particles_per_sample", _count(
+            object.__setattr__(self, "known_particles_per_sample", as_count(
                 "known_particles_per_sample", self.known_particles_per_sample))
 
     @property
@@ -172,13 +171,14 @@ class StudySpec:
     per-sample particle counts.  ``second_trace_mixture`` adds a second
     trace location with a fixed mixing vector (the two-trace situation).
     Construction checks what :func:`run_study` would otherwise fail on in
-    its cells: each count must be an integer (the rule of
-    :class:`FitConfig`'s caps), at least 1 (the seed at least 0), each share
-    a real number (a bool or a string is not), the second mixture a
-    probability vector over the two sources, and the profiles probability
-    vectors over the catalog's types; each error names its field.  The
-    checks shared with a cell's :class:`ScenarioSpec` are made by building
-    the first cell's scenario.
+    its cells: ``unknown_shares``, ``sample_sizes`` and a given
+    ``second_trace_mixture`` must each be a list or a tuple (stored as a
+    tuple), each count an integer (:func:`~dustmix.vbi.as_count`), at
+    least 1 (the seed at least 0), each share a real number (a bool or a
+    string is not), the second mixture a probability vector over the two
+    sources, and the profiles probability vectors over the catalog's types;
+    each error names its field.  The checks shared with a cell's
+    :class:`ScenarioSpec` are made by building the first cell's scenario.
     """
 
     catalog: ParticleCatalog
@@ -195,22 +195,22 @@ class StudySpec:
     def __post_init__(self) -> None:
         if np.shape(self.true_profiles)[:1] != (2,) or len(self.known_sample_counts) != 1:
             raise ValueError("the study design uses exactly two sources, the first known")
-        object.__setattr__(self, "unknown_shares", tuple(
-            as_real("unknown_shares", u) for u in self.unknown_shares))
+        object.__setattr__(self, "unknown_shares",
+                           _each("unknown_shares", self.unknown_shares, as_real))
+        object.__setattr__(self, "sample_sizes",
+                           _each("sample_sizes", self.sample_sizes, as_count))
         if not self.unknown_shares or not self.sample_sizes:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
-        object.__setattr__(self, "sample_sizes", tuple(
-            _count("sample_sizes", v) for v in self.sample_sizes))
-        object.__setattr__(self, "replications", _count("replications", self.replications))
+        object.__setattr__(self, "replications", as_count("replications", self.replications))
         if self.second_trace_mixture is not None:
-            mixture = tuple(as_real("second_trace_mixture", v) for v in self.second_trace_mixture)
+            mixture = _each("second_trace_mixture", self.second_trace_mixture, as_real)
             if len(mixture) != 2:
                 raise ValueError("second_trace_mixture must have one share per source")
             _check_simplex(np.array(mixture), "second_trace_mixture")
             object.__setattr__(self, "second_trace_mixture", mixture)
-        object.__setattr__(self, "rng_seed", _count("rng_seed", self.rng_seed, least=0))
+        object.__setattr__(self, "rng_seed", as_count("rng_seed", self.rng_seed, least=0))
         # every cell's scenario shares these fields; the first one checks them
         scenario = self.scenario(self.unknown_shares[0], self.sample_sizes[0])
         for name in ("true_profiles", "samples_per_trace", "known_sample_counts",

@@ -135,6 +135,15 @@ def as_integer(name: str, value) -> int:
     return int(value)
 
 
+def as_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``, or a ``ValueError`` naming
+    ``name``: the one integer rule of every count and cap."""
+    count = as_integer(name, value)
+    if count < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Engine settings.
@@ -170,10 +179,7 @@ class FitConfig:
             if not 0.0 < value < math.inf:  # NaN fails the range test too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("estep_max_iters", "outer_max_iters"):
-            value = as_integer(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, as_count(name, getattr(self, name)))
 
 
 def initialize(

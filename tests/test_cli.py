@@ -465,12 +465,23 @@ class TestCmdSimulate:
     @pytest.mark.parametrize("text, message", [
         ("- 1\n", "study spec must be a mapping"),
         ("profiles: pooled\n", "profiles must be 'at_lq' or a mapping with 'types' and 'rows'"),
+        ("profiles: {types: [a, b], rows: [[1, 2], [2, 1]], typo: 1}\n", "and no other key"),
+        ("profiles: {types: 3, rows: [[1, 2]]}\n", "profiles.types must be a list of names"),
+        ("profiles: {types: ab, rows: [[1, 2], [2, 1]]}\n", "profiles.types must be a list"),
+        ("profiles: {types: [[1], [2]], rows: [[1, 2], [2, 1]]}\n", "profiles.types must be"),
+        ("profiles: {types: [a, b], rows: {x: 1}}\n", "profiles.rows must be a list of lists"),
+        ("profiles: {types: [a, b], rows: [[1, 2], [0, 0]]}\n", "positive sum, got \\[0, 0\\]"),
     ])
-    def test_malformed_spec_is_named(self, tmp_path, text, message):
+    def test_malformed_spec_is_named(self, tmp_path, text, message, capsys):
+        # a malformed profiles block once raised a TypeError, a RuntimeWarning
+        # or nothing at all; simulate now exits 1 with one error line
         path = tmp_path / "study.yaml"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_study_spec(path)
+        assert cmd_simulate(path, None, tmp_path / "out") == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_seed_contract(self, tmp_path, tiny_study_spec):
         out1, out2, out3 = (tmp_path / n for n in ("s1", "s2", "s3"))
@@ -497,8 +508,8 @@ class TestCmdSimulate:
         ("sample_sizes: [100, 700.5]\n", "sample_sizes"),
         ("sample_sizes: 100\n", "sample_sizes"),
         ("samples_per_trace: '5'\n", "samples_per_trace"),
-        ("known_samples: 2.5\n", "known_samples"),
-        ("known_sample_size: 300.5\n", "known_sample_size"),
+        ("known_samples: 2.5\n", "known_sample_counts"),
+        ("known_sample_size: 300.5\n", "known_particles_per_sample"),
         ("seed: 0.5\n", "seed"),
     ])
     def test_mistyped_integer_is_error(self, tmp_path, text, key):

@@ -27,6 +27,11 @@ class TestCatalog:
         with pytest.raises(ValueError):
             ParticleCatalog(("a", "b", "a"))
 
+    def test_refuses_a_bare_string(self):
+        # "ab" once became the two types "a" and "b"
+        with pytest.raises(ValueError, match="type_names must be a sequence of names, not a string"):
+            ParticleCatalog("ab")
+
 
 class TestSampleCounts:
     def test_rejects_negative(self):

@@ -218,6 +218,9 @@ class TestStudy:
         ("rng_seed", 0.5),
         ("second_trace_mixture", (0.5, 0.6)),
         ("second_trace_mixture", (0.2, 0.3, 0.5)),
+        ("unknown_shares", 0.5),
+        ("sample_sizes", 40),
+        ("second_trace_mixture", 0.5),
     ])
     def test_bad_counts_and_mixture_fail_at_construction(self, catalog, field, value):
         with pytest.raises(ValueError, match=field):

@@ -99,7 +99,7 @@ class TestInitialize:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FitConfig(known_weight=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^outer_max_iters must be at least 1, got 0$"):
             FitConfig(outer_max_iters=0)
 
     @pytest.mark.parametrize("name", ["known_weight", "flat_weight", "estep_tol", "outer_tol"])
