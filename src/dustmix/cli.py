@@ -4,10 +4,10 @@ Input samples arrive as CSV with a header row ``location,role,<type...>``
 where ``role`` is ``known:<source_name>`` or ``trace``; one data row per
 sample.  Every ``fit`` and ``simulate`` run writes a ``manifest.json`` next
 to its outputs: the tool and version, the command, the path and sha256 of
-each input file, the full configuration, the seed, the thread count, the
-wall-clock time, and the iteration count and convergence flag.  Outputs are
-bit-stable for fixed inputs, configuration and seed; wall-clock timing lives
-only in the manifest.
+each input file, the full configuration, the seed, the wall-clock time, and
+the iteration count and convergence flag.  Every run is on one thread.
+Outputs are bit-stable for fixed inputs, configuration and seed; wall-clock
+timing lives only in the manifest.
 """
 
 from __future__ import annotations
@@ -221,11 +221,12 @@ def _prepare_out_dir(out: Path, force: bool) -> None:
 
 
 def _write_manifest(out: Path, command: str, started: float, paths: list, config: dict,
-                    seed: int | None, threads: int, iterations: int | None,
-                    converged: bool) -> None:
+                    seed: int | None, iterations: int | None, converged: bool) -> None:
     """Write ``out/manifest.json``, with the sha256 of each input path (a
     ``None``, no config file, is skipped) and ``wall_clock_s`` since
-    ``started``, the one value that changes from run to run."""
+    ``started``, the one value that changes from run to run.  Every run is
+    on one thread, so ``threads`` is always 1; the key stays so that each
+    manifest keeps its bytes, and goes with ROADMAP item 7."""
     inputs = [Path(path) for path in paths if path is not None]
     manifest = {
         "tool": "dustmix",
@@ -235,7 +236,7 @@ def _write_manifest(out: Path, command: str, started: float, paths: list, config
                    for path in inputs],
         "config": config,
         "seed": seed,
-        "threads": threads,
+        "threads": 1,
         "wall_clock_s": time.perf_counter() - started,
         "iterations": iterations,
         "converged": converged,
@@ -252,8 +253,8 @@ def cmd_fit(
 ) -> int:
     """Fit a corpus and write report, plot data, bound trace and manifest.
     The fit draws no random numbers, so it takes no seed, and runs on one
-    thread: ``threads`` is only recorded in the manifest, and stays while
-    the benchmark passes ``threads=1``."""
+    thread.  ``threads`` is ignored (the manifest records 1): it stays only
+    while the benchmark passes ``threads=1``, and goes with ROADMAP item 7."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
@@ -269,7 +270,7 @@ def cmd_fit(
         write_table(out / "elbo_trace.csv", ["iteration", "elbo"],
                     enumerate(result.elbo_trace, start=1))
         _write_manifest(out, "fit", started, [corpus_path, config_path], config, None,
-                        threads, result.iterations, result.converged)
+                        result.iterations, result.converged)
     except (NumericalFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -353,7 +354,6 @@ def cmd_simulate(
     config_path: Path | str | None,
     out_dir: Path | str,
     seed: int | None = None,
-    threads: int = 1,
     force: bool = False,
 ) -> int:
     """Run the accuracy study described by a spec file and write its CSVs."""
@@ -364,13 +364,12 @@ def cmd_simulate(
         fit_config = FitConfig(**config["fit"])
         study = load_study_spec(spec_path, seed)
         _prepare_out_dir(out, force)
-        results = run_study(study, fit_config, threads=threads)
+        results = run_study(study, fit_config)
         write_cells_csv(results, out / "study_cells.csv")
         write_aggregate_csv(results, out / "study_aggregate.csv")
         clean = all(c.error is None and c.converged for c in results.cells)
         _write_manifest(out, "simulate", started, [spec_path, config_path],
-                        {**config, "study_seed": study.rng_seed}, study.rng_seed,
-                        threads, None, clean)
+                        {**config, "study_seed": study.rng_seed}, study.rng_seed, None, clean)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -436,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p.add_argument("--config", type=Path, default=None, help="YAML run configuration")
     sim_p.add_argument("--out", type=Path, required=True, help="output directory")
     sim_p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    sim_p.add_argument("--threads", type=int, default=1, help="parallel cells")
     sim_p.add_argument("--force", action="store_true", help="overwrite a non-empty output directory")
     sim_p.add_argument("--verbose", action="store_true")
 
@@ -455,8 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "fit":
         return cmd_fit(args.corpus, args.config, args.out, force=args.force)
     if args.command == "simulate":
-        return cmd_simulate(args.spec, args.config, args.out, seed=args.seed,
-                            threads=args.threads, force=args.force)
+        return cmd_simulate(args.spec, args.config, args.out, seed=args.seed, force=args.force)
     return cmd_report(args.run_dir)
 
 

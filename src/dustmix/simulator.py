@@ -8,14 +8,13 @@ unknown-source shares and per-sample particle counts, fits every generated
 corpus, and records the posterior mean/mode of the unknown source's share in
 each trace plus the unknown source's posterior profile.
 
-Randomness is seeded per (cell, replication) so cells are reproducible
-independently and may run in parallel.
+Randomness is seeded per (cell, replication), so each cell is reproducible
+on its own; the cells run one after another.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -64,10 +63,12 @@ class ScenarioSpec:
     gives the number of control samples per known source.  Control samples
     are drawn from their source's profile alone (degenerate mixing), with
     ``known_particles_per_sample`` particles each (defaults to
-    ``particles_per_sample``).  Every count must be an integer, at least 1,
-    and is stored as ``int``; every share must be a real number (a bool or a
-    string is not); an error names its field.  The spec holds no seed:
-    :func:`generate_corpus` draws from the generator it is given.
+    ``particles_per_sample``).  ``known_sample_counts``, ``trace_mixtures``
+    and each of its mixtures must be a list or a tuple (stored as a tuple).
+    Every count must be an integer, at least 1, and is stored as ``int``;
+    every share must be a real number (a bool or a string is not); an
+    error names its field.  The spec holds no seed: :func:`generate_corpus`
+    draws from the generator it is given.
     """
 
     catalog: ParticleCatalog
@@ -85,17 +86,17 @@ class ScenarioSpec:
         for row in profiles:
             _check_simplex(row, "true_profiles row")
         object.__setattr__(self, "true_profiles", profiles)
-        mixtures = tuple(tuple(as_real("trace_mixtures", v) for v in mix)
-                         for mix in self.trace_mixtures)
+        mixtures = _each("trace_mixtures", self.trace_mixtures,
+                         lambda name, mix: _each(name, mix, as_real))
         for mix in mixtures:
             if len(mix) != profiles.shape[0]:
                 raise ValueError("each trace mixture must have one share per source")
             _check_simplex(np.array(mix), "trace mixture")
         object.__setattr__(self, "trace_mixtures", mixtures)
+        object.__setattr__(self, "known_sample_counts", _each(
+            "known_sample_counts", self.known_sample_counts, as_count))
         if len(self.known_sample_counts) > profiles.shape[0]:
             raise ValueError("more known sources than profile rows")
-        object.__setattr__(self, "known_sample_counts", tuple(
-            as_count("known_sample_counts", c) for c in self.known_sample_counts))
         for name in ("particles_per_sample", "samples_per_trace"):
             object.__setattr__(self, name, as_count(name, getattr(self, name)))
         if self.known_particles_per_sample is not None:
@@ -171,13 +172,13 @@ class StudySpec:
     per-sample particle counts.  ``second_trace_mixture`` adds a second
     trace location with a fixed mixing vector (the two-trace situation).
     Construction checks what :func:`run_study` would otherwise fail on in
-    its cells: ``unknown_shares``, ``sample_sizes`` and a given
-    ``second_trace_mixture`` must each be a list or a tuple (stored as a
-    tuple), each count an integer (:func:`~dustmix.vbi.as_count`), at
-    least 1 (the seed at least 0), each share a real number (a bool or a
-    string is not), the second mixture a probability vector over the two
-    sources, and the profiles probability vectors over the catalog's types;
-    each error names its field.  The checks shared with a cell's
+    its cells: ``unknown_shares``, ``sample_sizes``, ``known_sample_counts``
+    and a given ``second_trace_mixture`` must each be a list or a tuple
+    (stored as a tuple), each count an integer
+    (:func:`~dustmix.vbi.as_count`), at least 1 (the seed at least 0), each
+    share a real number (a bool or a string is not), the second mixture a
+    probability vector over the two sources, and the profiles probability
+    vectors over the catalog's types; each error names its field.  The checks shared with a cell's
     :class:`ScenarioSpec` are made by building the first cell's scenario.
     """
 
@@ -193,6 +194,8 @@ class StudySpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "known_sample_counts", _each(
+            "known_sample_counts", self.known_sample_counts, as_count))
         if np.shape(self.true_profiles)[:1] != (2,) or len(self.known_sample_counts) != 1:
             raise ValueError("the study design uses exactly two sources, the first known")
         object.__setattr__(self, "unknown_shares",
@@ -213,8 +216,7 @@ class StudySpec:
         object.__setattr__(self, "rng_seed", as_count("rng_seed", self.rng_seed, least=0))
         # every cell's scenario shares these fields; the first one checks them
         scenario = self.scenario(self.unknown_shares[0], self.sample_sizes[0])
-        for name in ("true_profiles", "samples_per_trace", "known_sample_counts",
-                     "known_particles_per_sample"):
+        for name in ("true_profiles", "samples_per_trace", "known_particles_per_sample"):
             object.__setattr__(self, name, getattr(scenario, name))
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
@@ -320,24 +322,22 @@ def _run_cell(study: StudySpec, indices: tuple[int, int, int], config: FitConfig
 
 
 def run_study(study: StudySpec, config: FitConfig | None = None, threads: int = 1) -> StudyResults:
-    """Fit every (share, size, replication) cell of the grid.
+    """Fit every (share, size, replication) cell of the grid, one after
+    another, on one thread.
 
     Cell failures are recorded in their result rows rather than raised, so a
-    long sweep survives isolated numerical trouble.
+    long sweep survives isolated numerical trouble.  ``threads`` is ignored:
+    it stays only while the benchmark passes ``threads=1``, and goes with
+    ROADMAP item 7.
     """
     config = config or FitConfig()
-    jobs = [
-        (i_share, i_size, rep)
+    cells = tuple(
+        _run_cell(study, (i_share, i_size, rep), config)
         for i_share in range(len(study.unknown_shares))
         for i_size in range(len(study.sample_sizes))
         for rep in range(study.replications)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda idx: _run_cell(study, idx, config), jobs))
-    else:
-        cells = [_run_cell(study, idx, config) for idx in jobs]
-    return StudyResults(spec=study, cells=tuple(cells))
+    )
+    return StudyResults(spec=study, cells=cells)
 
 
 def write_cells_csv(results: StudyResults, path: Path | str) -> None:

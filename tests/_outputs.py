@@ -6,8 +6,14 @@ its three scenarios (both sources known, only AT known, only LQ known) and
 temporary directory.  It prints one ``<sha256>  <run>/<file>`` line per
 output file.  A ``manifest.json`` is hashed without its ``wall_clock_s``
 line and with each input path cut to its file name, the two things in it
-that change from run to run.  Run it in two checkouts and diff what it
-prints to show that a change keeps every output byte.
+that change from run to run.
+
+``tests/outputs.sha256`` holds the listing it prints, and
+``test_outputs_tool_digests_every_written_file`` compares a fresh run with
+it, so a change that alters an output byte fails that test.  A change meant
+to alter outputs re-records the listing with
+``python tests/_outputs.py > tests/outputs.sha256`` and says which lines
+moved.
 """
 
 import hashlib
@@ -24,6 +30,8 @@ import yaml  # noqa: E402
 
 from dustmix.cli import EXIT_ERROR, cmd_fit, cmd_simulate  # noqa: E402
 from dustmix.datasets import fixture_path  # noqa: E402
+
+RECORDED = Path(__file__).with_name("outputs.sha256")
 
 # (run, known location demoted to an unknown source)
 SCENARIOS = (("both-known", None), ("at-known", "LQ"), ("lq-known", "AT"))
@@ -73,10 +81,14 @@ def write_outputs(root: Path) -> dict[str, str]:
             for run in codes for path in sorted((root / run).iterdir())}
 
 
+def listing(digests: dict[str, str]) -> str:
+    """One ``<sha256>  <run>/<file>`` line per digest, as ``main`` prints."""
+    return "".join(f"{digest}  {name}\n" for name, digest in digests.items())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name, digest in write_outputs(Path(tmp)).items():
-            print(f"{digest}  {name}")
+        print(listing(write_outputs(Path(tmp))), end="")
     return 0
 
 

@@ -328,6 +328,12 @@ class TestCmdFit:
         assert manifest["command"] == "fit"
         assert manifest["converged"] is False
 
+    def test_manifest_records_the_one_thread_the_fit_ran_on(self, tmp_path, quick_config):
+        # threads=4 was once recorded as given
+        out = tmp_path / "run"
+        assert cmd_fit(fixture_path(), quick_config, out, threads=4) == cli.EXIT_NOT_CONVERGED
+        assert read_manifest(out, [fixture_path(), quick_config])["threads"] == 1
+
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = cmd_fit(tmp_path / "absent.csv", None, tmp_path / "out")
         assert code == 1
@@ -578,15 +584,19 @@ def test_outputs_tool_digests_every_written_file(tmp_path):
     assert all(len(digest) == 64 for digest in digests.values())
     # a manifest's digest leaves out its wall-clock time and where the run was
     assert _outputs.write_outputs(second) == digests
+    # every output byte is as recorded
+    assert _outputs.listing(digests) == _outputs.RECORDED.read_text()
 
 
 class TestMain:
     def test_import_leaves_out_scipy_stats(self):
         # scipy.stats adds about 22 MB of resident memory and 0.3 s at import;
-        # PyYAML is read only with a config file or a study spec
+        # PyYAML is read only with a config file or a study spec; a study
+        # runs its cells on one thread, with no thread pool
         env = {**os.environ, "PYTHONPATH": str(Path(dustmix.__file__).resolve().parents[1])}
         code = ("import sys, dustmix, dustmix.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'yaml') if m in sys.modules))")
+                "print(sorted(m for m in ('scipy.stats', 'yaml', 'concurrent.futures.thread')"
+                " if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
@@ -625,8 +635,10 @@ class TestMain:
         assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
     def test_options_that_changed_nothing_are_refused(self, capsys):
-        # the fit runs on one thread, and a report logs nothing
+        # a fit and a study run on one thread, and a report logs nothing
         for argv, option in ((["fit", str(fixture_path()), "--out", "run", "--threads", "2"],
+                              "--threads 2"),
+                             (["simulate", "spec.yaml", "--out", "run", "--threads", "2"],
                               "--threads 2"),
                              (["report", "run", "--verbose"], "--verbose")):
             with pytest.raises(SystemExit) as exc:
