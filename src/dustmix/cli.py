@@ -225,8 +225,7 @@ def _write_manifest(out: Path, command: str, started: float, paths: list, config
     """Write ``out/manifest.json``, with the sha256 of each input path (a
     ``None``, no config file, is skipped) and ``wall_clock_s`` since
     ``started``, the one value that changes from run to run.  Every run is
-    on one thread, so ``threads`` is always 1; the key stays so that each
-    manifest keeps its bytes, and goes with ROADMAP item 7."""
+    on one thread, so no thread count is recorded."""
     inputs = [Path(path) for path in paths if path is not None]
     manifest = {
         "tool": "dustmix",
@@ -236,7 +235,6 @@ def _write_manifest(out: Path, command: str, started: float, paths: list, config
                    for path in inputs],
         "config": config,
         "seed": seed,
-        "threads": 1,
         "wall_clock_s": time.perf_counter() - started,
         "iterations": iterations,
         "converged": converged,
@@ -253,8 +251,8 @@ def cmd_fit(
 ) -> int:
     """Fit a corpus and write report, plot data, bound trace and manifest.
     The fit draws no random numbers, so it takes no seed, and runs on one
-    thread.  ``threads`` is ignored (the manifest records 1): it stays only
-    while the benchmark passes ``threads=1``, and goes with ROADMAP item 7."""
+    thread.  ``threads`` is ignored and the manifest records none: it stays
+    only while the benchmark passes ``threads=1`` (ROADMAP item 7)."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
@@ -368,8 +366,8 @@ def cmd_simulate(
         write_cells_csv(results, out / "study_cells.csv")
         write_aggregate_csv(results, out / "study_aggregate.csv")
         clean = all(c.error is None and c.converged for c in results.cells)
-        _write_manifest(out, "simulate", started, [spec_path, config_path],
-                        {**config, "study_seed": study.rng_seed}, study.rng_seed, None, clean)
+        _write_manifest(out, "simulate", started, [spec_path, config_path], config,
+                        study.rng_seed, None, clean)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -382,16 +380,15 @@ def cmd_simulate(
 
 
 def _report_lines(payload: dict) -> list[str]:
-    """The summary lines of a ``report.json`` payload."""
-    prov = payload.get("provenance", {})
-    lines = [f"converged: {prov.get('converged')}   iterations: {prov.get('iterations')}"]
-    mass = payload.get("mass", 0.95)
-    lines.append(f"\nsource contributions per trace location ({mass:.0%} HPDI):")
-    for loc, rows in payload.get("theta", {}).items():
+    """The summary lines of a ``report.json`` payload; a missing key is a ``KeyError``."""
+    prov = payload["provenance"]
+    lines = [f"converged: {prov['converged']}   iterations: {prov['iterations']}",
+             f"\nsource contributions per trace location ({payload['mass']:.0%} HPDI):"]
+    for loc, rows in payload["theta"].items():
         lines += [f"  {loc:>10s}  {row['label']:>12s}  mean {row['mean']:.4f}"
                   f"   [{row['hpdi_lo']:.4f}, {row['hpdi_hi']:.4f}]" for row in rows]
     lines.append("\nprofile means per source (top five types):")
-    for source, rows in payload.get("beta", {}).items():
+    for source, rows in payload["beta"].items():
         top = sorted(rows, key=lambda r: r["mean"], reverse=True)[:5]
         parts = ", ".join(f"{r['label']} {r['mean']:.3f}" for r in top)
         lines.append(f"  {source:>10s}: {parts}")

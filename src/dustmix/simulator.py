@@ -326,9 +326,9 @@ def run_study(study: StudySpec, config: FitConfig | None = None, threads: int = 
     another, on one thread.
 
     Cell failures are recorded in their result rows rather than raised, so a
-    long sweep survives isolated numerical trouble.  ``threads`` is ignored:
-    it stays only while the benchmark passes ``threads=1``, and goes with
-    ROADMAP item 7.
+    long sweep survives isolated numerical trouble.  ``threads`` is ignored,
+    and no manifest records a thread count: it stays only while the
+    benchmark passes ``threads=1``, and goes with ROADMAP item 7.
     """
     config = config or FitConfig()
     cells = tuple(

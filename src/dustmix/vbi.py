@@ -144,37 +144,39 @@ def as_count(name: str, value, least: int = 1) -> int:
     return count
 
 
+# A known location's prior weight on its own source, pinning its samples there.
+_KNOWN_WEIGHT = 150.0
+# The relative bound change between inference phases that ends :func:`fit`.
+_OUTER_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Engine settings.
 
-    ``known_weight``/``flat_weight`` build the initial mixing rows: a known
-    location gets ``known_weight`` in its own source column and
-    ``flat_weight`` elsewhere; trace rows start flat.  ``estep_tol`` is
-    the relative bound change that ends a corpus inference phase and the
-    relative parameter step that ends :func:`estep_sample`;
-    ``estep_max_iters`` caps the sweeps of either.  ``outer_tol`` and
-    ``outer_max_iters`` do the same for the outer loop of :func:`fit`.
-    The box of the hyperparameter rows and the Newton solve's tolerance and
-    step cap are constants of :mod:`~dustmix.mstep`.  The fit draws no random
-    numbers, so it takes no seed.  Every field must be a real number (a
-    bool or a string is rejected, naming the field); the two weights and
-    the two tolerances must be positive and finite, and the two caps
-    integral and at least 1 (stored as ``int``).
+    ``flat_weight`` is the prior weight of every mixing-row entry but a
+    known location's own source (which takes ``_KNOWN_WEIGHT``); trace rows
+    start flat.  ``estep_tol`` is the relative bound change that ends a
+    corpus inference phase and the relative parameter step that ends
+    :func:`estep_sample`; ``estep_max_iters`` caps the sweeps of either, and
+    ``outer_max_iters`` the outer loop of :func:`fit`, whose tolerance is
+    ``_OUTER_TOL``.  The box of the hyperparameter rows and the Newton
+    solve's tolerance and step cap are constants of :mod:`~dustmix.mstep`.
+    The fit draws no random numbers, so it takes no seed.  Every field must
+    be a real number (a bool or a string is rejected, naming the field);
+    ``flat_weight`` and ``estep_tol`` must be positive and finite, and the
+    two caps integral and at least 1 (stored as ``int``).
     """
 
-    known_weight: float = 150.0
     flat_weight: float = 1.0
     estep_tol: float = 1e-8
     estep_max_iters: int = 500
-    outer_tol: float = 1e-6
     outer_max_iters: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol",
-                     "estep_max_iters", "outer_max_iters"):
+        for name in ("flat_weight", "estep_tol", "estep_max_iters", "outer_max_iters"):
             as_real(name, getattr(self, name))
-        for name in ("known_weight", "flat_weight", "estep_tol", "outer_tol"):
+        for name in ("flat_weight", "estep_tol"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # NaN fails the range test too
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -189,7 +191,7 @@ def initialize(
 
     Returns the configured priors: the profile rows ``eta`` (flat, all ones)
     and the mixing rows ``A`` (each known location pinned to its source by
-    ``known_weight``, ``flat_weight`` elsewhere; trace rows flat); then each
+    ``_KNOWN_WEIGHT``, ``flat_weight`` elsewhere; trace rows flat); then each
     sample's location index ``loc``, the counts (samples x types) and the
     starting mixing posteriors ``gamma``: each sample's mixing row plus
     total_count / (n_sources * total_samples).  Samples are in corpus order.
@@ -200,7 +202,7 @@ def initialize(
     A = np.full((corpus.n_locations, corpus.n_sources), config.flat_weight, dtype=np.float64)
     for i, location in enumerate(corpus.locations):
         if location.role.is_known:
-            A[i, location.role.source_index] = config.known_weight
+            A[i, location.role.source_index] = _KNOWN_WEIGHT
     loc = np.array([loc_id for loc_id, _ in corpus.iter_samples()], dtype=np.intp)
     counts = np.array(
         [sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64
@@ -946,7 +948,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
     The state is held as arrays (one row per sample, one shared ``lam``)
     from :func:`initialize` to the returned :class:`FitResult`.
     Convergence is declared when the relative change of the corpus bound
-    between consecutive inference phases drops below ``config.outer_tol``;
+    between consecutive inference phases is at most ``_OUTER_TOL``;
     hitting ``outer_max_iters`` first yields a result with
     ``converged=False`` rather than an error.
     The trace ids and the M-step's :class:`~dustmix.mstep.TraceRows` are
@@ -982,7 +984,7 @@ def fit(corpus: Corpus, config: FitConfig | None = None) -> FitResult:
             first = gamma.rows, lam.rows  # the configured-prior state
         elbo_trace.append(total)
         logger.debug("outer %d: bound %.6f after %d sweeps", outer, total, sweeps)
-        if previous_total is not None and abs(total - previous_total) <= config.outer_tol * max(
+        if previous_total is not None and abs(total - previous_total) <= _OUTER_TOL * max(
             abs(previous_total), 1e-12
         ):
             converged = True

@@ -1,10 +1,12 @@
-"""The sha256 of every file that ``dustmix fit`` and ``dustmix simulate`` write.
+"""The sha256 of every file that ``dustmix fit`` and ``dustmix simulate`` write,
+and of what ``dustmix report`` prints.
 
 ``python tests/_outputs.py`` runs ``cmd_fit`` on the bundled AT/LQ corpus in
 its three scenarios (both sources known, only AT known, only LQ known) and
 ``cmd_simulate`` on ``STUDY``, a small fixed spec with a second trace, in a
-temporary directory.  It prints one ``<sha256>  <run>/<file>`` line per
-output file.  A ``manifest.json`` is hashed without its ``wall_clock_s``
+temporary directory.  It saves the text ``cmd_report`` prints on each fit
+run as ``<run>/report.txt``, and prints one ``<sha256>  <run>/<file>`` line
+per file.  A ``manifest.json`` is hashed without its ``wall_clock_s``
 line and with each input path cut to its file name, the two things in it
 that change from run to run.
 
@@ -16,6 +18,7 @@ to alter outputs re-records the listing with
 moved.
 """
 
+import contextlib
 import hashlib
 import json
 import re
@@ -28,7 +31,7 @@ if __name__ == "__main__":  # run from a checkout: the package is in src/
 
 import yaml  # noqa: E402
 
-from dustmix.cli import EXIT_ERROR, cmd_fit, cmd_simulate  # noqa: E402
+from dustmix.cli import EXIT_ERROR, EXIT_OK, cmd_fit, cmd_report, cmd_simulate  # noqa: E402
 from dustmix.datasets import fixture_path  # noqa: E402
 
 RECORDED = Path(__file__).with_name("outputs.sha256")
@@ -61,8 +64,9 @@ def digest(path: Path) -> str:
 
 
 def write_outputs(root: Path) -> dict[str, str]:
-    """Run the three fits and the study in ``root``; the digest of each file
-    they write, keyed by ``<run>/<file>`` in name order."""
+    """Run the three fits and the study in ``root``, and save what
+    ``cmd_report`` prints on each fit run; the digest of each file, keyed by
+    ``<run>/<file>`` in name order."""
     lines = [line for line in fixture_path().read_text().splitlines() if line.strip()]
     config = root / "unknown_sources_1.yaml"
     config.write_text("unknown_sources: 1\n")
@@ -77,6 +81,10 @@ def write_outputs(root: Path) -> dict[str, str]:
     failed = [run for run, code in codes.items() if code == EXIT_ERROR]
     if failed:
         raise RuntimeError(f"runs failed: {', '.join(failed)}")
+    for run, _ in SCENARIOS:
+        with (root / run / "report.txt").open("w") as text, contextlib.redirect_stdout(text):
+            if cmd_report(root / run) != EXIT_OK:
+                raise RuntimeError(f"report failed: {run}")
     return {f"{run}/{path.name}": digest(path)
             for run in codes for path in sorted((root / run).iterdir())}
 

@@ -26,8 +26,13 @@ import _outputs
 
 HEADER = "location,role,a,b,c"
 
-MANIFEST_KEYS = ["tool", "version", "command", "inputs", "config", "seed", "threads",
-                 "wall_clock_s", "iterations", "converged"]
+MANIFEST_KEYS = ["tool", "version", "command", "inputs", "config", "seed", "wall_clock_s",
+                 "iterations", "converged"]
+
+
+# the keys that ``dustmix report`` reads of a report.json, with no marginals
+LEAST_REPORT = {"provenance": {"converged": True, "iterations": 3}, "mass": 0.95,
+                "theta": {}, "beta": {}}
 
 
 def write_csv(tmp_path, rows, header=HEADER):
@@ -211,8 +216,8 @@ class TestConfig:
     def test_defaults_without_file(self):
         config = load_config(None)
         fit_config = FitConfig(**config["fit"])
-        assert fit_config.known_weight == 150.0
-        assert fit_config.outer_tol == 1e-6
+        assert list(config["fit"]) == ["flat_weight", "estep_tol", "estep_max_iters",
+                                       "outer_max_iters"]
         assert fit_config == FitConfig()
         assert set(config) == {"unknown_sources", "fit", "report"}
         assert config["report"]["hpdi_mass"] == 0.95
@@ -226,13 +231,13 @@ class TestConfig:
         path = tmp_path / "config.yaml"
         path.write_text(yaml.safe_dump({
             "unknown_sources": 1,
-            "fit": {"outer_max_iters": 7, "known_weight": 99.0},
+            "fit": {"outer_max_iters": 7, "flat_weight": 2.5},
         }))
         config = load_config(path)
         fit_config = FitConfig(**config["fit"])
         assert config["unknown_sources"] == 1
         assert fit_config.outer_max_iters == 7
-        assert fit_config.known_weight == 99.0
+        assert fit_config.flat_weight == 2.5
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
@@ -242,10 +247,13 @@ class TestConfig:
         path.write_text("mystery: 1\n")
         with pytest.raises(ValueError, match="mystery"):
             load_config(path)
-        # settings that never reached the engine were removed, not ignored
+        # settings that never reached the engine were removed, not ignored, and
+        # the control-pinning weight and the outer tolerance are engine constants
         for section, key in (("fit", "scale_updates_by_count"),
                              ("fit", "rng_seed"),
-                             ("report", "sample_diagnostics")):
+                             ("report", "sample_diagnostics"),
+                             ("fit", "known_weight"),
+                             ("fit", "outer_tol")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
             with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):
                 load_config(path)
@@ -329,10 +337,10 @@ class TestCmdFit:
         assert manifest["converged"] is False
 
     def test_manifest_records_the_one_thread_the_fit_ran_on(self, tmp_path, quick_config):
-        # threads=4 was once recorded as given
+        # every run is on one thread, so the manifest records no thread count
         out = tmp_path / "run"
         assert cmd_fit(fixture_path(), quick_config, out, threads=4) == cli.EXIT_NOT_CONVERGED
-        assert read_manifest(out, [fixture_path(), quick_config])["threads"] == 1
+        assert "threads" not in read_manifest(out, [fixture_path(), quick_config])
 
     def test_missing_file_is_error(self, tmp_path, capsys):
         code = cmd_fit(tmp_path / "absent.csv", None, tmp_path / "out")
@@ -376,10 +384,10 @@ class TestCmdFit:
         ("report: {hpdi_mass: 0}\n", "report.hpdi_mass"),
         ("report: {hpdi_mass: true}\n", "report.hpdi_mass"),
         ("report: {hpdi_mass: .nan}\n", "report.hpdi_mass"),
-        ("fit: {outer_tol: .inf}\n", "outer_tol"),
         ("fit: {estep_tol: .inf}\n", "estep_tol"),
-        ("fit: {known_weight: .inf}\n", "known_weight"),
+        ("fit: {outer_tol: .inf}\n", "outer_tol"),  # an engine constant: an unknown key
         ("fit: {flat_weight: .inf}\n", "flat_weight"),
+        ("fit: {known_weight: .inf}\n", "known_weight"),  # likewise
     ])
     def test_mistyped_config_value_is_error(self, tmp_path, capsys, text, field):
         config = tmp_path / "config.yaml"
@@ -397,15 +405,23 @@ class TestCmdFit:
         text = capsys.readouterr().out
         assert "e1" in text and "AT" in text
         assert cmd_report(tmp_path / "nowhere") == 1
+        # the base of the malformed payloads below prints as it is
+        (tmp_path / "report.json").write_text(json.dumps(LEAST_REPORT))
+        assert cmd_report(tmp_path) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("converged: True   iterations: 3\n")
 
     @pytest.mark.parametrize("payload", [
         [],
-        {"theta": []},
-        {"theta": {"e1": [{"label": "AT", "hpdi_lo": 0.1, "hpdi_hi": 0.3}]}},
-        {"beta": {"AT": [{"label": "a"}]}},
-        {"mass": "0.95"},
-    ], ids=["list", "theta-list", "row-without-mean", "profile-without-mean", "mass-string"])
+        {**LEAST_REPORT, "theta": []},
+        {**LEAST_REPORT, "theta": {"e1": [{"label": "AT", "hpdi_lo": 0.1, "hpdi_hi": 0.3}]}},
+        {**LEAST_REPORT, "beta": {"AT": [{"label": "a"}]}},
+        {**LEAST_REPORT, "mass": "0.95"},
+        {},
+        {"beta": {}},
+    ], ids=["list", "theta-list", "row-without-mean", "profile-without-mean", "mass-string",
+            "empty", "beta-only"])
     def test_malformed_report_is_error(self, tmp_path, capsys, payload):
+        # a missing key was once read as a default: {} printed "converged: None"
         path = tmp_path / "report.json"
         path.write_text(json.dumps(payload))
         assert cmd_report(tmp_path) == cli.EXIT_ERROR
@@ -453,6 +469,8 @@ class TestCmdSimulate:
         manifest = read_manifest(out, [tiny_study_spec])
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
+        # the config as loaded, without a study_seed that repeated the seed
+        assert manifest["config"] == load_config(None)
 
     def test_converged_study_exits_ok(self, tmp_path, converging_study_spec):
         out = tmp_path / "study"
@@ -566,21 +584,21 @@ class TestCmdSimulate:
 
 
 def test_outputs_tool_digests_every_written_file(tmp_path):
-    # tests/_outputs.py: each fit's report, tables, manifest and 4 + 28
-    # density curves, and the study's two tables and manifest
+    # tests/_outputs.py: each fit's report, tables, manifest, 4 + 28 density
+    # curves and printed report, and the study's two tables and manifest
     first, second = tmp_path / "first", tmp_path / "second"
     first.mkdir()
     second.mkdir()
     digests = _outputs.write_outputs(first)
-    fit_files = {"report.json", "summary.csv", "elbo_trace.csv", "manifest.json"}
+    fit_files = {"report.json", "summary.csv", "elbo_trace.csv", "manifest.json", "report.txt"}
     for run, _ in _outputs.SCENARIOS:
         names = [key.split("/")[1] for key in digests if key.startswith(f"{run}/")]
-        assert fit_files <= set(names) and len(names) == 4 + 32
+        assert fit_files <= set(names) and len(names) == 5 + 32
         assert sum(name.startswith("theta_") for name in names) == 4
         assert sum(name.startswith("beta_") for name in names) == 28
     assert [key for key in digests if key.startswith("simulate/")] == [
         "simulate/manifest.json", "simulate/study_aggregate.csv", "simulate/study_cells.csv"]
-    assert len(digests) == 3 * 36 + 3
+    assert len(digests) == 3 * 37 + 3
     assert all(len(digest) == 64 for digest in digests.values())
     # a manifest's digest leaves out its wall-clock time and where the run was
     assert _outputs.write_outputs(second) == digests

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import logging
 import re
@@ -98,14 +99,22 @@ class TestInitialize:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FitConfig(known_weight=0.0)
+            FitConfig(flat_weight=0.0)
+        assert [field.name for field in dataclasses.fields(FitConfig)] == [
+            "flat_weight", "estep_tol", "estep_max_iters", "outer_max_iters"]
         with pytest.raises(ValueError, match="^outer_max_iters must be at least 1, got 0$"):
             FitConfig(outer_max_iters=0)
 
-    @pytest.mark.parametrize("name", ["known_weight", "flat_weight", "estep_tol", "outer_tol"])
+    @pytest.mark.parametrize("name", ["flat_weight", "estep_tol"])
     def test_config_refuses_infinite_settings(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
             FitConfig(**{name: np.inf})
+
+    @pytest.mark.parametrize("name, value", [("known_weight", 150.0), ("outer_tol", 1e-6)])
+    def test_config_refuses_engine_constants(self, name, value):
+        # the control-pinning weight and the outer tolerance are no settings
+        with pytest.raises(TypeError, match=name):
+            FitConfig(**{name: value})
 
 
 class TestEstepSample:
@@ -419,6 +428,22 @@ class TestFit:
         assert not result.converged
         assert result.iterations == 1
         assert len(result.elbo_trace) == 1
+
+    def test_outer_loop_stops_at_its_tolerance(self, fit_both_known, corpus_both_known,
+                                               monkeypatch):
+        # at the first relative bound change between phases of at most _OUTER_TOL
+        def relative_changes(result):
+            trace = np.array(result.elbo_trace)
+            return np.abs(np.diff(trace)) / np.abs(trace[:-1])
+
+        result, _ = fit_both_known
+        changes = relative_changes(result)
+        assert result.converged and changes[-1] <= vbi._OUTER_TOL < changes[:-1].min()
+        monkeypatch.setattr(vbi, "_OUTER_TOL", 1e-4)
+        looser = fit(corpus_both_known, FitConfig())
+        changes = relative_changes(looser)
+        assert looser.converged and looser.iterations < result.iterations
+        assert changes[-1] <= 1e-4 < changes[:-1].min()
 
     def test_inference_phase_warns_at_cap(self, caplog):
         corpus = _one_trace_corpus()
@@ -1188,7 +1213,7 @@ class TestFixedPoint:
         for row, (loc_id, _) in zip(configured, corpus_at_known.iter_samples()):
             role = corpus_at_known.locations[loc_id].role
             if role.is_known:
-                row[role.source_index] = config.known_weight
+                row[role.source_index] = vbi._KNOWN_WEIGHT
         assert np.array_equal(a, configured) and np.array_equal(eta, np.ones_like(lam))
 
     @pytest.mark.parametrize("name", [
