@@ -4,8 +4,9 @@ Input samples arrive as CSV with a header row ``location,role,<type...>``
 where ``role`` is ``known:<source_name>`` or ``trace``; one data row per
 sample.  Every ``fit`` and ``simulate`` run writes a ``manifest.json`` next
 to its outputs: the tool and version, the command, the path and sha256 of
-each input file, the full configuration, the seed, the wall-clock time, and
-the iteration count and convergence flag.  Every run is on one thread.
+each input file, the configuration sections its command reads (with their
+defaults filled in), the seed, the wall-clock time, and the iteration count
+and convergence flag.  Every run is on one thread.
 Outputs are bit-stable for fixed inputs, configuration and seed; wall-clock
 timing lives only in the manifest.
 """
@@ -149,10 +150,6 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
     return corpus
 
 
-_CONFIG_SECTIONS = {"unknown_sources", "fit", "report"}
-_REPORT_DEFAULTS = {"hpdi_mass": 0.95}
-
-
 def _load_yaml(path: Path | str):
     """The YAML document in ``path``, read as UTF-8 text; a file that is not
     UTF-8, or not valid YAML, is a ``ValueError`` naming it."""
@@ -168,45 +165,44 @@ def _load_yaml(path: Path | str):
         raise ValueError(f"{path}: not valid YAML: {exc}") from exc
 
 
-def load_config(path: Path | str | None) -> dict:
-    """Parse the run configuration; an empty or missing config reproduces
-    the default setup.  ``unknown_sources`` must be a non-negative integer
-    and ``report.hpdi_mass`` a number strictly between 0 and 1."""
-    raw: dict = {}
-    if path is not None:
-        parsed = _load_yaml(path)
-        if parsed is None:
-            parsed = {}
-        if not isinstance(parsed, dict):
-            raise ValueError(f"{path}: config must be a mapping")
-        raw = parsed
-    unknown = set(raw) - _CONFIG_SECTIONS
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+def _mapping(block, what: str, keys: tuple[str, ...]) -> dict:
+    """``block`` if it is a mapping whose keys are all in ``keys``; else a
+    ``ValueError`` naming ``what`` and every key it does not take."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{what} must be a mapping")
+    extra = sorted(str(key) for key in block if key not in keys)
+    if extra:
+        raise ValueError(f"{what} holds unknown keys: {', '.join(extra)}")
+    return block
 
-    def section(name: str, defaults: dict) -> dict:
-        block = raw.get(name, {})
-        if not isinstance(block, dict):
-            raise ValueError(f"config section {name!r} must be a mapping")
-        extra = set(block) - set(defaults)
-        if extra:
-            raise ValueError(f"unknown keys in config section {name!r}: {', '.join(sorted(extra))}")
-        merged = dict(defaults)
-        merged.update(block)
-        return merged
 
-    sources = raw.get("unknown_sources", 0)
-    if as_integer("unknown_sources", sources) < 0:
-        raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
-    report = section("report", dict(_REPORT_DEFAULTS))
-    mass = as_real("report.hpdi_mass", report["hpdi_mass"])
-    if not 0.0 < mass < 1.0:  # NaN fails the range test too
-        raise ValueError(f"report.hpdi_mass must be a number in (0, 1), got {mass!r}")
-    return {
-        "unknown_sources": int(sources),
-        "fit": section("fit", asdict(FitConfig())),
-        "report": report,
-    }
+def load_config(path: Path | str | None,
+                sections: tuple[str, ...] = ("unknown_sources", "fit", "report")) -> dict:
+    """Parse the run configuration: a YAML mapping of the ``sections`` its
+    command reads (all three for ``fit``, only ``fit`` for ``simulate``),
+    returned in that order with every default filled in, so an empty or
+    missing config reproduces the default setup.  Any other key is refused.
+    ``unknown_sources`` must be a non-negative integer and
+    ``report.hpdi_mass`` a number strictly between 0 and 1."""
+    parsed = None if path is None else _load_yaml(path)
+    raw = _mapping({} if parsed is None else parsed, f"{path}: config", sections)
+    defaults = {"unknown_sources": 0, "fit": asdict(FitConfig()), "report": {"hpdi_mass": 0.95}}
+    config = {}
+    for name in sections:
+        config[name] = raw.get(name, defaults[name])
+        if isinstance(defaults[name], dict):
+            block = _mapping(config[name], f"config section {name!r}", tuple(defaults[name]))
+            config[name] = {**defaults[name], **block}
+    if "unknown_sources" in config:
+        sources = config["unknown_sources"]
+        if as_integer("unknown_sources", sources) < 0:
+            raise ValueError(f"unknown_sources must be a non-negative integer, got {sources!r}")
+        config["unknown_sources"] = int(sources)
+    if "report" in config:
+        mass = as_real("report.hpdi_mass", config["report"]["hpdi_mass"])
+        if not 0.0 < mass < 1.0:  # NaN fails the range test too
+            raise ValueError(f"report.hpdi_mass must be a number in (0, 1), got {mass!r}")
+    return config
 
 
 def _prepare_out_dir(out: Path, force: bool) -> None:
@@ -321,17 +317,9 @@ def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     ``second_trace`` is ``second_trace_mixture`` and ``seed`` is
     ``rng_seed``, which a ``seed`` argument overrides; every other key is
     its field."""
-    raw = _load_yaml(path)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: study spec must be a mapping")
-    known_keys = {
+    raw = _mapping(_load_yaml(path), f"{path}: study spec", (
         "profiles", "unknown_shares", "sample_sizes", "samples_per_trace",
-        "known_samples", "known_sample_size", "second_trace", "replications", "seed",
-    }
-    extra = set(raw) - known_keys
-    if extra:
-        raise ValueError(f"unknown study-spec keys: {', '.join(sorted(extra))}")
-
+        "known_samples", "known_sample_size", "second_trace", "replications", "seed"))
     catalog, profiles = _study_profiles(raw.get("profiles", "at_lq"))
     return StudySpec(
         catalog=catalog,
@@ -354,11 +342,13 @@ def cmd_simulate(
     seed: int | None = None,
     force: bool = False,
 ) -> int:
-    """Run the accuracy study described by a spec file and write its CSVs."""
+    """Run the accuracy study described by a spec file and write its CSVs.
+    The study fits one unknown source and builds no report, so its config
+    holds only the ``fit`` section, and the manifest records only that."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
-        config = load_config(config_path)
+        config = load_config(config_path, ("fit",))
         fit_config = FitConfig(**config["fit"])
         study = load_study_spec(spec_path, seed)
         _prepare_out_dir(out, force)

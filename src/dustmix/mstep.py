@@ -353,17 +353,14 @@ def mstep(
     for label, new, old, ids, stat, n_samples in updates:
         if not ids.size:
             continue
-        try:
-            x0 = np.clip(new[ids], _LOWER, _UPPER)
-            solve = maximize_rows(stat, n_samples, x0)
-            new[ids] = solve.x
-            # a solve never ends below x0; where the box moved x0 off the old
-            # rows, an old row that scores higher is kept
-            if (x0 != old).any():
-                keep = solve.value < _objective(old, stat, n_samples)[0]
-                new[ids[keep]] = old[keep]
-        except (ValueError, ArithmeticError) as exc:
-            raise RuntimeError(f"row update failed (matrix {label}): {exc}") from exc
+        x0 = np.clip(new[ids], _LOWER, _UPPER)
+        solve = maximize_rows(stat, n_samples, x0)
+        new[ids] = solve.x
+        # a solve never ends below x0; where the box moved x0 off the old
+        # rows, an old row that scores higher is kept
+        if (x0 != old).any():
+            keep = solve.value < _objective(old, stat, n_samples)[0]
+            new[ids[keep]] = old[keep]
         if solve.converged.all() and not solve.on_box.any():
             continue
         for row, converged, on_box in zip(ids, solve.converged, solve.on_box):

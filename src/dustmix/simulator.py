@@ -176,9 +176,10 @@ class StudySpec:
     and a given ``second_trace_mixture`` must each be a list or a tuple
     (stored as a tuple), each count an integer
     (:func:`~dustmix.vbi.as_count`), at least 1 (the seed at least 0), each
-    share a real number (a bool or a string is not), the second mixture a
-    probability vector over the two sources, and the profiles probability
-    vectors over the catalog's types; each error names its field.  The checks shared with a cell's
+    share a real number (a bool or a string is not), no share and no
+    particle count given twice, the second mixture a probability vector over
+    the two sources, and the profiles probability vectors over the catalog's
+    types; each error names its field.  The checks shared with a cell's
     :class:`ScenarioSpec` are made by building the first cell's scenario.
     """
 
@@ -206,6 +207,10 @@ class StudySpec:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
+        for name, values in (("unknown_shares", self.unknown_shares),
+                             ("sample_sizes", self.sample_sizes)):
+            if len(set(values)) < len(values):  # aggregate() finds a cell's rows by value
+                raise ValueError(f"{name} repeats a value: {list(values)}")
         object.__setattr__(self, "replications", as_count("replications", self.replications))
         if self.second_trace_mixture is not None:
             mixture = _each("second_trace_mixture", self.second_trace_mixture, as_real)

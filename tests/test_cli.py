@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -255,15 +257,36 @@ class TestConfig:
                              ("fit", "known_weight"),
                              ("fit", "outer_tol")):
             path.write_text(yaml.safe_dump({section: {key: 1}}))
-            with pytest.raises(ValueError, match=f"unknown keys in config section.*{key}"):
+            with pytest.raises(ValueError,
+                               match=f"config section '{section}' holds unknown keys: {key}$"):
                 load_config(path)
+
+    def test_every_unknown_key_is_named_by_one_rule(self, tmp_path, capsys):
+        # the top level, a section and a study spec refuse unknown keys alike,
+        # and name every one, a key that is not a string too (it once raised a
+        # TypeError out of cmd_fit)
+        path = tmp_path / "config.yaml"
+        path.write_text("zeta: 1\n1: 2\nfit: {alpha: 1, outer_max_iters: 3}\n")
+        with pytest.raises(ValueError) as refused:
+            load_config(path)
+        assert str(refused.value) == f"{path}: config holds unknown keys: 1, zeta"
+        assert cmd_fit(fixture_path(), path, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        path.write_text("fit: {2: 1, alpha: 1, outer_max_iters: 3}\n")
+        with pytest.raises(ValueError) as refused:
+            load_config(path)
+        assert str(refused.value) == "config section 'fit' holds unknown keys: 2, alpha"
+        path.write_text("replications: 1\n3: 1\ntypo: 1\n")
+        with pytest.raises(ValueError) as refused:
+            load_study_spec(path)
+        assert str(refused.value) == f"{path}: study spec holds unknown keys: 3, typo"
 
     def test_solver_sections_rejected(self, tmp_path):
         # the M-step box and Newton settings are fixed, not configurable
         path = tmp_path / "config.yaml"
         for section, block in (("optimizer", {"max_iters": 4}), ("bounds", {"upper": 50.0})):
             path.write_text(yaml.safe_dump({section: block}))
-            with pytest.raises(ValueError, match=f"unknown config keys: {section}"):
+            with pytest.raises(ValueError, match=f"config holds unknown keys: {section}$"):
                 load_config(path)
         with pytest.raises(TypeError):
             FitConfig(bounds=None)
@@ -365,6 +388,16 @@ class TestCmdFit:
         code = cmd_fit(fixture_path(), None, tmp_path / "run")
         assert code == 1
         assert capsys.readouterr().err == "error: bound term entropy_z is not finite\n"
+
+    def test_row_solve_error_is_error(self, tmp_path, monkeypatch, capsys):
+        # a ValueError from the M-step's row solve reaches cmd_fit as itself;
+        # it was once re-raised as a RuntimeError that ended in a traceback
+        def failing_solve(stat, n_samples, x0):
+            raise ValueError("row solve failed")
+
+        monkeypatch.setattr("dustmix.mstep.maximize_rows", failing_solve)
+        assert cmd_fit(fixture_path(), None, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err == "error: row solve failed\n"
 
     def test_unknown_source_without_trace_sample_is_error(self, tmp_path, capsys):
         corpus = write_csv(tmp_path, ["k0,known:s,5,1,1", "k1,known:r,1,5,1"])
@@ -469,8 +502,31 @@ class TestCmdSimulate:
         manifest = read_manifest(out, [tiny_study_spec])
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 5
-        # the config as loaded, without a study_seed that repeated the seed
-        assert manifest["config"] == load_config(None)
+        # only the section a study reads, without a study_seed that repeated the seed
+        assert manifest["config"] == {"fit": asdict(FitConfig())}
+
+    @pytest.mark.parametrize("text, key", [
+        ("unknown_sources: 1\n", "unknown_sources"),
+        ("report: {hpdi_mass: 0.9}\n", "report"),
+    ])
+    def test_config_sections_a_study_does_not_read_are_refused(
+            self, tmp_path, tiny_study_spec, capsys, text, key):
+        # a study fits one unknown source and builds no report
+        config = tmp_path / "config.yaml"
+        config.write_text(text)
+        assert cmd_simulate(tiny_study_spec, config, tmp_path / "out") == cli.EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {config}: config holds unknown keys: {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_section_is_read(self, tmp_path, tiny_study_spec):
+        config = tmp_path / "config.yaml"
+        config.write_text("fit: {outer_max_iters: 3}\n")
+        out = tmp_path / "study"
+        assert cmd_simulate(tiny_study_spec, config, out) in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+        manifest = read_manifest(out, [tiny_study_spec, config])
+        assert manifest["config"] == {"fit": asdict(FitConfig(outer_max_iters=3))}
+        assert all(int(row["iterations"]) <= 3 for row in
+                   csv.DictReader((out / "study_cells.csv").read_text().splitlines()))
 
     def test_converged_study_exits_ok(self, tmp_path, converging_study_spec):
         out = tmp_path / "study"
@@ -495,6 +551,10 @@ class TestCmdSimulate:
         ("profiles: {types: [[1], [2]], rows: [[1, 2], [2, 1]]}\n", "profiles.types must be"),
         ("profiles: {types: [a, b], rows: {x: 1}}\n", "profiles.rows must be a list of lists"),
         ("profiles: {types: [a, b], rows: [[1, 2], [0, 0]]}\n", "positive sum, got \\[0, 0\\]"),
+        # aggregate() matches cells by value, so a repeat once gave two
+        # identical rows with negative failure counts
+        ("unknown_shares: [0.4, 0.4]\n", "unknown_shares repeats a value: \\[0.4, 0.4\\]"),
+        ("sample_sizes: [100, 70, 100]\n", "sample_sizes repeats a value: \\[100, 70, 100\\]"),
     ])
     def test_malformed_spec_is_named(self, tmp_path, text, message, capsys):
         # a malformed profiles block once raised a TypeError, a RuntimeWarning
@@ -519,7 +579,7 @@ class TestCmdSimulate:
     def test_spec_validation(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("unknown_key: 1\n")
-        with pytest.raises(ValueError, match="unknown_key"):
+        with pytest.raises(ValueError, match="study spec holds unknown keys: unknown_key$"):
             load_study_spec(path)
         path.write_text("replications: 0\n")
         with pytest.raises(ValueError, match="replications"):

@@ -356,6 +356,11 @@ class TestStudy:
             self._study(catalog, unknown_shares=())
         with pytest.raises(ValueError):
             self._study(catalog, unknown_shares=(0.0, 0.5))
+        # aggregate() finds a cell's rows by value, so a grid value is given once
+        with pytest.raises(ValueError, match=r"unknown_shares repeats a value: \[0.4, 0.4\]"):
+            self._study(catalog, unknown_shares=(0.4, 0.4))
+        with pytest.raises(ValueError, match=r"sample_sizes repeats a value: \[40, 80, 40\]"):
+            self._study(catalog, sample_sizes=[40, 80, 40])
         for replications in (0, -2):
             with pytest.raises(ValueError, match="replications"):
                 self._study(catalog, replications=replications)
