@@ -246,15 +246,19 @@ def cmd_fit(
     force: bool = False,
 ) -> int:
     """Fit a corpus and write report, plot data, bound trace and manifest.
-    The fit draws no random numbers, so it takes no seed, and runs on one
-    thread.  ``threads`` is ignored and the manifest records none: it stays
-    only while the benchmark passes ``threads=1`` (ROADMAP item 7)."""
+    A corpus with a trace location and fewer than two sources is refused
+    before the output directory is made.  The fit draws no random numbers,
+    so it takes no seed, and runs on one thread.  ``threads`` is ignored and
+    the manifest records none: it stays only while the benchmark passes
+    ``threads=1`` (ROADMAP item 7)."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
         config = load_config(config_path)
         fit_config = FitConfig(**config["fit"])
         corpus = ingest_csv(corpus_path, unknown_sources=config["unknown_sources"])
+        if corpus.trace_location_ids and corpus.n_sources < 2:
+            raise ValueError(f"{corpus_path}: a trace share needs at least two sources")
         _prepare_out_dir(out, force)
         result = fit(corpus, fit_config)
         report = build_report(result, corpus, mass=float(config["report"]["hpdi_mass"]))

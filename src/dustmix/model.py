@@ -183,17 +183,13 @@ class Corpus:
 
     @property
     def source_names(self) -> tuple[str, ...]:
-        names = [""] * self.n_known_sources
-        for loc in self.locations:
-            idx = loc.role.source_index
-            if idx is not None and 0 <= idx < len(names) and not names[idx]:
-                names[idx] = loc.name
-        for i, name in enumerate(names):
-            if not name:
-                names[i] = f"source_{i}"
-        names.extend(f"unknown_{q}" if self.n_unknown_sources > 1 else "unknown"
-                     for q in range(self.n_unknown_sources))
-        return tuple(names)
+        """The source names of a corpus that :func:`validate_corpus` accepts:
+        its known locations' names by source index, then the unknown sources'."""
+        known = sorted((loc for loc in self.locations if loc.role.is_known),
+                       key=lambda loc: loc.role.source_index)
+        return tuple([loc.name for loc in known] + [
+            f"unknown_{q}" if self.n_unknown_sources > 1 else "unknown"
+            for q in range(self.n_unknown_sources)])
 
     @property
     def trace_location_ids(self) -> tuple[int, ...]:

@@ -157,10 +157,7 @@ def profiles_from_counts(samples: Sequence[SampleCounts]) -> np.ndarray:
     if len(samples) == 0:
         raise ValueError("need at least one sample to pool")
     pooled = np.sum([s.counts for s in samples], axis=0).astype(np.float64)
-    total = pooled.sum()
-    if total <= 0:
-        raise ValueError("pooled counts are all zero")
-    return pooled / total
+    return pooled / pooled.sum()
 
 
 @dataclass(frozen=True)

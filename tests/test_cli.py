@@ -408,6 +408,25 @@ class TestCmdFit:
         assert "[unknown-without-trace]" in capsys.readouterr().err
         assert not (tmp_path / "run" / "report.json").exists()
 
+    @pytest.mark.parametrize("dropped, unknown_sources", [(("LQ",), 0), (("AT", "LQ"), 1)])
+    def test_one_source_with_a_trace_is_refused(self, tmp_path, monkeypatch, capsys, dropped,
+                                                unknown_sources):
+        # the share row of a lone source gives Beta(w, 0): such a corpus was
+        # fitted whole, then its report failed and left an empty output directory
+        def no_fit(corpus, config):
+            raise AssertionError("cmd_fit fitted a corpus it refuses")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        lines = fixture_path().read_text().splitlines()
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("\n".join(ln for ln in lines if ln.split(",", 1)[0] not in dropped))
+        config = tmp_path / "config.yaml"
+        config.write_text(f"unknown_sources: {unknown_sources}\n")
+        assert cmd_fit(corpus, config, tmp_path / "run") == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {corpus}: a trace share needs at least two sources\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text, field", [
         ("fit: {outer_max_iters: 2.5}\n", "outer_max_iters"),
         ("fit: {estep_tol: 1e-8}\n", "estep_tol"),  # PyYAML reads 1e-8 as a string

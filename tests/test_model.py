@@ -211,6 +211,16 @@ class TestCorpusProperties:
         assert corpus_at_known.source_names == ("AT", "unknown")
         assert corpus_at_known.n_sources == 2
 
+    def test_source_names_follow_the_source_index(self, small_catalog):
+        # the location that claims source 1 is listed first
+        groups = [("LQ", LocationRole.known(1), [np.array([1, 5, 1])]),
+                  ("AT", LocationRole.known(0), [np.array([5, 1, 1])]),
+                  ("e1", LocationRole.trace(), [np.array([3, 3, 1])])]
+        for unknown, names in ((0, ("AT", "LQ")), (1, ("AT", "LQ", "unknown"))):
+            corpus = Corpus.from_groups(small_catalog, groups, unknown)
+            assert validate_corpus(corpus) == []
+            assert corpus.source_names == names
+
     def test_iter_samples_order(self, small_catalog):
         corpus = _two_source_corpus(small_catalog)
         seen = [(loc_id, s.sample_index) for loc_id, s in corpus.iter_samples()]
