@@ -2,11 +2,14 @@
 
 Input samples arrive as CSV with a header row ``location,role,<type...>``
 where ``role`` is ``known:<source_name>`` or ``trace``; one data row per
-sample.  Every ``fit`` and ``simulate`` run writes a ``manifest.json`` next
-to its outputs: the tool and version, the command, the path and sha256 of
-each input file, the configuration sections its command reads (with their
-defaults filled in), the seed, the wall-clock time, and the iteration count
-and convergence flag.  Every run is on one thread.
+sample.  A known location is its source and the report names it by the
+location: ``site1,known:AT`` is reported as ``site1`` (no other location
+may claim ``AT``).  Every ``fit`` and ``simulate`` run writes a
+``manifest.json`` next to its outputs: the tool and version, the command,
+the path and sha256 of each input file, the configuration sections its
+command reads (with their defaults filled in), the seed, the wall-clock
+time, and the iteration count and convergence flag.  Every run is on one
+thread.
 Outputs are bit-stable for fixed inputs, configuration and seed; wall-clock
 timing lives only in the manifest.
 """
@@ -49,10 +52,12 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
 
     Rows are grouped into locations by the ``location`` column (order of
     first appearance); all rows of a location must agree on its role.  The
-    file is UTF-8, with or without a byte-order mark.  A count is ASCII
-    decimal digits, and a row's counts and their total are at most the
-    largest 64-bit integer.  Blank lines are skipped; an error names the
-    file line its record ends on (a quoted field may span lines).
+    source name of a ``known:`` role must be non-empty and claimed by one
+    location, and is then dropped: the corpus names the source by its
+    location.  The file is UTF-8, with or without a byte-order mark.  A
+    count is ASCII decimal digits, and a row's counts and their total are
+    at most the largest 64-bit integer.  Blank lines are skipped; an error
+    names the file line its record ends on (a quoted field may span lines).
     """
     path = Path(path)
     try:
@@ -126,22 +131,19 @@ def ingest_csv(path: Path | str, unknown_sources: int = 0) -> Corpus:
         vectors.append(counts)
 
     claimed_by: dict[str, str] = {}
-    located = []
-    for loc_name, (role, vectors) in groups.items():
-        loc_role = LocationRole.trace()
-        if role.startswith("known:"):
-            source_name = role[len("known:"):].strip()
-            if not source_name:
-                raise IngestError(f"{path}: location {loc_name!r} claims an empty source name")
-            if source_name in claimed_by:
-                raise IngestError(
-                    f"{path}: known source {source_name!r} claimed by both "
-                    f"{claimed_by[source_name]!r} and {loc_name!r}"
-                )
-            loc_role = LocationRole.known(len(claimed_by))
-            claimed_by[source_name] = loc_name
-        located.append((loc_name, loc_role, vectors))
-    corpus = Corpus.from_groups(catalog, located, unknown_sources)
+    for loc_name, (role, _) in groups.items():
+        if role == "trace":
+            continue
+        source_name = role[len("known:"):].strip()
+        if not source_name:
+            raise IngestError(f"{path}: location {loc_name!r} claims an empty source name")
+        claimant = claimed_by.setdefault(source_name, loc_name)
+        if claimant != loc_name:
+            raise IngestError(f"{path}: known source {source_name!r} claimed by both "
+                              f"{claimant!r} and {loc_name!r}")
+    corpus = Corpus.from_groups(catalog, [
+        (loc_name, LocationRole.trace() if role == "trace" else LocationRole.known(), vectors)
+        for loc_name, (role, vectors) in groups.items()], unknown_sources)
     violations = validate_corpus(corpus)
     if violations:
         raise IngestError(
@@ -246,19 +248,15 @@ def cmd_fit(
     force: bool = False,
 ) -> int:
     """Fit a corpus and write report, plot data, bound trace and manifest.
-    A corpus with a trace location and fewer than two sources is refused
-    before the output directory is made.  The fit draws no random numbers,
-    so it takes no seed, and runs on one thread.  ``threads`` is ignored and
-    the manifest records none: it stays only while the benchmark passes
-    ``threads=1`` (ROADMAP item 7)."""
+    The fit draws no random numbers, so it takes no seed, and runs on one
+    thread.  ``threads`` is ignored and the manifest records none: it stays
+    only while the benchmark passes ``threads=1`` (ROADMAP item 7)."""
     started = time.perf_counter()
     out = Path(out_dir)
     try:
         config = load_config(config_path)
         fit_config = FitConfig(**config["fit"])
         corpus = ingest_csv(corpus_path, unknown_sources=config["unknown_sources"])
-        if corpus.trace_location_ids and corpus.n_sources < 2:
-            raise ValueError(f"{corpus_path}: a trace share needs at least two sources")
         _prepare_out_dir(out, force)
         result = fit(corpus, fit_config)
         report = build_report(result, corpus, mass=float(config["report"]["hpdi_mass"]))

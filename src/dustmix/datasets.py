@@ -10,12 +10,11 @@ pipeline.
 from __future__ import annotations
 
 import importlib.resources
-import itertools
 from pathlib import Path
 
 import numpy as np
 
-from .model import Corpus, LocationRole
+from .model import Corpus
 from .simulator import profiles_from_counts
 
 __all__ = ["at_lq_corpus", "at_lq_point_profiles", "fixture_path"]
@@ -33,10 +32,10 @@ def fixture_path() -> Path:
 def at_lq_corpus(unknown_sources: int = 0, drop_known: str | None = None) -> Corpus:
     """The bundled corpus, optionally with one known location demoted.
 
-    ``drop_known`` removes that location's control samples entirely (its
-    source then has to be declared via ``unknown_sources=1``), which turns
-    the two-known-source setup into the single-known-source ones.  The
-    remaining known locations claim sources 0, 1, ... in their order.
+    ``drop_known`` removes that location's control samples entirely, which
+    turns the two-known-source setup into the single-known-source ones.
+    The dropped source then needs ``unknown_sources=1``, or the corpus has
+    one source for its traces and :func:`~dustmix.vbi.fit` refuses it.
     """
     from .cli import ingest_csv
 
@@ -46,10 +45,8 @@ def at_lq_corpus(unknown_sources: int = 0, drop_known: str | None = None) -> Cor
     kept = [loc for loc in corpus.locations if loc.name != drop_known]
     if len(kept) == len(corpus.locations):
         raise KeyError(f"no location named {drop_known!r} in the bundled corpus")
-    known = itertools.count()
     return Corpus.from_groups(corpus.catalog, (
-        (loc.name, LocationRole.known(next(known)) if loc.role.is_known else loc.role,
-         [s.counts for s in loc.samples]) for loc in kept), unknown_sources)
+        (loc.name, loc.role, [s.counts for s in loc.samples]) for loc in kept), unknown_sources)
 
 
 def at_lq_point_profiles() -> tuple[tuple[str, ...], np.ndarray]:

@@ -3,12 +3,15 @@
 A corpus is a fixed catalog of particle types plus an ordered list of
 sampling locations, each holding count samples; :meth:`Corpus.from_groups`
 builds every corpus in ``dustmix`` and numbers each sample by its location's
-position and its own.  Locations are either known surfaces tied to exactly
-one source (their mixing prior stays pinned during fitting) or trace
-surfaces whose source mixture is the estimand.  Per-sample data are stored
-as per-type counts: responsibilities depend on a particle only through its
-type, so all particles of a type share one responsibility row and the
-collapsed representation is exact.
+position and its own.  Locations are either known surfaces, each its own
+source (their mixing prior stays pinned during fitting), or trace surfaces
+whose source mixture is the estimand.  This module alone decides a corpus's
+sources: the known locations are sources 0..K-1 in location order, the
+unknown sources follow, and a corpus with a trace location needs two
+(:func:`validate_corpus`).  Per-sample data are stored as per-type counts:
+responsibilities depend on a particle only through its type, so all
+particles of a type share one responsibility row and the collapsed
+representation is exact.
 """
 
 from __future__ import annotations
@@ -94,27 +97,19 @@ class SampleCounts:
 
 @dataclass(frozen=True)
 class LocationRole:
-    """Role of a sampling location: pinned to one known source, or a trace.
+    """Role of a sampling location: known or trace.  A known location is
+    its source, numbered by its rank among the known locations (see
+    :class:`Corpus`), so the role carries no index."""
 
-    ``source_index`` is the 0-based column of the mixing matrix claimed by a
-    known location; ``None`` marks a trace surface.
-    """
-
-    source_index: int | None = None
+    is_known: bool
 
     @classmethod
-    def known(cls, source_index: int) -> "LocationRole":
-        if source_index < 0:
-            raise ValueError("source_index must be non-negative")
-        return cls(source_index=source_index)
+    def known(cls) -> "LocationRole":
+        return cls(True)
 
     @classmethod
     def trace(cls) -> "LocationRole":
-        return cls(source_index=None)
-
-    @property
-    def is_known(self) -> bool:
-        return self.source_index is not None
+        return cls(False)
 
 
 @dataclass(frozen=True)
@@ -129,12 +124,13 @@ class Location:
 
 @dataclass(frozen=True)
 class Corpus:
-    """All samples grouped by location, plus the source bookkeeping.
+    """All samples grouped by location, plus the unknown-source count.
 
-    ``n_unknown_sources`` declares how many sources have no known location
-    (at most one is supported by the inference engine; the validator flags
-    larger declarations rather than the constructor so that violations can
-    be reported as data).
+    The sources are the known locations, in location order, then
+    ``n_unknown_sources`` sources that have no known location (at most one
+    is supported by the inference engine; the validator flags larger
+    declarations rather than the constructor so that violations can be
+    reported as data).
     """
 
     catalog: ParticleCatalog
@@ -164,10 +160,7 @@ class Corpus:
 
     @property
     def n_known_sources(self) -> int:
-        claimed = {
-            loc.role.source_index for loc in self.locations if loc.role.is_known
-        }
-        return len(claimed)
+        return sum(loc.role.is_known for loc in self.locations)
 
     @property
     def n_sources(self) -> int:
@@ -183,13 +176,10 @@ class Corpus:
 
     @property
     def source_names(self) -> tuple[str, ...]:
-        """The source names of a corpus that :func:`validate_corpus` accepts:
-        its known locations' names by source index, then the unknown sources'."""
-        known = sorted((loc for loc in self.locations if loc.role.is_known),
-                       key=lambda loc: loc.role.source_index)
-        return tuple([loc.name for loc in known] + [
-            f"unknown_{q}" if self.n_unknown_sources > 1 else "unknown"
-            for q in range(self.n_unknown_sources)])
+        """The known locations' names in location order, then ``"unknown"``
+        for the one unknown source a valid corpus may declare."""
+        return tuple([loc.name for loc in self.locations if loc.role.is_known]
+                     + ["unknown"] * self.n_unknown_sources)
 
     @property
     def trace_location_ids(self) -> tuple[int, ...]:
@@ -273,7 +263,9 @@ class CorpusValidationError(ValueError):
 
 
 def validate_corpus(corpus: Corpus) -> list[Violation]:
-    """Check every corpus invariant; empty result means the corpus is fit-ready."""
+    """Check every corpus invariant; empty result means the corpus is fit-ready.
+    A corpus needs a source (``no-sources``), and two if it has a trace
+    location (``single-source-trace``): a lone source's share is Beta(w, 0)."""
     violations: list[Violation] = []
     T = corpus.n_types
 
@@ -287,10 +279,7 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
             )
         )
 
-    claims: dict[int, list[str]] = {}
     for i, loc in enumerate(corpus.locations):
-        if loc.role.is_known:
-            claims.setdefault(loc.role.source_index, []).append(loc.name)
         if not loc.samples:
             violations.append(Violation("empty-location", f"location {loc.name!r} holds no sample"))
         for sample in loc.samples:
@@ -302,25 +291,12 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
                 message = f"{where} carries location_id {sample.location_id}, expected {i}"
                 violations.append(Violation("sample-location", message))
 
-    n_known = len(claims)
-    for idx, names in sorted(claims.items()):
-        if len(names) > 1:
-            violations.append(
-                Violation(
-                    "duplicate-source-claim",
-                    f"source index {idx} is claimed by multiple locations: {', '.join(names)}",
-                )
-            )
-        if not 0 <= idx < n_known:
-            violations.append(
-                Violation(
-                    "source-index-range",
-                    f"known source indices must cover 0..{n_known - 1} exactly; got {idx}",
-                )
-            )
-
-    if n_known + max(corpus.n_unknown_sources, 0) < 1:
+    n_sources = corpus.n_known_sources + max(corpus.n_unknown_sources, 0)
+    if n_sources < 1:
         violations.append(Violation("no-sources", "corpus must declare at least one source"))
+    elif n_sources < 2 and corpus.trace_location_ids:
+        message = "a trace location's shares need at least two sources, the corpus has one"
+        violations.append(Violation("single-source-trace", message))
     if corpus.n_unknown_sources > 0 and not any(
         loc.samples for loc in corpus.locations if not loc.role.is_known
     ):

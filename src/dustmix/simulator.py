@@ -59,9 +59,10 @@ def _each(name: str, values, item) -> tuple:
 class ScenarioSpec:
     """One generative setting: true profiles, trace mixtures, sample sizes.
 
-    Sources are ordered with the known ones first; ``known_sample_counts``
-    gives the number of control samples per known source.  Control samples
-    are drawn from their source's profile alone (degenerate mixing), with
+    Sources are ordered with the known ones first, as :mod:`~dustmix.model`
+    orders a corpus's; ``known_sample_counts`` gives the number of control
+    samples per known source.  Control samples are drawn from their
+    source's profile alone (degenerate mixing), with
     ``known_particles_per_sample`` particles each (defaults to
     ``particles_per_sample``).  ``known_sample_counts``, ``trace_mixtures``
     and each of its mixtures must be a list or a tuple (stored as a tuple).
@@ -143,7 +144,7 @@ def generate_corpus(spec: ScenarioSpec, rng: np.random.Generator) -> Corpus:
     with every draw from ``rng`` in that order, sample by sample."""
     M = spec.n_sources
     known_n = spec.known_particles_per_sample or spec.particles_per_sample
-    plan = [(f"known_{k}", LocationRole.known(k), np.eye(M)[k], known_n, n_samples)
+    plan = [(f"known_{k}", LocationRole.known(), np.eye(M)[k], known_n, n_samples)
             for k, n_samples in enumerate(spec.known_sample_counts)]
     plan += [(f"trace_{j}", LocationRole.trace(), mixture, spec.particles_per_sample,
               spec.samples_per_trace) for j, mixture in enumerate(spec.trace_mixtures)]

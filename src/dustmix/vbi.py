@@ -190,19 +190,19 @@ def initialize(
     """Validate the corpus and build the starting point as arrays.
 
     Returns the configured priors: the profile rows ``eta`` (flat, all ones)
-    and the mixing rows ``A`` (each known location pinned to its source by
-    ``_KNOWN_WEIGHT``, ``flat_weight`` elsewhere; trace rows flat); then each
-    sample's location index ``loc``, the counts (samples x types) and the
-    starting mixing posteriors ``gamma``: each sample's mixing row plus
-    total_count / (n_sources * total_samples).  Samples are in corpus order.
+    and the mixing rows ``A`` (each known row pinned by ``_KNOWN_WEIGHT`` to
+    its source, its rank among the known rows, ``flat_weight`` elsewhere;
+    trace rows flat); then each sample's location index ``loc``, the counts
+    (samples x types) and the starting mixing posteriors ``gamma``: each
+    sample's mixing row plus total_count / (n_sources * total_samples).
+    Samples are in corpus order.
     """
     violations = validate_corpus(corpus)
     if violations:
         raise CorpusValidationError(violations)
     A = np.full((corpus.n_locations, corpus.n_sources), config.flat_weight, dtype=np.float64)
-    for i, location in enumerate(corpus.locations):
-        if location.role.is_known:
-            A[i, location.role.source_index] = _KNOWN_WEIGHT
+    known = [i for i, location in enumerate(corpus.locations) if location.role.is_known]
+    A[known, np.arange(len(known))] = _KNOWN_WEIGHT
     loc = np.array([loc_id for loc_id, _ in corpus.iter_samples()], dtype=np.intp)
     counts = np.array(
         [sample.counts for _, sample in corpus.iter_samples()], dtype=np.float64
@@ -493,15 +493,13 @@ def _bootstrap_unknown_row(
     take the largest mixing weights that leave a non-negative residual);
     the residual, scaled to the trace mass it explains, seeds the unknown
     profile row.  Returns that row and the unknown share, or ``None`` when
-    the corpus has no unknown source, no known source, or no trace samples.
+    the corpus has no unknown source.
     """
-    n_known = corpus.n_known_sources
-    if corpus.n_unknown_sources != 1 or n_known == 0 or len(trace_counts) == 0:
+    if corpus.n_unknown_sources != 1:
         return None
+    n_known = corpus.n_known_sources
     pooled = trace_counts.sum(axis=0)
     total = pooled.sum()
-    if total <= 0:
-        return None
     p_hat = pooled / total
     known = lam[:n_known] / lam[:n_known].sum(axis=1, keepdims=True)
     weights = np.zeros(n_known)
@@ -917,7 +915,7 @@ def _linear_response_rows(
     trace_ids = list(trace_ids)
     fitted = A[trace_ids]
     means = fitted / fitted.sum(axis=1, keepdims=True)
-    if M < 2 or not trace_ids:
+    if not trace_ids:
         return fitted
 
     gamma, lam, phi, sweeps, accepted, rejected = _fixed_point(

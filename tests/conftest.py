@@ -48,14 +48,14 @@ def fit_lq_known(corpus_lq_known):
     return fit(corpus_lq_known, FitConfig())
 
 
-def theta_interval(result, corpus, location_name, source_index, mass=0.95):
+def theta_interval(result, corpus, location_name, source, mass=0.95):
     """Posterior mean and HPDI of one source share at one trace location."""
     from dustmix.numerics import beta_hpdi, beta_summary
     from dustmix.posterior import theta_marginal
 
     for row, loc_idx in zip(result.A_converged.values, result.trace_locations):
         if corpus.locations[loc_idx].name == location_name:
-            shape = theta_marginal(row, source_index)
+            shape = theta_marginal(row, source)
             return beta_summary(shape).mean, beta_hpdi(shape, mass)
     raise KeyError(location_name)
 

@@ -141,13 +141,13 @@ class TestIngest:
     def test_unicode_line_separator_stays_in_its_field(self, tmp_path, separator):
         # only \n and \r end a CSV line; str.splitlines also breaks at these
         path = tmp_path / "corpus.csv"
-        path.write_text(f"{HEADER}\nk{separator}1,known:s,1,1,1\nt,trace,1,2,1\n",
-                        encoding="utf-8")
-        assert [l.name for l in ingest_csv(path).locations] == [f"k{separator}1", "t"]
+        path.write_text(f"{HEADER}\nk{separator}1,known:s,1,1,1\nk2,known:r,1,3,1\n"
+                        "t,trace,1,2,1\n", encoding="utf-8")
+        assert [l.name for l in ingest_csv(path).locations] == [f"k{separator}1", "k2", "t"]
 
     def test_quoted_line_break_stays_in_its_field(self, tmp_path):
-        path = write_csv(tmp_path, ['"e\n1",known:s,1,1,1', "t,trace,1,2,1"])
-        assert [l.name for l in ingest_csv(path).locations] == ["e\n1", "t"]
+        path = write_csv(tmp_path, ['"e\n1",known:s,1,1,1', "k2,known:r,1,3,1", "t,trace,1,2,1"])
+        assert [l.name for l in ingest_csv(path).locations] == ["e\n1", "k2", "t"]
         # the record after it starts on file line 4
         path = write_csv(tmp_path, ['"e\n1",known:s,1,1,1', "t,trace,x,2,1"])
         with pytest.raises(IngestError, match=rf"^{path}:4: column 3 \('a'\)"):
@@ -155,12 +155,12 @@ class TestIngest:
 
     def test_utf8_byte_order_mark(self, tmp_path):
         # the "CSV UTF-8" that spreadsheet programs save starts with one
-        path = write_csv(tmp_path, ["k,known:s,1,2,0", "t,trace,3,1,1"])
+        path = write_csv(tmp_path, ["k,known:s,1,2,0", "k2,known:r,0,2,1", "t,trace,3,1,1"])
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         corpus = ingest_csv(path)
         assert corpus.catalog.type_names == ("a", "b", "c")
         assert [(l.name, l.samples[0].counts.tolist()) for l in corpus.locations] == [
-            ("k", [1, 2, 0]), ("t", [3, 1, 1])]
+            ("k", [1, 2, 0]), ("k2", [0, 2, 1]), ("t", [3, 1, 1])]
 
     def test_not_utf8(self, tmp_path, capsys):
         path = write_csv(tmp_path, ["k,known:s,1,2,0"])
@@ -411,8 +411,8 @@ class TestCmdFit:
     @pytest.mark.parametrize("dropped, unknown_sources", [(("LQ",), 0), (("AT", "LQ"), 1)])
     def test_one_source_with_a_trace_is_refused(self, tmp_path, monkeypatch, capsys, dropped,
                                                 unknown_sources):
-        # the share row of a lone source gives Beta(w, 0): such a corpus was
-        # fitted whole, then its report failed and left an empty output directory
+        # the share row of a lone source gives Beta(w, 0): ingest_csv refuses
+        # such a corpus, so cmd_fit neither fits it nor makes the directory
         def no_fit(corpus, config):
             raise AssertionError("cmd_fit fitted a corpus it refuses")
 
@@ -424,8 +424,22 @@ class TestCmdFit:
         config.write_text(f"unknown_sources: {unknown_sources}\n")
         assert cmd_fit(corpus, config, tmp_path / "run") == cli.EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {corpus}: a trace share needs at least two sources\n")
+            f"error: {corpus}: corpus failed validation: [single-source-trace] a trace "
+            "location's shares need at least two sources, the corpus has one\n")
         assert not (tmp_path / "run").exists()
+
+    def test_report_names_each_source_by_its_location(self, tmp_path, quick_config):
+        # the name after "known:" only has to be unique: the report names a
+        # source by its location, here site1 and site2, never AT and LQ
+        corpus = write_csv(tmp_path, [
+            "site1,known:AT,5,1,1", "site1,known:AT,6,1,2", "site2,known:LQ,1,5,1",
+            "site2,known:LQ,1,6,2", "t,trace,3,3,1"])
+        assert ingest_csv(corpus).source_names == ("site1", "site2")
+        out = tmp_path / "run"
+        assert cmd_fit(corpus, quick_config, out) == cli.EXIT_NOT_CONVERGED  # truncated
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["beta"]) == ["site1", "site2"]
+        assert [row["label"] for row in report["theta"]["t"]] == ["site1", "site2"]
 
     @pytest.mark.parametrize("text, field", [
         ("fit: {outer_max_iters: 2.5}\n", "outer_max_iters"),

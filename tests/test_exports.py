@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dustmix
+from dustmix.datasets import at_lq_corpus
 from dustmix.posterior import density_grid
 
 MODULES = ["dustmix", "dustmix.cli", "dustmix.datasets", "dustmix.model", "dustmix.mstep",
@@ -64,3 +65,16 @@ def test_options_that_changed_nothing_are_refused():
     assert not hasattr(dustmix.DirichletMatrix, "shape")
     with pytest.raises(TypeError):
         density_grid(dustmix.BetaShape(2.0, 2.0), n=8)
+    # a known location is its source, numbered by its rank in location
+    # order: its role carries no source index, so no corpus, not LQ alone
+    # nor AT twice, can claim an index twice or leave one out
+    with pytest.raises(TypeError):
+        dustmix.LocationRole.known(0)
+    assert not hasattr(dustmix.LocationRole.known(), "source_index")
+    assert "source_index" not in {f.name for f in fields(dustmix.LocationRole)}
+    bundled = at_lq_corpus()
+    at, lq, *traces = bundled.locations
+    for locations in ((at, lq, *traces), (lq, *traces), (at, at, *traces)):
+        codes = {v.code for v in dustmix.validate_corpus(
+            dustmix.Corpus(bundled.catalog, locations, 1))}
+        assert not codes & {"duplicate-source-claim", "source-index-range"}

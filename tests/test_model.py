@@ -84,16 +84,10 @@ class TestSampleCounts:
             SampleCounts(np.ones((2, 2), dtype=np.int64))
 
 
-class TestLocationRole:
-    def test_known_source_index_non_negative(self):
-        with pytest.raises(ValueError, match="source_index must be non-negative"):
-            LocationRole.known(-1)
-
-
-def _two_source_corpus(small_catalog, n_unknown=0, claims=(0, 1)):
+def _two_source_corpus(small_catalog, n_unknown=0):
     return Corpus.from_groups(small_catalog, [
-        ("k0", LocationRole.known(claims[0]), [np.array([5, 1, 1])]),
-        ("k1", LocationRole.known(claims[1]), [np.array([1, 5, 1])]),
+        ("k0", LocationRole.known(), [np.array([5, 1, 1])]),
+        ("k1", LocationRole.known(), [np.array([1, 5, 1])]),
         ("t", LocationRole.trace(), [np.array([2, 2, 2])]),
     ], n_unknown)
 
@@ -101,11 +95,11 @@ def _two_source_corpus(small_catalog, n_unknown=0, claims=(0, 1)):
 class TestFromGroups:
     def test_ids_are_positions(self, small_catalog):
         corpus = Corpus.from_groups(small_catalog, [
-            ("k", LocationRole.known(0), [np.array([5, 1, 1]), np.array([4, 1, 0])]),
+            ("k", LocationRole.known(), [np.array([5, 1, 1]), np.array([4, 1, 0])]),
             ("t", LocationRole.trace(), [np.array([1, 1, 1]), [2, 2, 2], np.array([0, 0, 3])]),
         ], 1)
         assert [(loc.name, loc.role) for loc in corpus.locations] == [
-            ("k", LocationRole.known(0)), ("t", LocationRole.trace())]
+            ("k", LocationRole.known()), ("t", LocationRole.trace())]
         assert [(s.location_id, s.sample_index, s.counts.tolist())
                 for loc in corpus.locations for s in loc.samples] == [
             (0, 0, [5, 1, 1]), (0, 1, [4, 1, 0]),
@@ -117,9 +111,9 @@ class TestFromGroups:
         # validate_corpus has no count check: every sample is built checked,
         # and its counts cannot be changed afterwards
         with pytest.raises(ValueError, match="non-negative"):
-            Corpus.from_groups(small_catalog, [("k", LocationRole.known(0), [[1, -1, 1]])])
+            Corpus.from_groups(small_catalog, [("k", LocationRole.known(), [[1, -1, 1]])])
         with pytest.raises(ValueError, match="at least one particle"):
-            Corpus.from_groups(small_catalog, [("k", LocationRole.known(0), [[0, 0, 0]])])
+            Corpus.from_groups(small_catalog, [("k", LocationRole.known(), [[0, 0, 0]])])
         sample = _two_source_corpus(small_catalog).locations[0].samples[0]
         with pytest.raises(ValueError, match="read-only"):
             sample.counts[0] = -1
@@ -166,20 +160,29 @@ class TestValidateCorpus:
         assert [v.code for v in violations] == ["empty-location"]
         assert repr(empty) in violations[0].message
 
-    def test_duplicate_claim_flagged(self, small_catalog):
-        violations = validate_corpus(_two_source_corpus(small_catalog, claims=(1, 1)))
-        codes = {v.code for v in violations}
-        assert "duplicate-source-claim" in codes
-        assert "source-index-range" in codes
+    def test_single_source_trace_flagged(self, small_catalog):
+        # a lone source's share row is all of the trace: Beta(w, 0) has no interval
+        k0 = ("k0", LocationRole.known(), [np.array([5, 1, 1])])
+        t = ("t", LocationRole.trace(), [np.array([2, 2, 2])])
+        for groups, unknown in (([k0, t], 0), ([t], 1)):
+            violations = validate_corpus(Corpus.from_groups(small_catalog, groups, unknown))
+            assert [(v.code, v.message) for v in violations] == [(
+                "single-source-trace",
+                "a trace location's shares need at least two sources, the corpus has one")]
+        # one source and no trace location is a valid corpus
+        assert validate_corpus(Corpus.from_groups(small_catalog, [k0])) == []
+        # no source at all is only that
+        assert [v.code for v in validate_corpus(Corpus.from_groups(small_catalog, [t]))] == [
+            "no-sources"]
 
     def test_sample_length_mismatch_flagged(self, small_catalog):
-        bad = Corpus.from_groups(small_catalog, [("k0", LocationRole.known(0), [[1, 1]])])
+        bad = Corpus.from_groups(small_catalog, [("k0", LocationRole.known(), [[1, 1]])])
         assert any(v.code == "sample-length" for v in validate_corpus(bad))
 
     def test_wrong_location_id_flagged(self, small_catalog):
         bad = Corpus(
             small_catalog,
-            (Location("k0", LocationRole.known(0), (SampleCounts(np.array([1, 1, 1]), 5, 0),)),),
+            (Location("k0", LocationRole.known(), (SampleCounts(np.array([1, 1, 1]), 5, 0),)),),
             0,
         )
         assert any(v.code == "sample-location" for v in validate_corpus(bad))
@@ -210,16 +213,6 @@ class TestCorpusProperties:
     def test_unknown_source_naming(self, corpus_at_known):
         assert corpus_at_known.source_names == ("AT", "unknown")
         assert corpus_at_known.n_sources == 2
-
-    def test_source_names_follow_the_source_index(self, small_catalog):
-        # the location that claims source 1 is listed first
-        groups = [("LQ", LocationRole.known(1), [np.array([1, 5, 1])]),
-                  ("AT", LocationRole.known(0), [np.array([5, 1, 1])]),
-                  ("e1", LocationRole.trace(), [np.array([3, 3, 1])])]
-        for unknown, names in ((0, ("AT", "LQ")), (1, ("AT", "LQ", "unknown"))):
-            corpus = Corpus.from_groups(small_catalog, groups, unknown)
-            assert validate_corpus(corpus) == []
-            assert corpus.source_names == names
 
     def test_iter_samples_order(self, small_catalog):
         corpus = _two_source_corpus(small_catalog)

@@ -85,7 +85,7 @@ class TestEtaObjective:
 class TestAlphaObjective:
     def _corpus(self):
         return Corpus.from_groups(ParticleCatalog(("a", "b")), [
-            ("k", LocationRole.known(0), [np.array([3, 1])]),
+            ("k", LocationRole.known(), [np.array([3, 1])]),
             ("t", LocationRole.trace(), [np.array([1, 2])]),
         ], 1)
 
@@ -400,8 +400,8 @@ class TestFloatPath:
 class TestMstep:
     def _known_only_corpus(self):
         return Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
-            ("k0", LocationRole.known(0), [np.array([5, 1, 1])]),
-            ("k1", LocationRole.known(1), [np.array([1, 5, 1])]),
+            ("k0", LocationRole.known(), [np.array([5, 1, 1])]),
+            ("k1", LocationRole.known(), [np.array([1, 5, 1])]),
         ])
 
     def test_no_trace_rows_leaves_mixing_matrix_untouched(self):

@@ -21,9 +21,9 @@ from dustmix.model import (
     ParticleCatalog,
     SampleCounts,
 )
-from dustmix.datasets import at_lq_point_profiles
+from dustmix.datasets import at_lq_corpus, at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
-from dustmix.posterior import theta_marginal
+from dustmix.posterior import build_report, theta_marginal
 from dustmix.simulator import ScenarioSpec, StudySpec, generate_corpus
 from dustmix.vbi import (
     FitConfig,
@@ -390,7 +390,7 @@ def _one_trace_corpus(*trace_samples):
     """One known location of one sample, one trace location (one sample
     [4, 3, 3] unless given) and one unknown source, over three types."""
     return Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
-        ("k", LocationRole.known(0), [np.array([6, 2, 2])]),
+        ("k", LocationRole.known(), [np.array([6, 2, 2])]),
         ("t", LocationRole.trace(), trace_samples or [np.array([4, 3, 3])]),
     ], 1)
 
@@ -409,14 +409,38 @@ class TestFit:
         assert result.A_converged.values.shape == (0, 2)
 
     def test_single_source_trace_degenerate(self):
+        # a lone source's share row is Beta(w, 0), which no report can hold
         corpus = Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
-            ("k", LocationRole.known(0), [np.array([5, 3, 2])]),
+            ("k", LocationRole.known(), [np.array([5, 3, 2])]),
             ("t", LocationRole.trace(), [np.array([1, 1, 8])]),
         ])
-        result = fit(corpus, FitConfig(outer_max_iters=20))
-        row = result.A_converged.values[0]
-        assert row.shape == (1,)
-        assert row[0] / row.sum() == 1.0
+        with pytest.raises(CorpusValidationError) as refused:
+            fit(corpus, FitConfig(outer_max_iters=20))
+        assert [v.code for v in refused.value.violations] == ["single-source-trace"]
+
+    def test_one_source_trace_corpus_is_refused(self):
+        # the bundled corpus without LQ and with no unknown source declared:
+        # each trace's share row would be [w], a Beta(w, 0) marginal
+        with pytest.raises(CorpusValidationError, match=r"\[single-source-trace\]"):
+            fit(at_lq_corpus(drop_known="LQ"))
+        assert fit(at_lq_corpus(unknown_sources=1, drop_known="LQ")).converged
+
+    def test_known_sources_follow_location_order(self):
+        # a trace, then LQ, then AT: LQ is source 0 and AT source 1
+        bundled = at_lq_corpus()
+        by_name = {loc.name: loc for loc in bundled.locations}
+        corpus = Corpus.from_groups(bundled.catalog, [
+            (name, by_name[name].role, [s.counts for s in by_name[name].samples])
+            for name in ("e1", "LQ", "AT")])
+        assert corpus.source_names == ("LQ", "AT")
+        _, A, _, _, _ = initialize(corpus, FitConfig())
+        assert A.tolist() == [[1.0, 1.0], [150.0, 1.0], [1.0, 150.0]]
+        report = build_report(fit(corpus), corpus)
+        assert list(report.beta) == ["LQ", "AT"]
+        (lq, at), = report.theta.values()
+        assert (lq.label, at.label) == ("LQ", "AT")
+        # e1 is 10% LQ and 90% AT
+        assert lq.mean < 0.2 < 0.8 < at.mean
 
     def test_outer_trace_monotone(self, fit_both_known):
         result, _ = fit_both_known
@@ -1210,10 +1234,10 @@ class TestFixedPoint:
         assert np.array_equal(gamma, phases[0][0].rows) and np.array_equal(lam, phases[0][1].rows)
         config = FitConfig()
         configured = np.full_like(a, config.flat_weight)
+        known = [i for i, loc in enumerate(corpus_at_known.locations) if loc.role.is_known]
         for row, (loc_id, _) in zip(configured, corpus_at_known.iter_samples()):
-            role = corpus_at_known.locations[loc_id].role
-            if role.is_known:
-                row[role.source_index] = vbi._KNOWN_WEIGHT
+            if loc_id in known:
+                row[known.index(loc_id)] = vbi._KNOWN_WEIGHT
         assert np.array_equal(a, configured) and np.array_equal(eta, np.ones_like(lam))
 
     @pytest.mark.parametrize("name", [
