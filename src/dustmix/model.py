@@ -16,6 +16,7 @@ representation is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -265,7 +266,9 @@ class CorpusValidationError(ValueError):
 def validate_corpus(corpus: Corpus) -> list[Violation]:
     """Check every corpus invariant; empty result means the corpus is fit-ready.
     A corpus needs a source (``no-sources``), and two if it has a trace
-    location (``single-source-trace``): a lone source's share is Beta(w, 0)."""
+    location (``single-source-trace``): a lone source's share is Beta(w, 0).
+    Each location needs its own name (``duplicate-location-name``), because
+    a report keys its blocks by name."""
     violations: list[Violation] = []
     T = corpus.n_types
 
@@ -290,6 +293,11 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
             if sample.location_id != i:
                 message = f"{where} carries location_id {sample.location_id}, expected {i}"
                 violations.append(Violation("sample-location", message))
+
+    for name, n in Counter(loc.name for loc in corpus.locations).items():
+        if n > 1:
+            message = f"{n} locations are named {name!r}"
+            violations.append(Violation("duplicate-location-name", message))
 
     n_sources = corpus.n_known_sources + max(corpus.n_unknown_sources, 0)
     if n_sources < 1:

@@ -25,7 +25,9 @@ posterior outright), and a sample's bound is :func:`corpus_elbo` of its
 row.  Right after a sweep the terms collapse (:func:`_collapsed_bound`),
 with the responsibility entropy in closed form from the factors.  An
 inference phase scores only the states its sweeps make, by that form, and
-stops when two consecutive ones agree; the fixed point's acceptance of a
+stops when two consecutive ones agree, or, when the rate at which their
+change shrinks says plain sweeps would not settle within the phase's cap,
+hands its state to :func:`_fixed_point`; the fixed point's acceptance of a
 Newton step compares collapsed bounds; a single sample and
 :func:`corpus_elbo` read the seven terms, which a fit evaluates only to
 name a non-finite term.
@@ -148,6 +150,10 @@ def as_count(name: str, value, least: int = 1) -> int:
 _KNOWN_WEIGHT = 150.0
 # The relative bound change between inference phases that ends :func:`fit`.
 _OUTER_TOL = 1e-6
+# Every this many sweeps an inference phase compares its bound change with
+# the change this many sweeps earlier, to tell whether plain sweeps can
+# settle it within its cap (:func:`_inference_phase`).
+_RATE_SWEEPS = 20
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,9 @@ class FitConfig:
     known location's own source (which takes ``_KNOWN_WEIGHT``); trace rows
     start flat.  ``estep_tol`` is the relative bound change that ends a
     corpus inference phase and the relative parameter step that ends
-    :func:`estep_sample`; ``estep_max_iters`` caps the sweeps of either, and
+    :func:`estep_sample`; ``estep_max_iters`` caps the sweeps of either (a
+    corpus phase that plain sweeps cannot settle within it finishes by the
+    fixed point's Newton steps, inside the same cap), and
     ``outer_max_iters`` the outer loop of :func:`fit`, whose tolerance is
     ``_OUTER_TOL``.  The box of the hyperparameter rows and the Newton
     solve's tolerance and step cap are constants of :mod:`~dustmix.mstep`.
@@ -669,21 +677,48 @@ def _inference_phase(
     relative ``estep_tol``, so at least two sweeps.  Only states a sweep has
     just made are scored, each by its :func:`_collapsed_bound`; one that is
     not finite is re-scored by the seven terms so that the failure names its
-    term.  Returns gamma, lam, the last sweep's responsibilities, their
-    bound and the sweep count; at ``estep_max_iters`` it returns what it has
-    and logs a warning with the bound change left."""
+    term.
+
+    Plain sweeps can contract so slowly that the phase would end at
+    ``estep_max_iters`` unsettled.  So every ``_RATE_SWEEPS`` sweeps the
+    bound change is compared with the change that many sweeps earlier; if
+    it shrank, and shrinking at that rate it would still exceed the
+    tolerance at the cap, the state goes to :func:`_fixed_point` under the
+    same priors, with ``_LR_TOL`` and the sweeps left but one as its cap,
+    and one plain sweep from the point it returns ends the phase (a DEBUG
+    line names the handoff).  Returns gamma, lam, the last sweep's
+    responsibilities, their bound and the sweep count, which counts every
+    sweep, the fixed point's too, and never exceeds ``estep_max_iters``; a
+    phase that reaches the cap by plain sweeps returns what it has and logs
+    a warning with the bound change left."""
     a, eta = DirichletRows(a), DirichletRows(eta)
-    previous = None
-    for sweep in range(1, config.estep_max_iters + 1):
+    cap = config.estep_max_iters
+    previous, rate_change, fixed = None, math.inf, None
+    for sweep in range(1, cap + 1):
         gamma, lam, swept = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         current = _collapsed_bound(a, eta, gamma, lam, swept)
         if not math.isfinite(current):
             terms = _bound_terms(counts, a, eta, gamma, swept.phi, lam)
             current = _check_terms(terms, f"inference sweep {sweep}", sweep)
+        if fixed is not None:  # the plain sweep from the fixed point's state
+            sweep += fixed
+            break
         if previous is not None:
             change, scale = abs(current - previous), max(abs(previous), 1e-12)
             if change <= config.estep_tol * scale:
                 break
+            if sweep % _RATE_SWEEPS == 0:
+                # the first check has no earlier change: its ratio is 0
+                ratio, rate_change = change / rate_change, change
+                projected = change * ratio ** ((cap - sweep) / _RATE_SWEEPS)
+                if ratio < 1.0 and sweep + 1 < cap and projected > config.estep_tol * scale:
+                    *state, fixed, kept, rejected = _fixed_point(
+                        counts, a.rows, eta.rows, gamma.rows, lam.rows, _LR_TOL, cap - sweep - 1)
+                    logger.debug("inference phase: handed over at sweep %d (%d-sweep change "
+                                 "ratio %.4g) to the fixed point: %d sweeps, %d Newton steps "
+                                 "kept, %d rejected", sweep, _RATE_SWEEPS, ratio, fixed, kept,
+                                 rejected)
+                    gamma, lam = map(DirichletRows, state[:2])
         previous = current
     else:
         if sweep == 1:
@@ -705,7 +740,9 @@ def _fixed_point(
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
     """Sweeps of :func:`_sweep_rows` to its fixed point, accelerated by
-    damped Newton steps on the linear-response precision.
+    damped Newton steps on the linear-response precision: the
+    linear-response step's, and the end of an inference phase that plain
+    sweeps cannot settle within its cap.
 
     Each cycle runs a plain sweep from x, then one stabilising sweep from
     the :func:`_newton_point` of x.  That sweep's state is kept only if its
@@ -746,7 +783,7 @@ def _fixed_point(
         else:
             rejected += 1
     else:
-        logger.warning("fixed-prior phase still moving by %.1e after %d sweeps", moved, cap)
+        logger.warning("fixed point still moving by %.1e after %d sweeps", moved, cap)
     return gamma.rows, lam.rows, swept.phi, sweeps, accepted, rejected
 
 

@@ -13,6 +13,12 @@ bound traces alone, printing each file's largest relative move.  It writes
 nothing when an iteration count or a digest moved, or a trace row moved by
 more than the tests allow: those pin the fit's outputs, which a change to
 how the bound is summed must leave alone.
+
+``python tests/_pins.py --record-moved`` is for a change meant to move a
+fit's outputs.  It re-records every pin in full (iterations, bound trace,
+digests and trace rows) and prints each key whose iteration count, digests
+or trace rows moved, with what moved and the largest relative move of the
+trace rows and of the bound trace (over the iterations both have).
 """
 
 import hashlib
@@ -126,7 +132,19 @@ def pinned_fits() -> dict:
     }
 
 
-def main() -> int:
+def _relative_move(new, old) -> float:
+    """Largest relative difference of ``new`` from ``old`` over their
+    common leading entries."""
+    n = min(len(new), len(old))
+    new, old = np.asarray(new[:n], dtype=np.float64), np.asarray(old[:n], dtype=np.float64)
+    return float(np.max(np.abs(new / old - 1.0), initial=0.0))
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--record-moved"]):
+        print("usage: python tests/_pins.py [--record-moved]", file=sys.stderr)
+        return 2
+    record_moved = bool(argv)
     recorded = {}
     for name, fits in pinned_fits().items():
         pins = json.loads((PINS / name).read_text())
@@ -134,16 +152,31 @@ def main() -> int:
         for key, result in fits.items():
             pin = pins if key is None else pins[key]
             label = name if key is None else f"{name} [{key}]"
-            if result.iterations != pin["iterations"] or digests(result) != pin["sha256"]:
+            rows = result.A_converged.values
+            if record_moved:
+                changed = [f"iterations {pin['iterations']} -> {result.iterations}"] \
+                    if result.iterations != pin["iterations"] else []
+                arrays = [array for array, value in digests(result).items()
+                          if value != pin["sha256"][array]]
+                if arrays:
+                    changed.append("digests of " + ", ".join(arrays))
+                if not np.array_equal(rows, pin["A_converged"]):
+                    changed.append("A_converged")
+                if changed:
+                    print(f"{label}: moved {'; '.join(changed)}; largest relative move "
+                          f"A_converged {_relative_move(rows, pin['A_converged']):.2g}, "
+                          f"elbo_trace {_relative_move(result.elbo_trace, pin['elbo_trace']):.2g}")
+                pin.update(iterations=result.iterations, sha256=digests(result),
+                           A_converged=rows.tolist())
+            elif result.iterations != pin["iterations"] or digests(result) != pin["sha256"]:
                 print(f"{label}: iteration count or digests moved; nothing written",
                       file=sys.stderr)
                 return 1
-            if not np.allclose(result.A_converged.values, pin["A_converged"], rtol=A_RTOL, atol=0):
+            elif not np.allclose(rows, pin["A_converged"], rtol=A_RTOL, atol=0):
                 print(f"{label}: trace rows moved by more than {A_RTOL}; nothing written",
                       file=sys.stderr)
                 return 1
-            trace = np.array(result.elbo_trace)
-            moved = max(moved, float(np.max(np.abs(trace / pin["elbo_trace"] - 1.0))))
+            moved = max(moved, _relative_move(result.elbo_trace, pin["elbo_trace"]))
             pin["elbo_trace"] = list(result.elbo_trace)
         recorded[name] = pins
         print(f"{name}: largest relative elbo_trace move {moved:.2g}")
@@ -153,4 +186,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -175,6 +175,17 @@ class TestValidateCorpus:
         assert [v.code for v in validate_corpus(Corpus.from_groups(small_catalog, [t]))] == [
             "no-sources"]
 
+    @pytest.mark.parametrize("names, repeated", [
+        (("k0", "k1", "t", "t"), "t"), (("k0", "k0", "t", "t2"), "k0")])
+    def test_duplicate_location_name_flagged(self, small_catalog, names, repeated):
+        # a report keys its theta and beta blocks by location name, so one of
+        # two trace (or known) locations with one name would drop out of it
+        roles = (LocationRole.known(),) * 2 + (LocationRole.trace(),) * 2
+        groups = [(name, role, [np.array([3, 1, 2])]) for name, role in zip(names, roles)]
+        violations = validate_corpus(Corpus.from_groups(small_catalog, groups))
+        assert [(v.code, v.message) for v in violations] == [
+            ("duplicate-location-name", f"2 locations are named {repeated!r}")]
+
     def test_sample_length_mismatch_flagged(self, small_catalog):
         bad = Corpus.from_groups(small_catalog, [("k0", LocationRole.known(), [[1, 1]])])
         assert any(v.code == "sample-length" for v in validate_corpus(bad))

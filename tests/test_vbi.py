@@ -418,6 +418,17 @@ class TestFit:
             fit(corpus, FitConfig(outer_max_iters=20))
         assert [v.code for v in refused.value.violations] == ["single-source-trace"]
 
+    def test_duplicate_trace_name_is_refused(self):
+        # the report would key both trace rows by "t" and keep one of them
+        corpus = Corpus.from_groups(ParticleCatalog(("a", "b", "c")), [
+            ("k", LocationRole.known(), [np.array([5, 3, 2])]),
+            ("t", LocationRole.trace(), [np.array([1, 1, 8])]),
+            ("t", LocationRole.trace(), [np.array([4, 1, 5])]),
+        ], 1)
+        with pytest.raises(CorpusValidationError, match=r"\[duplicate-location-name\] "
+                           r"2 locations are named 't'"):
+            fit(corpus, FitConfig())
+
     def test_one_source_trace_corpus_is_refused(self):
         # the bundled corpus without LQ and with no unknown source declared:
         # each trace's share row would be [w], a Beta(w, 0) marginal
@@ -1118,10 +1129,18 @@ class TestStudyGridFits:
         result, _ = study_grid_fits[key]
         _assert_pinned(result, STUDY_GRID_FITS[key])
 
-    def test_a_first_phase_runs_to_its_cap(self, study_grid_fits):
-        # the pins cover an unconverged first phase, which the bundled fits do not
+    def test_a_first_phase_that_cannot_settle_hands_over(self, study_grid_fits, caplog):
+        # the pins cover a first phase that plain sweeps cannot settle within
+        # the cap, which the bundled fits do not: it hands over to the fixed
+        # point's Newton steps, ends below the cap and warns of no cap
         _, sweeps = study_grid_fits["share 0.1, n 1900, replication 1"]
-        assert sweeps[0] == FitConfig().estep_max_iters
+        assert sweeps[0] < FitConfig().estep_max_iters
+        with caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
+            fit(_study_corpus((0, 0, 0, 1)), FitConfig())
+        messages = [record.getMessage() for record in caplog.records]
+        assert sum(message.startswith("inference phase: handed over at sweep ")
+                   for message in messages) == 1
+        assert not any("still changing" in message for message in messages)
 
 
 # One fit of the many-traces design (:func:`_pins.many_trace_corpus`),
@@ -1174,10 +1193,18 @@ def _converged_fixed_point(counts, a, eta, gamma, lam, tol, cap):
     return *_plain_fixed_point(counts, a, eta, gamma, lam, 1e-12, 200_000), 0, 0
 
 
+def _lr_fixed_point(replacement):
+    """:func:`vbi._fixed_point` with only the linear-response step's call
+    (the one capped at ``_LR_MAX_SWEEPS``) made by ``replacement``; an
+    inference phase that hands over keeps the engine's."""
+    original = vbi._fixed_point
+    return lambda *args: (replacement if args[6] == vbi._LR_MAX_SWEEPS else original)(*args)
+
+
 def _fixed_point_args(corpus):
-    """The arguments ``corpus``'s fit passes to :func:`vbi._fixed_point`: the
-    configured priors and the state its first inference phase returned under
-    them."""
+    """The arguments ``corpus``'s fit passes to :func:`vbi._fixed_point` in
+    its linear-response step: the configured priors and the state its first
+    inference phase returned under them."""
     captured = []
     original = vbi._fixed_point
 
@@ -1188,7 +1215,7 @@ def _fixed_point_args(corpus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(vbi, "_fixed_point", capture)
         fit(corpus, FitConfig())
-    return captured[0]
+    return next(args for args in captured if args[6] == vbi._LR_MAX_SWEEPS)
 
 
 @pytest.fixture(scope="module")
@@ -1198,13 +1225,71 @@ def fixed_prior_start(corpus_at_known):
     return _fixed_point_args(corpus_at_known)
 
 
-def _study_corpus():
-    """Criterion 8's share-0.1, n=1900 cell, replication 1."""
+def _study_corpus(cell=(0, 0, 2, 1)):
+    """A study's share-0.1, n=1900 corpus from the cell seed ``cell``; by
+    default criterion 8's, replication 1, and at (0, 0, 0, 1) the
+    study-grid pin's, replication 1."""
     names, profiles = at_lq_point_profiles()
     spec = StudySpec(catalog=ParticleCatalog(names), true_profiles=profiles,
                      unknown_shares=(0.1,), sample_sizes=(1900,))
-    rng = np.random.default_rng(np.random.SeedSequence((0, 0, 2, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence(cell))
     return generate_corpus(spec.scenario(0.1, 1900), rng)
+
+
+@pytest.fixture(scope="module")
+def capped_phase_start():
+    """The arguments of the first inference phase of criterion 8's
+    share-0.1, n=1900, replication-1 fit, which plain sweeps do not settle
+    within the default cap (the bound still changes by 4.4e-8 relative at
+    sweep 500)."""
+    captured = []
+    original = vbi._inference_phase
+
+    def capture(*args):
+        captured.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vbi, "_inference_phase", capture)
+        fit(_study_corpus(), FitConfig(outer_max_iters=1))
+    return captured[0]
+
+
+class TestPhaseHandoff:
+    """An inference phase that plain sweeps cannot settle within its cap
+    hands its state to the fixed point's Newton steps."""
+
+    def test_returns_a_settled_state_above_the_capped_bound(self, capped_phase_start,
+                                                            monkeypatch):
+        counts, a, eta, *_, config = capped_phase_start
+        gamma, lam, _, bound, sweeps = vbi._inference_phase(*capped_phase_start)
+        assert sweeps < config.estep_max_iters
+        # the fixed point stops on a plain sweep moving nothing by _LR_TOL,
+        # and the phase sweeps once more from there
+        new_gamma, new_lam, _ = vbi._sweep_rows(counts, a, eta, gamma, lam)
+        assert vbi._relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows) \
+            <= vbi._LR_TOL
+        # with no rate check in reach, the phase runs plain sweeps to its cap
+        monkeypatch.setattr(vbi, "_RATE_SWEEPS", config.estep_max_iters + 1)
+        *_, plain_bound, plain_sweeps = vbi._inference_phase(*capped_phase_start)
+        assert plain_sweeps == config.estep_max_iters and bound >= plain_bound
+
+    @pytest.mark.parametrize("cap", [41, 42, 43, 200])
+    def test_stays_within_the_cap(self, capped_phase_start, cap, caplog):
+        # the first rate check is at sweep 40, against sweep 20's change; the
+        # phase hands over only if the fixed point's first sweep and its own
+        # last one fit under the cap, and its count includes every sweep
+        calls = []
+        sweep = vbi._sweep_rows
+        with pytest.MonkeyPatch.context() as mp, \
+                caplog.at_level(logging.DEBUG, logger="dustmix.vbi"):
+            mp.setattr(vbi, "_sweep_rows", lambda *args: calls.append(1) or sweep(*args))
+            sweeps = vbi._inference_phase(*capped_phase_start[:5],
+                                          FitConfig(estep_max_iters=cap))[-1]
+        assert sweeps == len(calls) <= cap
+        handed = [record.getMessage() for record in caplog.records
+                  if record.getMessage().startswith("inference phase: handed over at sweep ")]
+        assert len(handed) == (cap > 41)
 
 
 class TestFixedPoint:
@@ -1213,7 +1298,7 @@ class TestFixedPoint:
         corpus = request.getfixturevalue("corpus_at_known") if scenario == "at-known" \
             else _study_corpus()
         rows = fit(corpus, FitConfig()).A_converged.values
-        monkeypatch.setattr(vbi, "_fixed_point", _converged_fixed_point)
+        monkeypatch.setattr(vbi, "_fixed_point", _lr_fixed_point(_converged_fixed_point))
         expected = fit(corpus, FitConfig()).A_converged.values
         assert_allclose(rows.sum(axis=1), expected.sum(axis=1), rtol=1e-5)
         assert_allclose(rows / rows.sum(axis=1, keepdims=True),
@@ -1253,10 +1338,10 @@ class TestFixedPoint:
             sweeps.append(result[3])
             return result
 
-        monkeypatch.setattr(vbi, "_fixed_point", counting)
+        monkeypatch.setattr(vbi, "_fixed_point", _lr_fixed_point(counting))
         rows = fit(corpus, FitConfig()).A_converged.values
-        assert sweeps[0] <= 30
-        monkeypatch.setattr(vbi, "_fixed_point", _converged_fixed_point)
+        assert len(sweeps) == 1 and sweeps[0] <= 30
+        monkeypatch.setattr(vbi, "_fixed_point", _lr_fixed_point(_converged_fixed_point))
         assert_allclose(rows, fit(corpus, FitConfig()).A_converged.values, rtol=1e-6, atol=0)
 
     def test_bound_of_kept_states_never_falls(self, fixed_prior_start, monkeypatch):
@@ -1361,7 +1446,7 @@ class TestFixedPoint:
         with caplog.at_level(logging.WARNING, logger="dustmix.vbi"):
             sweeps = vbi._fixed_point(*fixed_prior_start[:5], vbi._LR_TOL, 5)[3]
         assert sweeps == len(calls) == 5
-        assert any("fixed-prior phase" in record.getMessage()
+        assert any("fixed point still moving" in record.getMessage()
                    and "after 5 sweeps" in record.getMessage() for record in caplog.records)
 
     def test_repeatable(self, fixed_prior_start):
