@@ -312,29 +312,17 @@ def _study_profiles(block) -> tuple[ParticleCatalog, np.ndarray]:
 
 def load_study_spec(path: Path | str, seed: int | None = None) -> StudySpec:
     """Parse a study specification into a :class:`StudySpec`, which checks
-    every field, so an error names the field, not the key.  ``profiles``
-    (default ``at_lq``) is read by :func:`_study_profiles`; of the other
-    keys, ``known_samples: n`` is ``known_sample_counts=(n,)``,
-    ``known_sample_size`` is ``known_particles_per_sample``,
-    ``second_trace`` is ``second_trace_mixture`` and ``seed`` is
-    ``rng_seed``, which a ``seed`` argument overrides; every other key is
-    its field."""
+    every field and holds every default.  ``profiles`` (default ``at_lq``)
+    is read by :func:`_study_profiles`, and ``seed`` is ``rng_seed``, which
+    a ``seed`` argument overrides; every other key is the field of its name."""
     raw = _mapping(_load_yaml(path), f"{path}: study spec", (
         "profiles", "unknown_shares", "sample_sizes", "samples_per_trace",
         "known_samples", "known_sample_size", "second_trace", "replications", "seed"))
-    catalog, profiles = _study_profiles(raw.get("profiles", "at_lq"))
-    return StudySpec(
-        catalog=catalog,
-        true_profiles=profiles,
-        unknown_shares=raw.get("unknown_shares", (0.1, 0.5, 0.9)),
-        sample_sizes=raw.get("sample_sizes", (100, 700, 1900)),
-        samples_per_trace=raw.get("samples_per_trace", 5),
-        known_sample_counts=(raw.get("known_samples", 12),),
-        known_particles_per_sample=raw.get("known_sample_size"),
-        second_trace_mixture=raw.get("second_trace"),
-        replications=raw.get("replications", 10),
-        rng_seed=seed if seed is not None else raw.get("seed", 0),
-    )
+    catalog, profiles = _study_profiles(raw.pop("profiles", "at_lq"))
+    fields = {"rng_seed" if key == "seed" else key: value for key, value in raw.items()}
+    if seed is not None:
+        fields["rng_seed"] = seed
+    return StudySpec(catalog, profiles, **fields)
 
 
 def cmd_simulate(

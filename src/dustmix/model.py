@@ -38,7 +38,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParticleCatalog:
-    """Ordered, immutable list of particle-type names."""
+    """Ordered, immutable list of particle-type names, each unique and not blank."""
 
     type_names: tuple[str, ...]
 
@@ -52,6 +52,8 @@ class ParticleCatalog:
             raise ValueError(f"catalog needs at least two particle types, got {len(names)}")
         if len(set(names)) != len(names):
             raise ValueError("catalog type names must be unique")
+        if not all(name.strip() for name in names):
+            raise ValueError(f"catalog type names must not be blank, got {list(names)}")
 
     @property
     def n_types(self) -> int:
@@ -267,8 +269,9 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
     """Check every corpus invariant; empty result means the corpus is fit-ready.
     A corpus needs a source (``no-sources``), and two if it has a trace
     location (``single-source-trace``): a lone source's share is Beta(w, 0).
-    Each location needs its own name (``duplicate-location-name``), because
-    a report keys its blocks by name."""
+    Each location needs its own name (``duplicate-location-name``), and a
+    known location is not named ``unknown`` beside an unknown source
+    (``unknown-source-name``), because a report keys its blocks by name."""
     violations: list[Violation] = []
     T = corpus.n_types
 
@@ -298,6 +301,9 @@ def validate_corpus(corpus: Corpus) -> list[Violation]:
         if n > 1:
             message = f"{n} locations are named {name!r}"
             violations.append(Violation("duplicate-location-name", message))
+    if corpus.n_unknown_sources > 0 and "unknown" in corpus.source_names[:corpus.n_known_sources]:
+        message = "a known location is named 'unknown', the name of the unknown source"
+        violations.append(Violation("unknown-source-name", message))
 
     n_sources = corpus.n_known_sources + max(corpus.n_unknown_sources, 0)
     if n_sources < 1:

@@ -165,37 +165,37 @@ def profiles_from_counts(samples: Sequence[SampleCounts]) -> np.ndarray:
 class StudySpec:
     """Grid sweep around a two-source scenario with one unknown source.
 
-    ``unknown_shares`` are the true proportions of the unknown source (the
-    second profile row) in the first trace mixture; ``sample_sizes`` the
-    per-sample particle counts.  ``second_trace_mixture`` adds a second
-    trace location with a fixed mixing vector (the two-trace situation).
-    Construction checks what :func:`run_study` would otherwise fail on in
-    its cells: ``unknown_shares``, ``sample_sizes``, ``known_sample_counts``
-    and a given ``second_trace_mixture`` must each be a list or a tuple
-    (stored as a tuple), each count an integer
-    (:func:`~dustmix.vbi.as_count`), at least 1 (the seed at least 0), each
-    share a real number (a bool or a string is not), no share and no
-    particle count given twice, the second mixture a probability vector over
-    the two sources, and the profiles probability vectors over the catalog's
-    types; each error names its field.  The checks shared with a cell's
+    Each key of a study spec file sets the field of its name, and a field
+    it leaves out keeps its default; ``seed`` sets ``rng_seed`` and
+    ``profiles`` the first two (:func:`~dustmix.cli.load_study_spec`).
+    ``unknown_shares`` are the true shares of the unknown source (the second
+    profile row) in the first trace, ``sample_sizes`` the particles per
+    sample; the known source has ``known_samples`` samples of
+    ``known_sample_size`` particles (default: the cell's size), and
+    ``second_trace`` adds a trace with that fixed mixture.  Construction
+    checks what :func:`run_study` would otherwise fail on in its cells, and
+    each error names its field: ``unknown_shares``, ``sample_sizes`` and a
+    given ``second_trace`` must be lists or tuples (stored as tuples), each
+    count an integer (:func:`~dustmix.vbi.as_count`) of at least 1 (the seed
+    at least 0), each share a real number (not a bool or a string), no share
+    or particle count given twice, and the second mixture and the profiles
+    probability vectors.  The checks shared with a cell's
     :class:`ScenarioSpec` are made by building the first cell's scenario.
     """
 
     catalog: ParticleCatalog
     true_profiles: np.ndarray
-    unknown_shares: tuple[float, ...]
-    sample_sizes: tuple[int, ...]
+    unknown_shares: tuple[float, ...] = (0.1, 0.5, 0.9)
+    sample_sizes: tuple[int, ...] = (100, 700, 1900)
     samples_per_trace: int = 5
-    known_sample_counts: tuple[int, ...] = (12,)
-    known_particles_per_sample: int | None = None
-    second_trace_mixture: tuple[float, ...] | None = None
+    known_samples: int = 12
+    known_sample_size: int | None = None
+    second_trace: tuple[float, ...] | None = None
     replications: int = 10
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "known_sample_counts", _each(
-            "known_sample_counts", self.known_sample_counts, as_count))
-        if np.shape(self.true_profiles)[:1] != (2,) or len(self.known_sample_counts) != 1:
+        if np.shape(self.true_profiles)[:1] != (2,):
             raise ValueError("the study design uses exactly two sources, the first known")
         object.__setattr__(self, "unknown_shares",
                            _each("unknown_shares", self.unknown_shares, as_real))
@@ -209,31 +209,34 @@ class StudySpec:
                              ("sample_sizes", self.sample_sizes)):
             if len(set(values)) < len(values):  # aggregate() finds a cell's rows by value
                 raise ValueError(f"{name} repeats a value: {list(values)}")
-        object.__setattr__(self, "replications", as_count("replications", self.replications))
-        if self.second_trace_mixture is not None:
-            mixture = _each("second_trace_mixture", self.second_trace_mixture, as_real)
+        for name, least in (("known_samples", 1), ("replications", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, as_count(name, getattr(self, name), least))
+        if self.known_sample_size is not None:
+            object.__setattr__(self, "known_sample_size",
+                               as_count("known_sample_size", self.known_sample_size))
+        if self.second_trace is not None:
+            mixture = _each("second_trace", self.second_trace, as_real)
             if len(mixture) != 2:
-                raise ValueError("second_trace_mixture must have one share per source")
-            _check_simplex(np.array(mixture), "second_trace_mixture")
-            object.__setattr__(self, "second_trace_mixture", mixture)
-        object.__setattr__(self, "rng_seed", as_count("rng_seed", self.rng_seed, least=0))
+                raise ValueError("second_trace must have one share per source")
+            _check_simplex(np.array(mixture), "second_trace")
+            object.__setattr__(self, "second_trace", mixture)
         # every cell's scenario shares these fields; the first one checks them
         scenario = self.scenario(self.unknown_shares[0], self.sample_sizes[0])
-        for name in ("true_profiles", "samples_per_trace", "known_particles_per_sample"):
+        for name in ("true_profiles", "samples_per_trace"):
             object.__setattr__(self, name, getattr(scenario, name))
 
     def scenario(self, unknown_share: float, sample_size: int) -> ScenarioSpec:
         mixtures: list[tuple[float, ...]] = [(1.0 - unknown_share, unknown_share)]
-        if self.second_trace_mixture is not None:
-            mixtures.append(self.second_trace_mixture)
+        if self.second_trace is not None:
+            mixtures.append(self.second_trace)
         return ScenarioSpec(
             catalog=self.catalog,
             true_profiles=self.true_profiles,
             trace_mixtures=tuple(mixtures),
             particles_per_sample=sample_size,
             samples_per_trace=self.samples_per_trace,
-            known_sample_counts=self.known_sample_counts,
-            known_particles_per_sample=self.known_particles_per_sample,
+            known_sample_counts=(self.known_samples,),
+            known_particles_per_sample=self.known_sample_size,
         )
 
 
@@ -278,7 +281,7 @@ class StudyResults:
                     for j in range(n_traces):
                         means = [c.theta_unknown_mean[j] for c in reps]
                         modes = [c.theta_unknown_mode[j] for c in reps]
-                        truth = share if j == 0 else self.spec.second_trace_mixture[1]
+                        truth = share if j == 0 else self.spec.second_trace[1]
                         row[f"trace{j}_mean"] = float(np.mean(means))
                         row[f"trace{j}_mode"] = float(np.mean(modes))
                         row[f"trace{j}_abs_err"] = float(np.mean([abs(m - truth) for m in means]))
@@ -345,7 +348,7 @@ def run_study(study: StudySpec, config: FitConfig | None = None, threads: int = 
 
 def write_cells_csv(results: StudyResults, path: Path | str) -> None:
     n_types = results.spec.true_profiles.shape[1]
-    n_traces = 2 if results.spec.second_trace_mixture is not None else 1
+    n_traces = 2 if results.spec.second_trace is not None else 1
     header = ["unknown_share", "sample_size", "replication", "converged", "iterations", "elbo"]
     for j in range(n_traces):
         header += [f"trace{j}_mean", f"trace{j}_mode"]
@@ -368,7 +371,7 @@ def write_aggregate_csv(results: StudyResults, path: Path | str) -> None:
     header comes from the spec, so a cell whose replications all failed
     leaves its means blank."""
     n_types = results.spec.true_profiles.shape[1]
-    n_traces = 2 if results.spec.second_trace_mixture is not None else 1
+    n_traces = 2 if results.spec.second_trace is not None else 1
     header = ["unknown_share", "sample_size", "replications", "failures"]
     header += [f"trace{j}_{what}" for j in range(n_traces) for what in ("mean", "mode", "abs_err")]
     header += [f"beta_unknown_{t}" for t in range(n_types)]

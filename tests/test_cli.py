@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from dustmix.cli import (
     main,
 )
 from dustmix.datasets import fixture_path
+from dustmix.simulator import StudySpec
 import _outputs
 
 HEADER = "location,role,a,b,c"
@@ -181,6 +182,12 @@ class TestIngest:
     def test_duplicate_type_names(self, tmp_path):
         path = write_csv(tmp_path, ["k,known:s,1,1,1"], header="location,role,a,b,a")
         with pytest.raises(IngestError, match=f"^{path}: catalog type names must be unique"):
+            ingest_csv(path)
+
+    def test_blank_type_name(self, tmp_path):
+        # a blank type once became a report label '' and a file beta_a_.csv
+        path = write_csv(tmp_path, ["k,known:s,1,1"], header="location,role, ,b")
+        with pytest.raises(IngestError, match=f"^{path}: catalog type names must not be blank"):
             ingest_csv(path)
 
     def test_empty_location_name(self, tmp_path):
@@ -583,6 +590,7 @@ class TestCmdSimulate:
         ("profiles: {types: ab, rows: [[1, 2], [2, 1]]}\n", "profiles.types must be a list"),
         ("profiles: {types: [[1], [2]], rows: [[1, 2], [2, 1]]}\n", "profiles.types must be"),
         ("profiles: {types: [a, b], rows: {x: 1}}\n", "profiles.rows must be a list of lists"),
+        ("profiles: {types: [a, ' '], rows: [[1, 2], [2, 1]]}\n", "names must not be blank"),
         ("profiles: {types: [a, b], rows: [[1, 2], [0, 0]]}\n", "positive sum, got \\[0, 0\\]"),
         # aggregate() matches cells by value, so a repeat once gave two
         # identical rows with negative failure counts
@@ -625,8 +633,8 @@ class TestCmdSimulate:
         ("sample_sizes: [100, 700.5]\n", "sample_sizes"),
         ("sample_sizes: 100\n", "sample_sizes"),
         ("samples_per_trace: '5'\n", "samples_per_trace"),
-        ("known_samples: 2.5\n", "known_sample_counts"),
-        ("known_sample_size: 300.5\n", "known_particles_per_sample"),
+        ("known_samples: 2.5\n", "known_samples"),
+        ("known_sample_size: 300.5\n", "known_sample_size"),
         ("seed: 0.5\n", "seed"),
     ])
     def test_mistyped_integer_is_error(self, tmp_path, text, key):
@@ -658,7 +666,7 @@ class TestCmdSimulate:
         # the trace samples' particle count
         path = tmp_path / "bad.yaml"
         path.write_text("known_sample_size: 0\n")
-        with pytest.raises(ValueError, match="known_particles_per_sample"):
+        with pytest.raises(ValueError, match="known_sample_size must be at least 1"):
             load_study_spec(path)
 
     def test_integral_floats_are_read_as_integers(self, tmp_path):
@@ -666,7 +674,28 @@ class TestCmdSimulate:
         path.write_text("sample_sizes: [100.0]\nreplications: 2.0\nknown_sample_size: 300\n")
         study = load_study_spec(path)
         assert study.sample_sizes == (100,) and study.replications == 2
-        assert type(study.replications) is int and study.known_particles_per_sample == 300
+        assert type(study.replications) is int and study.known_sample_size == 300
+
+    def test_keys_are_the_fields_of_their_name(self, tmp_path):
+        # the keys are StudySpec's fields less the two that profiles resolves
+        # and rng_seed, which seed maps; each value lands on its field
+        defaults = {f.name: f.default for f in fields(StudySpec)}
+        spec = {"unknown_shares": [0.2, 0.6], "sample_sizes": [50, 80], "samples_per_trace": 3,
+                "known_samples": 4, "known_sample_size": 90, "second_trace": [0.25, 0.75],
+                "replications": 2}
+        assert set(spec) == set(defaults) - {"catalog", "true_profiles", "rng_seed"}
+        path = tmp_path / "study.yaml"
+        path.write_text(yaml.safe_dump({**spec, "profiles": TINY_STUDY["profiles"], "seed": 3}))
+        study = load_study_spec(path)
+        for key, value in spec.items():
+            value = tuple(value) if isinstance(value, list) else value
+            assert getattr(study, key) == value != defaults[key]
+        assert study.rng_seed == 3 != defaults["rng_seed"]
+        assert study.catalog.type_names == ("a", "b", "c", "d")
+        for key in ("catalog", "true_profiles", "rng_seed"):
+            path.write_text(f"{key}: 1\n")
+            with pytest.raises(ValueError, match=f"study spec holds unknown keys: {key}$"):
+                load_study_spec(path)
 
     def test_at_lq_profile_shortcut(self, tmp_path):
         path = tmp_path / "study.yaml"

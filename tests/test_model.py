@@ -186,6 +186,19 @@ class TestValidateCorpus:
         assert [(v.code, v.message) for v in violations] == [
             ("duplicate-location-name", f"2 locations are named {repeated!r}")]
 
+    def test_known_location_named_unknown_flagged(self, small_catalog):
+        # its source and the unknown source were both named 'unknown', so a
+        # report kept one beta block of the two
+        groups = [("unknown", LocationRole.known(), [np.array([3, 1, 2])]),
+                  ("t", LocationRole.trace(), [np.array([1, 2, 3])])]
+        violations = validate_corpus(Corpus.from_groups(small_catalog, groups, 1))
+        assert [(v.code, v.message) for v in violations] == [(
+            "unknown-source-name",
+            "a known location is named 'unknown', the name of the unknown source")]
+        # without an unknown source the name is free
+        k1 = ("k1", LocationRole.known(), [np.array([1, 3, 2])])
+        assert validate_corpus(Corpus.from_groups(small_catalog, [*groups, k1])) == []
+
     def test_sample_length_mismatch_flagged(self, small_catalog):
         bad = Corpus.from_groups(small_catalog, [("k0", LocationRole.known(), [[1, 1]])])
         assert any(v.code == "sample-length" for v in validate_corpus(bad))
@@ -235,6 +248,10 @@ class TestDirichletMatrix:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             DirichletMatrix(np.array([[1.0, 0.0]]))
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="DirichletMatrix must be two-dimensional"):
+            DirichletMatrix(np.ones(3))
 
     def test_values_read_only(self):
         matrix = DirichletMatrix(np.ones((2, 3)))

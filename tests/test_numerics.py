@@ -121,6 +121,10 @@ class TestDirichletRows:
         for name in ("psi", "e_log", "log_norm", "less_one"):
             assert getattr(dirichlet, name) is getattr(dirichlet, name), name
 
+    def test_fields_read_on_the_class_are_descriptors(self):
+        # as with cached_property, so help() shows each field's docstring
+        assert DirichletRows.psi.__doc__ == "digamma of every entry."
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):

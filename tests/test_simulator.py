@@ -200,7 +200,7 @@ class TestStudy:
             unknown_shares=(0.3, 0.7),
             sample_sizes=(40, 80),
             samples_per_trace=2,
-            known_sample_counts=(3,),
+            known_samples=3,
             replications=2,
             rng_seed=0,
         )
@@ -216,16 +216,16 @@ class TestStudy:
         ("sample_sizes", (0,)),
         ("samples_per_trace", 0),
         ("samples_per_trace", 2.5),
-        ("known_sample_counts", (0,)),
-        ("known_particles_per_sample", 10.5),
+        ("known_samples", 0),
+        ("known_sample_size", 10.5),
         ("rng_seed", -1),
         ("rng_seed", 0.5),
-        ("second_trace_mixture", (0.5, 0.6)),
-        ("second_trace_mixture", (0.2, 0.3, 0.5)),
+        ("second_trace", (0.5, 0.6)),
+        ("second_trace", (0.2, 0.3, 0.5)),
         ("unknown_shares", 0.5),
         ("sample_sizes", 40),
-        ("second_trace_mixture", 0.5),
-        ("known_sample_counts", 12),
+        ("second_trace", 0.5),
+        ("known_samples", (12,)),
     ])
     def test_bad_counts_and_mixture_fail_at_construction(self, catalog, field, value):
         with pytest.raises(ValueError, match=field):
@@ -233,8 +233,7 @@ class TestStudy:
 
     @pytest.mark.parametrize("field, value", [
         ("true_profiles", np.vstack([PROFILES, PROFILES[:1]])),
-        ("known_sample_counts", (3, 3)),
-    ], ids=["three-sources", "two-known"])
+    ], ids=["three-sources"])
     def test_design_must_be_one_known_and_one_unknown(self, catalog, field, value):
         with pytest.raises(ValueError, match="exactly two sources, the first known"):
             self._study(catalog, **{field: value})
@@ -242,8 +241,8 @@ class TestStudy:
     @pytest.mark.parametrize("field, value", [
         ("unknown_shares", ("0.5",)),
         ("unknown_shares", (0.3, True)),
-        ("second_trace_mixture", ("0.5", "0.5")),
-        ("second_trace_mixture", (True, False)),
+        ("second_trace", ("0.5", "0.5")),
+        ("second_trace", (True, False)),
     ])
     def test_mistyped_shares_fail_by_name(self, catalog, field, value):
         # these were read with float(), which takes a numeric string and a bool
@@ -261,11 +260,11 @@ class TestStudy:
 
     def test_integral_counts_are_stored_as_int(self, catalog):
         study = self._study(catalog, sample_sizes=(40.0,), replications=2.0, rng_seed=3.0,
-                            known_particles_per_sample=50.0, second_trace_mixture=(1, 0))
+                            known_samples=3.0, known_sample_size=50.0, second_trace=(1, 0))
         assert study.sample_sizes == (40,) and type(study.sample_sizes[0]) is int
         assert type(study.replications) is int and type(study.rng_seed) is int
-        assert type(study.known_particles_per_sample) is int
-        assert study.second_trace_mixture == (1.0, 0.0)
+        assert type(study.known_samples) is int and type(study.known_sample_size) is int
+        assert study.second_trace == (1.0, 0.0)
 
     def test_grid_is_exhaustive(self, catalog):
         study = self._study(catalog)
@@ -275,7 +274,7 @@ class TestStudy:
         assert len(seen) == 8
 
     def test_second_trace_mixture(self, catalog):
-        study = self._study(catalog, second_trace_mixture=(0.51, 0.49),
+        study = self._study(catalog, second_trace=(0.51, 0.49),
                             unknown_shares=(0.3,), sample_sizes=(40,), replications=1)
         scenario = study.scenario(0.3, 40)
         assert scenario.trace_mixtures == ((0.7, 0.3), (0.51, 0.49))
@@ -304,7 +303,7 @@ class TestStudy:
 
         monkeypatch.setattr(simulator, "fit", failing_fit)
         study = self._study(catalog, unknown_shares=(0.3,), sample_sizes=(40,),
-                            second_trace_mixture=(0.5, 0.5))
+                            second_trace=(0.5, 0.5))
         results = run_study(study)
         assert [c.error for c in results.cells] == ["fit exploded"] * 2
         assert all(c.theta_unknown_mean == () and not c.converged for c in results.cells)
@@ -321,7 +320,7 @@ class TestStudy:
     def test_aggregate_header_comes_from_the_spec(self, catalog, tmp_path):
         # every replication of the first cell failed: the header still names
         # every trace and profile column, and only that cell's means are blank
-        study = self._study(catalog, sample_sizes=(40,), second_trace_mixture=(0.5, 0.5))
+        study = self._study(catalog, sample_sizes=(40,), second_trace=(0.5, 0.5))
         failed = [CellResult(0.3, 40, rep, error="fit exploded") for rep in range(2)]
         fitted = [CellResult(0.7, 40, rep, theta_unknown_mean=(0.5 + rep / 4, 0.5),
                              theta_unknown_mode=(0.5, 0.5), beta_unknown_mean=(0.25,) * 4,
