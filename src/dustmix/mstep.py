@@ -42,10 +42,9 @@ from operator import add, mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln, psi, zeta
 
 from .model import Corpus
-from .numerics import _SHORT_AXIS, DirichletRows, reduce_last
+from .numerics import _SHORT_AXIS, DirichletRows, reduce_last, special
 
 __all__ = [
     "RowSolve",
@@ -196,10 +195,10 @@ def _maximize_batch(stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray) -> R
         # by Sherman-Morrison -H^-1 g = -(g - b) / q, b = sum(g/q) / (1/z + sum(1/q)).
         # trigamma is zeta(2, .), as scipy's polygamma(1, .) computes it.  Every
         # row takes the step; only the pending rows keep what it finds.
-        inv_q = -1.0 / (n_column * zeta(2.0, x))
+        inv_q = -1.0 / (n_column * special.zeta(2.0, x))
         if edge:
             inv_q = np.where(outward, 0.0, inv_q)
-        z = n_samples * zeta(2.0, reduce_last(np.add, x))
+        z = n_samples * special.zeta(2.0, reduce_last(np.add, x))
         b = reduce_last(np.add, grad * inv_q) / (1.0 / z + reduce_last(np.add, inv_q))
         step = -(grad - b[:, None]) * inv_q
         iterations += pending
@@ -237,10 +236,10 @@ def _row_objective(x: list, stat: list, n: float) -> tuple[float, list]:
     """:func:`_objective` of one row of floats, by the same operations in
     the same order (sums in column order, as :func:`reduce_last` adds)."""
     total = reduce(add, x)
-    log_gammas = reduce(add, [float(gammaln(v)) for v in x])
-    psi_total = float(psi(total))
-    value = n * (float(gammaln(total)) - log_gammas) + reduce(add, map(mul, x, stat))
-    return value, [s - n * (float(psi(v)) - psi_total) for v, s in zip(x, stat)]
+    log_gammas = reduce(add, [float(special.gammaln(v)) for v in x])
+    psi_total = float(special.psi(total))
+    value = n * (float(special.gammaln(total)) - log_gammas) + reduce(add, map(mul, x, stat))
+    return value, [s - n * (float(special.psi(v)) - psi_total) for v, s in zip(x, stat)]
 
 
 def _maximize_floats(stat: np.ndarray, n_samples: np.ndarray, x: np.ndarray) -> RowSolve:
@@ -275,7 +274,7 @@ def _solve_row(
         norm = max(map(abs, projected))
         if not norm > tol or newton == _MAX_ITERS:
             break
-        *trigamma, trigamma_total = zeta(2.0, [*x, reduce(add, x)]).tolist()
+        *trigamma, trigamma_total = special.zeta(2.0, [*x, reduce(add, x)]).tolist()
         inv_q = [-1.0 / (n * q) for q in trigamma]
         if outward is not None:
             inv_q = [0.0 if out else q for out, q in zip(outward, inv_q)]

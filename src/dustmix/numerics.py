@@ -25,6 +25,17 @@ pairwise partial sums, which round differently.  ``tests/test_numerics.py``
 checks both sides of the cutoff, so a numpy that changes its order fails
 there first.
 
+``scipy.special`` costs about 0.2 s and 26 MB at import (scipy 1.17,
+2-core x86), and reading a corpus, validating it or printing a saved
+report calls none of it.  So ``special`` stands in for the module: the
+first read of one of its functions imports ``scipy.special``, and each
+function read is kept as the handle's own attribute, so every later read
+is an attribute look-up that runs no Python code.  Every module of the
+package reads its special functions through it, which makes this module
+the one place that decides when scipy loads: ``import dustmix`` loads
+none of it, and a fit, a study or a new report's intervals load it once,
+at their first special function.
+
 All functions are pure; a :class:`DirichletRows` keeps only what its rows
 determine.
 """
@@ -37,7 +48,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "BetaShape",
@@ -52,6 +62,24 @@ __all__ = [
     "log_gamma",
     "reduce_last",
 ]
+
+
+class _DeferredSpecial:
+    """``scipy.special``, imported at the first read of one of its functions."""
+
+    def __getattr__(self, name: str):
+        # reached only for a name not yet kept; a private name (an
+        # introspection probe) imports nothing
+        if name.startswith("_"):
+            raise AttributeError(name)
+        from scipy import special as module
+
+        value = getattr(module, name)
+        setattr(self, name, value)
+        return value
+
+
+special = _DeferredSpecial()
 
 
 def _positive(x, name: str) -> np.ndarray:

@@ -26,10 +26,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betaln
 
 from .model import Corpus, FitResult
-from .numerics import BetaShape, CredibleInterval, beta_hpdis, beta_summary
+from .numerics import BetaShape, CredibleInterval, beta_hpdis, beta_summary, special
 
 __all__ = [
     "MarginalSummary",
@@ -121,7 +120,7 @@ def density_grid(shape: BetaShape) -> tuple[np.ndarray, np.ndarray]:
     """
     a, b = shape.a, shape.b
     x = _GRID_X.copy()
-    return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b))
+    return x, np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - special.betaln(a, b))
 
 
 # The fields of a marginal's report.json entry and summary.csv row, in order.

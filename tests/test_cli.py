@@ -756,6 +756,36 @@ class TestMain:
         assert out.stdout.strip() == "[]"
         assert (tmp_path / "run" / "report.json").exists()
 
+    def test_scipy_loads_at_the_first_fit(self, tmp_path):
+        # scipy.special costs about 0.2 s and 26 MB at import: reading,
+        # refusing and reporting need none of it, a fit loads it
+        run = tmp_path / "run"
+        assert cli.cmd_fit(fixture_path(), None, run) == cli.EXIT_OK
+        refused = tmp_path / "refused.csv"
+        refused.write_text("location,role,a,b\nt1,trace,1,2\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(dustmix.__file__).resolve().parents[1])}
+        code = (
+            "import contextlib, io, sys, dustmix, dustmix.cli\n"
+            "from dustmix.datasets import fixture_path\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    dustmix.cli.ingest_csv(fixture_path())\n"
+            f"    refused = dustmix.cli.main(['fit', {str(refused)!r}, "
+            f"'--out', {str(tmp_path / 'none')!r}])\n"
+            f"    reported = dustmix.cli.cmd_report({str(run)!r})\n"
+            "    try:\n"
+            "        dustmix.cli.main(['--version'])\n"
+            "    except SystemExit as exc:\n"
+            "        version = exc.code\n"
+            "print(refused, reported, version)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"dustmix.cli.cmd_fit(fixture_path(), None, {str(tmp_path / 'again')!r})\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines() == [f"{cli.EXIT_ERROR} {cli.EXIT_OK} 0", "[]", "True"]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

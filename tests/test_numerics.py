@@ -103,6 +103,24 @@ class TestTrigamma:
         assert np.array_equal(special.zeta(2.0, x), special.polygamma(1, x))
 
 
+class TestDeferredSpecial:
+    def test_hands_out_scipy_functions_and_keeps_them(self):
+        # the engine computes with scipy's own functions, read once each
+        handle = numerics._DeferredSpecial()
+        assert vars(handle) == {}
+        assert handle.zeta is special.zeta
+        assert vars(handle)["zeta"] is special.zeta
+        for name in ("betaln", "gammaln", "psi", "zeta"):
+            assert getattr(numerics.special, name) is getattr(special, name)
+
+    def test_private_and_missing_names_raise(self):
+        handle = numerics._DeferredSpecial()
+        for name in ("__wrapped__", "_private", "no_such_function"):
+            with pytest.raises(AttributeError):
+                getattr(handle, name)
+        assert vars(handle) == {}
+
+
 class TestDirichletRows:
     def test_matches_checked_special_functions(self):
         # the same evaluations as the checked functions, bit for bit

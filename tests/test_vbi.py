@@ -705,22 +705,16 @@ def _counting_work(monkeypatch):
     """Count the special-function evaluations (``evaluations``, the
     trigammas of the linear response included) and the
     :class:`numerics.DirichletRows` domain checks (``checks``) of the engine
-    inside the block; warnings are silenced."""
+    inside the block; warnings are silenced.  The engine reads every special
+    function through the one handle ``numerics.special``, so the count
+    replaces the functions it hands out."""
     counts = {"evaluations": 0, "checks": 0}
-    special, zeta = numerics.special, vbi.zeta
 
-    def counted_zeta(*args):
-        counts["evaluations"] += 1
-        return zeta(*args)
-
-    class CountingSpecial:
-        def __getattr__(self, name):
-            function = getattr(special, name)
-
-            def counted(*args):
-                counts["evaluations"] += 1
-                return function(*args)
-            return counted
+    def counting(function):
+        def counted(*args):
+            counts["evaluations"] += 1
+            return function(*args)
+        return counted
 
     class CountingRows(numerics.DirichletRows):
         def __init__(self, rows):
@@ -728,8 +722,8 @@ def _counting_work(monkeypatch):
             super().__init__(rows)
 
     with monkeypatch.context() as mp:
-        mp.setattr(numerics, "special", CountingSpecial())
-        mp.setattr(vbi, "zeta", counted_zeta)
+        for name in ("gammaln", "psi", "zeta"):
+            mp.setattr(numerics.special, name, counting(getattr(numerics.special, name)))
         mp.setattr(vbi, "DirichletRows", CountingRows)
         mp.setattr(vbi.logger, "disabled", True)
         yield counts
