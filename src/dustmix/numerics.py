@@ -28,13 +28,14 @@ there first.
 ``scipy.special`` costs about 0.2 s and 26 MB at import (scipy 1.17,
 2-core x86), and reading a corpus, validating it or printing a saved
 report calls none of it.  So ``special`` stands in for the module: the
-first read of one of its functions imports ``scipy.special``, and each
-function read is kept as the handle's own attribute, so every later read
-is an attribute look-up that runs no Python code.  Every module of the
-package reads its special functions through it, which makes this module
-the one place that decides when scipy loads: ``import dustmix`` loads
-none of it, and a fit, a study or a new report's intervals load it once,
-at their first special function.
+first read of one of its functions imports ``scipy.special``, copies its
+public names into the handle and makes the handle a plain module, so every
+later read is a module attribute look-up that runs no Python code, as
+when the name was ``scipy.special`` itself.  Every module of the package
+reads its special functions through it, which makes this module the one
+place that decides when scipy loads: ``import dustmix`` loads none of it,
+and a fit, a study or a new report's intervals load it once, at their
+first special function.
 
 All functions are pure; a :class:`DirichletRows` keeps only what its rows
 determine.
@@ -43,6 +44,7 @@ determine.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -64,22 +66,24 @@ __all__ = [
 ]
 
 
-class _DeferredSpecial:
+class _DeferredSpecial(types.ModuleType):
     """``scipy.special``, imported at the first read of one of its functions."""
 
     def __getattr__(self, name: str):
-        # reached only for a name not yet kept; a private name (an
+        # reached only before the first load; a private name (an
         # introspection probe) imports nothing
         if name.startswith("_"):
             raise AttributeError(name)
         from scipy import special as module
 
-        value = getattr(module, name)
-        setattr(self, name, value)
-        return value
+        vars(self).update((key, value) for key, value in vars(module).items()
+                          if not key.startswith("_"))
+        # as importlib.util.LazyLoader does: no hook is left on later reads
+        self.__class__ = types.ModuleType
+        return getattr(self, name)
 
 
-special = _DeferredSpecial()
+special = _DeferredSpecial("scipy.special")
 
 
 def _positive(x, name: str) -> np.ndarray:

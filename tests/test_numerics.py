@@ -104,21 +104,26 @@ class TestTrigamma:
 
 
 class TestDeferredSpecial:
-    def test_hands_out_scipy_functions_and_keeps_them(self):
-        # the engine computes with scipy's own functions, read once each
-        handle = numerics._DeferredSpecial()
-        assert vars(handle) == {}
+    def test_first_read_makes_a_plain_module_of_scipy_functions(self):
+        # the engine computes with scipy's own functions, and once loaded
+        # the handle is a plain module, so a read runs no Python code
+        handle = numerics._DeferredSpecial("scipy.special")
+        assert "zeta" not in vars(handle)
         assert handle.zeta is special.zeta
-        assert vars(handle)["zeta"] is special.zeta
+        assert type(handle) is type(special)
         for name in ("betaln", "gammaln", "psi", "zeta"):
+            assert vars(handle)[name] is getattr(special, name)
             assert getattr(numerics.special, name) is getattr(special, name)
+        with pytest.raises(AttributeError):
+            handle.no_such_function
 
-    def test_private_and_missing_names_raise(self):
-        handle = numerics._DeferredSpecial()
-        for name in ("__wrapped__", "_private", "no_such_function"):
+    def test_private_names_raise_and_load_nothing(self):
+        handle = numerics._DeferredSpecial("scipy.special")
+        for name in ("__wrapped__", "_private"):
             with pytest.raises(AttributeError):
                 getattr(handle, name)
-        assert vars(handle) == {}
+        assert type(handle) is numerics._DeferredSpecial
+        assert "zeta" not in vars(handle)
 
 
 class TestDirichletRows:
