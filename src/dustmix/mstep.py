@@ -24,13 +24,14 @@ from the log Gamma singularity and caps runaway concentration.  A row
 converges once its projected-gradient infinity norm is at most
 ``_GRAD_TOL``, and takes at most ``_MAX_ITERS`` Newton steps.
 
-:func:`mstep` works on plain arrays and is called once per outer iteration
-of the fit.  What does not change within a fit (the trace rows' location
-indices, their sample membership and sample counts) comes in as
-:class:`TraceRows`, built once per fit by :func:`trace_rows`.  H and A go in
-and come out as float arrays with no check of their own: the caller's next
-inference phase reads them through :class:`~dustmix.numerics.DirichletRows`,
-which rejects entries that are not positive and finite.
+:func:`mstep` and both objectives work on plain arrays, never the corpus;
+:func:`mstep` is called once per outer iteration of the fit.  What does
+not change within a fit (the trace rows' location indices, their sample
+membership and sample counts) comes in as :class:`TraceRows`, built once
+per fit by :func:`trace_rows`.  H and A go in and come out as float arrays
+with no check of their own: the caller's next inference phase reads them
+through :class:`~dustmix.numerics.DirichletRows`, which rejects entries
+that are not positive and finite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Corpus
 from .numerics import _SHORT_AXIS, DirichletRows, reduce_last, special
 
 __all__ = [
@@ -112,16 +112,11 @@ def eta_objective_and_gradient(
 
 
 def alpha_objective_and_gradient(
-    l: int,
-    alpha_row: np.ndarray,
-    gammas: np.ndarray,
-    corpus: Corpus,
+    alpha_row: np.ndarray, gammas: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Bound contribution of the mixing row of trace location ``l`` and its
-    gradient, summed over the mixing posteriors ``gammas`` of that
-    location's samples (one row per sample)."""
-    if corpus.locations[l].role.is_known:
-        raise ValueError(f"location {l} is pinned to a known source; its mixing row is frozen")
+    """Bound contribution of a trace location's mixing row and its gradient,
+    summed over the mixing posteriors ``gammas`` of that location's samples
+    (one row per sample)."""
     return _row_objective_and_gradient(alpha_row, gammas)
 
 

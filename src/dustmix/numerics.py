@@ -9,8 +9,9 @@ sums when built, and then runs ``psi`` and ``gammaln`` unchecked, each at
 most once per set of rows.  The Beta normaliser and quantile are
 ``betaln`` and ``betaincinv``.  The highest-density interval is the
 shortest interval of the stated mass; :func:`beta_hpdis` finds it for many
-shapes at once by a bracketed Newton search over the lower tail mass, on
-``scipy.special`` alone.
+shapes at once by a bracketed Newton search over the lower tail mass where
+the density has an interior mode, and as a one-sided quantile where it is
+monotone, on ``scipy.special`` alone.
 
 The engine's arrays are short along their last axis: a mixing row has one
 entry per source (2 or 3 in practice) and a profile row one per particle
@@ -214,9 +215,9 @@ class BetaSummary(NamedTuple):
 class CredibleInterval:
     """Interval [lo, hi] in [0, 1] carrying posterior probability ``mass``.
 
-    ``equal_tailed`` is set when the shortest-interval search was not
-    applicable (density without an interior mode) and the equal-tailed
-    interval was returned instead.
+    ``equal_tailed`` is set when no shortest interval was returned: for a
+    U-shaped or uniform density, which gets the equal-tailed interval
+    instead.  A monotone density's shortest interval has one end at 0 or 1.
     """
 
     lo: float
@@ -280,23 +281,30 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
     ``_HPDI_STEP_TOL * (1 - mass)``.  So where the root lies closer to
     0 or 1 than the endpoints resolve, an endpoint ends there instead.
     The endpoints are quantiles, so each interval holds ``mass`` to
-    quantile accuracy whatever the stopping point.  Shapes without an
-    interior mode (a <= 1 or b <= 1) get the equal-tailed interval, flagged
-    via ``equal_tailed``; for the uniform case this tie-breaks to the
-    centered interval.  Each shape's arithmetic does not depend on the
-    others, so a batch returns what one call per shape would.
+    quantile accuracy whatever the stopping point.  A monotone density's
+    shortest interval starts at the end where it peaks: [0, F^-1(mass)]
+    when a <= 1 <= b, [F^-1(1 - mass), 1] when b <= 1 <= a.  A U-shaped
+    (a < 1 and b < 1) or uniform density gets the equal-tailed interval,
+    flagged via ``equal_tailed`` (for the uniform, the centred one).  Each
+    shape's arithmetic does not depend on the others, so a batch returns
+    what one call per shape would.
     """
     if not (0.0 < mass < 1.0):
         raise ValueError(f"interval mass must lie in (0, 1), got {mass}")
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     tail = 0.5 * (1.0 - mass)
-    flat = ~((a > 1.0) & (b > 1.0))
-    lo, hi = np.empty_like(a), np.empty_like(a)
-    lo[flat] = special.betaincinv(a[flat], b[flat], tail)
-    hi[flat] = special.betaincinv(a[flat], b[flat], 1.0 - tail)
+    interior, uniform = (a > 1.0) & (b > 1.0), (a == 1.0) & (b == 1.0)
+    falling = (a <= 1.0) & (b >= 1.0) & ~uniform
+    rising = (a >= 1.0) & (b <= 1.0) & ~uniform
+    equal = ~(interior | falling | rising)  # U-shaped or uniform
+    lo, hi = np.zeros_like(a), np.ones_like(a)
+    lo[equal] = special.betaincinv(a[equal], b[equal], tail)
+    hi[equal] = special.betaincinv(a[equal], b[equal], 1.0 - tail)
+    hi[falling] = special.betaincinv(a[falling], b[falling], mass)
+    lo[rising] = special.betaincinv(a[rising], b[rising], 1.0 - mass)
 
-    active = np.flatnonzero(~flat)
+    active = np.flatnonzero(interior)
     a, b = a[active], b[active]
     log_beta = special.betaln(a, b)
     lower, upper = np.zeros(active.size), np.full(active.size, 1.0 - mass)
@@ -332,7 +340,7 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
             lower, upper, p = lower[going], upper[going], target[going]
     return [
         CredibleInterval(lo=float(l), hi=float(h), mass=mass, equal_tailed=bool(e))
-        for l, h, e in zip(lo, hi, flat)
+        for l, h, e in zip(lo, hi, equal)
     ]
 
 

@@ -20,10 +20,11 @@ types arrays, each row's values its own, bit for bit.  Each update is the
 exact coordinate maximizer of the bound given the rest, so the bound is
 non-decreasing sweep over sweep.  One function, :func:`_bound_terms`, sums
 the seven bound terms over rows from phi, counting the profile block once.
-:func:`estep_sample` runs both on one row (a sample that owns its profile
-posterior outright), and a sample's bound is :func:`corpus_elbo` of its
-row.  Right after a sweep the terms collapse (:func:`_collapsed_bound`),
-with the responsibility entropy in closed form from the factors.  An
+:func:`estep_sample` runs both on one row of :func:`initialize`'s arrays
+(a sample that owns its profile posterior outright), and a sample's bound
+is :func:`corpus_elbo` of the row it returns.  Right after a sweep the
+terms collapse (:func:`_collapsed_bound`), with the responsibility entropy
+in closed form from the factors.  An
 inference phase scores only the states its sweeps make, by that form, and
 stops when two consecutive ones agree, or, when the rate at which their
 change shrinks says plain sweeps would not settle within the phase's cap,
@@ -59,7 +60,8 @@ solve factors too (:func:`_sample_whitening`).
 :func:`fit` keeps its state in these arrays from the starting point that
 :func:`initialize` returns to the :class:`FitResult`, and the single-sample
 API (:func:`estep_sample`, :func:`elbo_terms`, :func:`corpus_elbo`) takes
-and returns the same arrays, one row of them.
+one row of each (``counts[n:n + 1]``, ``A[loc][n:n + 1]``,
+``gamma[n:n + 1]``) and returns that row in the same shapes.
 
 The trace mixing rows that :func:`fit` returns are the share posteriors the
 report reads: each keeps its fitted mean and takes its concentration from
@@ -88,7 +90,6 @@ from .model import (
     CorpusValidationError,
     DirichletMatrix,
     FitResult,
-    SampleCounts,
     validate_corpus,
 )
 from .mstep import mstep, trace_rows
@@ -429,8 +430,8 @@ def corpus_elbo(
 
 
 def estep_sample(
-    counts: SampleCounts,
-    alpha_row: np.ndarray,
+    counts: np.ndarray,
+    a: np.ndarray,
     eta: np.ndarray,
     gamma: np.ndarray,
     lam: np.ndarray,
@@ -438,45 +439,34 @@ def estep_sample(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """Coordinate-ascent sweeps for one sample that owns its profile posterior.
 
-    ``alpha_row`` and ``eta`` are the sample's mixing and profile priors,
-    ``gamma`` (sources) and ``lam`` (sources x types) the state to start
-    from.  Each sweep is the one-row call of the corpus kernel
-    :func:`_sweep_rows`: responsibilities from the current profile and
-    mixing posteriors, then gamma and lambda from the new responsibilities
-    (``lam = eta + count * phi``).  Stops once a sweep moves no gamma or
-    lambda entry by more than a relative ``config.estep_tol``; at
-    ``estep_max_iters`` it returns the state it has and logs a warning with
-    the step left.  Returns gamma, lam, the responsibilities phi (types x
-    sources) and each sweep's bound, the last that of the returned state.
+    ``counts`` (1 x types), ``a`` and ``gamma`` (1 x sources) are one row of
+    the counts, ``A[loc]`` and gamma that :func:`initialize` returns; ``eta``
+    is the profile prior and ``lam`` the profile posterior to start from.
+    Each sweep is the one-row call of the corpus kernel :func:`_sweep_rows`.
+    Stops once a sweep moves no gamma or lambda entry by more than a
+    relative ``config.estep_tol``; at ``estep_max_iters`` it returns the
+    state it has and logs a warning with the step left.  Returns gamma, lam,
+    the responsibilities phi (1 x types x sources) and each sweep's bound,
+    the last that of the returned state: its :func:`corpus_elbo`.
     The stopping rule is the one difference from a corpus inference phase:
     near the fixed point the bound is flat, so consecutive bounds can agree
     to the last bit while the parameters still move.
     :func:`_inference_phase` keeps its bound-change stop, because changing
     it would move the stopping point of every fit.
     """
-    c = counts.counts.astype(np.float64)[None]
-    alpha = DirichletRows(np.asarray(alpha_row, dtype=np.float64)[None])
-    eta = DirichletRows(eta)
-    gamma, lam = DirichletRows(np.asarray(gamma, dtype=np.float64)[None]), DirichletRows(lam)
-
+    a, eta, gamma, lam = map(DirichletRows, (a, eta, gamma, lam))
     bounds: list[float] = []
     for sweep in range(1, config.estep_max_iters + 1):
-        new_gamma, new_lam, swept = _sweep_rows(c, alpha.rows, eta.rows, gamma, lam)
+        new_gamma, new_lam, swept = _sweep_rows(counts, a.rows, eta.rows, gamma, lam)
         moved = _relative_step(gamma.rows, lam.rows, new_gamma.rows, new_lam.rows)
         gamma, lam, phi = new_gamma, new_lam, swept.phi
-        where = f"sweep {sweep} at location {counts.location_id}, sample {counts.sample_index}"
-        bounds.append(_check_terms(_bound_terms(c, alpha, eta, gamma, phi, lam), where, sweep))
+        terms = _bound_terms(counts, a, eta, gamma, phi, lam)
+        bounds.append(_check_terms(terms, f"sweep {sweep}", sweep))
         if moved <= config.estep_tol:
             break
     else:
-        logger.warning(
-            "estep_sample at location %d, sample %d: still moving by %.1e after %d sweeps",
-            counts.location_id,
-            counts.sample_index,
-            moved,
-            config.estep_max_iters,
-        )
-    return gamma.rows[0], lam.rows, phi[0], bounds
+        logger.warning("estep_sample: still moving by %.1e after %d sweeps", moved, sweep)
+    return gamma.rows, lam.rows, phi, bounds
 
 
 # Each warm-start stage sweeps until its settle test holds, for at most

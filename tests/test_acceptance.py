@@ -14,7 +14,7 @@ from scipy import stats
 
 from dustmix.cli import cmd_fit, cmd_simulate
 from dustmix.datasets import TRACE_TRUTH, at_lq_point_profiles, fixture_path
-from dustmix.model import ParticleCatalog, SampleCounts
+from dustmix.model import ParticleCatalog
 from dustmix.mstep import alpha_objective_and_gradient, eta_objective_and_gradient
 from dustmix.numerics import BetaShape, beta_hpdi, beta_quantile, beta_summary, digamma, log_gamma
 from dustmix.simulator import StudySpec, generate_sample, run_study
@@ -90,10 +90,11 @@ class TestCriterion3SingleKnownScenarios:
 class TestCriterion4BoundMonotonicity:
     def test_criterion_4(self, corpus_both_known, fit_both_known, fit_at_known, fit_lq_known):
         config = FitConfig()
-        eta, A, _, _, gamma = initialize(corpus_both_known, config)
+        eta, A, loc, counts, gamma = initialize(corpus_both_known, config)
         worst_inner = 0.0
-        for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples()):
-            *_, bounds = estep_sample(sample, A[loc_id], eta, gamma[n], eta, config)
+        for n in range(len(loc)):
+            row = slice(n, n + 1)
+            *_, bounds = estep_sample(counts[row], A[loc[row]], eta, gamma[row], eta, config)
             diffs = np.diff(bounds)
             if diffs.size:
                 worst_inner = min(worst_inner, float(diffs.min()))
@@ -143,16 +144,13 @@ class TestCriterion5GradientCorrectness:
             worst = max(worst, float(np.max(np.abs(grad - numeric) / scale)))
         eta_worst = worst
 
-        trace_loc = corpus_at_known.trace_location_ids[0]
         worst = 0.0
         for _ in range(100):
             M = corpus_at_known.n_sources
             gammas, _ = self._samples(rng, M, 3)
             x = rng.uniform(0.3, 7.0, M)
-            _, grad = alpha_objective_and_gradient(trace_loc, x, gammas, corpus_at_known)
-            numeric = self._central(
-                lambda v: alpha_objective_and_gradient(trace_loc, v, gammas, corpus_at_known)[0], x
-            )
+            _, grad = alpha_objective_and_gradient(x, gammas)
+            numeric = self._central(lambda v: alpha_objective_and_gradient(v, gammas)[0], x)
             scale = np.maximum(np.abs(numeric), 1e-3)
             worst = max(worst, float(np.max(np.abs(grad - numeric) / scale)))
         record(5, eta_worst <= 1e-4 and worst <= 1e-4,
@@ -163,9 +161,9 @@ class TestCriterion6EstepOracle:
     def test_criterion_6(self):
         from _oracles import FROZEN_2X2
 
-        alpha = np.array([1.0, 1.0])
+        alpha = np.array([[1.0, 1.0]])
         eta = np.array([[2.0, 1.0], [1.0, 2.0]])
-        counts = SampleCounts(np.array([3, 1]), 0, 0)
+        counts = np.array([[3.0, 1.0]])
         gamma, lam, phi, _ = estep_sample(counts, alpha, eta, alpha + 2.0, eta,
                                           FitConfig(estep_tol=1e-16, estep_max_iters=5000))
 
@@ -174,8 +172,7 @@ class TestCriterion6EstepOracle:
             float(np.abs(lam - np.array(FROZEN_2X2["lam"])).max()),
             float(np.abs(phi - np.array(FROZEN_2X2["phi"])).max()),
         ]
-        row = (counts.counts[None].astype(np.float64), alpha[None], eta, gamma[None], phi[None],
-               lam)
+        row = (counts, alpha, eta, gamma, phi, lam)
         terms = elbo_terms(*row)
         term_gap = max(
             abs(terms[name] - expected) for name, expected in FROZEN_2X2["terms"].items()

@@ -83,42 +83,27 @@ class TestEtaObjective:
 
 
 class TestAlphaObjective:
-    def _corpus(self):
-        return Corpus.from_groups(ParticleCatalog(("a", "b")), [
-            ("k", LocationRole.known(), [np.array([3, 1])]),
-            ("t", LocationRole.trace(), [np.array([1, 2])]),
-        ], 1)
-
     def test_single_source_is_identically_zero(self):
-        corpus = Corpus.from_groups(ParticleCatalog(("a", "b")),
-                                    [("t", LocationRole.trace(), [np.array([2, 2])])], 1)
-        value, grad = alpha_objective_and_gradient(0, np.array([1.0]), np.array([[4.0]]), corpus)
+        value, grad = alpha_objective_and_gradient(np.array([1.0]), np.array([[4.0]]))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(43)
-        corpus = self._corpus()
         for _ in range(100):
             M = 2
             gammas, _ = random_states(rng, int(rng.integers(1, 5)), M, 2)
             alpha_row = rng.uniform(0.2, 6.0, size=M)
-            _, grad = alpha_objective_and_gradient(1, alpha_row, gammas, corpus)
+            _, grad = alpha_objective_and_gradient(alpha_row, gammas)
             numeric = central_difference(
-                lambda x: alpha_objective_and_gradient(1, x, gammas, corpus)[0], alpha_row
+                lambda x: alpha_objective_and_gradient(x, gammas)[0], alpha_row
             )
             assert_allclose(grad, numeric, rtol=1e-4, atol=1e-7)
 
     def test_gradient_vanishes_at_matching_gamma(self):
-        corpus = self._corpus()
         row = np.array([2.5, 4.5])
-        _, grad = alpha_objective_and_gradient(1, row, row[None, :], corpus)
+        _, grad = alpha_objective_and_gradient(row, row[None, :])
         assert_allclose(grad, 0.0, atol=1e-10)
-
-    def test_known_row_rejected(self):
-        corpus = self._corpus()
-        with pytest.raises(ValueError, match="frozen"):
-            alpha_objective_and_gradient(0, np.array([1.0, 1.0]), np.ones((1, 2)), corpus)
 
 
 def digamma_rows(rows):

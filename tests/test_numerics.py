@@ -357,9 +357,13 @@ class TestBetaHpdi:
         _, log_density_gap = beta_hpdi_check(ci.lo, ci.hi, shape.a, shape.b)
         assert abs(log_density_gap) <= 1e-4
 
-    def test_half_open_shapes_flagged(self):
-        ci = beta_hpdi(BetaShape(0.8, 5.0), 0.95)
-        assert ci.equal_tailed
+    def test_monotone_shapes_are_one_sided(self):
+        # a monotone density's shortest interval starts at the end where it peaks
+        falling, rising = BetaShape(0.8, 5.0), BetaShape(5.0, 0.8)
+        ci = beta_hpdi(falling, 0.95)
+        assert not ci.equal_tailed and (ci.lo, ci.hi) == (0.0, beta_quantile(0.95, falling))
+        ci = beta_hpdi(rising, 0.95)
+        assert not ci.equal_tailed and (ci.lo, ci.hi) == (beta_quantile(1.0 - 0.95, rising), 1.0)
 
     def test_mass_validation(self):
         with pytest.raises(ValueError):
@@ -390,8 +394,9 @@ class TestBetaHpdisOracle:
     @pytest.fixture(scope="class")
     def shapes(self):
         # a or b in (1, 1.05], where an endpoint sits at 0 or 1; both
-        # log-uniform up to 1e5; and a below 1, the equal-tailed fallback (b
-        # below 1 puts its upper quantile closer to 1 than a double resolves)
+        # log-uniform up to 1e5; and a below 1, a falling density whose
+        # interval starts at 0 (b below 1 too puts the equal-tailed upper
+        # quantile closer to 1 than a double resolves)
         rng = np.random.default_rng(20)
         near_one = 1.05 - rng.uniform(0.0, 0.05, size=100)
         wide = 10.0 ** rng.uniform(0.0, 5.0, size=(3, 100))
@@ -412,7 +417,7 @@ class TestBetaHpdisOracle:
         for a, b, ci in zip(*shapes, intervals):
             mass, gap = beta_hpdi_check(ci.lo, ci.hi, a, b)
             assert mass == pytest.approx(self.MASS, abs=1e-10), (a, b)
-            assert ci.equal_tailed == (not (a > 1.0 and b > 1.0))
+            assert ci.equal_tailed == (a < 1.0 and b < 1.0 or a == b == 1.0)
             # a root within 1e-13 of tail mass from 0 or 1 - mass, or whose
             # upper endpoint would lie within a few ulps of 1, is beyond what the
             # search or a double resolves: the endpoint stays at 0 or 1

@@ -20,6 +20,7 @@ from dustmix.posterior import (
     write_table,
 )
 
+from _oracles import beta_hpdi_check
 from conftest import theta_interval
 
 
@@ -87,6 +88,29 @@ class TestBuildReport:
     def test_theta_means_sum_to_one(self, report):
         for summaries in report.theta.values():
             assert sum(s.mean for s in summaries) == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("scenario", ["both_known", "at_known", "lq_known"])
+    def test_intervals_are_shortest(self, scenario, request):
+        # every marginal of a bundled report holds its mass on its shortest
+        # interval: equal density at both ends around an interior mode, one
+        # end at 0 or 1 for a monotone density; only a U-shaped or uniform
+        # density may take the flagged equal-tailed interval
+        result = request.getfixturevalue(f"fit_{scenario}")
+        result = result[0] if isinstance(result, tuple) else result
+        report = build_report(result, request.getfixturevalue(f"corpus_{scenario}"))
+        for summary in (s for block in (report.theta, report.beta)
+                        for summaries in block.values() for s in summaries):
+            a, b, ci = summary.shape.a, summary.shape.b, summary.interval
+            mass, gap = beta_hpdi_check(ci.lo, ci.hi, a, b)
+            assert mass == pytest.approx(report.mass, abs=1e-10), summary
+            assert ci.equal_tailed == (a < 1.0 and b < 1.0 or a == b == 1.0), summary
+            if a > 1.0 and b > 1.0:
+                # one ulp of each endpoint moves log f by this
+                resolution = sum(abs((a - 1.0) / x - (b - 1.0) / (1.0 - x)) * np.spacing(x)
+                                 for x in (ci.lo, ci.hi))
+                assert abs(gap) <= 1e-10 + 4.0 * resolution, summary
+            elif not ci.equal_tailed:
+                assert ci.lo == 0.0 if a <= 1.0 else ci.hi == 1.0, summary
 
     def test_deterministic(self, fit_both_known, corpus_both_known):
         result, _ = fit_both_known

@@ -19,7 +19,6 @@ from dustmix.model import (
     CorpusValidationError,
     LocationRole,
     ParticleCatalog,
-    SampleCounts,
 )
 from dustmix.datasets import at_lq_corpus, at_lq_point_profiles
 from dustmix.numerics import beta_hpdi, beta_summary
@@ -51,9 +50,11 @@ def estep_from_start(alpha, eta, counts_vec, config=None):
     """:func:`estep_sample` of one sample from the start a lone sample gets:
     gamma = alpha + count / sources, lam = eta.  Returns gamma, lam, phi and
     the bounds."""
-    counts = SampleCounts(np.asarray(counts_vec), 0, 0)
-    gamma = np.asarray(alpha, float) + counts.total / len(alpha)
-    return estep_sample(counts, alpha, eta, gamma, eta, config or FitConfig())
+    counts = np.asarray(counts_vec, dtype=np.float64)[None]
+    a = np.asarray(alpha, dtype=np.float64)[None]
+    gamma, lam, phi, bounds = estep_sample(counts, a, eta, a + counts.sum() / a.shape[1], eta,
+                                           config or FitConfig())
+    return gamma[0], lam, phi[0], bounds
 
 
 def random_instances():
@@ -152,9 +153,10 @@ class TestEstepSample:
 
     def test_elbo_monotone_across_sweeps(self, corpus_both_known):
         config = FitConfig()
-        eta, A, _, _, gamma = initialize(corpus_both_known, config)
-        for n, (loc_id, sample) in enumerate(corpus_both_known.iter_samples()):
-            *_, bounds = estep_sample(sample, A[loc_id], eta, gamma[n], eta, config)
+        eta, A, loc, counts, gamma = initialize(corpus_both_known, config)
+        for n in range(len(loc)):
+            row = slice(n, n + 1)
+            *_, bounds = estep_sample(counts[row], A[loc[row]], eta, gamma[row], eta, config)
             assert np.all(np.diff(bounds) >= -1e-8)
 
     def test_count_identities(self):
@@ -180,11 +182,23 @@ class TestEstepSample:
         assert_allclose(lam_p, lam[:, perm], atol=1e-10)
         assert_allclose(phi_p, phi[perm, :], atol=1e-10)
 
+    @pytest.mark.parametrize("scenario", ["both_known", "at_known", "lq_known"])
+    def test_runs_on_initialize_rows(self, scenario):
+        # each sample's row of initialize's arrays goes in as it is, and what
+        # comes back is a row corpus_elbo reads: its bound is the last one
+        config = FitConfig()
+        eta, A, loc, counts, gamma = initialize(_pins.bundled_corpus(scenario), config)
+        for n in range(len(loc)):
+            row = counts[n:n + 1], A[loc[n:n + 1]]
+            new_gamma, lam, phi, bounds = estep_sample(*row, eta, gamma[n:n + 1], eta, config)
+            assert corpus_elbo(*row, eta, new_gamma, phi, lam) == bounds[-1]
+
     @staticmethod
     def _next_sweep_step(counts_vec, alpha, eta, gamma, lam):
         """Largest relative gamma/lam change of one more sweep from (gamma, lam)."""
-        again_gamma, again_lam, _, _ = estep_sample(SampleCounts(counts_vec, 0, 0), alpha, eta,
-                                                    gamma, lam, FitConfig(estep_max_iters=1))
+        again_gamma, again_lam, _, _ = estep_sample(
+            np.asarray(counts_vec, dtype=np.float64)[None], alpha[None], eta, gamma[None], lam,
+            FitConfig(estep_max_iters=1))
         return max(np.abs(again_gamma / gamma - 1.0).max(), np.abs(again_lam / lam - 1.0).max())
 
     def test_stops_at_parameter_fixed_point(self):
