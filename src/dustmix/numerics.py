@@ -147,15 +147,19 @@ class _lazy(cached_property):
 class DirichletRows:
     """Dirichlet parameters, one distribution per row, behind one domain check.
 
-    Building it rejects, with the ``ValueError`` of :func:`digamma`, rows or
-    row sums that are not strictly positive and finite (an empty set of rows
-    passes).  Strictly positive entries make every sum of at least one entry
-    positive, so the sums' sign is tested only when rows have no columns.
+    Building it rejects, with a ``ValueError``, rows that are not a 2-D
+    array and, as :func:`digamma` does, rows or row sums that are not
+    strictly positive and finite (an empty set of rows passes).  Strictly
+    positive entries make every sum of at least one entry positive, so the
+    sums' sign is tested only when rows have no columns.
     The expectations are evaluated on first use and kept.
     """
 
     def __init__(self, rows) -> None:
         self.rows = np.asarray(rows, dtype=np.float64)
+        if self.rows.ndim != 2:
+            raise ValueError(f"DirichletRows requires 2-D rows, one per distribution, "
+                             f"got shape {self.rows.shape}")
         self.sums = reduce_last(np.add, self.rows)
         # A NaN propagates into a minimum and fails its test, an infinite entry
         # makes its row sum infinite, and empty rows pass: each reduction
@@ -287,12 +291,19 @@ def beta_hpdis(a, b, mass: float) -> list[CredibleInterval]:
     (a < 1 and b < 1) or uniform density gets the equal-tailed interval,
     flagged via ``equal_tailed`` (for the uniform, the centred one).  Each
     shape's arithmetic does not depend on the others, so a batch returns
-    what one call per shape would.
+    what one call per shape would.  ``a`` and ``b`` must hold as many
+    shapes, each positive and finite, or it raises a ``ValueError``.
     """
     if not (0.0 < mass < 1.0):
         raise ValueError(f"interval mass must lie in (0, 1), got {mass}")
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
+    if a.size != b.size:
+        raise ValueError(f"beta_hpdis needs one b per a, got {a.size} a and {b.size} b")
+    for name, shapes in (("a", a), ("b", b)):
+        bad = shapes[~((shapes > 0.0) & (shapes < math.inf))]  # NaN is bad too
+        if bad.size:
+            raise ValueError(f"Beta shape {name} must be positive and finite, got {bad[0]}")
     tail = 0.5 * (1.0 - mass)
     interior, uniform = (a > 1.0) & (b > 1.0), (a == 1.0) & (b == 1.0)
     falling = (a <= 1.0) & (b >= 1.0) & ~uniform

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -172,15 +173,16 @@ class StudySpec:
     profile row) in the first trace, ``sample_sizes`` the particles per
     sample; the known source has ``known_samples`` samples of
     ``known_sample_size`` particles (default: the cell's size), and
-    ``second_trace`` adds a trace with that fixed mixture.  Construction
+    ``second_trace`` adds a trace with that fixed mixture.  A grid value
+    given twice is one more cell, with draws of its own.  Construction
     checks what :func:`run_study` would otherwise fail on in its cells, and
     each error names its field: ``unknown_shares``, ``sample_sizes`` and a
     given ``second_trace`` must be lists or tuples (stored as tuples), each
     count an integer (:func:`~dustmix.vbi.as_count`) of at least 1 (the seed
-    at least 0), each share a real number (not a bool or a string), no share
-    or particle count given twice, and the second mixture and the profiles
-    probability vectors.  The checks shared with a cell's
-    :class:`ScenarioSpec` are made by building the first cell's scenario.
+    at least 0), each share a real number (not a bool or a string), and the
+    second mixture and the profiles probability vectors.  The checks shared
+    with a cell's :class:`ScenarioSpec` are made by building the first
+    cell's scenario.
     """
 
     catalog: ParticleCatalog
@@ -205,10 +207,6 @@ class StudySpec:
             raise ValueError("the study grid must be non-empty")
         if any(not 0.0 < u < 1.0 for u in self.unknown_shares):
             raise ValueError("unknown-source shares must lie strictly inside (0, 1)")
-        for name, values in (("unknown_shares", self.unknown_shares),
-                             ("sample_sizes", self.sample_sizes)):
-            if len(set(values)) < len(values):  # aggregate() finds a cell's rows by value
-                raise ValueError(f"{name} repeats a value: {list(values)}")
         for name, least in (("known_samples", 1), ("replications", 1), ("rng_seed", 0)):
             object.__setattr__(self, name, as_count(name, getattr(self, name), least))
         if self.known_sample_size is not None:
@@ -262,33 +260,28 @@ class StudyResults:
     cells: tuple[CellResult, ...]
 
     def aggregate(self) -> list[dict]:
-        """Per-cell averages over replications, in grid order."""
+        """Per-cell averages over replications, one row per grid position in
+        grid order.  Cell k = i_share * len(sample_sizes) + i_size holds
+        ``cells[k * R:(k + 1) * R]`` (R replications), as :func:`run_study`
+        returns them, so a repeated grid value is a row of its own."""
+        spec, n_reps = self.spec, self.spec.replications
+        columns = _columns(spec, "mean", "mode", "abs_err")
         rows: list[dict] = []
-        for share in self.spec.unknown_shares:
-            for size in self.spec.sample_sizes:
-                reps = [
-                    c for c in self.cells
-                    if c.unknown_share == share and c.sample_size == size and c.error is None
-                ]
-                row: dict = {
-                    "unknown_share": share,
-                    "sample_size": size,
-                    "replications": len(reps),
-                    "failures": self.spec.replications - len(reps),
-                }
-                if reps:
-                    n_traces = len(reps[0].theta_unknown_mean)
-                    for j in range(n_traces):
-                        means = [c.theta_unknown_mean[j] for c in reps]
-                        modes = [c.theta_unknown_mode[j] for c in reps]
-                        truth = share if j == 0 else self.spec.second_trace[1]
-                        row[f"trace{j}_mean"] = float(np.mean(means))
-                        row[f"trace{j}_mode"] = float(np.mean(modes))
-                        row[f"trace{j}_abs_err"] = float(np.mean([abs(m - truth) for m in means]))
-                    beta = np.mean([c.beta_unknown_mean for c in reps], axis=0)
-                    for t, value in enumerate(beta):
-                        row[f"beta_unknown_{t}"] = float(value)
-                rows.append(row)
+        for k, (share, size) in enumerate(product(spec.unknown_shares, spec.sample_sizes)):
+            reps = [c for c in self.cells[k * n_reps:(k + 1) * n_reps] if c.error is None]
+            row: dict = {"unknown_share": share, "sample_size": size,
+                         "replications": len(reps), "failures": n_reps - len(reps)}
+            if reps:
+                truths = (share,) if spec.second_trace is None else (share, spec.second_trace[1])
+                values: list[float] = []
+                for j, truth in enumerate(truths):
+                    means = [c.theta_unknown_mean[j] for c in reps]
+                    values += [float(np.mean(means)),
+                               float(np.mean([c.theta_unknown_mode[j] for c in reps])),
+                               float(np.mean([abs(m - truth) for m in means]))]
+                values += np.mean([c.beta_unknown_mean for c in reps], axis=0).tolist()
+                row.update(zip(columns, values))
+            rows.append(row)
         return rows
 
 
@@ -346,21 +339,27 @@ def run_study(study: StudySpec, config: FitConfig | None = None, threads: int = 
     return StudyResults(spec=study, cells=cells)
 
 
+def _columns(spec: StudySpec, *stats: str) -> list[str]:
+    """A study table's fitted columns: ``trace{j}_{stat}`` for each trace j
+    and stat, then ``beta_unknown_{t}`` for each particle type."""
+    n_traces = 1 if spec.second_trace is None else 2
+    return ([f"trace{j}_{stat}" for j in range(n_traces) for stat in stats]
+            + [f"beta_unknown_{t}" for t in range(spec.true_profiles.shape[1])])
+
+
 def write_cells_csv(results: StudyResults, path: Path | str) -> None:
-    n_types = results.spec.true_profiles.shape[1]
-    n_traces = 2 if results.spec.second_trace is not None else 1
-    header = ["unknown_share", "sample_size", "replication", "converged", "iterations", "elbo"]
-    for j in range(n_traces):
-        header += [f"trace{j}_mean", f"trace{j}_mode"]
-    header += [*(f"beta_unknown_{t}" for t in range(n_types)), "error"]
+    """Write one row per replication in :func:`run_study`'s grid order, so
+    each cell's rows, a repeated grid value's too, follow one another."""
+    columns = _columns(results.spec, "mean", "mode")
+    header = ["unknown_share", "sample_size", "replication", "converged", "iterations", "elbo",
+              *columns, "error"]
     rows = []
     for c in results.cells:
         if c.error is None:
-            fitted = [v for j in range(n_traces)
-                      for v in (c.theta_unknown_mean[j], c.theta_unknown_mode[j])]
+            fitted = [v for pair in zip(c.theta_unknown_mean, c.theta_unknown_mode) for v in pair]
             fitted += c.beta_unknown_mean
         else:
-            fitted = [None] * (2 * n_traces + n_types)
+            fitted = [None] * len(columns)
         rows.append([c.unknown_share, c.sample_size, c.replication, c.converged, c.iterations,
                      None if np.isnan(c.elbo) else c.elbo, *fitted, c.error])
     write_table(path, header, rows)
@@ -370,9 +369,6 @@ def write_aggregate_csv(results: StudyResults, path: Path | str) -> None:
     """Write :meth:`StudyResults.aggregate`, one row per grid cell.  The
     header comes from the spec, so a cell whose replications all failed
     leaves its means blank."""
-    n_types = results.spec.true_profiles.shape[1]
-    n_traces = 2 if results.spec.second_trace is not None else 1
-    header = ["unknown_share", "sample_size", "replications", "failures"]
-    header += [f"trace{j}_{what}" for j in range(n_traces) for what in ("mean", "mode", "abs_err")]
-    header += [f"beta_unknown_{t}" for t in range(n_types)]
+    header = ["unknown_share", "sample_size", "replications", "failures",
+              *_columns(results.spec, "mean", "mode", "abs_err")]
     write_table(path, header, ([row.get(k) for k in header] for row in results.aggregate()))

@@ -592,10 +592,6 @@ class TestCmdSimulate:
         ("profiles: {types: [a, b], rows: {x: 1}}\n", "profiles.rows must be a list of lists"),
         ("profiles: {types: [a, ' '], rows: [[1, 2], [2, 1]]}\n", "names must not be blank"),
         ("profiles: {types: [a, b], rows: [[1, 2], [0, 0]]}\n", "positive sum, got \\[0, 0\\]"),
-        # aggregate() matches cells by value, so a repeat once gave two
-        # identical rows with negative failure counts
-        ("unknown_shares: [0.4, 0.4]\n", "unknown_shares repeats a value: \\[0.4, 0.4\\]"),
-        ("sample_sizes: [100, 70, 100]\n", "sample_sizes repeats a value: \\[100, 70, 100\\]"),
     ])
     def test_malformed_spec_is_named(self, tmp_path, text, message, capsys):
         # a malformed profiles block once raised a TypeError, a RuntimeWarning

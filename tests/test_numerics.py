@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +153,13 @@ class TestDirichletRows:
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             DirichletRows(np.array([[1.0, 2.0], [3.0, bad]]))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)], ids=["0-d", "1-d", "3-d"])
+    def test_rows_that_are_not_2d_are_named(self, shape):
+        # these once raised an IndexError or numpy's "truth value ... is ambiguous"
+        message = "requires 2-D rows.*got shape " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            DirichletRows(np.ones(shape))
 
     def test_row_sum_domain_error(self):
         with pytest.raises(ValueError), np.errstate(over="ignore"):
@@ -368,6 +376,19 @@ class TestBetaHpdi:
     def test_mass_validation(self):
         with pytest.raises(ValueError):
             beta_hpdi(BetaShape(2.0, 2.0), 1.5)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([2.0, 3.0], [2.0, 3.0, 4.0], "one b per a, got 2 a and 3 b"),
+        ([2.0, 0.0], [2.0, 3.0], "shape a must be positive and finite, got 0.0"),
+        ([2.0], [-1.0], "shape b must be positive and finite, got -1.0"),
+        ([float("nan")], [2.0], "shape a must be positive and finite, got nan"),
+        ([2.0], [float("inf")], "shape b must be positive and finite, got inf"),
+    ], ids=["lengths", "zero-a", "negative-b", "nan-a", "inf-b"])
+    def test_shapes_are_checked_before_any_special_function(self, a, b, message, monkeypatch):
+        # these once raised an IndexError or an "endpoints out of order" error
+        monkeypatch.setattr(numerics, "special", None)
+        with pytest.raises(ValueError, match=message):
+            beta_hpdis(a, b, 0.95)
 
     def test_interval_invariants(self):
         with pytest.raises(ValueError):

@@ -350,16 +350,28 @@ class TestStudy:
         agg_lines = (tmp_path / "agg.csv").read_text().splitlines()
         assert len(agg_lines) == 1 + 4
 
+    @pytest.mark.parametrize("grid, repeat", [
+        (dict(unknown_shares=(0.4, 0.4), sample_sizes=(40,)), 1),
+        (dict(unknown_shares=(0.4,), sample_sizes=[40, 80, 40]), 2),
+    ], ids=["share", "size"])
+    def test_repeated_grid_value_is_its_own_cell(self, catalog, tmp_path, grid, repeat):
+        # aggregate() reads a cell's replications by grid position, so a
+        # repeated value is one more row, fitted on draws of its own
+        study = self._study(catalog, **grid)
+        results = run_study(study, FitConfig(outer_max_iters=15))
+        rows = results.aggregate()
+        assert [(r["unknown_share"], r["sample_size"]) for r in rows] == [
+            (share, size) for share in study.unknown_shares for size in study.sample_sizes]
+        assert all(r["replications"] == 2 and r["failures"] == 0 for r in rows)
+        assert rows[repeat]["trace0_mean"] != rows[0]["trace0_mean"]
+        write_aggregate_csv(results, tmp_path / "agg.csv")
+        assert len((tmp_path / "agg.csv").read_text().splitlines()) == 1 + len(rows)
+
     def test_grid_validation(self, catalog):
         with pytest.raises(ValueError):
             self._study(catalog, unknown_shares=())
         with pytest.raises(ValueError):
             self._study(catalog, unknown_shares=(0.0, 0.5))
-        # aggregate() finds a cell's rows by value, so a grid value is given once
-        with pytest.raises(ValueError, match=r"unknown_shares repeats a value: \[0.4, 0.4\]"):
-            self._study(catalog, unknown_shares=(0.4, 0.4))
-        with pytest.raises(ValueError, match=r"sample_sizes repeats a value: \[40, 80, 40\]"):
-            self._study(catalog, sample_sizes=[40, 80, 40])
         for replications in (0, -2):
             with pytest.raises(ValueError, match="replications"):
                 self._study(catalog, replications=replications)

@@ -119,6 +119,15 @@ class TestInitialize:
 
 
 class TestEstepSample:
+    @pytest.mark.parametrize("one_d", ["a", "gamma"])
+    def test_a_row_that_is_not_2d_is_named(self, one_d):
+        # a 1-D a or gamma (the old single-sample shapes) once raised a bare IndexError
+        rows = {"a": np.array([[1.0, 1.0]]), "gamma": np.array([[3.0, 3.0]])}
+        rows[one_d] = rows[one_d][0]
+        with pytest.raises(ValueError, match=r"requires 2-D rows.*got shape \(2,\)"):
+            estep_sample(np.array([[3.0, 1.0]]), rows["a"], np.ones((2, 2)), rows["gamma"],
+                         np.ones((2, 2)), FitConfig())
+
     def test_single_source_closed_form(self):
         alpha = np.array([2.0])
         eta = np.array([[1.5, 2.5, 1.0]])
